@@ -13,6 +13,7 @@ TAUPART_MAX_N overrides the library capacity caps for every subcommand.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -31,7 +32,7 @@ from .errors import (
 from .graphs import blocks, mask_to_ids, parse_graph6, random_2connected, to_dot
 from .multiway import detour_coloring
 from .oracle import sweep_ppc, verify_record
-from .partition import PartitionTarget, tau_partition
+from .partition import PartitionTarget, graph_facts, tau_partition
 from .starcolor import star_coloring
 
 
@@ -116,7 +117,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
     g = parse_graph6(args.graph)
     max_n = _max_n()
     if args.all_pairs:
-        tau_g = detour_order(g, max_n=max_n).tau
+        tau_g = graph_facts(g, max_n).tau
         for a in range(1, tau_g):
             cert = tau_partition(g, PartitionTarget(a, tau_g - a), max_n=max_n)
             _emit(cert.to_json_dict())
@@ -202,7 +203,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failed == 0 else 3
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     p = argparse.ArgumentParser(prog="taupart",
                                 description="Detour-order path partitions and colourings of small graphs.")
     sub = p.add_subparsers(dest="command", required=True)

@@ -49,7 +49,9 @@ def _compact(g: Graph, mask: int) -> tuple[list[int], list[int]]:
     return ladj, order
 
 
-def _check_capacity(k: int, max_n: int | None) -> None:
+def check_capacity(k: int, max_n: int | None) -> None:
+    """Raise CapacityError when a DP over k vertices exceeds the cap
+    (max_n, or DETOUR_DP_MAX_N when None)."""
     cap = DETOUR_DP_MAX_N if max_n is None else max_n
     if k > cap:
         raise CapacityError(f"subset dynamic program over {k} vertices exceeds the cap of {cap}")
@@ -114,7 +116,7 @@ def detour_order(g: Graph, max_n: int | None = None) -> DetourRecord:
     """
     if g.n == 0:
         raise GraphError("detour order of the empty graph is undefined")
-    _check_capacity(g.n, max_n)
+    check_capacity(g.n, max_n)
     ladj, order = _compact(g, g.full_mask)
     tau, table, last, _ = _dp_levels(ladj)
     best_mask = min(last)
@@ -140,7 +142,7 @@ def tau_subset(g: Graph, mask: int, max_n: int | None = None) -> int:
     """Detour order of the induced subgraph <mask>; 0 for the empty set."""
     if mask == 0:
         return 0
-    _check_capacity(mask.bit_count(), max_n)
+    check_capacity(mask.bit_count(), max_n)
     ladj, _ = _compact(g, mask)
     tau, _, _, _ = _dp_levels(ladj)
     return tau
@@ -152,7 +154,7 @@ def subset_has_path(g: Graph, mask: int, k: int, max_n: int | None = None) -> bo
         raise GraphError(f"path order {k} must be positive")
     if k > mask.bit_count():
         return False
-    _check_capacity(mask.bit_count(), max_n)
+    check_capacity(mask.bit_count(), max_n)
     ladj, _ = _compact(g, mask)
     tau, _, _, _ = _dp_levels(ladj, stop_at=k)
     return tau >= k
@@ -185,7 +187,7 @@ def end_vertices_of_order_paths(g: Graph, k: int, within: int | None = None,
     mask = g.full_mask if within is None else within
     if k > mask.bit_count():
         return 0
-    _check_capacity(mask.bit_count(), max_n)
+    check_capacity(mask.bit_count(), max_n)
     ladj, order = _compact(g, mask)
     _, _, _, collected = _dp_levels(ladj, stop_at=k, collect_level=k)
     out = 0

@@ -16,6 +16,7 @@ specific starting cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import GraphError, InternalCheckError, NotTwoConnectedError
 from .graphs import Graph, add_ear, blocks, cycle_graph, ids_to_mask, is_connected, iter_bits, pair_index
@@ -60,7 +61,9 @@ def is_two_connected(g: Graph) -> bool:
     return cut_mask == 0
 
 
-def _require_two_connected(g: Graph) -> None:
+def require_two_connected(g: Graph) -> None:
+    """Raise NotTwoConnectedError, naming a cut vertex when one exists,
+    unless g is 2-connected."""
     if g.n < 3:
         raise NotTwoConnectedError(f"graph on {g.n} vertices is too small to be 2-connected")
     if not is_connected(g):
@@ -83,7 +86,7 @@ def ear_decompose(g: Graph, base_cycle: tuple[int, ...] | None = None) -> EarDec
     graphs that are not 2-connected, and GraphError if a forced base cycle
     is not actually a cycle of g.
     """
-    _require_two_connected(g)
+    require_two_connected(g)
     if base_cycle is not None:
         return _decompose_from_cycle(g, tuple(base_cycle))
     return _chain_decompose(g)
@@ -274,11 +277,13 @@ def validate_ears(g: Graph, d: EarDecomposition) -> bool:
     return not ear_diagnostics(g, d)
 
 
-def reconstruct_decomposition(d: EarDecomposition) -> tuple[Graph, list[int]]:
-    """Rebuild the graph by folding add_ear over the decomposition.
+def ear_levels(d: EarDecomposition) -> Iterator[tuple[Graph, Ear | None, tuple[int, ...]]]:
+    """Fold add_ear over the decomposition, yielding every level in turn.
 
-    Returns the rebuilt graph (fresh local ids in attachment order) and the
-    local->original id list.
+    Each level comes as (graph, local ear, local->original ids).  Level 0 is
+    the base cycle relabelled 0..c-1 in cycle order, with ear None; level
+    i >= 1 is level i-1 plus ear i-1, whose fresh internal vertices take the
+    next local ids.  The local ear is that ear in level i-1's ids.
     """
     base = d.base_cycle
     if len(base) < 3:
@@ -288,17 +293,29 @@ def reconstruct_decomposition(d: EarDecomposition) -> tuple[Graph, list[int]]:
     pos = {v: i for i, v in enumerate(base)}
     if len(pos) != len(base):
         raise GraphError("base cycle repeats a vertex")
+    yield gg, None, tuple(orig)
     for ear in d.ears:
         if ear.x not in pos or ear.y not in pos:
             raise GraphError(f"ear endpoint ({ear.x}, {ear.y}) not yet present")
-        start = gg.n
-        gg = add_ear(gg, pos[ear.x], pos[ear.y], ear.r)
+        lx, ly, start = pos[ear.x], pos[ear.y], gg.n
+        gg = add_ear(gg, lx, ly, ear.r)
         for off, ov in enumerate(ear.internals):
             if ov in pos:
                 raise GraphError(f"internal vertex {ov} reused")
             pos[ov] = start + off
             orig.append(ov)
-    return gg, orig
+        yield gg, Ear(lx, ly, tuple(range(start, gg.n))), tuple(orig)
+
+
+def reconstruct_decomposition(d: EarDecomposition) -> tuple[Graph, list[int]]:
+    """Rebuild the graph by folding add_ear over the decomposition.
+
+    Returns the rebuilt graph (fresh local ids in attachment order) and the
+    local->original id list.
+    """
+    for gg, _, orig in ear_levels(d):
+        pass
+    return gg, list(orig)
 
 
 def reconstruction_matches(g: Graph, d: EarDecomposition) -> bool:

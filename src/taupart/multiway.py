@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .detour import detour_order, subset_tau_at_most
+from .detour import subset_tau_at_most
 from .errors import CapacityError, GraphError, InternalCheckError, TargetError, VerificationError
 from .graphs import Graph, encode_graph6, induced_subgraph, iter_bits, mask_to_ids
-from .partition import PartitionTarget, tau_partition
+from .partition import PartitionTarget, graph_facts, tau_partition
 
 EXACT_SEARCH_MAX_N = 14
 
@@ -90,7 +90,7 @@ def _split(g: Graph, parts: list[int], trace: list | None, max_n: int | None) ->
     cert = tau_partition(g, PartitionTarget(parts[first], total - parts[first]), max_n=max_n)
     sub, _ = induced_subgraph(g, cert.part_b)
     order = mask_to_ids(cert.part_b)
-    tau_rem = detour_order(sub, max_n=g.n).tau if sub.n else 0
+    tau_rem = graph_facts(sub, max_n=g.n).tau if sub.n else 0
     rest = _rebalance(list(parts[first + 1:]), tau_rem, trace)
     sub_masks = _split(sub, rest, trace, max_n)
     lifted = []
@@ -115,7 +115,7 @@ def t_partition(g: Graph, parts: tuple[int, ...] | list[int], trace: list | None
         raise TargetError("tuple target is empty")
     if any(p < 1 for p in parts):
         raise TargetError(f"tuple target {parts} must be positive throughout")
-    tau_g = detour_order(g, max_n=max_n).tau
+    tau_g = graph_facts(g, max_n).tau
     if sum(parts) != tau_g:
         raise TargetError(f"tuple target {parts} sums to {sum(parts)}, detour order is {tau_g}")
     masks = _split(g, parts, trace, max_n)
@@ -157,7 +157,7 @@ def detour_coloring(g: Graph, n: int, max_n: int | None = None) -> ColoringCerti
     g6 = encode_graph6(g)
     if g.n == 0:
         return ColoringCertificate(g6, (), 0, 0, "n-detour", True, n=n)
-    tau_g = detour_order(g, max_n=max_n).tau
+    tau_g = graph_facts(g, max_n).tau
     bound = -(-tau_g // n)
     parts = [n] * (tau_g // n)
     if tau_g % n:

@@ -98,7 +98,7 @@ def verify_coloring_record(rec: dict) -> tuple[bool, str]:
     try:
         if prop == "n-detour":
             nb = rec.get("n")
-            if not isinstance(nb, int) or nb < 1:
+            if isinstance(nb, bool) or not isinstance(nb, int) or nb < 1:  # JSON true is an int in Python
                 return False, f"schema: n-detour certificate needs a positive n, got {nb!r}"
             bound = -(-tau_g // nb) if g.n else 0
             if g.n and not multiway.verify_detour_coloring(g, colors, nb):

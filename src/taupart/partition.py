@@ -22,23 +22,33 @@ a FailureWitness records the instance and a brute-force repartition of that
 level repairs the fold, so the certificate is always correct even when the
 construction was not.  Certificates whose every step verified carry method
 "constructed"; repaired ones carry "fallback".
+
+None of the ear machinery depends on the target, so `graph_facts` computes
+tau(g) and, for a 2-connected g, the ear levels with their detour orders
+once per graph; every target, and every colouring step in multiway and
+starcolor, reuses them.  The per-step bound checks, the migration audit,
+brute-force repair and the final certificate check still run for every
+target, and the verifier in oracle recomputes everything from scratch
+without reading these facts.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 from .detour import (
+    check_capacity,
     detour_order,
     end_vertices_of_order_paths,
     paths_of_order_at_least,
     subset_tau_at_most,
     tau_subset,
 )
-from .ears import Ear, ear_decompose, is_two_connected
+from .ears import Ear, ear_decompose, ear_levels, is_two_connected, require_two_connected
 from .errors import CapacityError, CounterexampleError, GraphError, InternalCheckError, TargetError
-from .graphs import Graph, add_ear, cycle_graph, encode_graph6, ids_to_mask, is_connected, iter_bits, mask_to_ids
+from .graphs import Graph, encode_graph6, ids_to_mask, is_connected, iter_bits, mask_to_ids
 
 BRUTE_FORCE_MAX_N = 20
 
@@ -156,6 +166,54 @@ class PartitionCertificate:
         if self.witnesses:
             out["witnesses"] = [w.to_json_dict() for w in self.witnesses]
         return out
+
+
+@dataclass(frozen=True)
+class EarLevels:
+    """The levels of the ear induction on a 2-connected graph, in local ids.
+
+    graphs[0] is the base cycle relabelled 0..c-1 in cycle order and
+    graphs[i + 1] is graphs[i] plus ears[i]; orig_of maps the local ids to
+    the graph's own, and taus[i] is the detour order of graphs[i].
+    """
+
+    graphs: tuple[Graph, ...]
+    ears: tuple[Ear, ...]
+    orig_of: tuple[int, ...]
+    taus: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class GraphFacts:
+    """What the construction needs to know about a graph whatever the target:
+    its detour order, and its ear levels when it is 2-connected (else None)."""
+
+    tau: int
+    levels: EarLevels | None
+
+
+def graph_facts(g: Graph, max_n: int | None = None) -> GraphFacts:
+    """The GraphFacts of g, computed once and then served from a small cache.
+
+    The DP capacity cap (max_n, default DETOUR_DP_MAX_N) is checked on every
+    call before the lookup, so an entry built under a larger cap never
+    answers under a smaller one.
+    """
+    check_capacity(g.n, max_n)
+    return _graph_facts(g)
+
+
+# One CLI call works on one graph plus the few remainders multiway peels off
+# it, and a colouring call revisits them for each class bound; 32 entries
+# hold all of that while a long sweep's memory stays flat.
+@functools.lru_cache(maxsize=32)
+def _graph_facts(g: Graph) -> GraphFacts:
+    tau = detour_order(g, max_n=g.n).tau
+    if not is_two_connected(g):
+        return GraphFacts(tau, None)
+    graphs, local_ears, ids = zip(*ear_levels(ear_decompose(g)))
+    taus = tuple(detour_order(h, max_n=g.n).tau for h in graphs)
+    return GraphFacts(tau, EarLevels(graphs, local_ears[1:], ids[-1], taus))
 
 
 def _cycle_order(g: Graph) -> list[int]:
@@ -340,33 +398,21 @@ def _audit_migration(h: Graph, receiver_pre: int, migrated: int, b: int) -> list
 def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = None) -> PartitionCertificate:
     """Constructive (a, b) partition of a 2-connected graph.
 
-    Builds the ear decomposition, derives per-level targets top-down, splits
-    the base cycle, folds the ears with the case rules, verifies every step
-    exactly, and repairs failed steps by brute force at that level (recording
-    witnesses).  The returned certificate is always verified against g.
+    Takes the ear levels and their detour orders from graph_facts, derives
+    per-level targets top-down, splits the base cycle, folds the ears with
+    the case rules, verifies every step exactly, and repairs failed steps by
+    brute force at that level (recording witnesses).  The returned
+    certificate is always verified against g.
     """
-    rec = detour_order(g, max_n=max_n)
-    tau_g = rec.tau
+    facts = graph_facts(g, max_n)
+    tau_g = facts.tau
     if t.total != tau_g:
         raise TargetError(f"target ({t.a}, {t.b}) sums to {t.total}, detour order is {tau_g}")
+    if facts.levels is None:
+        require_two_connected(g)
     g6 = encode_graph6(g)
-    decomp = ear_decompose(g)
-
-    # Rebuild level by level with local ids (base cycle = 0..c-1 in cycle order).
-    levels = [cycle_graph(len(decomp.base_cycle))]
-    orig_of = list(decomp.base_cycle)
-    pos = {v: i for i, v in enumerate(decomp.base_cycle)}
-    local_ears: list[Ear] = []
-    cur = levels[0]
-    for ear in decomp.ears:
-        lx, ly = pos[ear.x], pos[ear.y]
-        start = cur.n
-        cur = add_ear(cur, lx, ly, ear.r)
-        for off, ov in enumerate(ear.internals):
-            pos[ov] = start + off
-            orig_of.append(ov)
-        local_ears.append(Ear(lx, ly, tuple(range(start, start + ear.r))))
-        levels.append(cur)
+    lv = facts.levels
+    levels, local_ears, orig_of, taus = lv.graphs, lv.ears, lv.orig_of, lv.taus
 
     def to_orig(local_mask: int) -> int:
         out = 0
@@ -374,7 +420,12 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
             out |= 1 << orig_of[j]
         return out
 
-    taus = [detour_order(level, max_n=g.n).tau for level in levels]
+    def witness(kind: str, i: int, case_tag: str, tt: PartitionTarget, prior: tuple[int, int],
+                after: tuple[int, int] | None, detail: dict) -> FailureWitness:
+        pre_a, pre_b, post_a, post_b = (tuple(mask_to_ids(to_orig(m))) for m in (*prior, *(after or (0, 0))))
+        return FailureWitness(kind, g6, t.a, t.b, i, case_tag, (tt.a, tt.b), pre_a, pre_b, post_a, post_b,
+                              detail)
+
     if taus[-1] != tau_g:
         raise InternalCheckError(f"level fold changed the detour order: {taus[-1]} != {tau_g}")
     targets: list[PartitionTarget] = [t] * len(levels)
@@ -410,14 +461,7 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
                 ev_orig["path"] = [orig_of[v] for v in ev["path"]]
                 if "conflicts" in ev:
                     ev_orig["conflicts"] = [orig_of[v] for v in ev["conflicts"]]
-                witnesses.append(FailureWitness(
-                    kind="migration-audit", graph6=g6, a=t.a, b=t.b, ear_index=i, case_tag="1.2",
-                    level_target=(tt.a, tt.b),
-                    pre_a=tuple(sorted(orig_of[v] for v in iter_bits(prior[0]))),
-                    pre_b=tuple(sorted(orig_of[v] for v in iter_bits(prior[1]))),
-                    post_a=tuple(sorted(orig_of[v] for v in iter_bits(after[0]))),
-                    post_b=tuple(sorted(orig_of[v] for v in iter_bits(after[1]))),
-                    detail=ev_orig))
+                witnesses.append(witness("migration-audit", i, "1.2", tt, prior, after, ev_orig))
 
         ok_a = subset_tau_at_most(h, after[0], tt.a, max_n=g.n)
         ok_b = subset_tau_at_most(h, after[1], tt.b, max_n=g.n)
@@ -428,28 +472,19 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
             part_a, part_b = after
             continue
 
-        witnesses.append(FailureWitness(
-            kind="bound", graph6=g6, a=t.a, b=t.b, ear_index=i, case_tag=step.case_tag,
-            level_target=(tt.a, tt.b),
-            pre_a=tuple(sorted(orig_of[v] for v in iter_bits(prior[0]))),
-            pre_b=tuple(sorted(orig_of[v] for v in iter_bits(prior[1]))),
-            post_a=tuple(sorted(orig_of[v] for v in iter_bits(after[0]))),
-            post_b=tuple(sorted(orig_of[v] for v in iter_bits(after[1]))),
-            detail={"tau_A": tau_subset(h, after[0], max_n=g.n),
-                    "tau_B": tau_subset(h, after[1], max_n=g.n),
-                    "violated": [s for s, ok in (("A", ok_a), ("B", ok_b)) if not ok]}))
+        witnesses.append(witness(
+            "bound", i, step.case_tag, tt, prior, after,
+            {"tau_A": tau_subset(h, after[0], max_n=g.n),
+             "tau_B": tau_subset(h, after[1], max_n=g.n),
+             "violated": [s for s, ok in (("A", ok_a), ("B", ok_b)) if not ok]}))
         method = "fallback"
         repaired = brute_force_partition(h, tt, max_n=max(h.n, BRUTE_FORCE_MAX_N if max_n is None else max_n))
         if repaired is not None:
             part_a, part_b = repaired
             continue
-        witnesses.append(FailureWitness(
-            kind="no-level-partition", graph6=g6, a=t.a, b=t.b, ear_index=i,
-            case_tag=step.case_tag, level_target=(tt.a, tt.b),
-            pre_a=tuple(sorted(orig_of[v] for v in iter_bits(prior[0]))),
-            pre_b=tuple(sorted(orig_of[v] for v in iter_bits(prior[1]))),
-            post_a=(), post_b=(),
-            detail={"note": f"no ({tt.a}, {tt.b}) partition of the level-{i + 1} graph"}))
+        witnesses.append(witness(
+            "no-level-partition", i, step.case_tag, tt, prior, None,
+            {"note": f"no ({tt.a}, {tt.b}) partition of the level-{i + 1} graph"}))
         whole = brute_force_partition(g, t, max_n=max(g.n, BRUTE_FORCE_MAX_N if max_n is None else max_n))
         if whole is None:
             raise CounterexampleError(

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .detour import detour_order
 from .errors import (
     CapacityError,
     CounterexampleError,
@@ -29,6 +28,7 @@ from .errors import (
 )
 from .graphs import Graph, closure, connected_components, encode_graph6, induced_subgraph, is_connected, iter_bits, mask_to_ids
 from .multiway import EXACT_SEARCH_MAX_N, ColoringCertificate, t_partition
+from .partition import graph_facts
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def pair_partition_coloring(g: Graph, max_n: int | None = None) -> PairPartition
         raise GraphError("pair partition colouring needs at least one vertex")
     if not is_connected(g):
         raise GraphError("pair partition colouring expects a connected graph")
-    tau_g = detour_order(g, max_n=max_n).tau
+    tau_g = graph_facts(g, max_n).tau
     budgets = [2] * (tau_g // 2)
     if tau_g % 2:
         budgets.append(1)
@@ -303,7 +303,7 @@ def star_coloring(g: Graph, max_n: int | None = None) -> ColoringCertificate:
     g6 = encode_graph6(g)
     if g.n == 0:
         return ColoringCertificate(g6, (), 0, 0, "star", True)
-    tau_g = detour_order(g, max_n=max_n).tau
+    tau_g = graph_facts(g, max_n).tau
     colors = [0] * g.n
     witness: dict | None = None
     for comp in connected_components(g):
@@ -314,7 +314,7 @@ def star_coloring(g: Graph, max_n: int | None = None) -> ColoringCertificate:
             ppc = repair_bicolored_p4s(sub, ppc)
             comp_colors = ppc.colors
         except StarRepairError as exc:
-            tau_c = detour_order(sub, max_n=g.n).tau
+            tau_c = graph_facts(sub, max_n=g.n).tau
             fallback = None
             for k in range(1, tau_c + 1):
                 fallback = _star_colors_with(sub, k)

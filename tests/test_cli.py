@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from taupart import partition
 from taupart.cli import main
 from taupart.oracle import verify_record
 
@@ -92,6 +93,18 @@ def test_partition_all_pairs(capsys):
     assert code == 0
     assert [(r["a"], r["b"]) for r in recs] == [(1, 4), (2, 3), (3, 2), (4, 1)]
     assert all(verify_record(r)[0] for r in recs)
+
+
+def test_partition_all_pairs_decomposes_once(capsys, monkeypatch):
+    calls = []
+    real = partition.ear_decompose
+    monkeypatch.setattr(partition, "ear_decompose", lambda g, *a, **kw: calls.append(g) or real(g, *a, **kw))
+    partition._graph_facts.cache_clear()
+    for g6, targets in (("Dhc", 4), ("IheA@GUAo", 9)):
+        calls.clear()
+        code, recs, _ = run(capsys, "partition", g6, "--all-pairs")
+        assert code == 0 and len(recs) == targets
+        assert len(calls) == 1
 
 
 def test_partition_usage_errors(capsys):
@@ -201,6 +214,15 @@ def test_max_n_env_lowers_caps(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TAUPART_MAX_N", "4")
     code, _, out = run(capsys, "partition", "Dhc", "-a", "2", "-b", "3")
     assert code == 4
+
+
+def test_max_n_env_holds_for_a_graph_already_partitioned(capsys, monkeypatch):
+    monkeypatch.delenv("TAUPART_MAX_N", raising=False)
+    assert run(capsys, "partition", "Dhc", "-a", "2", "-b", "3")[0] == 0
+    monkeypatch.setenv("TAUPART_MAX_N", "4")
+    code, _, out = run(capsys, "partition", "Dhc", "-a", "2", "-b", "3")
+    assert code == 4
+    assert "capacity" in out.err
 
 
 def test_usage_exits_2(capsys):

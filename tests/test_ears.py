@@ -11,6 +11,7 @@ from taupart.ears import (
     EarDecomposition,
     ear_decompose,
     ear_diagnostics,
+    ear_levels,
     is_two_connected,
     reconstruct_decomposition,
     reconstruction_matches,
@@ -132,3 +133,16 @@ def test_diagnostics_catch_tampering():
 def test_json_roundtrip():
     d = ear_decompose(petersen_graph())
     assert EarDecomposition.from_json_dict(d.to_json_dict()) == d
+
+
+def test_ear_levels_add_one_ear_at_a_time():
+    g = random_2connected(11, extra_ears=4, seed=3)
+    levels = list(ear_levels(ear_decompose(g)))
+    assert len(levels) == len(ear_decompose(g).ears) + 1
+    h0, ear0, orig0 = levels[0]
+    assert ear0 is None and h0 == cycle_graph(len(orig0))
+    for (prev, _, orig_prev), (h, ear, orig) in zip(levels, levels[1:]):
+        assert h == add_ear(prev, ear.x, ear.y, ear.r)
+        assert ear.internals == tuple(range(prev.n, h.n))
+        assert orig[:len(orig_prev)] == orig_prev
+    assert (levels[-1][0], list(levels[-1][2])) == reconstruct_decomposition(ear_decompose(g))

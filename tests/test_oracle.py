@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import random
 
+from taupart import partition
 from taupart.graphs import (
     complete_graph,
     cycle_graph,
@@ -155,6 +156,11 @@ def test_verify_coloring_record():
     ok, _ = verify_coloring_record(bad)
     assert not ok
 
+    proper = detour_coloring(cycle_graph(5), 1).to_json_dict()
+    assert verify_coloring_record(proper)[0]
+    ok, msg = verify_coloring_record(dict(proper, n=True))  # JSON true is no class bound
+    assert not ok and msg.startswith("schema:")
+
 
 def test_verify_star_record():
     rec = star_coloring(parse_graph6("DxK")).to_json_dict()
@@ -163,6 +169,18 @@ def test_verify_star_record():
     bad = dict(rec, colors=[0, 1, 0, 1, 2])  # bicoloured path across the cut
     ok, _ = verify_coloring_record(bad)
     assert not ok
+
+
+def test_verification_never_reads_the_construction_cache():
+    g = petersen_graph()
+    rec = tau_partition(g, PartitionTarget(4, 6)).to_json_dict()
+    colouring = detour_coloring(g, 3).to_json_dict()
+    before = partition._graph_facts.cache_info()
+    assert verify_record(rec)[0]
+    assert verify_record(colouring)[0]
+    ok, msg = verify_record(dict(rec, tauA=rec["tauA"] + 1))
+    assert not ok and "tauA" in msg
+    assert partition._graph_facts.cache_info() == before
 
 
 def test_verify_record_dispatch():

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taupart.detour import detour_order, tau_subset
-from taupart.errors import CapacityError, GraphError, InternalCheckError, TargetError
+from taupart.detour import detour_order, detour_order_dfs, tau_subset
+from taupart.errors import CapacityError, GraphError, InternalCheckError, NotTwoConnectedError, TargetError
 from taupart.graphs import (
     Graph,
     add_ear,
@@ -20,7 +20,7 @@ from taupart.graphs import (
     petersen_graph,
     random_2connected,
 )
-from taupart.ears import Ear
+from taupart.ears import Ear, ear_decompose, ear_levels
 from taupart.partition import (
     PartitionTarget,
     brute_force_partition,
@@ -28,8 +28,10 @@ from taupart.partition import (
     extend_r0,
     extend_r1,
     extend_rge2,
+    graph_facts,
     partition_cycle,
     tau_partition,
+    tau_partition_2connected,
 )
 
 
@@ -267,6 +269,30 @@ def test_non_2connected_routes_to_brute_force():
     cert = tau_partition(two_comp, PartitionTarget(1, 2))
     assert cert.method == "fallback"
     cert_is_valid(two_comp, cert)
+
+
+def test_graph_facts_match_independent_recomputation():
+    for g in (petersen_graph(), complete_graph(4), random_2connected(9, extra_ears=3, seed=5)):
+        facts = graph_facts(g)
+        assert facts.tau == detour_order_dfs(g)
+        levels = list(ear_levels(ear_decompose(g)))
+        assert facts.levels.graphs == tuple(h for h, _, _ in levels)
+        assert facts.levels.ears == tuple(e for _, e, _ in levels[1:])
+        assert facts.levels.orig_of == levels[-1][2]
+        assert facts.levels.taus == tuple(detour_order_dfs(h) for h in facts.levels.graphs)
+    tree = path_graph(5)
+    assert graph_facts(tree).levels is None
+    with pytest.raises(NotTwoConnectedError):
+        tau_partition_2connected(tree, PartitionTarget(2, 3))
+
+
+def test_graph_facts_check_the_cap_on_every_call():
+    g = petersen_graph()
+    graph_facts(g)
+    with pytest.raises(CapacityError):
+        graph_facts(g, max_n=9)
+    with pytest.raises(CapacityError):
+        tau_partition(g, PartitionTarget(5, 5), max_n=9)
 
 
 def test_rejects_target_not_summing_to_tau():
