@@ -184,8 +184,10 @@ def cmd_hunt(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    max_n = _max_n()
     total = 0
     failed = 0
+    over_cap = False
     for lineno, raw in _read_lines(args.input):
         s = raw.strip()
         if not s:
@@ -196,10 +198,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except json.JSONDecodeError as exc:
             ok, msg = False, f"schema: invalid JSON: {exc.msg}"
         else:
-            ok, msg = verify_record(rec)
+            ok, msg = verify_record(rec, max_n=max_n)
         failed += 0 if ok else 1
+        over_cap = over_cap or msg.startswith("capacity:")
         _emit({"line": lineno, "ok": ok, "detail": msg})
     _emit({"summary": True, "records": total, "failed": failed})
+    if over_cap:
+        return 4
     return 0 if failed == 0 else 3
 
 

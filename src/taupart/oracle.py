@@ -24,7 +24,7 @@ from itertools import permutations
 import numpy as np
 
 from . import multiway, starcolor
-from .detour import detour_order, detour_order_dfs, tau_subset
+from .detour import check_capacity, detour_order, detour_order_dfs, tau_subset
 from .errors import (
     CapacityError,
     CounterexampleError,
@@ -51,8 +51,18 @@ DFS_CROSSCHECK_MAX_N = 10
 # certificate re-verification (graph + detour primitives only)
 
 
-def verify_partition_record(rec: dict) -> tuple[bool, str]:
-    """Re-check a partition certificate dict from scratch."""
+def _capacity_detail(g: Graph, max_n: int | None) -> str | None:
+    """The `capacity:` detail when a DP over g exceeds the cap (max_n, or
+    the detour default when None); None when it fits."""
+    try:
+        check_capacity(g.n, max_n)
+    except CapacityError as exc:
+        return f"capacity: {exc}"
+    return None
+
+
+def verify_partition_record(rec: dict, max_n: int | None = None) -> tuple[bool, str]:
+    """Re-check a partition certificate dict from scratch, within the DP cap."""
     for key in ("graph6", "a", "b", "A", "B", "tauA", "tauB", "method", "trace"):
         if key not in rec:
             return False, f"schema: missing key '{key}'"
@@ -63,17 +73,20 @@ def verify_partition_record(rec: dict) -> tuple[bool, str]:
         part_b = ids_to_mask(int(v) for v in rec["B"])
     except (GraphError, CapacityError, ValueError, TypeError) as exc:
         return False, f"schema: {exc}"
+    over = _capacity_detail(g, max_n)
+    if over:
+        return False, over
     if (part_a | part_b) & ~g.full_mask:
         return False, "vertex id out of range for the graph"
     if part_a & part_b:
         return False, "parts overlap"
     if (part_a | part_b) != g.full_mask:
         return False, "parts do not cover the vertex set"
-    tau_g = detour_order(g, max_n=g.n).tau
+    tau_g = detour_order(g, max_n=max_n).tau
     if a + b != tau_g:
         return False, f"target ({a}, {b}) sums to {a + b}, detour order is {tau_g}"
-    tau_a = tau_subset(g, part_a, max_n=g.n)
-    tau_b = tau_subset(g, part_b, max_n=g.n)
+    tau_a = tau_subset(g, part_a, max_n=max_n)
+    tau_b = tau_subset(g, part_b, max_n=max_n)
     if tau_a > a:
         return False, f"tau(A) = {tau_a} > a = {a}"
     if tau_b > b:
@@ -83,8 +96,8 @@ def verify_partition_record(rec: dict) -> tuple[bool, str]:
     return True, "ok"
 
 
-def verify_coloring_record(rec: dict) -> tuple[bool, str]:
-    """Re-check a colouring certificate dict from scratch."""
+def verify_coloring_record(rec: dict, max_n: int | None = None) -> tuple[bool, str]:
+    """Re-check a colouring certificate dict from scratch, within the DP cap."""
     for key in ("graph6", "colors", "colors_used", "bound", "property"):
         if key not in rec:
             return False, f"schema: missing key '{key}'"
@@ -93,8 +106,11 @@ def verify_coloring_record(rec: dict) -> tuple[bool, str]:
         colors = [int(c) for c in rec["colors"]]
     except (GraphError, CapacityError, ValueError, TypeError) as exc:
         return False, f"schema: {exc}"
+    over = _capacity_detail(g, max_n)
+    if over:
+        return False, over
     prop = rec["property"]
-    tau_g = detour_order(g, max_n=g.n).tau if g.n else 0
+    tau_g = detour_order(g, max_n=max_n).tau if g.n else 0
     try:
         if prop == "n-detour":
             nb = rec.get("n")
@@ -123,14 +139,18 @@ def verify_coloring_record(rec: dict) -> tuple[bool, str]:
     return True, "ok"
 
 
-def verify_record(rec: dict) -> tuple[bool, str]:
-    """Dispatch on record shape: partition (A/B keys) or colouring (colors)."""
+def verify_record(rec: dict, max_n: int | None = None) -> tuple[bool, str]:
+    """Dispatch on record shape: partition (A/B keys) or colouring (colors).
+
+    A graph whose DP would exceed the cap (max_n, default DETOUR_DP_MAX_N)
+    is not checked: the verdict is False with a `capacity:` detail.
+    """
     if not isinstance(rec, dict):
         return False, "schema: record is not an object"
     if "A" in rec and "B" in rec:
-        return verify_partition_record(rec)
+        return verify_partition_record(rec, max_n)
     if "colors" in rec:
-        return verify_coloring_record(rec)
+        return verify_coloring_record(rec, max_n)
     return False, "schema: neither a partition nor a colouring certificate"
 
 
@@ -198,7 +218,7 @@ def sweep_ppc(graphs, corpus: str = "", max_n: int | None = None,
             had_witness = False
             for a in range(1, tau_g):
                 cert = tau_partition(g, PartitionTarget(a, tau_g - a), max_n=max_n)
-                ok, msg = verify_record(cert.to_json_dict())
+                ok, msg = verify_record(cert.to_json_dict(), max_n=max_n)
                 if not ok:
                     raise InternalCheckError(
                         f"fresh certificate failed re-verification on {cert.graph6}: {msg}")

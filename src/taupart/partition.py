@@ -338,17 +338,28 @@ def extend_rge2(h: Graph, prior: tuple[int, int], ear: Ear, t: PartitionTarget,
     return (part_a | add_a, part_b | add_b), CaseStep(ear_index, "3", 0, sub)
 
 
-def brute_force_partition(g: Graph, t: PartitionTarget, max_n: int | None = None) -> tuple[int, int] | None:
+def _check_brute_force_capacity(g: Graph, max_n: int | None) -> int:
+    """The brute-force vertex cap (max_n, or BRUTE_FORCE_MAX_N when None),
+    after checking that g is within it."""
+    limit = BRUTE_FORCE_MAX_N if max_n is None else max_n
+    if g.n > limit:
+        raise CapacityError(f"brute-force partition over {g.n} vertices exceeds the cap of {limit}")
+    return limit
+
+
+def brute_force_partition(g: Graph, t: PartitionTarget, max_n: int | None = None,
+                          tau_g: int | None = None) -> tuple[int, int] | None:
     """Exhaustive search for an (a, b) partition; None if there is none.
 
     Subsets are tried by increasing size, then in lexicographic order of the
     sorted id tuple, so the returned partition is deterministic.  Requires
-    t.a + t.b == tau(g); anything else is a target error.
+    t.a + t.b == tau(g); anything else is a target error.  A caller that
+    already holds tau(g) passes it as tau_g, and the sum is checked against
+    it instead of a new whole-graph DP.
     """
-    limit = BRUTE_FORCE_MAX_N if max_n is None else max_n
-    if g.n > limit:
-        raise CapacityError(f"brute-force partition over {g.n} vertices exceeds the cap of {limit}")
-    tau_g = detour_order(g, max_n=max(limit, g.n)).tau
+    limit = _check_brute_force_capacity(g, max_n)
+    if tau_g is None:
+        tau_g = detour_order(g, max_n=limit).tau
     if t.total != tau_g:
         raise TargetError(f"target ({t.a}, {t.b}) sums to {t.total}, detour order is {tau_g}")
     full = g.full_mask
@@ -478,14 +489,16 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
              "tau_B": tau_subset(h, after[1], max_n=g.n),
              "violated": [s for s, ok in (("A", ok_a), ("B", ok_b)) if not ok]}))
         method = "fallback"
-        repaired = brute_force_partition(h, tt, max_n=max(h.n, BRUTE_FORCE_MAX_N if max_n is None else max_n))
+        repaired = brute_force_partition(h, tt, max_n=max(h.n, BRUTE_FORCE_MAX_N if max_n is None else max_n),
+                                         tau_g=taus[i + 1])
         if repaired is not None:
             part_a, part_b = repaired
             continue
         witnesses.append(witness(
             "no-level-partition", i, step.case_tag, tt, prior, None,
             {"note": f"no ({tt.a}, {tt.b}) partition of the level-{i + 1} graph"}))
-        whole = brute_force_partition(g, t, max_n=max(g.n, BRUTE_FORCE_MAX_N if max_n is None else max_n))
+        whole = brute_force_partition(g, t, max_n=max(g.n, BRUTE_FORCE_MAX_N if max_n is None else max_n),
+                                      tau_g=tau_g)
         if whole is None:
             raise CounterexampleError(
                 f"no ({t.a}, {t.b}) partition exists", g6, (t.a, t.b))
@@ -508,7 +521,10 @@ def tau_partition(g: Graph, t: PartitionTarget, max_n: int | None = None) -> Par
     ear construction, everything else straight to brute force."""
     if is_two_connected(g):
         return tau_partition_2connected(g, t, max_n=max_n)
-    got = brute_force_partition(g, t, max_n=max_n)
+    # brute force's own cap first, so an oversized graph reports that cap and
+    # not the DP's; _split has usually cached tau of a remainder already
+    _check_brute_force_capacity(g, max_n)
+    got = brute_force_partition(g, t, max_n=max_n, tau_g=graph_facts(g, max_n).tau)
     if got is None:
         raise CounterexampleError(f"no ({t.a}, {t.b}) partition exists", encode_graph6(g), (t.a, t.b))
     part_a, part_b = got

@@ -17,6 +17,7 @@ construction and are what the certificates are checked against.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import (
@@ -79,35 +80,27 @@ def pair_partition_coloring(g: Graph, max_n: int | None = None) -> PairPartition
     return PairPartitionColoring(tuple(masks), tuple(pair_colors), tuple(colors))
 
 
-def find_bicolored_p4s(g: Graph, colors) -> list[tuple[int, int, int, int]]:
-    """All paths on 4 vertices using exactly 2 colours, as canonical tuples.
+def _all_p4s(g: Graph) -> Iterator[tuple[int, int, int, int]]:
+    """Every path on 4 vertices, once each, in no particular order.
 
-    Each undirected P4 (u, v, w, z) is listed once, oriented so the tuple is
-    lexicographically minimal; the list is sorted.
+    A P4 (u, v, w, z) is generated from its middle edge, which g.edges()
+    yields once, and oriented so the tuple is lexicographically minimal.
     """
-    colors = list(colors)
-    if len(colors) != g.n:
-        raise GraphError("colouring must assign a colour to every vertex")
-    out = []
-    for v, w in g.edges():
-        for u in iter_bits(g.adj[v] & ~(1 << w)):
-            for z in iter_bits(g.adj[w] & ~(1 << v) & ~(1 << u)):
-                if len({colors[u], colors[v], colors[w], colors[z]}) == 2:
-                    quad = (u, v, w, z)
-                    rev = (z, w, v, u)
-                    out.append(quad if quad <= rev else rev)
-    return sorted(out)
-
-
-def _all_p4s(g: Graph) -> list[tuple[int, int, int, int]]:
-    out = set()
     for v, w in g.edges():
         for u in iter_bits(g.adj[v] & ~(1 << w)):
             for z in iter_bits(g.adj[w] & ~(1 << v) & ~(1 << u)):
                 quad = (u, v, w, z)
                 rev = (z, w, v, u)
-                out.add(quad if quad <= rev else rev)
-    return sorted(out)
+                yield quad if quad <= rev else rev
+
+
+def find_bicolored_p4s(g: Graph, colors) -> list[tuple[int, int, int, int]]:
+    """All paths on 4 vertices using exactly 2 colours, as a sorted list of
+    the canonical tuples of _all_p4s."""
+    colors = list(colors)
+    if len(colors) != g.n:
+        raise GraphError("colouring must assign a colour to every vertex")
+    return sorted(q for q in _all_p4s(g) if len({colors[v] for v in q}) == 2)
 
 
 def repair_bicolored_p4s(g: Graph, ppc: PairPartitionColoring, max_iters: int | None = None,
@@ -122,6 +115,12 @@ def repair_bicolored_p4s(g: Graph, ppc: PairPartitionColoring, max_iters: int | 
     cap (default 2 n^2) is exhausted or a P4 offers no repairable side.
     Pass `events` to collect notes (e.g. a swap partner sitting in another
     live P4).
+
+    A round depends on the colouring alone, so once a colouring repeats the
+    loop can only cycle until the cap.  A stalled repair therefore stops at
+    its first repeated colouring and raises the cap error with exactly the
+    colouring, residual list and events that running every round up to the
+    cap would give.
     """
     colors = list(ppc.colors)
     parts = ppc.parts
@@ -131,7 +130,21 @@ def repair_bicolored_p4s(g: Graph, ppc: PairPartitionColoring, max_iters: int | 
         for v in iter_bits(m):
             part_of[v] = i
     cap = 2 * g.n * g.n if max_iters is None else max_iters
-    for _ in range(cap):
+    seen: dict[tuple[int, ...], int] = {}  # colouring -> round it first began; keys in round order
+    marks: list[int] = []  # len(events) when each round began
+    for r in range(cap):
+        j = seen.setdefault(tuple(colors), r)
+        if events is not None:
+            marks.append(len(events))
+        if j < r:
+            # rounds j..r-1 recur with period r - j until the cap
+            period = r - j
+            if events is not None:
+                cycle = [events[marks[k]:marks[k + 1]] for k in range(j, r)]
+                for k in range(r, cap):
+                    events.extend(cycle[(k - j) % period])
+            colors = list(list(seen)[j + (cap - j) % period])
+            break
         p4s = find_bicolored_p4s(g, colors)
         if not p4s:
             return PairPartitionColoring(parts, pair_colors, tuple(colors))
@@ -217,9 +230,8 @@ def verify_acyclic_coloring(g: Graph, colors) -> bool:
 
 def _star_colors_with(g: Graph, k: int) -> tuple[int, ...] | None:
     """A star colouring with at most k colours, or None.  Deterministic."""
-    p4s = _all_p4s(g)
     by_max: list[list[tuple[int, int, int, int]]] = [[] for _ in range(g.n)]
-    for quad in p4s:
+    for quad in _all_p4s(g):
         by_max[max(quad)].append(quad)
     colors = [-1] * g.n
 

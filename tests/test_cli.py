@@ -9,6 +9,7 @@ import pytest
 
 from taupart import partition
 from taupart.cli import main
+from taupart.graphs import cycle_graph
 from taupart.oracle import verify_record
 
 
@@ -208,6 +209,25 @@ def test_verify_rejects_invalid_json(tmp_path, capsys):
     code, out_recs, _ = run(capsys, "verify", str(cert_file))
     assert code == 3
     assert "invalid JSON" in out_recs[0]["detail"]
+
+
+def test_verify_holds_the_dp_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("TAUPART_MAX_N", raising=False)
+    # C21 is one vertex over the default cap; its record is genuine
+    over = partition.tau_partition(cycle_graph(21), partition.PartitionTarget(10, 11), max_n=21).to_json_dict()
+    _, recs, _ = run(capsys, "partition", "C~", "-a", "2", "-b", "2")
+    cert_file = tmp_path / "certs.jsonl"
+    cert_file.write_text(json.dumps(over) + "\n" + json.dumps(recs[0]) + "\n{nope\n")
+    code, out_recs, _ = run(capsys, "verify", str(cert_file))
+    assert code == 4  # a line over the cap outranks a failed line
+    assert out_recs[0]["ok"] is False
+    assert out_recs[0]["detail"].startswith("capacity: ")
+    assert [r["ok"] for r in out_recs[1:3]] == [True, False]
+    assert out_recs[-1] == {"summary": True, "records": 3, "failed": 2}
+    monkeypatch.setenv("TAUPART_MAX_N", "21")
+    code, out_recs, _ = run(capsys, "verify", str(cert_file))
+    assert code == 3
+    assert [r["ok"] for r in out_recs[:3]] == [True, True, False]
 
 
 def test_max_n_env_lowers_caps(tmp_path, capsys, monkeypatch):

@@ -139,4 +139,7 @@ def test_capacity_gate():
     big = random_graph(DETOUR_DP_MAX_N + 1, 0.3, seed=1)
     with pytest.raises(CapacityError):
         detour_order(big)
-    assert detour_order(big, max_n=big.n).tau >= 1
+    # the override on a graph whose DP stays small: C21's subsets with a
+    # Hamiltonian path are its arcs
+    cycle = cycle_graph(DETOUR_DP_MAX_N + 1)
+    assert detour_order(cycle, max_n=cycle.n).tau == cycle.n == detour_order_dfs(cycle)

@@ -190,6 +190,25 @@ def test_verify_record_dispatch():
     assert not ok
 
 
+def test_verify_record_holds_the_dp_cap():
+    c21 = cycle_graph(21)  # one over the default cap, with a cheap DP
+    rec = tau_partition(c21, PartitionTarget(10, 11), max_n=21).to_json_dict()
+    colouring = detour_coloring(c21, 7, max_n=21).to_json_dict()
+    for r in (rec, colouring):
+        ok, msg = verify_record(r)
+        assert not ok
+        assert msg == "capacity: subset dynamic program over 21 vertices exceeds the cap of 20"
+        assert verify_record(r, max_n=21) == (True, "ok")
+    ok, msg = verify_record(rec, max_n=5)
+    assert not ok and msg.startswith("capacity:")
+
+
+def test_sweep_passes_its_cap_to_the_verifier():
+    rep = sweep_ppc([cycle_graph(21)], max_n=21, deterministic=True)
+    assert rep.counts["constructed"] == 1
+    assert len(rep.records) == 20 and all(r["verified"] for r in rep.records)
+
+
 # --- sweeps ------------------------------------------------------------------
 
 def test_sweep_ppc_small_connected():

@@ -196,6 +196,24 @@ def test_brute_force_capacity():
         brute_force_partition(path_graph(21), PartitionTarget(10, 11))
 
 
+def test_brute_force_repairs_reuse_the_known_detour_order(monkeypatch):
+    from taupart import partition
+
+    k4, tree = complete_graph(4), path_graph(5)
+    graph_facts(k4), graph_facts(tree)  # what tau_partition already holds
+    dps = []
+    real = partition.detour_order
+    monkeypatch.setattr(partition, "detour_order",
+                        lambda g, max_n=None: dps.append(g.n) or real(g, max_n=max_n))
+    assert tau_partition(k4, PartitionTarget(3, 1)).method == "fallback"  # a level repair
+    assert tau_partition(tree, PartitionTarget(2, 3)).method == "fallback"  # not 2-connected
+    assert dps == []
+    assert brute_force_partition(k4, PartitionTarget(2, 2)) is not None
+    assert dps == [4]  # the public entry checks the sum with its own DP
+    with pytest.raises(TargetError):
+        brute_force_partition(k4, PartitionTarget(2, 1), tau_g=4)
+
+
 # --- full pipeline ---------------------------------------------------------
 
 def test_cycle_certificate():

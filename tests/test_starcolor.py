@@ -12,13 +12,16 @@ from hypothesis import strategies as st
 
 from taupart.detour import detour_order
 from taupart.errors import StarRepairError
+from taupart import starcolor
 from taupart.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
     ids_to_mask,
+    iter_bits,
     parse_graph6,
     path_graph,
+    random_2connected,
     random_graph,
 )
 from taupart.starcolor import (
@@ -99,6 +102,115 @@ def test_repair_logs_pinned_partner_and_hits_cap():
     assert events[0]["type"] == "partner-pinned"
     assert events[0]["vertex"] == 0
     assert events[0]["partner"] == 1
+
+
+def _reference_repair(g, ppc, max_iters=None, events=None):
+    """The repair loop run round by round up to the cap, with no cycle
+    detection and its own P4 list: the reference the early stop must match
+    exactly."""
+    found = set()
+    for v, w in g.edges():
+        for u in iter_bits(g.adj[v] & ~(1 << w)):
+            for z in iter_bits(g.adj[w] & ~(1 << v) & ~(1 << u)):
+                found.add(min((u, v, w, z), (z, w, v, u)))
+    quads = sorted(found)
+
+    def find_bicolored_p4s(_g, colors):
+        return [q for q in quads if len({colors[v] for v in q}) == 2]
+
+    colors = list(ppc.colors)
+    parts, pair_colors = ppc.parts, ppc.pair_colors
+    part_of = {v: i for i, m in enumerate(parts) for v in iter_bits(m)}
+    cap = 2 * g.n * g.n if max_iters is None else max_iters
+    for _ in range(cap):
+        p4s = find_bicolored_p4s(g, colors)
+        if not p4s:
+            return PairPartitionColoring(parts, pair_colors, tuple(colors))
+        quad = p4s[0]
+        groups: dict[int, list[int]] = {}
+        for v in quad:
+            groups.setdefault(part_of[v], []).append(v)
+        if sorted(len(vs) for vs in groups.values()) != [2, 2]:
+            raise StarRepairError(f"bicoloured P4 {quad} does not split 2+2 across parts",
+                                  p4s, tuple(colors))
+        for pi in sorted(groups):
+            if len(pair_colors[pi]) != 2:
+                continue
+            v1, v2 = sorted(groups[pi])
+            if colors[v1] != colors[v2]:
+                raise StarRepairError(f"P4 {quad} pair in part {pi} is not monochromatic",
+                                      p4s, tuple(colors))
+            pc = pair_colors[pi]
+            other = pc[1] if colors[v1] == pc[0] else pc[0]
+            loose = [v for v in (v1, v2) if g.adj[v] & parts[pi] == 0]
+            if loose:
+                colors[min(loose)] = other
+            else:
+                inside = g.adj[v1] & parts[pi]
+                if inside.bit_count() != 1:
+                    raise StarRepairError(f"vertex {v1} has in-part degree {inside.bit_count()}",
+                                          p4s, tuple(colors))
+                partner = (inside & -inside).bit_length() - 1
+                if events is not None and any(partner in q for q in p4s[1:]):
+                    events.append({"type": "partner-pinned", "vertex": v1, "partner": partner,
+                                   "p4": list(quad)})
+                colors[v1], colors[partner] = colors[partner], colors[v1]
+            break
+        else:
+            raise StarRepairError(f"no repairable side for bicoloured P4 {quad}", p4s, tuple(colors))
+    raise StarRepairError(f"iteration cap {cap} exhausted",
+                          find_bicolored_p4s(g, colors), tuple(colors))
+
+
+def _repair_outcome(repair, g, ppc, cap):
+    events: list = []
+    try:
+        return repair(g, ppc, cap, events), events
+    except StarRepairError as exc:
+        return (str(exc), exc.residual, exc.colors), events
+
+
+def test_repair_stops_early_with_the_capped_loops_result():
+    stalls = replayed = 0
+    # seed 1840 is the only one below 2000 whose stalled repair logs events
+    for seed in [*range(200), 1840]:
+        n = 6 + seed % 11
+        g = random_2connected(n, extra_ears=n // 3, seed=seed)
+        ppc = pair_partition_coloring(g)
+        for cap in (None, 1, 3, 7, 50):
+            got = _repair_outcome(repair_bicolored_p4s, g, ppc, cap)
+            assert got == _repair_outcome(_reference_repair, g, ppc, cap), (seed, cap)
+            if cap is None and isinstance(got[0], tuple):
+                stalls += 1
+                replayed += bool(got[1])
+    # the comparison covers stalled repairs, some of them logging events
+    assert stalls >= 20 and replayed >= 1
+
+
+def test_repair_stops_at_first_repeated_colouring(monkeypatch):
+    # the graph of test_repair_logs_pinned_partner_and_hits_cap: the full
+    # loop would scan for P4s in all 2 * 6^2 = 72 rounds
+    g = Graph.from_edges(6, [(0, 1), (2, 3), (0, 4), (2, 4), (2, 5),
+                             (1, 4), (3, 4), (3, 5)])
+    ppc = PairPartitionColoring((ids_to_mask([0, 1, 2, 3]), ids_to_mask([4, 5])),
+                                ((0, 1), (2, 3)), (0, 1, 0, 1, 2, 2))
+    scans = []
+
+    def counting(graph, colors):
+        scans.append(tuple(colors))
+        return find_bicolored_p4s(graph, colors)
+
+    monkeypatch.setattr(starcolor, "find_bicolored_p4s", counting)
+    events: list = []
+    with pytest.raises(StarRepairError, match="cap 72") as info:
+        repair_bicolored_p4s(g, ppc, events=events)
+    assert len(scans) <= 6
+    monkeypatch.undo()
+    ref_events: list = []
+    with pytest.raises(StarRepairError) as ref:
+        _reference_repair(g, ppc, events=ref_events)
+    assert (info.value.residual, info.value.colors) == (ref.value.residual, ref.value.colors)
+    assert events == ref_events
 
 
 def test_repair_rejects_lopsided_quad():
