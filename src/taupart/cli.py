@@ -7,7 +7,8 @@ files).  Output is JSON lines on stdout with sorted keys; human tables sit
 behind --table.  Exit codes: 0 success, 2 usage or target errors, 3
 verification failures or counterexamples, 4 capacity overruns.
 
-TAUPART_MAX_N overrides the library capacity caps for every subcommand.
+TAUPART_MAX_N overrides the library capacity caps for every subcommand; a
+value that is not an integer of at least 1 is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -37,8 +38,17 @@ from .starcolor import star_coloring
 
 
 def _max_n() -> int | None:
+    """The TAUPART_MAX_N cap, None when unset; ValueError unless it is >= 1."""
     val = os.environ.get("TAUPART_MAX_N")
-    return int(val) if val else None
+    if not val:
+        return None
+    try:
+        cap = int(val)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"TAUPART_MAX_N must be an integer of at least 1, got {val!r}")
+    return cap
 
 
 def _emit(obj: dict) -> None:
@@ -56,7 +66,7 @@ def _read_lines(path: str):
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    max_n = _max_n()
+    max_n = args.max_n
     rows = []
     for lineno, raw in _read_lines(args.input):
         s = raw.strip()
@@ -115,7 +125,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
         print("error: -a and -b go together", file=sys.stderr)
         return 2
     g = parse_graph6(args.graph)
-    max_n = _max_n()
+    max_n = args.max_n
     if args.all_pairs:
         tau_g = graph_facts(g, max_n).tau
         for a in range(1, tau_g):
@@ -129,7 +139,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 def cmd_color(args: argparse.Namespace) -> int:
     g = parse_graph6(args.graph)
-    max_n = _max_n()
+    max_n = args.max_n
     if args.mode == "detour":
         if args.n is None or args.n < 1:
             print("error: --mode detour needs --n with a positive class bound", file=sys.stderr)
@@ -148,7 +158,7 @@ def cmd_color(args: argparse.Namespace) -> int:
 
 
 def cmd_hunt(args: argparse.Namespace) -> int:
-    max_n = _max_n()
+    max_n = args.max_n
     graphs = []
     prelude = []
     if args.random:
@@ -184,7 +194,7 @@ def cmd_hunt(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    max_n = _max_n()
+    max_n = args.max_n
     total = 0
     failed = 0
     over_cap = False
@@ -262,6 +272,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if isinstance(code, int) else 2
+    try:
+        args.max_n = _max_n()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (TargetError, GraphError) as exc:  # Graph6Error is a GraphError

@@ -9,6 +9,16 @@ a path of order >= k" stop as soon as level k is reached.  The second engine
 pruning, sharing no code with the DP; the oracle sweeps cross-check the two
 and abort loudly if they ever disagree.
 
+The subset DP has two kernels with identical results.  `_dp_loop` walks the
+reached subsets one by one in pure Python over a 2^k list; it serves every
+early-exit query (`stop_at`, `collect_level`) and every run on fewer than
+NUMPY_DP_MIN_K vertices, where numpy's per-call cost outweighs the work.
+`_dp_numpy` runs full-order DPs on NUMPY_DP_MIN_K or more vertices: it keeps
+each level as sorted uint64 arrays of masks and end masks and extends the
+whole level in a few array operations, so its time and memory grow with the
+subsets reached rather than with 2^k.  `_dp_levels` picks the kernel from
+those two facts alone.
+
 All subset-taking functions accept vertex masks in the graph's own ids and
 compact internally, so callers never pay for the full 2^n table when asking
 about a small part.
@@ -18,13 +28,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CapacityError, GraphError
 from .graphs import Graph, closure, iter_bits, mask_to_ids
 
-# The DP table has an entry per connected subset; past ~20 vertices the
-# table itself is the problem, not the time.  Overridable per call (the CLI
-# wires TAUPART_MAX_N through).
+# Time grows with the connected subsets a DP reaches, up to 2^n of them on a
+# dense graph.  Memory of a full-order run (`_dp_numpy`) grows with the
+# subsets reached, not with 2^n; an early-exit query below the numpy kernel's
+# threshold still allocates a 2^k list.  Overridable per call (the CLI wires
+# TAUPART_MAX_N through).
 DETOUR_DP_MAX_N = 20
+
+# Full-order DPs on at least this many vertices run on the numpy kernel.
+# Below it the pure loop is faster: per-call times on the sparse random
+# graphs of the benchmark cross between k = 13 and k = 14.
+NUMPY_DP_MIN_K = 14
+# Subsets of one level that `_dp_numpy` extends in one array operation.
+_NUMPY_DP_ROWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -58,7 +79,19 @@ def check_capacity(k: int, max_n: int | None) -> None:
 
 
 def _dp_levels(ladj: list[int], stop_at: int | None = None, collect_level: int | None = None):
-    """Run the endpoint DP level by level.
+    """Run the endpoint DP level by level; every subset DP passes here once.
+
+    Returns (tau, table, last_frontier, collected) as `_dp_loop` documents.
+    A full-order run on NUMPY_DP_MIN_K or more vertices goes to `_dp_numpy`,
+    everything else to `_dp_loop`.
+    """
+    if stop_at is None and collect_level is None and len(ladj) >= NUMPY_DP_MIN_K:
+        return _dp_numpy(ladj)
+    return _dp_loop(ladj, stop_at, collect_level)
+
+
+def _dp_loop(ladj: list[int], stop_at: int | None = None, collect_level: int | None = None):
+    """Run the endpoint DP level by level, one subset at a time.
 
     Returns (tau, table, last_frontier, collected) where `table[mask]` is the
     endpoint mask of subset `mask` (0 if <mask> has no Hamiltonian path),
@@ -106,6 +139,71 @@ def _dp_levels(ladj: list[int], stop_at: int | None = None, collect_level: int |
             for mask in frontier:
                 collected |= table[mask]
     return tau, table, frontier, collected
+
+
+class _LevelTable:
+    """End masks of the subsets a `_dp_numpy` run reached, one level per
+    popcount as sorted uint64 arrays (masks, ends).  `table[mask]` reads like
+    `_dp_loop`'s list: the end mask, or 0 for a subset not reached."""
+
+    __slots__ = ("levels",)
+
+    def __init__(self, levels: list[tuple[np.ndarray, np.ndarray]]) -> None:
+        self.levels = levels
+
+    def __getitem__(self, mask: int) -> int:
+        size = mask.bit_count()
+        if not 1 <= size <= len(self.levels):
+            return 0
+        masks, ends = self.levels[size - 1]
+        key = np.uint64(mask)
+        i = int(np.searchsorted(masks, key))
+        return int(ends[i]) if i < len(masks) and masks[i] == key else 0
+
+
+def _or_ends_by_mask(masks: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort `masks` and OR together the `ends` of equal masks."""
+    if not len(masks):
+        return masks, ends
+    order = np.argsort(masks)
+    masks, ends = masks[order], ends[order]
+    starts = np.flatnonzero(np.concatenate(([True], masks[1:] != masks[:-1])))
+    return masks[starts], np.bitwise_or.reduceat(ends, starts)
+
+
+def _dp_numpy(ladj: list[int]):
+    """Full-order endpoint DP over the reached subsets, one level at a time.
+
+    Same results as `_dp_loop(ladj)`; the table is a `_LevelTable`, never a
+    2^k structure.  Each level is a sorted array of subset masks with their
+    end masks.  Vertex v extends subset S when v is outside S and adjacent to
+    an end of S; the new subsets are sorted, and the end bits of equal masks
+    are OR-ed together.  A level is extended _NUMPY_DP_ROWS subsets at a
+    time, so the (rows x k) temporaries stay small on dense graphs, where a
+    middle level holds C(k, k/2) subsets.  Every operand is a uint64 array or
+    scalar: numpy before 2.0 turns uint64 mixed with a Python int into float64.
+    """
+    k = len(ladj)
+    bits = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
+    adj = np.array(ladj, dtype=np.uint64)
+    zero = np.uint64(0)
+    masks, ends = bits, bits
+    levels = [(masks, ends)]
+    while True:
+        found = []
+        for lo in range(0, len(masks), _NUMPY_DP_ROWS):
+            part, part_ends = masks[lo:lo + _NUMPY_DP_ROWS], ends[lo:lo + _NUMPY_DP_ROWS]
+            grow = ((part[:, None] & bits) == zero) & ((part_ends[:, None] & adj) != zero)
+            rows, cols = np.nonzero(grow)
+            found.append(_or_ends_by_mask(part[rows] | bits[cols], bits[cols]))
+        if len(found) > 1:
+            masks, ends = _or_ends_by_mask(*map(np.concatenate, zip(*found)))
+        else:
+            masks, ends = found[0]
+        if not len(masks):
+            break
+        levels.append((masks, ends))
+    return len(levels), _LevelTable(levels), levels[-1][0].tolist(), 0
 
 
 def detour_order(g: Graph, max_n: int | None = None) -> DetourRecord:

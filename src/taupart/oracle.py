@@ -16,6 +16,7 @@ against the published values in the tests.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -303,25 +304,28 @@ def sweep_bounds(graphs, corpus: str = "", max_n: int | None = None,
 # isomorphism-class corpus enumeration
 
 
-_perm_tables_cache: dict[int, np.ndarray] = {}
-_iso_cache: dict[int, list[int]] = {}
-_connected_cache: dict[int, list[int]] = {}
-_two_connected_cache: dict[int, list[int]] = {}
-_tree_cache: dict[int, list[int]] = {}
+def _classes_by_order(enumerate_classes):
+    """Compute each order's class list once (functools.cache); every call
+    returns a fresh list, so callers may change it."""
+    cached = functools.cache(enumerate_classes)
+
+    @functools.wraps(enumerate_classes)
+    def fresh(n: int) -> list[int]:
+        return list(cached(n))
+    return fresh
 
 
+@functools.cache
 def _perm_tables(n: int) -> np.ndarray:
     """tables[p, new_bit] = old_bit for each relabelling p of 0..n-1."""
-    if n not in _perm_tables_cache:
-        nb = n * (n - 1) // 2
-        perms = list(permutations(range(n)))
-        table = np.empty((len(perms), nb), dtype=np.int64)
-        for pi, p in enumerate(perms):
-            for j in range(n):
-                for i in range(j):
-                    table[pi, pair_index(p[i], p[j])] = pair_index(i, j)
-        _perm_tables_cache[n] = table
-    return _perm_tables_cache[n]
+    nb = n * (n - 1) // 2
+    perms = list(permutations(range(n)))
+    table = np.empty((len(perms), nb), dtype=np.int64)
+    for pi, p in enumerate(perms):
+        for j in range(n):
+            for i in range(j):
+                table[pi, pair_index(p[i], p[j])] = pair_index(i, j)
+    return table
 
 
 def canonical_forms(n: int, masks) -> list[int]:
@@ -341,28 +345,25 @@ def canonical_forms(n: int, masks) -> list[int]:
     return [int(x) for x in best]
 
 
+@_classes_by_order
 def graphs_upto_iso(n: int) -> list[int]:
     """Canonical edge masks of all graphs on n vertices, one per class."""
     if n < 1:
         raise GraphError(f"corpus order {n} must be at least 1")
-    if n not in _iso_cache:
-        if n == 1:
-            _iso_cache[n] = [0]
-        else:
-            prev = graphs_upto_iso(n - 1)
-            base = (n - 1) * (n - 2) // 2
-            cands = sorted({pm | (hood << base) for pm in prev for hood in range(1 << (n - 1))})
-            _iso_cache[n] = sorted(set(canonical_forms(n, cands)))
-    return list(_iso_cache[n])
+    if n == 1:
+        return [0]
+    prev = graphs_upto_iso(n - 1)
+    base = (n - 1) * (n - 2) // 2
+    cands = sorted({pm | (hood << base) for pm in prev for hood in range(1 << (n - 1))})
+    return sorted(set(canonical_forms(n, cands)))
 
 
+@_classes_by_order
 def connected_graphs_upto_iso(n: int) -> list[int]:
-    if n not in _connected_cache:
-        _connected_cache[n] = [m for m in graphs_upto_iso(n)
-                               if is_connected(from_triangle_mask(n, m))]
-    return list(_connected_cache[n])
+    return [m for m in graphs_upto_iso(n) if is_connected(from_triangle_mask(n, m))]
 
 
+@_classes_by_order
 def two_connected_graphs_upto_iso(n: int) -> list[int]:
     """2-connected classes, grown from connected (n-1)-classes.
 
@@ -373,33 +374,29 @@ def two_connected_graphs_upto_iso(n: int) -> list[int]:
     """
     if n < 3:
         raise GraphError(f"2-connected graphs need at least 3 vertices, got {n}")
-    if n not in _two_connected_cache:
-        base = (n - 1) * (n - 2) // 2
-        cands = []
-        for pm in connected_graphs_upto_iso(n - 1):
-            for hood in range(1 << (n - 1)):
-                if hood.bit_count() < 2:
-                    continue
-                mask = pm | (hood << base)
-                if is_two_connected(from_triangle_mask(n, mask)):
-                    cands.append(mask)
-        _two_connected_cache[n] = sorted(set(canonical_forms(n, cands)))
-    return list(_two_connected_cache[n])
+    base = (n - 1) * (n - 2) // 2
+    cands = []
+    for pm in connected_graphs_upto_iso(n - 1):
+        for hood in range(1 << (n - 1)):
+            if hood.bit_count() < 2:
+                continue
+            mask = pm | (hood << base)
+            if is_two_connected(from_triangle_mask(n, mask)):
+                cands.append(mask)
+    return sorted(set(canonical_forms(n, cands)))
 
 
+@_classes_by_order
 def trees_upto_iso(n: int) -> list[int]:
     """Tree classes, grown by attaching one leaf everywhere."""
     if n < 1:
         raise GraphError(f"corpus order {n} must be at least 1")
-    if n not in _tree_cache:
-        if n == 1:
-            _tree_cache[n] = [0]
-        else:
-            prev = trees_upto_iso(n - 1)
-            base = (n - 1) * (n - 2) // 2
-            cands = {pm | (1 << (base + at)) for pm in prev for at in range(n - 1)}
-            _tree_cache[n] = sorted(set(canonical_forms(n, sorted(cands))))
-    return list(_tree_cache[n])
+    if n == 1:
+        return [0]
+    prev = trees_upto_iso(n - 1)
+    base = (n - 1) * (n - 2) // 2
+    cands = {pm | (1 << (base + at)) for pm in prev for at in range(n - 1)}
+    return sorted(set(canonical_forms(n, sorted(cands))))
 
 
 def corpus_graphs(n: int, masks) -> list[Graph]:

@@ -245,6 +245,19 @@ def test_max_n_env_holds_for_a_graph_already_partitioned(capsys, monkeypatch):
     assert "capacity" in out.err
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_bad_max_n_env_is_a_usage_error(value, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("TAUPART_MAX_N", value)
+    monkeypatch.setattr("sys.stdin", io.StringIO("Dhc\n"))
+    for argv in (["analyze"], ["partition", "Dhc", "--all-pairs"], ["color", "Dhc", "--mode", "star"],
+                 ["hunt", "--source", "-", "--witness-file", str(tmp_path / "w.jsonl")],
+                 ["verify"]):
+        code, _, out = run(capsys, *argv)
+        assert code == 2
+        assert out.out == ""
+        assert out.err == f"error: TAUPART_MAX_N must be an integer of at least 1, got {value!r}\n"
+
+
 def test_usage_exits_2(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2

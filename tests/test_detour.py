@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taupart import detour
 from taupart.detour import (
     DETOUR_DP_MAX_N,
+    NUMPY_DP_MIN_K,
+    _LevelTable,
+    _compact,
+    _dp_levels,
+    _dp_loop,
+    _dp_numpy,
+    _reconstruct,
     detour_order,
     detour_order_dfs,
     end_vertices_of_order_paths,
@@ -26,6 +36,7 @@ from taupart.graphs import (
     parse_graph6,
     path_graph,
     petersen_graph,
+    random_2connected,
     random_graph,
 )
 
@@ -143,3 +154,59 @@ def test_capacity_gate():
     # Hamiltonian path are its arcs
     cycle = cycle_graph(DETOUR_DP_MAX_N + 1)
     assert detour_order(cycle, max_n=cycle.n).tau == cycle.n == detour_order_dfs(cycle)
+
+
+def _numpy_kernel_cases():
+    """60 sparse graphs on 14..18 vertices: 2-connected ones and G(n, p)
+    ones, which are often disconnected."""
+    for seed in range(30):
+        n = 14 + seed % 5
+        yield random_2connected(n, extra_ears=seed % 7, seed=seed)
+        yield random_graph(n, 2.6 / n, seed=seed)
+
+
+def _assert_kernels_agree(g):
+    ladj, order = _compact(g, g.full_mask)
+    tau, table, last, _ = _dp_loop(ladj)
+    np_tau, np_table, np_last, _ = _dp_numpy(ladj)
+    assert np_tau == tau
+    assert np_last == sorted(last)
+    reached = {m: e for masks, ends in np_table.levels
+               for m, e in zip(masks.tolist(), ends.tolist())}
+    assert reached == {m: e for m, e in enumerate(table) if e}
+    # lookups of subsets of the first 8 vertices, reached or not, and of V
+    for m in [*range(1, 1 << 8), g.full_mask]:
+        assert np_table[m] == table[m]
+    return ladj, order, table, last
+
+
+def test_numpy_kernel_matches_the_loop():
+    for g in _numpy_kernel_cases():
+        ladj, order, table, last = _assert_kernels_agree(g)
+        assert isinstance(_dp_levels(ladj)[1], _LevelTable)
+        assert type(_dp_levels(ladj, stop_at=2)[1]) is list
+        witness = tuple(order[v] for v in _reconstruct(ladj, table, min(last)))
+        rec = detour_order(g)
+        assert rec.witness_path == witness
+        assert rec.tau == detour_order_dfs(g)
+
+
+def test_numpy_kernel_extends_a_wide_level_in_parts(monkeypatch):
+    monkeypatch.setattr(detour, "_NUMPY_DP_ROWS", 5)
+    for g in itertools.islice(_numpy_kernel_cases(), 10):
+        _assert_kernels_agree(g)
+
+
+def test_small_full_order_runs_stay_on_the_loop():
+    ladj, _ = _compact(petersen_graph(), petersen_graph().full_mask)
+    assert len(ladj) < NUMPY_DP_MIN_K
+    assert type(_dp_levels(ladj)[1]) is list
+
+
+def test_numpy_kernel_reaches_bit_63():
+    # the 2^64-entry list of the loop kernel could not even be allocated
+    for g in (path_graph(64), cycle_graph(64)):
+        rec = detour_order(g, max_n=64)
+        assert rec.tau == 64 == detour_order_dfs(g)
+        assert len(set(rec.witness_path)) == 64
+        assert all(g.has_edge(u, v) for u, v in zip(rec.witness_path, rec.witness_path[1:]))

@@ -55,6 +55,16 @@ def test_class_counts_trees():
     assert [len(trees_upto_iso(n)) for n in range(1, 9)] == [1, 1, 1, 2, 3, 6, 11, 23]
 
 
+def test_class_enumerators_return_fresh_lists():
+    for enumerate_classes, n in ((graphs_upto_iso, 4), (connected_graphs_upto_iso, 4),
+                                 (two_connected_graphs_upto_iso, 4), (trees_upto_iso, 5)):
+        first = enumerate_classes(n)
+        expected = list(first)
+        first.clear()
+        assert enumerate_classes(n) == expected
+        assert enumerate_classes(n) is not enumerate_classes(n)
+
+
 def permute_mask(n: int, mask: int, perm: list[int]) -> int:
     out = 0
     for j in range(n):
