@@ -207,6 +207,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             rec = json.loads(s)
         except json.JSONDecodeError as exc:
             ok, msg = False, f"schema: invalid JSON: {exc.msg}"
+        except RecursionError:
+            ok, msg = False, "schema: invalid JSON: nested too deeply"
         else:
             ok, msg = verify_record(rec, max_n=max_n)
         failed += 0 if ok else 1

@@ -15,6 +15,7 @@ the same machinery.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .detour import subset_tau_at_most
@@ -90,7 +91,7 @@ def _split(g: Graph, parts: list[int], trace: list | None, max_n: int | None) ->
     cert = tau_partition(g, PartitionTarget(parts[first], total - parts[first]), max_n=max_n)
     sub, _ = induced_subgraph(g, cert.part_b)
     order = mask_to_ids(cert.part_b)
-    tau_rem = graph_facts(sub, max_n=g.n).tau if sub.n else 0
+    tau_rem = graph_facts(sub, max_n).tau if sub.n else 0
     rest = _rebalance(list(parts[first + 1:]), tau_rem, trace)
     sub_masks = _split(sub, rest, trace, max_n)
     lifted = []
@@ -133,6 +134,20 @@ def t_partition(g: Graph, parts: tuple[int, ...] | list[int], trace: list | None
     return masks
 
 
+def color_classes(g: Graph, colors) -> dict[int, int]:
+    """The vertex mask of each colour class of a total colouring of g.
+
+    Raises GraphError unless every vertex has a non-negative colour.
+    """
+    colors = list(colors)
+    if len(colors) != g.n or any(c is None or int(c) < 0 for c in colors):
+        raise GraphError("colouring must assign a non-negative colour to every vertex")
+    classes: dict[int, int] = {}
+    for v, c in enumerate(colors):
+        classes[int(c)] = classes.get(int(c), 0) | (1 << v)
+    return classes
+
+
 def verify_detour_coloring(g: Graph, colors, n: int) -> bool:
     """Every colour class induces a subgraph of detour order at most n.
 
@@ -141,13 +156,7 @@ def verify_detour_coloring(g: Graph, colors, n: int) -> bool:
     """
     if n < 1:
         raise TargetError(f"class bound n={n} must be positive")
-    colors = list(colors)
-    if len(colors) != g.n or any(c is None or int(c) < 0 for c in colors):
-        raise GraphError("colouring must assign a non-negative colour to every vertex")
-    classes: dict[int, int] = {}
-    for v, c in enumerate(colors):
-        classes[int(c)] = classes.get(int(c), 0) | (1 << v)
-    return all(subset_tau_at_most(g, m, n, max_n=g.n) for m in classes.values())
+    return all(subset_tau_at_most(g, m, n, max_n=g.n) for m in color_classes(g, colors).values())
 
 
 def detour_coloring(g: Graph, n: int, max_n: int | None = None) -> ColoringCertificate:
@@ -175,39 +184,59 @@ def detour_coloring(g: Graph, n: int, max_n: int | None = None) -> ColoringCerti
     return ColoringCertificate(g6, tuple(colors), used, bound, "n-detour", True, n=n)
 
 
-def exact_detour_chromatic(g: Graph, n: int, max_n: int | None = None) -> int:
-    """Smallest k admitting a colouring whose classes have detour order <= n.
-
-    Backtracking over vertices in id order with incremental class checks and
-    colour symmetry breaking.  Exponential; capped at EXACT_SEARCH_MAX_N
-    vertices (override with max_n).
-    """
-    if n < 1:
-        raise TargetError(f"class bound n={n} must be positive")
+def check_exact_cap(g: Graph, max_n: int | None, search: str) -> None:
+    """Raise CapacityError, naming `search`, when g has more vertices than
+    the exact searches' cap (max_n, or EXACT_SEARCH_MAX_N when None)."""
     limit = EXACT_SEARCH_MAX_N if max_n is None else max_n
     if g.n > limit:
-        raise CapacityError(f"exact search over {g.n} vertices exceeds the cap of {limit}")
-    if g.n == 0:
-        return 0
+        raise CapacityError(f"{search} over {g.n} vertices exceeds the cap of {limit}")
 
-    def colorable(k: int) -> bool:
+
+def smallest_coloring(g: Graph, admissible: Callable[[int, int, list[int], list[int]], bool],
+                      max_k: int) -> tuple[int, ...] | None:
+    """The first colouring of g with the fewest colours, at most max_k, or None.
+
+    The one backtracking colour search.  Vertices take colours in id order,
+    each trying colours from the lowest and opening at most one new colour.
+    After v takes colour c, `admissible(v, c, colors, classes)` says whether
+    to go on: colors holds -1 above v, classes[c] is the vertex mask of
+    colour c with v in it.  It may reject a partial colouring only when no
+    extension of it is valid.  With max_k = g.n a colouring is found when
+    one colour per vertex passes, as it does for every caller's test.
+    Exponential in g.n.
+    """
+    if g.n == 0:
+        return ()
+    for k in range(1, max_k + 1):
+        colors = [-1] * g.n
         classes = [0] * k
 
         def place(v: int, used: int) -> bool:
-            if v == g.n:
-                return True
+            bit = 1 << v
             for c in range(min(used + 1, k)):
-                trial = classes[c] | (1 << v)
-                if subset_tau_at_most(g, trial, n, max_n=g.n):
-                    classes[c] = trial
-                    if place(v + 1, max(used, c + 1)):
-                        return True
-                    classes[c] ^= 1 << v
+                colors[v] = c
+                classes[c] |= bit
+                if admissible(v, c, colors, classes) and (
+                        v + 1 == g.n or place(v + 1, max(used, c + 1))):
+                    return True
+                classes[c] ^= bit
+            colors[v] = -1
             return False
 
-        return place(0, 0)
+        if place(0, 0):
+            return tuple(colors)
+    return None
 
-    for k in range(1, g.n + 1):
-        if colorable(k):
-            return k
-    raise InternalCheckError("colouring with one class per vertex must succeed")
+
+def exact_detour_chromatic(g: Graph, n: int, max_n: int | None = None) -> int:
+    """Smallest k admitting a colouring whose classes have detour order <= n.
+
+    Runs smallest_coloring, checking the detour order of each grown class.
+    Exponential; capped at EXACT_SEARCH_MAX_N vertices (override with max_n).
+    """
+    if n < 1:
+        raise TargetError(f"class bound n={n} must be positive")
+    check_exact_cap(g, max_n, "exact search")
+    colors = smallest_coloring(
+        g, lambda v, c, colors, classes: subset_tau_at_most(g, classes[c], n, max_n=g.n), g.n)
+    return len(set(colors))

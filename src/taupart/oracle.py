@@ -62,23 +62,42 @@ def _capacity_detail(g: Graph, max_n: int | None) -> str | None:
     return None
 
 
+def _is_json_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)  # JSON true is an int in Python
+
+
+def _field_types_detail(rec: dict, ints: tuple[str, ...], int_lists: tuple[str, ...]) -> str | None:
+    """The `schema:` detail for the first of `ints` that is not a JSON
+    integer or of `int_lists` that is not a JSON list of them; None when
+    every field is well typed."""
+    for key in ints:
+        if not _is_json_int(rec[key]):
+            return f"schema: '{key}' must be an integer, got {type(rec[key]).__name__}"
+    for key in int_lists:
+        if not isinstance(rec[key], list) or not all(_is_json_int(x) for x in rec[key]):
+            return f"schema: '{key}' must be a list of integers"
+    return None
+
+
 def verify_partition_record(rec: dict, max_n: int | None = None) -> tuple[bool, str]:
     """Re-check a partition certificate dict from scratch, within the DP cap."""
     for key in ("graph6", "a", "b", "A", "B", "tauA", "tauB", "method", "trace"):
         if key not in rec:
             return False, f"schema: missing key '{key}'"
+    bad = _field_types_detail(rec, ("a", "b", "tauA", "tauB"), ("A", "B"))
+    if bad:
+        return False, bad
     try:
         g = parse_graph6(str(rec["graph6"]))
-        a, b = int(rec["a"]), int(rec["b"])
-        part_a = ids_to_mask(int(v) for v in rec["A"])
-        part_b = ids_to_mask(int(v) for v in rec["B"])
-    except (GraphError, CapacityError, ValueError, TypeError) as exc:
+    except (GraphError, CapacityError) as exc:
         return False, f"schema: {exc}"
     over = _capacity_detail(g, max_n)
     if over:
         return False, over
-    if (part_a | part_b) & ~g.full_mask:
+    if not all(0 <= v < g.n for v in rec["A"] + rec["B"]):
         return False, "vertex id out of range for the graph"
+    a, b = rec["a"], rec["b"]
+    part_a, part_b = ids_to_mask(rec["A"]), ids_to_mask(rec["B"])
     if part_a & part_b:
         return False, "parts overlap"
     if (part_a | part_b) != g.full_mask:
@@ -92,7 +111,7 @@ def verify_partition_record(rec: dict, max_n: int | None = None) -> tuple[bool, 
         return False, f"tau(A) = {tau_a} > a = {a}"
     if tau_b > b:
         return False, f"tau(B) = {tau_b} > b = {b}"
-    if tau_a != int(rec["tauA"]) or tau_b != int(rec["tauB"]):
+    if tau_a != rec["tauA"] or tau_b != rec["tauB"]:
         return False, f"recorded tauA/tauB ({rec['tauA']}, {rec['tauB']}) != recomputed ({tau_a}, {tau_b})"
     return True, "ok"
 
@@ -102,11 +121,14 @@ def verify_coloring_record(rec: dict, max_n: int | None = None) -> tuple[bool, s
     for key in ("graph6", "colors", "colors_used", "bound", "property"):
         if key not in rec:
             return False, f"schema: missing key '{key}'"
+    bad = _field_types_detail(rec, ("colors_used", "bound"), ("colors",))
+    if bad:
+        return False, bad
     try:
         g = parse_graph6(str(rec["graph6"]))
-        colors = [int(c) for c in rec["colors"]]
-    except (GraphError, CapacityError, ValueError, TypeError) as exc:
+    except (GraphError, CapacityError) as exc:
         return False, f"schema: {exc}"
+    colors = rec["colors"]
     over = _capacity_detail(g, max_n)
     if over:
         return False, over
@@ -115,7 +137,7 @@ def verify_coloring_record(rec: dict, max_n: int | None = None) -> tuple[bool, s
     try:
         if prop == "n-detour":
             nb = rec.get("n")
-            if isinstance(nb, bool) or not isinstance(nb, int) or nb < 1:  # JSON true is an int in Python
+            if not _is_json_int(nb) or nb < 1:
                 return False, f"schema: n-detour certificate needs a positive n, got {nb!r}"
             bound = -(-tau_g // nb) if g.n else 0
             if g.n and not multiway.verify_detour_coloring(g, colors, nb):
@@ -129,13 +151,13 @@ def verify_coloring_record(rec: dict, max_n: int | None = None) -> tuple[bool, s
     except GraphError as exc:
         return False, f"schema: {exc}"
     used = len(set(colors)) if colors else 0
-    if used != int(rec["colors_used"]):
+    if used != rec["colors_used"]:
         return False, f"recorded colors_used {rec['colors_used']} != recomputed {used}"
-    if int(rec["bound"]) != bound:
+    if rec["bound"] != bound:
         return False, f"recorded bound {rec['bound']} != recomputed {bound}"
     if used > bound:
         return False, f"{used} colours exceed the bound {bound}"
-    if not rec.get("verified", False):
+    if rec.get("verified") is not True:
         return False, "certificate is not marked verified"
     return True, "ok"
 

@@ -489,16 +489,14 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
              "tau_B": tau_subset(h, after[1], max_n=g.n),
              "violated": [s for s, ok in (("A", ok_a), ("B", ok_b)) if not ok]}))
         method = "fallback"
-        repaired = brute_force_partition(h, tt, max_n=max(h.n, BRUTE_FORCE_MAX_N if max_n is None else max_n),
-                                         tau_g=taus[i + 1])
+        repaired = brute_force_partition(h, tt, max_n=max_n, tau_g=taus[i + 1])
         if repaired is not None:
             part_a, part_b = repaired
             continue
         witnesses.append(witness(
             "no-level-partition", i, step.case_tag, tt, prior, None,
             {"note": f"no ({tt.a}, {tt.b}) partition of the level-{i + 1} graph"}))
-        whole = brute_force_partition(g, t, max_n=max(g.n, BRUTE_FORCE_MAX_N if max_n is None else max_n),
-                                      tau_g=tau_g)
+        whole = brute_force_partition(g, t, max_n=max_n, tau_g=tau_g)
         if whole is None:
             raise CounterexampleError(
                 f"no ({t.a}, {t.b}) partition exists", g6, (t.a, t.b))

@@ -11,7 +11,9 @@ degree-0 vertex of the offending pair or swapping a matching edge.  The
 repair loop is capped; if it stalls, the residual P4 list is reported as a
 witness and an exhaustive search (still within tau colours) takes over.
 
-Verification and the exact chromatic searches are independent of the
+That fallback and the exact star and acyclic chromatic numbers are the one
+backtracking search, multiway.smallest_coloring, each with its own step
+test.  Verification and the exact searches are independent of the
 construction and are what the certificates are checked against.
 """
 
@@ -21,14 +23,13 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import (
-    CapacityError,
     CounterexampleError,
     GraphError,
     InternalCheckError,
     StarRepairError,
 )
 from .graphs import Graph, closure, connected_components, encode_graph6, induced_subgraph, is_connected, iter_bits, mask_to_ids
-from .multiway import EXACT_SEARCH_MAX_N, ColoringCertificate, t_partition
+from .multiway import ColoringCertificate, check_exact_cap, color_classes, smallest_coloring, t_partition
 from .partition import graph_facts
 
 
@@ -192,8 +193,7 @@ def repair_bicolored_p4s(g: Graph, ppc: PairPartitionColoring, max_iters: int | 
 def verify_star_coloring(g: Graph, colors) -> bool:
     """Proper and no path on 4 vertices uses only 2 colours."""
     colors = list(colors)
-    if len(colors) != g.n or any(c is None or int(c) < 0 for c in colors):
-        raise GraphError("colouring must assign a non-negative colour to every vertex")
+    color_classes(g, colors)
     if not _is_proper(g, colors):
         return False
     return not find_bicolored_p4s(g, colors)
@@ -213,13 +213,9 @@ def _is_forest(g: Graph, mask: int) -> bool:
 def verify_acyclic_coloring(g: Graph, colors) -> bool:
     """Proper and every union of two colour classes induces a forest."""
     colors = list(colors)
-    if len(colors) != g.n or any(c is None or int(c) < 0 for c in colors):
-        raise GraphError("colouring must assign a non-negative colour to every vertex")
+    classes = color_classes(g, colors)
     if not _is_proper(g, colors):
         return False
-    classes: dict[int, int] = {}
-    for v, c in enumerate(colors):
-        classes[int(c)] = classes.get(int(c), 0) | (1 << v)
     keys = sorted(classes)
     for i, c1 in enumerate(keys):
         for c2 in keys[i + 1:]:
@@ -228,80 +224,47 @@ def verify_acyclic_coloring(g: Graph, colors) -> bool:
     return True
 
 
-def _star_colors_with(g: Graph, k: int) -> tuple[int, ...] | None:
-    """A star colouring with at most k colours, or None.  Deterministic."""
+def _star_admissible(g: Graph):
+    """The star step test for smallest_coloring: v's class stays
+    independent, and every P4 whose largest vertex is v keeps at least 3
+    colours."""
     by_max: list[list[tuple[int, int, int, int]]] = [[] for _ in range(g.n)]
     for quad in _all_p4s(g):
         by_max[max(quad)].append(quad)
-    colors = [-1] * g.n
 
-    def place(v: int, used: int) -> bool:
-        below = (1 << v) - 1
-        for c in range(min(used + 1, k)):
-            ok = all(colors[u] != c for u in iter_bits(g.adj[v] & below))
-            if not ok:
-                continue
-            colors[v] = c
-            if all(len({colors[a], colors[b], colors[cc], colors[d]}) >= 3
-                   for a, b, cc, d in by_max[v]):
-                if v + 1 == g.n or place(v + 1, max(used, c + 1)):
-                    return True
-            colors[v] = -1
-        return False
-
-    if g.n == 0:
-        return ()
-    return tuple(colors) if place(0, 0) else None
+    def admissible(v: int, c: int, colors: list[int], classes: list[int]) -> bool:
+        return not g.adj[v] & classes[c] and all(
+            len({colors[a], colors[b], colors[x], colors[d]}) >= 3 for a, b, x, d in by_max[v])
+    return admissible
 
 
 def exact_star_chromatic(g: Graph, max_n: int | None = None) -> int:
-    """Smallest number of colours in any star colouring of g."""
-    limit = EXACT_SEARCH_MAX_N if max_n is None else max_n
-    if g.n > limit:
-        raise CapacityError(f"exact star search over {g.n} vertices exceeds the cap of {limit}")
-    if g.n == 0:
-        return 0
-    for k in range(1, g.n + 1):
-        if _star_colors_with(g, k) is not None:
-            return k
-    raise InternalCheckError("rainbow colouring is always a star colouring")
+    """Smallest number of colours in any star colouring of g.
+
+    Runs multiway.smallest_coloring with the star step test.  Exponential;
+    capped at EXACT_SEARCH_MAX_N vertices (override with max_n).
+    """
+    check_exact_cap(g, max_n, "exact star search")
+    return len(set(smallest_coloring(g, _star_admissible(g), g.n)))
 
 
-def _acyclic_colors_with(g: Graph, k: int) -> tuple[int, ...] | None:
-    colors = [-1] * g.n
-    classes = [0] * k
-
-    def place(v: int, used: int) -> bool:
-        below = (1 << v) - 1
-        for c in range(min(used + 1, k)):
-            if any(colors[u] == c for u in iter_bits(g.adj[v] & below)):
-                continue
-            trial = classes[c] | (1 << v)
-            if all(_is_forest(g, trial | classes[o]) for o in range(k) if o != c and classes[o]):
-                colors[v] = c
-                classes[c] = trial
-                if v + 1 == g.n or place(v + 1, max(used, c + 1)):
-                    return True
-                colors[v] = -1
-                classes[c] ^= 1 << v
-        return False
-
-    if g.n == 0:
-        return ()
-    return tuple(colors) if place(0, 0) else None
+def _acyclic_admissible(g: Graph):
+    """The acyclic step test for smallest_coloring: v's class stays
+    independent, and a forest together with every other non-empty class."""
+    def admissible(v: int, c: int, colors: list[int], classes: list[int]) -> bool:
+        return not g.adj[v] & classes[c] and all(
+            _is_forest(g, classes[c] | m) for o, m in enumerate(classes) if o != c and m)
+    return admissible
 
 
 def exact_acyclic_chromatic(g: Graph, max_n: int | None = None) -> int:
-    """Smallest number of colours in any acyclic colouring of g."""
-    limit = EXACT_SEARCH_MAX_N if max_n is None else max_n
-    if g.n > limit:
-        raise CapacityError(f"exact acyclic search over {g.n} vertices exceeds the cap of {limit}")
-    if g.n == 0:
-        return 0
-    for k in range(1, g.n + 1):
-        if _acyclic_colors_with(g, k) is not None:
-            return k
-    raise InternalCheckError("rainbow colouring is always acyclic")
+    """Smallest number of colours in any acyclic colouring of g.
+
+    Runs multiway.smallest_coloring with the acyclic step test.
+    Exponential; capped at EXACT_SEARCH_MAX_N vertices (override with max_n).
+    """
+    check_exact_cap(g, max_n, "exact acyclic search")
+    return len(set(smallest_coloring(g, _acyclic_admissible(g), g.n)))
 
 
 def star_coloring(g: Graph, max_n: int | None = None) -> ColoringCertificate:
@@ -322,20 +285,15 @@ def star_coloring(g: Graph, max_n: int | None = None) -> ColoringCertificate:
         sub, _ = induced_subgraph(g, comp)
         order = mask_to_ids(comp)
         try:
-            ppc = pair_partition_coloring(sub, max_n=g.n)
+            ppc = pair_partition_coloring(sub, max_n=max_n)
             ppc = repair_bicolored_p4s(sub, ppc)
             comp_colors = ppc.colors
         except StarRepairError as exc:
-            tau_c = graph_facts(sub, max_n=g.n).tau
-            fallback = None
-            for k in range(1, tau_c + 1):
-                fallback = _star_colors_with(sub, k)
-                if fallback is not None:
-                    break
-            if fallback is None:
+            tau_c = graph_facts(sub, max_n).tau
+            comp_colors = smallest_coloring(sub, _star_admissible(sub), tau_c)
+            if comp_colors is None:
                 raise CounterexampleError(
                     f"no star colouring within {tau_c} colours", encode_graph6(sub), tau_c)
-            comp_colors = fallback
             witness = {"component": order,
                        "residual_p4s": [list(q) for q in exc.residual],
                        "colors_at_failure": list(exc.colors),

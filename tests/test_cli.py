@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import io
 import json
+import os
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taupart import partition
 from taupart.cli import main
 from taupart.graphs import cycle_graph
+from taupart.multiway import detour_coloring
 from taupart.oracle import verify_record
+from taupart.starcolor import star_coloring
 
 
 def run(capsys, *argv):
@@ -262,3 +270,82 @@ def test_usage_exits_2(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+@functools.cache
+def _valid_lines() -> tuple[str, ...]:
+    """One genuine partition, n-detour and star certificate line each."""
+    return tuple(json.dumps(c.to_json_dict(), sort_keys=True) for c in (
+        partition.tau_partition(cycle_graph(6), partition.PartitionTarget(2, 4)),
+        detour_coloring(cycle_graph(4), 1),
+        star_coloring(cycle_graph(5))))
+
+
+def _verify_text(text: str) -> tuple[int, list[str]]:
+    """`taupart verify -` on text, under the default caps."""
+    out = io.StringIO()
+    with mock.patch.dict(os.environ), mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out):
+        os.environ.pop("TAUPART_MAX_N", None)
+        code = main(["verify", "-"])
+    return code, out.getvalue().splitlines()
+
+
+# Each edit was read as a vertex id list, colour list or count by the old
+# coercion (2.7 -> 2, "01" -> [0, 1]) or crashed the verifier outright.
+@pytest.mark.parametrize("line, key, edit", [
+    (0, "tauA", lambda v: "x"),
+    (0, "a", lambda v: v + 0.7),
+    (0, "b", lambda v: True),
+    (0, "A", lambda v: "".join(map(str, v))),
+    (0, "B", lambda v: v[:-1] + [float(v[-1])]),
+    (1, "colors_used", lambda v: "x"),
+    (1, "bound", lambda v: None),
+    (1, "colors", lambda v: "".join(map(str, v))),
+    (2, "colors", lambda v: [str(c) for c in v]),
+])
+def test_verify_rejects_mistyped_fields(line, key, edit):
+    rec = json.loads(_valid_lines()[line])
+    assert verify_record(rec) == (True, "ok")
+    rec[key] = edit(rec[key])
+    code, out = _verify_text(json.dumps(rec) + "\n")
+    assert code == 3
+    result = json.loads(out[0])
+    assert result["ok"] is False
+    assert result["detail"].startswith(f"schema: '{key}' must be ")
+
+
+def test_verify_rejects_deeply_nested_json():
+    code, out = _verify_text("[" * 100_000 + "]" * 100_000 + "\n")
+    assert code == 3
+    assert json.loads(out[0]) == {"line": 1, "ok": False, "detail": "schema: invalid JSON: nested too deeply"}
+
+
+def test_verify_rejects_vertex_ids_out_of_range_without_building_them():
+    rec = json.loads(_valid_lines()[0])
+    rec["B"] = rec["B"] + [10 ** 12]  # a mask with this bit set would take 125 GB
+    assert verify_record(rec) == (False, "vertex id out of range for the graph")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_verify_survives_a_mutated_or_truncated_certificate(data):
+    line = data.draw(st.sampled_from(_valid_lines()))
+    if data.draw(st.booleans()):
+        rec = json.loads(line)
+        rec[data.draw(st.sampled_from(sorted(rec)))] = data.draw(JSON_VALUES)
+        line = json.dumps(rec)
+    else:
+        line = line[:data.draw(st.integers(1, len(line) - 1))]
+    code, out = _verify_text(line + "\n")
+    assert code in (0, 3)
+    assert len(out) == 2
+    result, summary = map(json.loads, out)
+    assert summary == {"summary": True, "records": 1, "failed": int(not result["ok"])}
+    assert code == (0 if result["ok"] else 3)

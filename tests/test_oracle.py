@@ -162,9 +162,9 @@ def test_verify_coloring_record():
     ok, _ = verify_coloring_record(bad)
     assert not ok
 
-    bad = dict(rec, verified=False)
-    ok, _ = verify_coloring_record(bad)
-    assert not ok
+    for flag in (False, "no", [0]):  # only JSON true marks a certificate verified
+        ok, msg = verify_coloring_record(dict(rec, verified=flag))
+        assert (ok, msg) == (False, "certificate is not marked verified")
 
     proper = detour_coloring(cycle_graph(5), 1).to_json_dict()
     assert verify_coloring_record(proper)[0]
