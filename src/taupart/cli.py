@@ -4,8 +4,10 @@ Five subcommands: analyze (per-graph structure report), partition (one
 certificate per target), color (detour or star colouring certificates),
 hunt (corpus sweep for counterexamples), verify (re-check certificate
 files).  Output is JSON lines on stdout with sorted keys; human tables sit
-behind --table.  Exit codes: 0 success, 2 usage or target errors, 3
-verification failures or counterexamples, 4 capacity overruns.
+behind --table.  Exit codes: 0 success, 2 usage or target errors and
+files that cannot be opened, 3 verification failures or counterexamples,
+4 capacity overruns.  Input files are ASCII: a line with any other byte is
+malformed like any other bad line.
 
 TAUPART_MAX_N overrides the library capacity caps for every subcommand; a
 value that is not an integer of at least 1 is a usage error (exit 2).
@@ -25,6 +27,7 @@ from .ears import is_two_connected
 from .errors import (
     CapacityError,
     CounterexampleError,
+    FileAccessError,
     Graph6Error,
     GraphError,
     TargetError,
@@ -55,31 +58,47 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
+def _open(path: str, mode: str):
+    """Open a file named on the command line as ASCII text.  A byte outside
+    ASCII reads as U+FFFD, which no graph6 or certificate line accepts."""
+    try:
+        return open(path, mode, encoding="ascii", errors="replace")
+    except OSError as exc:
+        raise FileAccessError(f"cannot open {path}: {exc.strerror or exc}") from exc
+
+
 def _read_lines(path: str):
+    """(line number, line) for each line of the file, or of stdin for '-'."""
     if path == "-":
-        for i, line in enumerate(sys.stdin, start=1):
-            yield i, line
-    else:
-        with open(path, "r", encoding="ascii") as fh:
-            for i, line in enumerate(fh, start=1):
-                yield i, line
+        yield from enumerate(sys.stdin, start=1)
+        return
+    with _open(path, "r") as fh:
+        yield from enumerate(fh, start=1)
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    max_n = args.max_n
-    rows = []
-    for lineno, raw in _read_lines(args.input):
+def _read_graphs(path: str):
+    """(line number, stripped line, graph) for each non-blank graph6 line;
+    a malformed line gives its error row in place of the graph."""
+    for lineno, raw in _read_lines(path):
         s = raw.strip()
         if not s:
             continue
         try:
             g = parse_graph6(s)
         except (Graph6Error, CapacityError) as exc:
-            err = {"line": lineno, "error": str(exc)}
+            g = {"line": lineno, "error": str(exc)}
+        yield lineno, s, g
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    max_n = args.max_n
+    rows = []
+    for lineno, s, g in _read_graphs(args.input):
+        if isinstance(g, dict):
             if not args.keep_going:
-                _emit(err)
+                _emit(g)
                 return 2
-            rows.append(err)
+            rows.append(g)
             continue
         if args.dot:
             print(to_dot(g, name=f"g{lineno}"))
@@ -170,24 +189,20 @@ def cmd_hunt(args: argparse.Namespace) -> int:
         corpus = f"random(n={n},seed={seed},count={count})"
     else:
         corpus = args.source
-        for lineno, raw in _read_lines(args.source):
-            s = raw.strip()
-            if not s:
-                continue
-            try:
-                graphs.append(parse_graph6(s))
-            except (Graph6Error, CapacityError) as exc:
-                err = {"line": lineno, "error": str(exc)}
+        for _, _, g in _read_graphs(args.source):
+            if isinstance(g, dict):
                 if not args.keep_going:
-                    _emit(err)
+                    _emit(g)
                     return 2
-                prelude.append(err)
+                prelude.append(g)
+            else:
+                graphs.append(g)
     report = sweep_ppc(graphs, corpus=corpus, max_n=max_n, deterministic=args.deterministic)
     for err in prelude:
         _emit(err)
     for line in report.to_json_lines():
         print(line)
-    with open(args.witness_file, "w", encoding="ascii") as fh:
+    with _open(args.witness_file, "w") as fh:
         for w in report.witnesses:
             fh.write(json.dumps(w, sort_keys=True) + "\n")
     return 0 if report.counterexamples == 0 else 3
@@ -204,7 +219,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             continue
         total += 1
         try:
+            s.encode("ascii")
             rec = json.loads(s)
+        except UnicodeEncodeError as exc:
+            ok, msg = False, f"schema: non-ASCII character at offset {exc.start}"
         except json.JSONDecodeError as exc:
             ok, msg = False, f"schema: invalid JSON: {exc.msg}"
         except RecursionError:
@@ -281,7 +299,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (TargetError, GraphError) as exc:  # Graph6Error is a GraphError
+    except (TargetError, GraphError, FileAccessError) as exc:  # Graph6Error is a GraphError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CounterexampleError as exc:

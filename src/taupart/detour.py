@@ -11,8 +11,8 @@ and abort loudly if they ever disagree.
 
 The subset DP has two kernels with identical results.  `_dp_loop` walks the
 reached subsets one by one in pure Python over a 2^k list; it serves every
-early-exit query (`stop_at`, `collect_level`) and every run on fewer than
-NUMPY_DP_MIN_K vertices, where numpy's per-call cost outweighs the work.
+early-exit query (`stop_at`) and every run on fewer than NUMPY_DP_MIN_K
+vertices, where numpy's per-call cost outweighs the work.
 `_dp_numpy` runs full-order DPs on NUMPY_DP_MIN_K or more vertices: it keeps
 each level as sorted uint64 arrays of masks and end masks and extends the
 whole level in a few array operations, so its time and memory grow with the
@@ -78,40 +78,36 @@ def check_capacity(k: int, max_n: int | None) -> None:
         raise CapacityError(f"subset dynamic program over {k} vertices exceeds the cap of {cap}")
 
 
-def _dp_levels(ladj: list[int], stop_at: int | None = None, collect_level: int | None = None):
+def _dp_levels(ladj: list[int], stop_at: int | None = None):
     """Run the endpoint DP level by level; every subset DP passes here once.
 
-    Returns (tau, table, last_frontier, collected) as `_dp_loop` documents.
-    A full-order run on NUMPY_DP_MIN_K or more vertices goes to `_dp_numpy`,
+    Returns (tau, table, last_frontier) as `_dp_loop` documents.  A
+    full-order run on NUMPY_DP_MIN_K or more vertices goes to `_dp_numpy`,
     everything else to `_dp_loop`.
     """
-    if stop_at is None and collect_level is None and len(ladj) >= NUMPY_DP_MIN_K:
+    if stop_at is None and len(ladj) >= NUMPY_DP_MIN_K:
         return _dp_numpy(ladj)
-    return _dp_loop(ladj, stop_at, collect_level)
+    return _dp_loop(ladj, stop_at)
 
 
-def _dp_loop(ladj: list[int], stop_at: int | None = None, collect_level: int | None = None):
+def _dp_loop(ladj: list[int], stop_at: int | None = None):
     """Run the endpoint DP level by level, one subset at a time.
 
-    Returns (tau, table, last_frontier, collected) where `table[mask]` is the
-    endpoint mask of subset `mask` (0 if <mask> has no Hamiltonian path),
-    `last_frontier` lists the masks of the deepest level reached, and
-    `collected` is the union of endpoint masks at level `collect_level`.
+    Returns (tau, table, last_frontier) where `table[mask]` is the endpoint
+    mask of subset `mask` (0 if <mask> has no Hamiltonian path) and
+    `last_frontier` lists the masks of the deepest level reached, level tau.
     With `stop_at` the run ends as soon as tau reaches it (table is then
-    partial).
+    partial), so a run that reaches level stop_at returns that level.
     """
     k = len(ladj)
     if k == 0:
-        return 0, [], [], 0
+        return 0, [], []
     table = [0] * (1 << k)
     frontier = []
     for i in range(k):
         table[1 << i] = 1 << i
         frontier.append(1 << i)
     tau = 1
-    collected = 0
-    if collect_level == 1:
-        collected = (1 << k) - 1
     while frontier:
         if stop_at is not None and tau >= stop_at:
             break
@@ -135,10 +131,7 @@ def _dp_loop(ladj: list[int], stop_at: int | None = None, collect_level: int | N
             break
         tau += 1
         frontier = nxt
-        if collect_level is not None and tau == collect_level:
-            for mask in frontier:
-                collected |= table[mask]
-    return tau, table, frontier, collected
+    return tau, table, frontier
 
 
 class _LevelTable:
@@ -203,7 +196,7 @@ def _dp_numpy(ladj: list[int]):
         if not len(masks):
             break
         levels.append((masks, ends))
-    return len(levels), _LevelTable(levels), levels[-1][0].tolist(), 0
+    return len(levels), _LevelTable(levels), levels[-1][0].tolist()
 
 
 def detour_order(g: Graph, max_n: int | None = None) -> DetourRecord:
@@ -216,7 +209,7 @@ def detour_order(g: Graph, max_n: int | None = None) -> DetourRecord:
         raise GraphError("detour order of the empty graph is undefined")
     check_capacity(g.n, max_n)
     ladj, order = _compact(g, g.full_mask)
-    tau, table, last, _ = _dp_levels(ladj)
+    tau, table, last = _dp_levels(ladj)
     best_mask = min(last)
     path_local = _reconstruct(ladj, table, best_mask)
     return DetourRecord(tau, tuple(order[v] for v in path_local))
@@ -242,7 +235,7 @@ def tau_subset(g: Graph, mask: int, max_n: int | None = None) -> int:
         return 0
     check_capacity(mask.bit_count(), max_n)
     ladj, _ = _compact(g, mask)
-    tau, _, _, _ = _dp_levels(ladj)
+    tau, _, _ = _dp_levels(ladj)
     return tau
 
 
@@ -254,7 +247,7 @@ def subset_has_path(g: Graph, mask: int, k: int, max_n: int | None = None) -> bo
         return False
     check_capacity(mask.bit_count(), max_n)
     ladj, _ = _compact(g, mask)
-    tau, _, _, _ = _dp_levels(ladj, stop_at=k)
+    tau, _, _ = _dp_levels(ladj, stop_at=k)
     return tau >= k
 
 
@@ -287,9 +280,14 @@ def end_vertices_of_order_paths(g: Graph, k: int, within: int | None = None,
         return 0
     check_capacity(mask.bit_count(), max_n)
     ladj, order = _compact(g, mask)
-    _, _, _, collected = _dp_levels(ladj, stop_at=k, collect_level=k)
+    tau, table, last = _dp_levels(ladj, stop_at=k)
+    if tau < k:
+        return 0
+    ends = 0
+    for m in last:
+        ends |= table[m]
     out = 0
-    for v in iter_bits(collected):
+    for v in iter_bits(ends):
         out |= 1 << order[v]
     return out
 

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: argument/target problems exit 2,
-verification failures and counterexample reports exit 3, capacity
-overruns exit 4.
+The CLI maps these onto exit codes: argument/target problems and files
+that cannot be opened exit 2, verification failures and counterexample
+reports exit 3, capacity overruns exit 4.
 """
 
 from __future__ import annotations
@@ -35,6 +35,10 @@ class NotTwoConnectedError(GraphError):
         super().__init__(reason)
         self.reason = reason
         self.cut_vertex = cut_vertex
+
+
+class FileAccessError(RuntimeError):
+    """A file named on the command line cannot be opened."""
 
 
 class TargetError(ValueError):

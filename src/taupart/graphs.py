@@ -191,19 +191,20 @@ def random_graph(n: int, p: float, seed: int = 0) -> Graph:
 def parse_graph6(line: str) -> Graph:
     """Parse one graph6 string (optionally prefixed with '>>graph6<<').
 
-    Raises Graph6Error naming the byte offset for malformed, truncated or
-    trailing-garbage input.  The offset refers to the string after
-    stripping surrounding whitespace.
+    Raises Graph6Error naming the offset for malformed, truncated or
+    trailing-garbage input, and for any character outside bytes 63..126,
+    non-ASCII ones included.  The offset counts characters of the string
+    after stripping surrounding whitespace.
     """
     s = line.strip()
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]
     if not s:
         raise Graph6Error("empty graph6 string", 0)
-    data = s.encode("ascii", errors="replace")
-    for off, byte in enumerate(data):
-        if not 63 <= byte <= 126:
-            raise Graph6Error(f"invalid graph6 byte {byte!r}", off)
+    for off, ch in enumerate(s):
+        if not "?" <= ch <= "~":  # bytes 63..126
+            raise Graph6Error(f"invalid graph6 character {ch!a}", off)
+    data = s.encode("ascii")
 
     # Decode the order n.
     pos = 0

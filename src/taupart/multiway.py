@@ -59,7 +59,7 @@ class ColoringCertificate:
         return out
 
 
-def _rebalance(rest: list[int], tau_rem: int, trace: list | None) -> list[int]:
+def _rebalance(rest: list[int], tau_rem: int) -> list[int]:
     """Shrink the residual tuple to sum tau_rem, from the last entry down."""
     delta = sum(rest) - tau_rem
     if delta < 0:
@@ -73,12 +73,10 @@ def _rebalance(rest: list[int], tau_rem: int, trace: list | None) -> list[int]:
         delta -= cut
         if not delta:
             break
-    if trace is not None:
-        trace.append({"rebalanced_from": list(rest), "to": list(new), "tau_remainder": tau_rem})
     return new
 
 
-def _split(g: Graph, parts: list[int], trace: list | None, max_n: int | None) -> list[int]:
+def _split(g: Graph, parts: list[int], max_n: int | None) -> list[int]:
     # parts may contain zeros (empty parts); sum(parts) == tau(g) when g.n > 0
     if g.n == 0:
         return [0] * len(parts)
@@ -92,8 +90,8 @@ def _split(g: Graph, parts: list[int], trace: list | None, max_n: int | None) ->
     sub, _ = induced_subgraph(g, cert.part_b)
     order = mask_to_ids(cert.part_b)
     tau_rem = graph_facts(sub, max_n).tau if sub.n else 0
-    rest = _rebalance(list(parts[first + 1:]), tau_rem, trace)
-    sub_masks = _split(sub, rest, trace, max_n)
+    rest = _rebalance(list(parts[first + 1:]), tau_rem)
+    sub_masks = _split(sub, rest, max_n)
     lifted = []
     for m in sub_masks:
         lm = 0
@@ -103,13 +101,12 @@ def _split(g: Graph, parts: list[int], trace: list | None, max_n: int | None) ->
     return [0] * first + [cert.part_a] + lifted
 
 
-def t_partition(g: Graph, parts: tuple[int, ...] | list[int], trace: list | None = None,
-                max_n: int | None = None) -> list[int]:
+def t_partition(g: Graph, parts: tuple[int, ...] | list[int], max_n: int | None = None) -> list[int]:
     """Partition V(g) into parts with tau(<part_i>) <= parts[i].
 
     `parts` must be positive integers summing to tau(g).  Returns one vertex
     mask per entry (possibly empty where re-balancing zeroed an entry's
-    budget).  Pass a list as `trace` to capture re-balancing events.
+    budget).
     """
     parts = [int(p) for p in parts]
     if not parts:
@@ -119,7 +116,7 @@ def t_partition(g: Graph, parts: tuple[int, ...] | list[int], trace: list | None
     tau_g = graph_facts(g, max_n).tau
     if sum(parts) != tau_g:
         raise TargetError(f"tuple target {parts} sums to {sum(parts)}, detour order is {tau_g}")
-    masks = _split(g, parts, trace, max_n)
+    masks = _split(g, parts, max_n)
     if len(masks) != len(parts):
         raise InternalCheckError("part count drifted during the split")
     union = 0

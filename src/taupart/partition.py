@@ -69,20 +69,20 @@ class PartitionTarget:
         return self.a + self.b
 
 
-@dataclass
+@dataclass(frozen=True)
 class CaseStep:
     """One ear folded into the partition.
 
-    `migrated` is the mask of vertices moved between parts (original ids in
-    a finished certificate); `valid_after` is filled in by the caller once
-    the post-step bounds are checked.
+    `migrated` is the mask, in the graph's own ids, of the vertices moved
+    between parts; `valid_after` says whether both bounds held after the
+    step.
     """
 
     ear_index: int
     case_tag: str  # "1.1" | "1.2" | "2.1" | "2.2" | "3"
     migrated: int
     subtarget: tuple[int, int] | None
-    valid_after: bool | None = None
+    valid_after: bool
 
     def to_json_dict(self) -> dict:
         return {
@@ -255,42 +255,40 @@ def choose_subtarget(t: PartitionTarget, tau_sub: int) -> PartitionTarget:
     return PartitionTarget(a1, tau_sub - a1)
 
 
-def extend_r0(h: Graph, prior: tuple[int, int], edge: tuple[int, int], t: PartitionTarget,
-              sub: tuple[int, int] | None = None, ear_index: int = -1) -> tuple[tuple[int, int], CaseStep]:
-    """Fold a chord ear into the partition of h.
+def extend_r0(h: Graph, prior: tuple[int, int], ear: Ear,
+              t: PartitionTarget) -> tuple[tuple[int, int], str, int]:
+    """Fold a chord ear x-y into the partition of h.
 
     Endpoints in different parts: nothing changes ("1.1").  Endpoints in the
-    same part P with bound p: if tau(<P>) still fits, nothing moves;
-    otherwise, for every orientation of every path of order >= p+1 inside
-    <P>, the (p+1)-th vertex migrates to the other part ("1.2").  No bound
-    is checked here; the caller verifies and repairs.
+    same part P with bound p: for every orientation of every path of order
+    >= p+1 inside <P>, the (p+1)-th vertex migrates to the other part
+    ("1.2"); nothing moves when tau(<P>) still fits.  The (p+1)-th vertex of
+    such a path is the last vertex of its order-(p+1) prefix, so the
+    migrated set is the set of ends of order-(p+1) paths in <P>.  Like
+    every fold step it returns (parts, case tag, migrated mask) and checks
+    no bound; the caller verifies and repairs.
     """
     part_a, part_b = prior
-    x, y = edge
-    xa = bool(part_a >> x & 1)
-    ya = bool(part_a >> y & 1)
-    if xa != ya:
-        return prior, CaseStep(ear_index, "1.1", 0, sub)
+    xa = bool(part_a >> ear.x & 1)
+    if xa != bool(part_a >> ear.y & 1):
+        return prior, "1.1", 0
     donor, bound = (part_a, t.a) if xa else (part_b, t.b)
-    if subset_tau_at_most(h, donor, bound, max_n=h.n):
-        return prior, CaseStep(ear_index, "1.2", 0, sub)
-    migrated = 0
-    for seq in paths_of_order_at_least(h, bound + 1, within=donor):
-        migrated |= 1 << seq[bound]
+    migrated = end_vertices_of_order_paths(h, bound + 1, within=donor, max_n=h.n)
     if xa:
         after = (part_a & ~migrated, part_b | migrated)
     else:
         after = (part_a | migrated, part_b & ~migrated)
-    return after, CaseStep(ear_index, "1.2", migrated, sub)
+    return after, "1.2", migrated
 
 
-def extend_r1(h: Graph, prior: tuple[int, int], ear: Ear, t: PartitionTarget,
-              sub: tuple[int, int] | None = None, ear_index: int = -1) -> tuple[tuple[int, int], CaseStep]:
+def extend_r1(h: Graph, prior: tuple[int, int], ear: Ear,
+              t: PartitionTarget) -> tuple[tuple[int, int], str, int]:
     """Fold a one-internal-vertex ear x, v1, y into the partition.
 
     Same-part endpoints: v1 joins the other part ("2.1").  Split endpoints:
     v1 joins the a-side unless its attachment there already ends a path of
     order a inside that side, in which case it joins the b-side ("2.2").
+    Nothing migrates.
     """
     part_a, part_b = prior
     (v1,) = ear.internals
@@ -301,25 +299,25 @@ def extend_r1(h: Graph, prior: tuple[int, int], ear: Ear, t: PartitionTarget,
             after = (part_a, part_b | (1 << v1))
         else:
             after = (part_a | (1 << v1), part_b)
-        return after, CaseStep(ear_index, "2.1", 0, sub)
+        return after, "2.1", 0
     a_end = ear.x if xa else ear.y
     ends = end_vertices_of_order_paths(h, t.a, within=part_a, max_n=h.n)
     if not ends >> a_end & 1:
         after = (part_a | (1 << v1), part_b)
     else:
         after = (part_a, part_b | (1 << v1))
-    return after, CaseStep(ear_index, "2.2", 0, sub)
+    return after, "2.2", 0
 
 
-def extend_rge2(h: Graph, prior: tuple[int, int], ear: Ear, t: PartitionTarget,
-                sub: tuple[int, int] | None = None, ear_index: int = -1) -> tuple[tuple[int, int], CaseStep]:
-    """Fold an ear with r >= 2 internal vertices by two-colouring them.
+def extend_rge2(h: Graph, prior: tuple[int, int], ear: Ear,
+                t: PartitionTarget) -> tuple[tuple[int, int], str, int]:
+    """Fold an ear with r >= 2 internal vertices by two-colouring them ("3").
 
     The first internal vertex takes the part opposite its endpoint x, the
     run alternates from there, and the last internal vertex takes the part
     opposite y (overriding the alternation; for some small bounds that
     leaves two adjacent internals in one part, which the caller's verifier
-    will catch).
+    will catch).  Nothing migrates.
     """
     part_a, part_b = prior
     r = ear.r
@@ -335,7 +333,7 @@ def extend_rge2(h: Graph, prior: tuple[int, int], ear: Ear, t: PartitionTarget,
             add_a |= 1 << v
         else:
             add_b |= 1 << v
-    return (part_a | add_a, part_b | add_b), CaseStep(ear_index, "3", 0, sub)
+    return (part_a | add_a, part_b | add_b), "3", 0
 
 
 def _check_brute_force_capacity(g: Graph, max_n: int | None) -> int:
@@ -452,21 +450,15 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
     for i, lear in enumerate(local_ears):
         h = levels[i + 1]
         tt = targets[i + 1]
-        sub = (targets[i].a, targets[i].b)
         prior = (part_a, part_b)
-        if lear.r == 0:
-            after, step = extend_r0(h, prior, (lear.x, lear.y), tt, sub=sub, ear_index=i)
-        elif lear.r == 1:
-            after, step = extend_r1(h, prior, lear, tt, sub=sub, ear_index=i)
-        else:
-            after, step = extend_rge2(h, prior, lear, tt, sub=sub, ear_index=i)
+        after, case_tag, migrated = (extend_r0, extend_r1, extend_rge2)[min(lear.r, 2)](h, prior, lear, tt)
 
-        if step.case_tag == "1.2" and step.migrated:
-            if step.migrated & part_a:
+        if migrated:  # only a "1.2" chord migrates
+            if migrated & part_a:
                 receiver_pre, bound_recv = part_b, tt.b
             else:
                 receiver_pre, bound_recv = part_a, tt.a
-            for ev in _audit_migration(h, receiver_pre, step.migrated, bound_recv):
+            for ev in _audit_migration(h, receiver_pre, migrated, bound_recv):
                 ev_orig = dict(ev)
                 ev_orig["vertex"] = orig_of[ev["vertex"]]
                 ev_orig["path"] = [orig_of[v] for v in ev["path"]]
@@ -476,15 +468,14 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
 
         ok_a = subset_tau_at_most(h, after[0], tt.a, max_n=g.n)
         ok_b = subset_tau_at_most(h, after[1], tt.b, max_n=g.n)
-        step.valid_after = ok_a and ok_b
-        step.migrated = to_orig(step.migrated)
-        trace.append(step)
-        if step.valid_after:
+        valid = ok_a and ok_b
+        trace.append(CaseStep(i, case_tag, to_orig(migrated), (targets[i].a, targets[i].b), valid))
+        if valid:
             part_a, part_b = after
             continue
 
         witnesses.append(witness(
-            "bound", i, step.case_tag, tt, prior, after,
+            "bound", i, case_tag, tt, prior, after,
             {"tau_A": tau_subset(h, after[0], max_n=g.n),
              "tau_B": tau_subset(h, after[1], max_n=g.n),
              "violated": [s for s, ok in (("A", ok_a), ("B", ok_b)) if not ok]}))
@@ -494,7 +485,7 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
             part_a, part_b = repaired
             continue
         witnesses.append(witness(
-            "no-level-partition", i, step.case_tag, tt, prior, None,
+            "no-level-partition", i, case_tag, tt, prior, None,
             {"note": f"no ({tt.a}, {tt.b}) partition of the level-{i + 1} graph"}))
         whole = brute_force_partition(g, t, max_n=max_n, tau_g=tau_g)
         if whole is None:

@@ -104,24 +104,21 @@ def find_bicolored_p4s(g: Graph, colors) -> list[tuple[int, int, int, int]]:
     return sorted(q for q in _all_p4s(g) if len({colors[v] for v in q}) == 2)
 
 
-def repair_bicolored_p4s(g: Graph, ppc: PairPartitionColoring, max_iters: int | None = None,
-                         events: list | None = None) -> PairPartitionColoring:
+def repair_bicolored_p4s(g: Graph, ppc: PairPartitionColoring) -> PairPartitionColoring:
     """Remove bicoloured P4s from a paired colouring by local moves.
 
     Each round fixes the first (sorted) bicoloured P4: its two same-coloured
     vertices in the lower-indexed two-colour part either contain one with no
     neighbour inside the part (flip it to the part's other colour) or are
     both matched (swap the colours across the smaller vertex's matching
-    edge).  Raises StarRepairError with the residual list when the iteration
-    cap (default 2 n^2) is exhausted or a P4 offers no repairable side.
-    Pass `events` to collect notes (e.g. a swap partner sitting in another
-    live P4).
+    edge).  Raises StarRepairError with the residual list when the cap of
+    2 n^2 rounds is exhausted or a P4 offers no repairable side.
 
     A round depends on the colouring alone, so once a colouring repeats the
     loop can only cycle until the cap.  A stalled repair therefore stops at
     its first repeated colouring and raises the cap error with exactly the
-    colouring, residual list and events that running every round up to the
-    cap would give.
+    colouring and residual list that running every round up to the cap
+    would give.
     """
     colors = list(ppc.colors)
     parts = ppc.parts
@@ -130,21 +127,13 @@ def repair_bicolored_p4s(g: Graph, ppc: PairPartitionColoring, max_iters: int | 
     for i, m in enumerate(parts):
         for v in iter_bits(m):
             part_of[v] = i
-    cap = 2 * g.n * g.n if max_iters is None else max_iters
+    cap = 2 * g.n * g.n
     seen: dict[tuple[int, ...], int] = {}  # colouring -> round it first began; keys in round order
-    marks: list[int] = []  # len(events) when each round began
     for r in range(cap):
         j = seen.setdefault(tuple(colors), r)
-        if events is not None:
-            marks.append(len(events))
         if j < r:
             # rounds j..r-1 recur with period r - j until the cap
-            period = r - j
-            if events is not None:
-                cycle = [events[marks[k]:marks[k + 1]] for k in range(j, r)]
-                for k in range(r, cap):
-                    events.extend(cycle[(k - j) % period])
-            colors = list(list(seen)[j + (cap - j) % period])
+            colors = list(list(seen)[j + (cap - j) % (r - j)])
             break
         p4s = find_bicolored_p4s(g, colors)
         if not p4s:
@@ -170,16 +159,12 @@ def repair_bicolored_p4s(g: Graph, ppc: PairPartitionColoring, max_iters: int | 
             if loose:
                 colors[min(loose)] = other
             else:
-                u = v1
-                inside = g.adj[u] & parts[pi]
+                inside = g.adj[v1] & parts[pi]
                 if inside.bit_count() != 1:
-                    raise StarRepairError(f"vertex {u} has in-part degree {inside.bit_count()}",
+                    raise StarRepairError(f"vertex {v1} has in-part degree {inside.bit_count()}",
                                           p4s, tuple(colors))
                 partner = (inside & -inside).bit_length() - 1
-                if events is not None and any(partner in q for q in p4s[1:]):
-                    events.append({"type": "partner-pinned", "vertex": u, "partner": partner,
-                                   "p4": list(quad)})
-                colors[u], colors[partner] = colors[partner], colors[u]
+                colors[v1], colors[partner] = colors[partner], colors[v1]
             repaired = True
             break
         if not repaired:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from taupart import partition
 from taupart.cli import main
-from taupart.graphs import cycle_graph
+from taupart.graphs import cycle_graph, encode_graph6, parse_graph6, random_2connected
 from taupart.multiway import detour_coloring
 from taupart.oracle import verify_record
 from taupart.starcolor import star_coloring
@@ -219,6 +220,63 @@ def test_verify_rejects_invalid_json(tmp_path, capsys):
     assert "invalid JSON" in out_recs[0]["detail"]
 
 
+def test_analyze_reads_non_ascii_lines_as_malformed(tmp_path, capsys, monkeypatch):
+    # "C\u00e9" once read as "C?", the empty graph on 4 vertices
+    src = tmp_path / "g.g6"
+    src.write_bytes(b"C\xc3\xa9\nC~\n")
+    code, recs, _ = run(capsys, "analyze", str(src))
+    assert code == 0
+    assert recs[0] == {"line": 1, "error": "invalid graph6 character '\\ufffd' (byte 1)"}
+    assert recs[1]["graph6"] == "C~"
+    monkeypatch.setattr("sys.stdin", io.StringIO("C\u00e9\n"))
+    code, recs, _ = run(capsys, "analyze")
+    assert code == 0
+    assert recs == [{"line": 1, "error": "invalid graph6 character '\\xe9' (byte 1)"}]
+
+
+def test_hunt_reads_non_ascii_lines_as_malformed(tmp_path, capsys):
+    src = tmp_path / "g.g6"
+    src.write_bytes(b"C\xc3\xa9\nC~\n")
+    code, recs, _ = run(capsys, "hunt", "--source", str(src), "--witness-file", str(tmp_path / "w.jsonl"))
+    assert code == 0
+    assert "error" in recs[0] and recs[-1]["graphs"] == 1
+
+
+def test_verify_rejects_non_ascii_lines(tmp_path, capsys, monkeypatch):
+    star = {"graph6": "C\u00e9", "colors": [0, 0, 0, 0], "colors_used": 1, "bound": 1,
+            "property": "star", "verified": True}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(star, ensure_ascii=False) + "\n"))
+    code, recs, _ = run(capsys, "verify")
+    assert code == 3 and recs[0]["ok"] is False and recs[0]["detail"].startswith("schema:")
+    # outside every field verify reads, too
+    cert = tau_partition_json("C~", 2, 2)
+    certs = tmp_path / "certs.jsonl"
+    marked = cert.replace(b'"method": "', b'"method": "\xe9')
+    certs.write_bytes(marked)
+    code, recs, _ = run(capsys, "verify", str(certs))
+    assert code == 3
+    assert recs[0]["detail"] == f"schema: non-ASCII character at offset {marked.index(0xe9)}"
+
+
+def tau_partition_json(g6: str, a: int, b: int) -> bytes:
+    cert = partition.tau_partition(parse_graph6(g6), partition.PartitionTarget(a, b))
+    return (json.dumps(cert.to_json_dict(), sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "{missing}"),
+    ("verify", "{missing}"),
+    ("hunt", "--source", "{missing}", "--witness-file", "{tmp}/w.jsonl"),
+    ("hunt", "--random", "5", "1", "1", "--witness-file", "{tmp}/no/such/dir/w.jsonl"),
+    ("analyze", "{tmp}"),
+], ids=["analyze-missing", "verify-missing", "hunt-missing", "witness-dir-missing", "analyze-directory"])
+def test_unopenable_files_are_usage_errors(argv, tmp_path, capsys):
+    argv = [a.format(missing=tmp_path / "missing.g6", tmp=tmp_path) for a in argv]
+    code, _, out = run(capsys, *argv)
+    assert code == 2
+    assert out.err.startswith("error: cannot open ") and out.err.count("\n") == 1
+
+
 def test_verify_holds_the_dp_cap(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("TAUPART_MAX_N", raising=False)
     # C21 is one vertex over the default cap; its record is genuine
@@ -349,3 +407,37 @@ def test_verify_survives_a_mutated_or_truncated_certificate(data):
     result, summary = map(json.loads, out)
     assert summary == {"summary": True, "records": 1, "failed": int(not result["ok"])}
     assert code == (0 if result["ok"] else 3)
+
+
+def _construction_calls():
+    yield ["hunt", "--random", "8", "501", "20", "--deterministic"]
+    for seed in range(6):
+        g = random_2connected(9 + seed % 3, extra_ears=4, seed=seed)
+        yield ["partition", encode_graph6(g), "--all-pairs"]
+    # seeds 1, 3, 4 and 6 stall in the star repair and record colors_at_failure
+    for seed in range(12):
+        n = 7 + seed % 6
+        g6 = encode_graph6(random_2connected(n, extra_ears=n // 3, seed=seed))
+        yield ["color", g6, "--mode", "star"]
+        yield ["color", g6, "--mode", "detour", "--n", "2"]
+
+
+# The digest of the construction's output at a fixed set of calls.  A change
+# that alters certificates, traces or witnesses on purpose re-pins it.
+CONSTRUCTION_OUTPUT_SHA256 = "c2e6b22c054ecd8d2baafb404f930d98646784a20f8866267b236b3116c1a81c"
+
+
+def test_construction_output_is_pinned(tmp_path):
+    witness_file = tmp_path / "witnesses.jsonl"
+    digest = hashlib.sha256()
+    stalls = 0
+    for call in _construction_calls():
+        hunt = call[0] == "hunt"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([*call, "--witness-file", str(witness_file)] if hunt else call)
+        witnesses = witness_file.read_text() if hunt else ""
+        stalls += out.getvalue().count("colors_at_failure")
+        digest.update(json.dumps([call, code, out.getvalue(), witnesses]).encode())
+    assert stalls == 4
+    assert digest.hexdigest() == CONSTRUCTION_OUTPUT_SHA256

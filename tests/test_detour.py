@@ -156,6 +156,24 @@ def test_capacity_gate():
     assert detour_order(cycle, max_n=cycle.n).tau == cycle.n == detour_order_dfs(cycle)
 
 
+def test_stopped_loop_returns_level_k():
+    # end_vertices_of_order_paths reads level k as the last frontier of a
+    # run stopped at k
+    for seed in range(40):
+        g = random_graph(4 + seed % 7, 0.45, seed=seed)
+        ladj, _ = _compact(g, g.full_mask)
+        tau, table, _ = _dp_loop(ladj)
+        for k in range(1, g.n + 1):
+            level = sorted(m for m in range(1, 1 << g.n) if m.bit_count() == k and table[m])
+            tau_k, table_k, last = _dp_loop(ladj, stop_at=k)
+            if k <= tau:
+                assert tau_k == k
+                assert sorted(last) == level
+                assert all(table_k[m] == table[m] for m in level)
+            else:
+                assert tau_k == tau and not level
+
+
 def _numpy_kernel_cases():
     """60 sparse graphs on 14..18 vertices: 2-connected ones and G(n, p)
     ones, which are often disconnected."""
@@ -167,8 +185,8 @@ def _numpy_kernel_cases():
 
 def _assert_kernels_agree(g):
     ladj, order = _compact(g, g.full_mask)
-    tau, table, last, _ = _dp_loop(ladj)
-    np_tau, np_table, np_last, _ = _dp_numpy(ladj)
+    tau, table, last = _dp_loop(ladj)
+    np_tau, np_table, np_last = _dp_numpy(ladj)
     assert np_tau == tau
     assert np_last == sorted(last)
     reached = {m: e for masks, ends in np_table.levels

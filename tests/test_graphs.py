@@ -131,9 +131,12 @@ def test_parse_rejects_nonzero_padding():
 
 
 def test_parse_rejects_bad_byte_with_offset():
-    with pytest.raises(Graph6Error) as exc:
-        parse_graph6("C" + chr(20))
-    assert exc.value.offset == 1
+    # a non-ASCII character must not pass as some byte in 63..126
+    for text, offset in (("C" + chr(20), 1), ("C\u00e9", 1), ("\u00e9", 0), ("C\ufffd", 1),
+                         ("D" + chr(127) + "c", 1)):
+        with pytest.raises(Graph6Error) as exc:
+            parse_graph6(text)
+        assert exc.value.offset == offset
 
 
 def test_parse_rejects_empty():

@@ -59,12 +59,6 @@ def test_rebalancing_can_empty_a_part():
     assert masks.count(0) == 1
 
 
-def test_rebalance_trace_records_shrink():
-    trace: list = []
-    t_partition(parse_graph6("D?{"), (1, 1, 1), trace=trace)
-    assert any("rebalance" in str(entry) for entry in trace)
-
-
 def test_entries_must_be_positive_and_sum_to_tau():
     with pytest.raises(TargetError):
         t_partition(cycle_graph(6), (2, 2, 1))

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taupart.detour import detour_order, detour_order_dfs, tau_subset
+from taupart.detour import detour_order, detour_order_dfs, end_vertices_of_order_paths, tau_subset
 from taupart.errors import CapacityError, GraphError, InternalCheckError, NotTwoConnectedError, TargetError
 from taupart.graphs import (
     Graph,
@@ -19,6 +21,7 @@ from taupart.graphs import (
     path_graph,
     petersen_graph,
     random_2connected,
+    random_graph,
 )
 from taupart.ears import Ear, ear_decompose, ear_levels
 from taupart.partition import (
@@ -102,30 +105,46 @@ H_CHORD = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (1, 3)])
 
 def test_chord_straddling_is_noop():
     prior = (ids_to_mask([0, 1]), ids_to_mask([2, 3, 4]))
-    after, step = extend_r0(H_CHORD, prior, (1, 3), PartitionTarget(3, 2))
+    after, case_tag, migrated = extend_r0(H_CHORD, prior, Ear(1, 3, ()), PartitionTarget(3, 2))
     assert after == prior
-    assert step.case_tag == "1.1"
-    assert step.migrated == 0
+    assert case_tag == "1.1"
+    assert migrated == 0
 
 
 def test_chord_same_part_without_overflow_keeps_partition():
     prior = (ids_to_mask([0, 1, 4]), ids_to_mask([2, 3]))
-    after, step = extend_r0(H_CHORD, prior, (0, 1), PartitionTarget(3, 2))
+    after, case_tag, migrated = extend_r0(H_CHORD, prior, Ear(0, 1, ()), PartitionTarget(3, 2))
     assert after == prior
-    assert step.case_tag == "1.2"
-    assert step.migrated == 0
+    assert case_tag == "1.2"
+    assert migrated == 0
 
 
 def test_chord_migration_matches_independent_enumeration():
     # bound 3 overflows: tau({0,1,2,3}) = 4 once the chord is in
     prior = (ids_to_mask([0, 1, 2, 3]), ids_to_mask([4]))
     t = PartitionTarget(3, 2)
-    after, step = extend_r0(H_CHORD, prior, (1, 3), t)
+    after, _, migrated = extend_r0(H_CHORD, prior, Ear(1, 3, ()), t)
     edges = {frozenset(e) for e in H_CHORD.edges()}
     expect = {seq[3] for seq in directed_paths_of_order(edges, {0, 1, 2, 3}, 4)}
     assert expect == {0, 2, 3}  # derived; frozen as a regression anchor
-    assert set(mask_to_ids(step.migrated)) == expect
+    assert set(mask_to_ids(migrated)) == expect
     assert after == (ids_to_mask([1]), ids_to_mask([0, 2, 3, 4]))
+
+
+def test_chord_migrated_set_is_the_ends_of_order_p_plus_1_paths():
+    # extend_r0 migrates the (p+1)-th vertex of every directed path of order
+    # >= p+1 in the donor part; it asks the DP for the ends of order-(p+1)
+    # paths instead, which must be the same set
+    rng = random.Random(7)
+    for case in range(400):
+        n = rng.randint(2, 8)
+        g = random_graph(n, rng.uniform(0.2, 0.7), seed=case)
+        mask = rng.randrange(1 << n)
+        p = rng.randint(1, 5)
+        edges = {frozenset(e) for e in g.edges()}
+        expect = {seq[p] for seq in directed_paths_of_order(edges, set(mask_to_ids(mask)), p + 1)}
+        got = end_vertices_of_order_paths(g, p + 1, within=mask)
+        assert set(mask_to_ids(got)) == expect, (case, n, mask, p)
 
 
 # C4 plus one internal vertex 4 attached at 0 and 2
@@ -134,16 +153,16 @@ H_EAR1 = add_ear(cycle_graph(4), 0, 2, 1)
 
 def test_ear1_same_part_sends_internal_across():
     prior = (ids_to_mask([0, 2]), ids_to_mask([1, 3]))
-    after, step = extend_r1(H_EAR1, prior, Ear(0, 2, (4,)), PartitionTarget(2, 2))
-    assert step.case_tag == "2.1"
+    after, case_tag, _ = extend_r1(H_EAR1, prior, Ear(0, 2, (4,)), PartitionTarget(2, 2))
+    assert case_tag == "2.1"
     assert after == (ids_to_mask([0, 2]), ids_to_mask([1, 3, 4]))
 
 
 def test_ear1_split_respects_endpoint_path_rule():
     # 0 already ends the order-2 path 0-1 inside the a-side, so 4 joins b
     prior = (ids_to_mask([0, 1]), ids_to_mask([2, 3]))
-    after, step = extend_r1(H_EAR1, prior, Ear(0, 2, (4,)), PartitionTarget(2, 2))
-    assert step.case_tag == "2.2"
+    after, case_tag, _ = extend_r1(H_EAR1, prior, Ear(0, 2, (4,)), PartitionTarget(2, 2))
+    assert case_tag == "2.2"
     assert after == (ids_to_mask([0, 1]), ids_to_mask([2, 3, 4]))
 
 
@@ -151,16 +170,16 @@ def test_ear1_split_joins_a_when_endpoint_is_loose():
     # isolated a-side endpoint: no order-2 path ends at 0, so 4 joins a
     h = add_ear(cycle_graph(4), 0, 2, 1)
     prior = (ids_to_mask([0]), ids_to_mask([1, 2, 3]))
-    after, step = extend_r1(h, prior, Ear(0, 2, (4,)), PartitionTarget(2, 3))
-    assert step.case_tag == "2.2"
+    after, case_tag, _ = extend_r1(h, prior, Ear(0, 2, (4,)), PartitionTarget(2, 3))
+    assert case_tag == "2.2"
     assert after == (ids_to_mask([0, 4]), ids_to_mask([1, 2, 3]))
 
 
 def test_long_ear_two_colouring():
     h = add_ear(cycle_graph(3), 0, 1, 3)  # internals 3, 4, 5
     prior = (ids_to_mask([0, 1]), ids_to_mask([2]))
-    after, step = extend_rge2(h, prior, Ear(0, 1, (3, 4, 5)), PartitionTarget(2, 1))
-    assert step.case_tag == "3"
+    after, case_tag, _ = extend_rge2(h, prior, Ear(0, 1, (3, 4, 5)), PartitionTarget(2, 1))
+    assert case_tag == "3"
     # first internal opposite x, alternating, last internal opposite y
     assert after == (ids_to_mask([0, 1, 4]), ids_to_mask([2, 3, 5]))
 
@@ -170,7 +189,7 @@ def test_long_ear_override_can_pair_up_internals():
     # where they are adjacent; the rule itself does not flag this
     h = add_ear(cycle_graph(3), 0, 1, 2)
     prior = (ids_to_mask([0, 1]), ids_to_mask([2]))
-    after, step = extend_rge2(h, prior, Ear(0, 1, (3, 4)), PartitionTarget(2, 1))
+    after, _, _ = extend_rge2(h, prior, Ear(0, 1, (3, 4)), PartitionTarget(2, 1))
     assert after == (ids_to_mask([0, 1]), ids_to_mask([2, 3, 4]))
     assert tau_subset(h, after[1]) == 2  # exceeds bound 1; caller must repair
 
