@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import random
@@ -68,9 +69,21 @@ def _open(path: str, mode: str):
 
 
 def _read_lines(path: str):
-    """(line number, line) for each line of the file, or of stdin for '-'."""
+    """(line number, line) for each line of the file, or of stdin for '-'.
+
+    Stdin is read as ASCII like a named file when it has bytes beneath it;
+    a text-only stream (an io.StringIO) is read as the text it holds.
+    """
     if path == "-":
-        yield from enumerate(sys.stdin, start=1)
+        buffer = getattr(sys.stdin, "buffer", None)
+        if buffer is None:
+            yield from enumerate(sys.stdin, start=1)
+            return
+        text = io.TextIOWrapper(buffer, encoding="ascii", errors="replace")
+        try:
+            yield from enumerate(text, start=1)
+        finally:
+            text.detach()  # closing the wrapper would close stdin's buffer
         return
     with _open(path, "r") as fh:
         yield from enumerate(fh, start=1)
@@ -197,12 +210,12 @@ def cmd_hunt(args: argparse.Namespace) -> int:
                 prelude.append(g)
             else:
                 graphs.append(g)
-    report = sweep_ppc(graphs, corpus=corpus, max_n=max_n, deterministic=args.deterministic)
-    for err in prelude:
-        _emit(err)
-    for line in report.to_json_lines():
-        print(line)
-    with _open(args.witness_file, "w") as fh:
+    with _open(args.witness_file, "w") as fh:  # a bad path fails before the sweep
+        report = sweep_ppc(graphs, corpus=corpus, max_n=max_n, deterministic=args.deterministic)
+        for err in prelude:
+            _emit(err)
+        for line in report.to_json_lines():
+            print(line)
         for w in report.witnesses:
             fh.write(json.dumps(w, sort_keys=True) + "\n")
     return 0 if report.counterexamples == 0 else 3

@@ -9,9 +9,10 @@ against each other, and abort loudly on any internal disagreement.
 The corpus enumerators produce one representative per isomorphism class by
 vertex augmentation: every (n)-vertex class extends some (n-1)-vertex class
 by one new vertex, so candidates are generated from the smaller classes and
-deduplicated by canonical form (minimum edge bitmask over all relabellings,
-evaluated with a vectorised permutation table).  Class counts are pinned
-against the published values in the tests.
+deduplicated by canonical form: the minimum edge bitmask over all
+relabellings, found by a pruned ordered-refinement search rather than by
+trying all n! of them.  Class counts are pinned against the published
+values in the tests.
 """
 
 from __future__ import annotations
@@ -20,9 +21,6 @@ import functools
 import json
 import time
 from dataclasses import dataclass, field
-from itertools import permutations
-
-import numpy as np
 
 from . import multiway, starcolor
 from .detour import check_capacity, detour_order, detour_order_dfs, tau_subset
@@ -35,14 +33,14 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    closure,
     encode_graph6,
     from_triangle_mask,
     ids_to_mask,
     is_connected,
-    pair_index,
+    iter_bits,
     parse_graph6,
 )
-from .ears import is_two_connected
 from .partition import PartitionTarget, tau_partition
 
 DFS_CROSSCHECK_MAX_N = 10
@@ -337,34 +335,81 @@ def _classes_by_order(enumerate_classes):
     return fresh
 
 
-@functools.cache
-def _perm_tables(n: int) -> np.ndarray:
-    """tables[p, new_bit] = old_bit for each relabelling p of 0..n-1."""
-    nb = n * (n - 1) // 2
-    perms = list(permutations(range(n)))
-    table = np.empty((len(perms), nb), dtype=np.int64)
-    for pi, p in enumerate(perms):
-        for j in range(n):
-            for i in range(j):
-                table[pi, pair_index(p[i], p[j])] = pair_index(i, j)
-    return table
+def _canonical_form(n: int, mask: int) -> int:
+    """Minimum of the edge mask over all relabellings of 0..n-1.
+
+    In pair_index order row j (the pairs (i, j), i < j) outranks every lower
+    row, so labels are handed out from n-1 down to 0 and each row is made as
+    small as the rows above it allow.  The unlabelled vertices form an
+    ordered list of cells, each owning an interval of labels; label j goes to
+    a vertex u of the top cell, and u's row is smallest when its neighbours
+    take the low end of every cell.  Only the vertices with the smallest row
+    are tried; after each choice every cell splits into [neighbours | rest].
+    A branch is cut once its rows exceed those of the best leaf so far, and
+    of two twins (N(u) - {w} == N(w) - {u}) in the top cell only the first
+    is tried: swapping them is an automorphism that fixes every cell.  This
+    is a pruned individualise-and-refine search (McKay & Piperno, Practical
+    graph isomorphism II, J. Symb. Comput. 2014).
+    """
+    adj = [0] * n  # read off the rows directly: a Graph would validate them again
+    for j in range(1, n):
+        lower = mask >> (j * (j - 1) // 2) & ((1 << j) - 1)
+        adj[j] = lower
+        for i in iter_bits(lower):
+            adj[i] |= 1 << j
+    best = -1
+
+    def split(cells: list[int], u: int) -> list[int]:
+        nb = adj[u]
+        out = []
+        for cell in cells:
+            cell &= ~(1 << u)
+            if cell & nb:
+                out.append(cell & nb)
+            if cell & ~nb:
+                out.append(cell & ~nb)
+        return out
+
+    def search(cells: list[int], top: int, partial: int) -> None:
+        nonlocal best
+        while top > 0:  # label 0 has an empty row
+            spans = []
+            at = 0
+            for cell in cells:
+                spans.append((cell, at))
+                at += cell.bit_count()
+            low = -1
+            tried: list[int] = []  # the vertices of row `low`, one per twin class
+            rest = cells[-1]
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                u = bit.bit_length() - 1
+                row = 0
+                for cell, at in spans:
+                    row |= ((1 << (adj[u] & cell).bit_count()) - 1) << at
+                if low < 0 or row < low:
+                    low, tried = row, [u]
+                elif row == low and all((adj[u] ^ adj[w]) & ~(bit | 1 << w) for w in tried):
+                    tried.append(u)
+            shift = top * (top - 1) // 2
+            partial |= low << shift
+            if best >= 0 and partial > best >> shift << shift:
+                return
+            for u in tried[1:]:
+                search(split(cells, u), top - 1, partial)
+            cells = split(cells, tried[0])
+            top -= 1
+        if best < 0 or partial < best:
+            best = partial
+
+    search([(1 << n) - 1], n - 1, 0)
+    return best
 
 
 def canonical_forms(n: int, masks) -> list[int]:
     """Canonical (minimum-relabelling) edge bitmask for each input mask."""
-    masks = list(masks)
-    if not masks:
-        return []
-    nb = n * (n - 1) // 2
-    if nb == 0:
-        return [0] * len(masks)
-    arr = np.array(masks, dtype=np.int64)
-    bits = (arr[:, None] >> np.arange(nb, dtype=np.int64)) & 1
-    weights = (np.int64(1) << np.arange(nb, dtype=np.int64))
-    best = np.full(len(masks), np.iinfo(np.int64).max, dtype=np.int64)
-    for row in _perm_tables(n):
-        np.minimum(best, bits[:, row] @ weights, out=best)
-    return [int(x) for x in best]
+    return [_canonical_form(n, m) for m in masks]
 
 
 @_classes_by_order
@@ -385,26 +430,51 @@ def connected_graphs_upto_iso(n: int) -> list[int]:
     return [m for m in graphs_upto_iso(n) if is_connected(from_triangle_mask(n, m))]
 
 
+def _cut_parts(h: Graph) -> list[int]:
+    """The components of h - c, for every cut vertex c of h."""
+    parts = []
+    for c in range(h.n):
+        rest = h.full_mask & ~(1 << c)
+        comps = []
+        while rest:
+            comps.append(closure(h.adj, rest & -rest, rest))
+            rest &= ~comps[-1]
+        if len(comps) > 1:
+            parts += comps
+    return parts
+
+
+def _two_connected_hoods(h: Graph) -> list[int]:
+    """Neighbourhoods of a new vertex that make the connected graph h
+    2-connected.
+
+    Deleting the new vertex leaves h, and deleting a vertex that does not
+    cut h leaves a connected graph as long as the new vertex keeps a
+    neighbour, which two or more neighbours guarantee.  So the new vertex
+    needs at least 2 neighbours and, for every cut vertex c of h, one in
+    every component of h - c.
+    """
+    parts = _cut_parts(h)
+    return [hood for hood in range(1 << h.n)
+            if hood.bit_count() >= 2 and all(hood & part for part in parts)]
+
+
 @_classes_by_order
 def two_connected_graphs_upto_iso(n: int) -> list[int]:
     """2-connected classes, grown from connected (n-1)-classes.
 
     Deleting any vertex of a 2-connected graph leaves a connected graph and
     the vertex had degree >= 2, so augmenting the connected classes by one
-    vertex with >= 2 neighbours reaches every class.  Filtering before
-    canonicalisation keeps the permutation pass small.
+    vertex reaches every class.  Only the augmentations that are
+    2-connected are canonicalised; they are found once per parent class
+    from its cut vertices (_two_connected_hoods).
     """
     if n < 3:
         raise GraphError(f"2-connected graphs need at least 3 vertices, got {n}")
     base = (n - 1) * (n - 2) // 2
-    cands = []
-    for pm in connected_graphs_upto_iso(n - 1):
-        for hood in range(1 << (n - 1)):
-            if hood.bit_count() < 2:
-                continue
-            mask = pm | (hood << base)
-            if is_two_connected(from_triangle_mask(n, mask)):
-                cands.append(mask)
+    cands = [pm | (hood << base)
+             for pm in connected_graphs_upto_iso(n - 1)
+             for hood in _two_connected_hoods(from_triangle_mask(n - 1, pm))]
     return sorted(set(canonical_forms(n, cands)))
 
 

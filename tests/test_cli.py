@@ -8,6 +8,9 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -20,6 +23,8 @@ from taupart.graphs import cycle_graph, encode_graph6, parse_graph6, random_2con
 from taupart.multiway import detour_coloring
 from taupart.oracle import verify_record
 from taupart.starcolor import star_coloring
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -234,6 +239,18 @@ def test_analyze_reads_non_ascii_lines_as_malformed(tmp_path, capsys, monkeypatc
     assert recs == [{"line": 1, "error": "invalid graph6 character '\\xe9' (byte 1)"}]
 
 
+def test_analyze_reads_non_ascii_stdin_bytes_as_malformed():
+    # a strict UTF-8 stdin must not decide how the input bytes decode
+    env = dict(os.environ, PYTHONIOENCODING="utf-8:strict",
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "taupart.cli", "analyze", "-"],
+                          input=b"C\xe9\r\nC~\n", capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    recs = [json.loads(line) for line in proc.stdout.decode().splitlines()]
+    assert recs[0] == {"line": 1, "error": "invalid graph6 character '\\ufffd' (byte 1)"}
+    assert recs[1]["graph6"] == "C~" and len(recs) == 2
+
+
 def test_hunt_reads_non_ascii_lines_as_malformed(tmp_path, capsys):
     src = tmp_path / "g.g6"
     src.write_bytes(b"C\xc3\xa9\nC~\n")
@@ -275,6 +292,7 @@ def test_unopenable_files_are_usage_errors(argv, tmp_path, capsys):
     code, _, out = run(capsys, *argv)
     assert code == 2
     assert out.err.startswith("error: cannot open ") and out.err.count("\n") == 1
+    assert out.out == ""  # a bad witness path stops hunt before its sweep reports
 
 
 def test_verify_holds_the_dp_cap(tmp_path, capsys, monkeypatch):

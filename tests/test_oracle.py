@@ -6,13 +6,22 @@ connected graphs, 2-connected graphs, and trees up to isomorphism.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
+import sys
+from itertools import permutations
 
-from taupart import partition
+import numpy as np
+import pytest
+
+from taupart import oracle, partition
+from taupart.ears import is_two_connected
 from taupart.graphs import (
+    Graph,
     complete_graph,
     cycle_graph,
+    empty_graph,
     encode_graph6,
     from_triangle_mask,
     pair_index,
@@ -52,7 +61,59 @@ def test_class_counts_two_connected():
 
 
 def test_class_counts_trees():
-    assert [len(trees_upto_iso(n)) for n in range(1, 9)] == [1, 1, 1, 2, 3, 6, 11, 23]
+    # the trees at n=9 and 10 are symmetric enough to lean on the twin rule
+    assert [len(trees_upto_iso(n)) for n in range(1, 11)] == [
+        1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
+
+
+# SHA-256 of each class list (its masks in decimal, comma-joined), recorded
+# when canonical forms were still minimised over all n! relabellings: the
+# refinement search must reproduce every representative and their order.
+CLASS_LIST_DIGESTS = {
+    graphs_upto_iso: {
+        1: "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+        2: "83b97b859aa5f81b2f0f86ba2a675efaf515ad2d5e2b8652cf2de7e1c2267350",
+        3: "e07a92fb5aaa979553ff4952bd4597b190f6f37b327b065caeb0272ef00c4a82",
+        4: "ee8879922ff2981c1ef94a44feef8f72d7beb0c9cad9d539f0d678d3877a7d26",
+        5: "92c2b3d1c584d2f0669963008afd7bb79a0681db4bd98acf595a4dfb16d63df6",
+        6: "995555965de9494ff13be62e028482bc78db6d92f400fc8304bc44cfd92b4609",
+        7: "cb0450eee4c3f597f4eb71166861586c9206aa5166d274300f16003ec6288482",
+    },
+    connected_graphs_upto_iso: {
+        1: "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+        2: "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+        3: "adc0d2b391a5218d93c900f87226ce222fca03d61ee5537620d45450d86a10ea",
+        4: "e5bdfdbb43507245672404702913a3137cb70bbb65053d9ad5eb23617e7ea6d0",
+        5: "d8a8c53243f494448a1e75380c2ded0eb83a0241b40cd54e57c1eb832e9311bc",
+        6: "b77180fea051a59feed36d2053fee1d8a88396cb610f11fb4008a16914b34980",
+        7: "436de30d73f530b9cd7fea571b560f599871f5c5e00cd6cd17a90942b1b2b4c1",
+    },
+    two_connected_graphs_upto_iso: {
+        3: "7902699be42c8a8e46fbbb4501726517e86b22c56a189f7625a6da49081b2451",
+        4: "4c7a9c48c2accb8b14573f2742ab2ed80f1e9e59a54a776663f5961b6ad95446",
+        5: "8da66b962c7dfe3fbee5cfd7d0c0852ed19cff0d7c8b0d8b68b207cf7f82e558",
+        6: "565c8af8ceaca7743e776884bf9f65e7379f68850f0d68c3861019add19aaa37",
+        7: "5f42acf3763c10be3c760f98ef89ffc4f101748007a4affd94b8c7cf9b1440ac",
+    },
+    trees_upto_iso: {
+        1: "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+        2: "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+        3: "4e07408562bedb8b60ce05c1decfe3ad16b72230967de01f640b7e4729b49fce",
+        4: "0ef98458d634720c2ed17959f8a428b3d1ff9f4862ae8a4f3a23ac4400e6305f",
+        5: "0fded9670b9d3578a6337351468acbfec028804dcc71748a65984ffdf3ee5c43",
+        6: "b4e8133f685ceeb906819602c9de88afa25448124e944266c5c4e746b53dfb71",
+        7: "67cd9ff3b95ef837e19ac74091776fe2bc58165f5d2c3ad866e9a2db610e76f1",
+        8: "912b36dd8bc47e3a39eb5a56ad94b4e847021e0637ee9fa33974c068561cc21c",
+    },
+}
+
+
+@pytest.mark.parametrize("enumerate_classes", list(CLASS_LIST_DIGESTS),
+                         ids=lambda f: f.__name__)
+def test_class_lists_are_pinned(enumerate_classes):
+    digests = {n: hashlib.sha256(",".join(map(str, enumerate_classes(n))).encode()).hexdigest()
+               for n in CLASS_LIST_DIGESTS[enumerate_classes]}
+    assert digests == CLASS_LIST_DIGESTS[enumerate_classes]
 
 
 def test_class_enumerators_return_fresh_lists():
@@ -85,6 +146,128 @@ def test_canonical_form_is_permutation_invariant():
         rng.shuffle(perm)
         shuffled = permute_mask(n, base, perm)
         assert canonical_forms(n, [base]) == canonical_forms(n, [shuffled])
+
+
+def brute_force_canonical_forms(n: int, masks) -> list[int]:
+    """Minimum of permute_mask over every permutation of 0..n-1.
+
+    permute_mask moves each edge bit on its own, so the image of a mask is
+    the sum of the images of its bits: one table of bit images per
+    permutation relabels all the masks at once.
+    """
+    pairs = [(i, j) for j in range(n) for i in range(j)]  # pair_index order
+    images = np.array([[1 << pair_index(p[i], p[j]) for i, j in pairs]
+                       for p in permutations(range(n))], dtype=np.int64)
+    bits = np.array([[m >> k & 1 for k in range(len(pairs))] for m in masks], dtype=np.int64)
+    return [int(x) for x in (bits @ images.T).min(axis=1)]
+
+
+def test_brute_force_reference_agrees_with_permute_mask():
+    rng = random.Random(3)
+    mask = rng.getrandbits(15)
+    assert brute_force_canonical_forms(6, [mask]) == [
+        min(permute_mask(6, mask, list(p)) for p in permutations(range(6)))]
+
+
+def enumerator_candidates(monkeypatch, n: int) -> list[list[int]]:
+    """The candidate lists the enumerators canonicalise for order n."""
+    calls = []
+    real = oracle.canonical_forms
+
+    def record(order, masks):
+        masks = list(masks)
+        if order == n:  # not a smaller order filled in on the way
+            calls.append(masks)
+        return real(order, masks)
+    monkeypatch.setattr(oracle, "canonical_forms", record)
+    for enumerate_classes in (graphs_upto_iso, two_connected_graphs_upto_iso, trees_upto_iso):
+        if n >= 3 or enumerate_classes is not two_connected_graphs_upto_iso:
+            enumerate_classes.__wrapped__(n)  # uncached: the body runs again
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_canonical_forms_match_brute_force_on_enumerator_candidates(monkeypatch, n):
+    masks = sorted({m for cands in enumerator_candidates(monkeypatch, n) for m in cands})
+    assert canonical_forms(n, masks) == brute_force_canonical_forms(n, masks)
+
+
+def wheel_graph(rim: int) -> Graph:
+    spokes = [(v, rim) for v in range(rim)]
+    return Graph.from_edges(rim + 1, cycle_graph(rim).edges() + spokes)
+
+
+def complete_bipartite_graph(p: int, q: int) -> Graph:
+    return Graph.from_edges(p + q, [(u, p + v) for u in range(p) for v in range(q)])
+
+
+SPECIAL_7 = {
+    "K7": complete_graph(7), "empty7": empty_graph(7), "C7": cycle_graph(7),
+    "K3,4": complete_bipartite_graph(3, 4), "K1,6": complete_bipartite_graph(1, 6),
+    "W6": wheel_graph(6),
+}
+
+
+def test_canonical_forms_match_brute_force_at_seven():
+    rng = random.Random(7)
+    masks = [to_triangle_mask(g) for g in SPECIAL_7.values()]
+    for _ in range(40):
+        density = rng.choice((0.2, 0.4, 0.6, 0.8))
+        masks.append(sum(1 << k for k in range(21) if rng.random() < density))
+    for _ in range(10):  # relabelled copies of the special graphs
+        perm = list(range(7))
+        rng.shuffle(perm)
+        masks.append(permute_mask(7, to_triangle_mask(rng.choice(list(SPECIAL_7.values()))), perm))
+    assert canonical_forms(7, masks) == brute_force_canonical_forms(7, masks)
+
+
+class SearchBudget(Exception):
+    pass
+
+
+def search_calls(n: int, mask: int, budget: int = 100) -> int:
+    """Calls of the refinement search for one mask; SearchBudget once they
+    exceed `budget`, so a search gone exponential fails fast."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is search_code:
+            calls += 1
+            if calls > budget:
+                raise SearchBudget(f"more than {budget} search calls")
+    search_code = next(c for c in oracle._canonical_form.__code__.co_consts
+                       if getattr(c, "co_name", None) == "search")
+    sys.setprofile(profile)
+    try:
+        oracle._canonical_form(n, mask)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("n", [7, 12])
+def test_twin_rule_keeps_symmetric_searches_small(n):
+    # every vertex of K_n and of the empty graph, and every leaf of a star,
+    # is a twin of the others: one branch per level, so one search call
+    for g in (complete_graph(n), empty_graph(n), complete_bipartite_graph(1, n - 1)):
+        assert search_calls(n, to_triangle_mask(g)) == 1
+
+
+def test_search_stays_small_on_the_seven_vertex_specials():
+    for name, g in SPECIAL_7.items():
+        assert search_calls(7, to_triangle_mask(g), budget=50) <= 50, name
+
+
+def test_two_connected_filter_matches_is_two_connected():
+    for n in range(1, 7):
+        base = n * (n - 1) // 2
+        for pm in connected_graphs_upto_iso(n):
+            h = from_triangle_mask(n, pm)
+            expected = [hood for hood in range(1 << n)
+                        if is_two_connected(from_triangle_mask(n + 1, pm | hood << base))]
+            assert oracle._two_connected_hoods(h) == expected, (n, pm)
 
 
 def test_corpus_members_decode():
