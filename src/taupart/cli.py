@@ -6,7 +6,8 @@ hunt (corpus sweep for counterexamples), verify (re-check certificate
 files).  Output is JSON lines on stdout with sorted keys; human tables sit
 behind --table.  Exit codes: 0 success, 2 usage or target errors and
 files that cannot be opened, 3 verification failures or counterexamples,
-4 capacity overruns.  Input files are ASCII: a line with any other byte is
+4 capacity overruns (any graph or line over the cap, even when others
+failed).  Input files are ASCII: a line with any other byte is
 malformed like any other bad line.
 
 TAUPART_MAX_N overrides the library capacity caps for every subcommand; a
@@ -106,6 +107,7 @@ def _read_graphs(path: str):
 def cmd_analyze(args: argparse.Namespace) -> int:
     max_n = args.max_n
     rows = []
+    over_cap = False
     for lineno, s, g in _read_graphs(args.input):
         if isinstance(g, dict):
             if not args.keep_going:
@@ -120,6 +122,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             tau_g = detour_order(g, max_n=max_n).tau if g.n else 0
         except CapacityError as exc:
             rows.append({"line": lineno, "error": str(exc)})
+            over_cap = True
             continue
         blks, cut_mask = blocks(g)
         rows.append({
@@ -146,7 +149,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     else:
         for r in rows:
             _emit(r)
-    return 0
+    return 4 if over_cap else 0
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
@@ -218,6 +221,8 @@ def cmd_hunt(args: argparse.Namespace) -> int:
             print(line)
         for w in report.witnesses:
             fh.write(json.dumps(w, sort_keys=True) + "\n")
+    if report.over_cap:  # as in verify, a capacity overrun outranks a counterexample
+        return 4
     return 0 if report.counterexamples == 0 else 3
 
 

@@ -17,7 +17,9 @@ vertices, where numpy's per-call cost outweighs the work.
 each level as sorted uint64 arrays of masks and end masks and extends the
 whole level in a few array operations, so its time and memory grow with the
 subsets reached rather than with 2^k.  `_dp_levels` picks the kernel from
-those two facts alone.
+those two facts alone.  numpy is imported by the numpy kernel and its
+helpers on their first call, not with this module: a process whose DPs all
+stay below NUMPY_DP_MIN_K vertices never loads it.
 
 All subset-taking functions accept vertex masks in the graph's own ids and
 compact internally, so callers never pay for the full 2^n table when asking
@@ -27,11 +29,13 @@ about a small part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import CapacityError, GraphError
 from .graphs import Graph, closure, iter_bits, mask_to_ids
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Time grows with the connected subsets a DP reaches, up to 2^n of them on a
 # dense graph.  Memory of a full-order run (`_dp_numpy`) grows with the
@@ -145,6 +149,8 @@ class _LevelTable:
         self.levels = levels
 
     def __getitem__(self, mask: int) -> int:
+        import numpy as np
+
         size = mask.bit_count()
         if not 1 <= size <= len(self.levels):
             return 0
@@ -156,6 +162,8 @@ class _LevelTable:
 
 def _or_ends_by_mask(masks: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort `masks` and OR together the `ends` of equal masks."""
+    import numpy as np
+
     if not len(masks):
         return masks, ends
     order = np.argsort(masks)
@@ -176,6 +184,8 @@ def _dp_numpy(ladj: list[int]):
     middle level holds C(k, k/2) subsets.  Every operand is a uint64 array or
     scalar: numpy before 2.0 turns uint64 mixed with a Python int into float64.
     """
+    import numpy as np
+
     k = len(ladj)
     bits = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
     adj = np.array(ladj, dtype=np.uint64)

@@ -7,12 +7,15 @@ every emitted certificate independently, cross-check the two detour engines
 against each other, and abort loudly on any internal disagreement.
 
 The corpus enumerators produce one representative per isomorphism class by
-vertex augmentation: every (n)-vertex class extends some (n-1)-vertex class
-by one new vertex, so candidates are generated from the smaller classes and
-deduplicated by canonical form: the minimum edge bitmask over all
-relabellings, found by a pruned ordered-refinement search rather than by
-trying all n! of them.  Class counts are pinned against the published
-values in the tests.
+vertex augmentation: deleting a vertex of minimum degree from an n-vertex
+graph leaves an (n-1)-vertex class, so every class is reached by adding to
+some smaller class one new vertex that ends up of minimum degree.  Only
+those augmentations are generated (`_min_degree_hoods`), a canonical
+construction path in the sense of McKay, Isomorph-free exhaustive
+generation (J. Algorithms 26, 1998), and they are deduplicated by canonical
+form: the minimum edge bitmask over all relabellings, found by a pruned
+ordered-refinement search rather than by trying all n! of them.  Class
+counts are pinned against the published values in the tests.
 """
 
 from __future__ import annotations
@@ -187,6 +190,7 @@ class SweepReport:
     counts: dict[str, int]
     max_runtime_ms: float | None = None
     witnesses: list[dict] = field(default_factory=list)
+    over_cap: bool = False  # some graph's error row is a capacity overrun
 
     @property
     def counterexamples(self) -> int:
@@ -227,6 +231,7 @@ def sweep_ppc(graphs, corpus: str = "", max_n: int | None = None,
     records: list[dict] = []
     witnesses: list[dict] = []
     counts = {"constructed": 0, "fallback": 0, "witness": 0, "counterexample": 0, "error": 0}
+    over_cap = False
     max_rt = 0.0
     total = 0
     for g in graphs:
@@ -262,10 +267,11 @@ def sweep_ppc(graphs, corpus: str = "", max_n: int | None = None,
         except (CapacityError, TargetError) as exc:
             records.append({"graph6": encode_graph6(g), "error": str(exc)})
             outcome = "error"
+            over_cap = over_cap or isinstance(exc, CapacityError)
         max_rt = max(max_rt, (time.perf_counter() - t0) * 1000.0)
         counts[outcome] += 1
     return SweepReport(corpus, total, records, counts,
-                       None if deterministic else round(max_rt, 3), witnesses)
+                       None if deterministic else round(max_rt, 3), witnesses, over_cap)
 
 
 def sweep_bounds(graphs, corpus: str = "", max_n: int | None = None,
@@ -412,16 +418,39 @@ def canonical_forms(n: int, masks) -> list[int]:
     return [_canonical_form(n, m) for m in masks]
 
 
+def _min_degree_hoods(h: Graph, hoods) -> list[int]:
+    """The neighbourhoods among `hoods` that give a new vertex added to h
+    the minimum degree of the grown graph.
+
+    A vertex w of h has degree deg_h(w) + [w in hood] there, so a hood of
+    size k passes when k <= deg_h(w) for every w outside it and
+    k <= deg_h(w) + 1 for every w inside: every hood no larger than the
+    minimum degree d of h, and the hoods of size d + 1 that hold every
+    vertex of degree d.
+    """
+    degrees = [row.bit_count() for row in h.adj]
+    low = min(degrees)
+    lows = ids_to_mask([w for w, d in enumerate(degrees) if d == low])
+    return [hood for hood in hoods
+            if hood.bit_count() <= low or (hood.bit_count() == low + 1 and hood & lows == lows)]
+
+
 @_classes_by_order
 def graphs_upto_iso(n: int) -> list[int]:
-    """Canonical edge masks of all graphs on n vertices, one per class."""
+    """Canonical edge masks of all graphs on n vertices, one per class.
+
+    Deleting a vertex of minimum degree leaves an (n-1)-vertex class, so
+    giving each smaller class one new vertex of minimum degree
+    (_min_degree_hoods) reaches every class.
+    """
     if n < 1:
         raise GraphError(f"corpus order {n} must be at least 1")
     if n == 1:
         return [0]
-    prev = graphs_upto_iso(n - 1)
     base = (n - 1) * (n - 2) // 2
-    cands = sorted({pm | (hood << base) for pm in prev for hood in range(1 << (n - 1))})
+    cands = [pm | (hood << base)
+             for pm in graphs_upto_iso(n - 1)
+             for hood in _min_degree_hoods(from_triangle_mask(n - 1, pm), range(1 << (n - 1)))]
     return sorted(set(canonical_forms(n, cands)))
 
 
@@ -463,18 +492,20 @@ def _two_connected_hoods(h: Graph) -> list[int]:
 def two_connected_graphs_upto_iso(n: int) -> list[int]:
     """2-connected classes, grown from connected (n-1)-classes.
 
-    Deleting any vertex of a 2-connected graph leaves a connected graph and
-    the vertex had degree >= 2, so augmenting the connected classes by one
-    vertex reaches every class.  Only the augmentations that are
-    2-connected are canonicalised; they are found once per parent class
-    from its cut vertices (_two_connected_hoods).
+    Deleting a vertex of minimum degree from a 2-connected graph leaves a
+    connected graph, and that vertex had degree >= 2, so augmenting the
+    connected classes by one vertex of minimum degree reaches every class.
+    Only the augmentations that are 2-connected (found once per parent
+    class from its cut vertices, _two_connected_hoods) and give the new
+    vertex minimum degree (_min_degree_hoods) are canonicalised.
     """
     if n < 3:
         raise GraphError(f"2-connected graphs need at least 3 vertices, got {n}")
     base = (n - 1) * (n - 2) // 2
-    cands = [pm | (hood << base)
-             for pm in connected_graphs_upto_iso(n - 1)
-             for hood in _two_connected_hoods(from_triangle_mask(n - 1, pm))]
+    cands = []
+    for pm in connected_graphs_upto_iso(n - 1):
+        h = from_triangle_mask(n - 1, pm)
+        cands += [pm | (hood << base) for hood in _min_degree_hoods(h, _two_connected_hoods(h))]
     return sorted(set(canonical_forms(n, cands)))
 
 

@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taupart import partition
+from taupart import oracle, partition
 from taupart.cli import main
+from taupart.errors import CounterexampleError
 from taupart.graphs import cycle_graph, encode_graph6, parse_graph6, random_2connected
 from taupart.multiway import detour_coloring
 from taupart.oracle import verify_record
@@ -312,6 +313,47 @@ def test_verify_holds_the_dp_cap(tmp_path, capsys, monkeypatch):
     code, out_recs, _ = run(capsys, "verify", str(cert_file))
     assert code == 3
     assert [r["ok"] for r in out_recs[:3]] == [True, True, False]
+
+
+C21 = encode_graph6(cycle_graph(21))  # one vertex over the default cap
+OVER_CAP = "subset dynamic program over 21 vertices exceeds the cap of 20"
+
+
+def test_analyze_exits_4_when_a_graph_hits_the_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("TAUPART_MAX_N", raising=False)
+    src = tmp_path / "graphs.g6"
+    src.write_text(f"{C21}\nC~\n")
+    code, recs, _ = run(capsys, "analyze", str(src))
+    assert code == 4
+    assert recs[0] == {"line": 1, "error": OVER_CAP}
+    assert recs[1]["tau"] == 4  # the other graphs are still reported
+    monkeypatch.setenv("TAUPART_MAX_N", "21")
+    code, recs, _ = run(capsys, "analyze", str(src))
+    assert code == 0
+    assert recs[0]["tau"] == 21
+
+
+def test_hunt_exits_4_when_a_graph_hits_the_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("TAUPART_MAX_N", raising=False)
+    src = tmp_path / "corpus.g6"
+    src.write_text(f"{C21}\nC~\n")
+    argv = ("hunt", "--source", str(src), "--witness-file", str(tmp_path / "w.jsonl"),
+            "--deterministic")
+    code, recs, _ = run(capsys, *argv)
+    assert code == 4
+    assert recs[0] == {"graph6": C21, "error": OVER_CAP}
+    assert recs[-1]["counts"]["error"] == 1 and recs[-1]["counts"]["constructed"] == 0
+    assert len(recs) == 1 + 3 + 1  # the error row, K4's three targets, the summary
+
+    # as in verify, a capacity overrun outranks a counterexample
+    def no_partition(g, target, max_n=None):
+        raise CounterexampleError("no partition", encode_graph6(g), (target.a, target.b))
+    monkeypatch.setattr(oracle, "tau_partition", no_partition)
+    code, recs, _ = run(capsys, *argv)
+    assert code == 4
+    assert recs[-1]["counts"]["counterexample"] == 1
+    src.write_text("C~\n")
+    assert run(capsys, *argv)[0] == 3
 
 
 def test_max_n_env_lowers_caps(tmp_path, capsys, monkeypatch):

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -219,6 +223,30 @@ def test_small_full_order_runs_stay_on_the_loop():
     ladj, _ = _compact(petersen_graph(), petersen_graph().full_mask)
     assert len(ladj) < NUMPY_DP_MIN_K
     assert type(_dp_levels(ladj)[1]) is list
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# Run in a fresh interpreter, since this one has imported numpy already.
+NUMPY_ON_FIRST_USE = f"""
+import sys
+import taupart.cli
+assert "numpy" not in sys.modules, "imported with taupart.cli"
+from taupart.detour import detour_order
+from taupart.graphs import cycle_graph
+assert detour_order(cycle_graph({NUMPY_DP_MIN_K - 1})).tau == {NUMPY_DP_MIN_K - 1}
+assert "numpy" not in sys.modules, "imported by a DP below the numpy kernel's threshold"
+assert detour_order(cycle_graph({NUMPY_DP_MIN_K})).tau == {NUMPY_DP_MIN_K}
+assert "numpy" in sys.modules, "a full-order DP on {NUMPY_DP_MIN_K} vertices did not load numpy"
+"""
+
+
+def test_numpy_loads_on_the_first_numpy_dp():
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_ON_FIRST_USE],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_numpy_kernel_reaches_bit_63():

@@ -49,15 +49,16 @@ from taupart.starcolor import star_coloring
 
 
 def test_class_counts_all_graphs():
-    assert [len(graphs_upto_iso(n)) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
+    assert [len(graphs_upto_iso(n)) for n in range(1, 9)] == [1, 2, 4, 11, 34, 156, 1044, 12346]
 
 
 def test_class_counts_connected():
-    assert [len(connected_graphs_upto_iso(n)) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
+    assert [len(connected_graphs_upto_iso(n)) for n in range(1, 9)] == [
+        1, 1, 2, 6, 21, 112, 853, 11117]
 
 
 def test_class_counts_two_connected():
-    assert [len(two_connected_graphs_upto_iso(n)) for n in range(3, 8)] == [1, 3, 10, 56, 468]
+    assert [len(two_connected_graphs_upto_iso(n)) for n in range(3, 9)] == [1, 3, 10, 56, 468, 7123]
 
 
 def test_class_counts_trees():
@@ -67,8 +68,10 @@ def test_class_counts_trees():
 
 
 # SHA-256 of each class list (its masks in decimal, comma-joined), recorded
-# when canonical forms were still minimised over all n! relabellings: the
-# refinement search must reproduce every representative and their order.
+# when canonical forms were still minimised over all n! relabellings (n <= 7,
+# trees n <= 8) and when every augmentation of every smaller class was still
+# canonicalised (n = 8): the refinement search and the minimum-degree rule
+# must reproduce every representative and their order.
 CLASS_LIST_DIGESTS = {
     graphs_upto_iso: {
         1: "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
@@ -78,6 +81,7 @@ CLASS_LIST_DIGESTS = {
         5: "92c2b3d1c584d2f0669963008afd7bb79a0681db4bd98acf595a4dfb16d63df6",
         6: "995555965de9494ff13be62e028482bc78db6d92f400fc8304bc44cfd92b4609",
         7: "cb0450eee4c3f597f4eb71166861586c9206aa5166d274300f16003ec6288482",
+        8: "fd9bc0ba447767cbcad7b315e31b56ad5b4d64c1bf07eec287675d4ce2b877b3",
     },
     connected_graphs_upto_iso: {
         1: "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
@@ -87,6 +91,7 @@ CLASS_LIST_DIGESTS = {
         5: "d8a8c53243f494448a1e75380c2ded0eb83a0241b40cd54e57c1eb832e9311bc",
         6: "b77180fea051a59feed36d2053fee1d8a88396cb610f11fb4008a16914b34980",
         7: "436de30d73f530b9cd7fea571b560f599871f5c5e00cd6cd17a90942b1b2b4c1",
+        8: "72a0057df9e55b0e936e3b53acabe9626e2190e8250ec4f99ee748f4e0504646",
     },
     two_connected_graphs_upto_iso: {
         3: "7902699be42c8a8e46fbbb4501726517e86b22c56a189f7625a6da49081b2451",
@@ -94,6 +99,7 @@ CLASS_LIST_DIGESTS = {
         5: "8da66b962c7dfe3fbee5cfd7d0c0852ed19cff0d7c8b0d8b68b207cf7f82e558",
         6: "565c8af8ceaca7743e776884bf9f65e7379f68850f0d68c3861019add19aaa37",
         7: "5f42acf3763c10be3c760f98ef89ffc4f101748007a4affd94b8c7cf9b1440ac",
+        8: "84cee41fd609e921b4736b9c32cca8fefd4bb371d88076fc5c5c7180406f502f",
     },
     trees_upto_iso: {
         1: "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
@@ -185,6 +191,16 @@ def enumerator_candidates(monkeypatch, n: int) -> list[list[int]]:
             enumerate_classes.__wrapped__(n)  # uncached: the body runs again
     monkeypatch.undo()
     return calls
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_enumerators_canonicalise_only_minimum_degree_augmentations(monkeypatch, n):
+    calls = enumerator_candidates(monkeypatch, n)
+    assert len(calls) == (3 if n >= 3 else 2)
+    for cands in calls:
+        for m in cands:
+            degrees = [row.bit_count() for row in from_triangle_mask(n, m).adj]
+            assert degrees[n - 1] == min(degrees), (n, m)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
