@@ -225,6 +225,16 @@ def detour_order(g: Graph, max_n: int | None = None) -> DetourRecord:
     return DetourRecord(tau, tuple(order[v] for v in path_local))
 
 
+def hamiltonian_ends(g: Graph, max_n: int | None = None) -> tuple[int, int]:
+    """Detour order of g and the mask of vertices that end a Hamiltonian
+    path of g (0 when tau < n), from one full-order DP with no witness."""
+    if g.n == 0:
+        raise GraphError("detour order of the empty graph is undefined")
+    check_capacity(g.n, max_n)
+    tau, table, _ = _dp_levels(list(g.adj))
+    return tau, table[g.full_mask]
+
+
 def _reconstruct(ladj: list[int], table: list[int], mask: int) -> list[int]:
     ends = table[mask]
     v = (ends & -ends).bit_length() - 1

@@ -86,10 +86,13 @@ def _split(g: Graph, parts: list[int], max_n: int | None) -> list[int]:
         masks = [0] * len(parts)
         masks[first] = g.full_mask
         return masks
-    cert = tau_partition(g, PartitionTarget(parts[first], total - parts[first]), max_n=max_n)
+    cert = tau_partition(g, PartitionTarget(parts[first], total - parts[first]), max_n=max_n,
+                         tau_g=total)
     sub, _ = induced_subgraph(g, cert.part_b)
     order = mask_to_ids(cert.part_b)
-    tau_rem = graph_facts(sub, max_n).tau if sub.n else 0
+    # the certificate holds tau of the remainder, 0 when it is empty, so
+    # the remainder needs no DP before its own split
+    tau_rem = cert.tau_b
     rest = _rebalance(list(parts[first + 1:]), tau_rem)
     sub_masks = _split(sub, rest, max_n)
     lifted = []

@@ -30,6 +30,26 @@ starcolor, reuses them.  The per-step bound checks, the migration audit,
 brute-force repair and the final certificate check still run for every
 target, and the verifier in oracle recomputes everything from scratch
 without reading these facts.
+
+Most level detour orders need no DP.  Going up the levels, `graph_facts`
+carries a mask of vertices known to end a Hamiltonian path of the level,
+and three facts settle a level:
+
+  base cycle:  tau = c, and every vertex ends a Hamiltonian path (drop
+               one of its cycle edges).
+  chord:       the vertex set is unchanged and no edge is lost, so every
+               Hamiltonian path of the level below is one of this level.
+  ear x, v1..vr, y (v1 next to x, vr next to y):  a Hamiltonian path of
+               the level below ending at x, followed by v1, ..., vr, covers
+               the new level and ends at vr; one ending at y, followed by
+               vr, ..., v1, ends at v1.  Either way tau = |V_i|, as no path
+               has more vertices than the graph.
+
+A level these leave open (no carried end, or neither ear endpoint among
+them) runs one DP, which gives its exact tau and its exact mask of
+Hamiltonian-path ends (0 when tau < |V_i|) for the next level to carry.
+The top level is g relabelled, checked edge for edge, so for a 2-connected
+g its tau is tau(g) and g gets no DP of its own.
 """
 
 from __future__ import annotations
@@ -42,6 +62,7 @@ from .detour import (
     check_capacity,
     detour_order,
     end_vertices_of_order_paths,
+    hamiltonian_ends,
     paths_of_order_at_least,
     subset_tau_at_most,
     tau_subset,
@@ -186,7 +207,11 @@ class EarLevels:
 @dataclass(frozen=True)
 class GraphFacts:
     """What the construction needs to know about a graph whatever the target:
-    its detour order, and its ear levels when it is 2-connected (else None)."""
+    its detour order, and its ear levels when it is 2-connected (else None).
+
+    For a 2-connected graph, tau is the top level's detour order; the level
+    orders are settled as the module docstring explains, by a carried
+    Hamiltonian path where one reaches the level and by a DP elsewhere."""
 
     tau: int
     levels: EarLevels | None
@@ -194,6 +219,14 @@ class GraphFacts:
 
 def graph_facts(g: Graph, max_n: int | None = None) -> GraphFacts:
     """The GraphFacts of g, computed once and then served from a small cache.
+
+    A graph that is not 2-connected costs one DP.  A 2-connected one costs
+    one DP per ear level that the three settling facts of the module
+    docstring leave open: a base cycle has tau = c with a Hamiltonian path
+    ending at every vertex, a chord keeps every Hamiltonian path of the
+    level below, and an ear whose endpoint x (or y) ends such a path gives
+    one ending at its last (or first) internal vertex.  The top level must
+    rebuild g edge for edge, else InternalCheckError.
 
     The DP capacity cap (max_n, default DETOUR_DP_MAX_N) is checked on every
     call before the lookup, so an entry built under a larger cap never
@@ -208,12 +241,39 @@ def graph_facts(g: Graph, max_n: int | None = None) -> GraphFacts:
 # hold all of that while a long sweep's memory stays flat.
 @functools.lru_cache(maxsize=32)
 def _graph_facts(g: Graph) -> GraphFacts:
-    tau = detour_order(g, max_n=g.n).tau
     if not is_two_connected(g):
-        return GraphFacts(tau, None)
+        return GraphFacts(hamiltonian_ends(g, max_n=g.n)[0], None)
     graphs, local_ears, ids = zip(*ear_levels(ear_decompose(g)))
-    taus = tuple(detour_order(h, max_n=g.n).tau for h in graphs)
-    return GraphFacts(tau, EarLevels(graphs, local_ears[1:], ids[-1], taus))
+    orig_of, top = ids[-1], graphs[-1]
+    # the top level's tau stands for tau(g) only if it is g relabelled; with
+    # a vertex missing, rebuilt stays empty and cannot match a 2-connected g
+    rebuilt = [0] * g.n
+    if top.n == g.n:
+        for u, row in enumerate(top.adj):
+            for w in iter_bits(row):
+                rebuilt[orig_of[u]] |= 1 << orig_of[w]
+    if tuple(rebuilt) != g.adj:
+        raise InternalCheckError(f"ear levels do not rebuild {encode_graph6(g)}")
+    taus, _ = _level_taus(graphs, local_ears[1:])
+    return GraphFacts(taus[-1], EarLevels(graphs, local_ears[1:], orig_of, taus))
+
+
+def _level_taus(graphs: tuple[Graph, ...], ears: tuple[Ear, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The detour order of every ear level, and for each level the mask of
+    vertices carried up as ends of its Hamiltonian paths (the exact end
+    mask where the level ran a DP, a subset of it elsewhere)."""
+    tau, ends = graphs[0].n, graphs[0].full_mask
+    taus, carried = [tau], [ends]
+    for h, ear in zip(graphs[1:], ears):
+        if ear.r:
+            ends = (ends >> ear.x & 1) << ear.internals[-1] | (ends >> ear.y & 1) << ear.internals[0]
+        if ends:
+            tau = h.n
+        else:
+            tau, ends = hamiltonian_ends(h, max_n=h.n)
+        taus.append(tau)
+        carried.append(ends)
+    return tuple(taus), tuple(carried)
 
 
 def _cycle_order(g: Graph) -> list[int]:
@@ -435,8 +495,6 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
         return FailureWitness(kind, g6, t.a, t.b, i, case_tag, (tt.a, tt.b), pre_a, pre_b, post_a, post_b,
                               detail)
 
-    if taus[-1] != tau_g:
-        raise InternalCheckError(f"level fold changed the detour order: {taus[-1]} != {tau_g}")
     targets: list[PartitionTarget] = [t] * len(levels)
     for i in range(len(levels) - 1, 0, -1):
         targets[i - 1] = choose_subtarget(targets[i], taus[i - 1])
@@ -505,15 +563,23 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
                                 tuple(trace), tuple(witnesses))
 
 
-def tau_partition(g: Graph, t: PartitionTarget, max_n: int | None = None) -> PartitionCertificate:
+def tau_partition(g: Graph, t: PartitionTarget, max_n: int | None = None,
+                  tau_g: int | None = None) -> PartitionCertificate:
     """(a, b) partition of any graph: 2-connected graphs go through the
-    ear construction, everything else straight to brute force."""
+    ear construction, everything else straight to brute force.
+
+    A caller that already holds tau(g) passes it as tau_g; a graph that is
+    not 2-connected then checks its target sum against it instead of a new
+    DP.  The ear construction takes tau(g) from graph_facts either way.
+    """
     if is_two_connected(g):
         return tau_partition_2connected(g, t, max_n=max_n)
     # brute force's own cap first, so an oversized graph reports that cap and
-    # not the DP's; _split has usually cached tau of a remainder already
+    # not the DP's
     _check_brute_force_capacity(g, max_n)
-    got = brute_force_partition(g, t, max_n=max_n, tau_g=graph_facts(g, max_n).tau)
+    if tau_g is None:
+        tau_g = graph_facts(g, max_n).tau
+    got = brute_force_partition(g, t, max_n=max_n, tau_g=tau_g)
     if got is None:
         raise CounterexampleError(f"no ({t.a}, {t.b}) partition exists", encode_graph6(g), (t.a, t.b))
     part_a, part_b = got

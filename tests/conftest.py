@@ -1,0 +1,25 @@
+"""Fixtures shared by the test modules."""
+
+from __future__ import annotations
+
+import pytest
+
+from taupart import detour
+
+
+@pytest.fixture
+def count_dps(monkeypatch):
+    """The vertex count of every subset DP run during the test, in order.
+
+    Every detour query that runs a DP runs exactly one `detour._dp_levels`,
+    so the length of the list is the number of DPs.
+    """
+    sizes: list[int] = []
+    real = detour._dp_levels
+
+    def counted(ladj, stop_at=None):
+        sizes.append(len(ladj))
+        return real(ladj, stop_at)
+
+    monkeypatch.setattr(detour, "_dp_levels", counted)
+    return sizes

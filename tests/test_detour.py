@@ -25,12 +25,13 @@ from taupart.detour import (
     detour_order,
     detour_order_dfs,
     end_vertices_of_order_paths,
+    hamiltonian_ends,
     has_path_of_order,
     paths_of_order_at_least,
     subset_tau_at_most,
     tau_subset,
 )
-from taupart.errors import CapacityError
+from taupart.errors import CapacityError, GraphError
 from taupart.graphs import (
     Graph,
     add_ear,
@@ -102,6 +103,18 @@ def test_tau_monotone_under_ears(n, p, seed):
     if not g.has_edge(x, y):
         assert detour_order(add_ear(g, x, y, 0)).tau >= tau
     assert detour_order(add_ear(g, x, y, 1)).tau >= tau
+
+
+def test_hamiltonian_ends():
+    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    assert hamiltonian_ends(path_graph(5)) == (5, ids_to_mask([0, 4]))
+    assert hamiltonian_ends(cycle_graph(5)) == (5, 0b11111)
+    assert hamiltonian_ends(BOWTIE) == (5, BOWTIE.full_mask & ~(1 << 2))
+    assert hamiltonian_ends(star) == (3, 0)
+    with pytest.raises(GraphError):
+        hamiltonian_ends(Graph.from_edges(0, []))
+    with pytest.raises(CapacityError):
+        hamiltonian_ends(petersen_graph(), max_n=9)
 
 
 def test_tau_subset():
@@ -211,6 +224,7 @@ def test_numpy_kernel_matches_the_loop():
         rec = detour_order(g)
         assert rec.witness_path == witness
         assert rec.tau == detour_order_dfs(g)
+        assert hamiltonian_ends(g) == (rec.tau, table[g.full_mask])
 
 
 def test_numpy_kernel_extends_a_wide_level_in_parts(monkeypatch):

@@ -68,6 +68,18 @@ def test_entries_must_be_positive_and_sum_to_tau():
         t_partition(cycle_graph(6), ())
 
 
+def test_split_reuses_the_taus_it_already_holds(count_dps):
+    # each remainder's tau comes from the certificate that cut it off, and a
+    # remainder that is not 2-connected checks its target sum against it
+    from taupart import partition
+
+    g = petersen_graph()
+    partition._graph_facts.cache_clear()
+    masks = t_partition(g, (2,) * 5)
+    assert len(count_dps) == 19
+    parts_are_valid(g, (2,) * 5, masks)
+
+
 def test_partition_order_is_deterministic():
     assert t_partition(BOWTIE, (2, 2, 1)) == t_partition(BOWTIE, (2, 2, 1))
 

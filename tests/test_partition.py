@@ -8,13 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taupart.detour import detour_order, detour_order_dfs, end_vertices_of_order_paths, tau_subset
+from taupart.detour import (
+    NUMPY_DP_MIN_K,
+    detour_order,
+    detour_order_dfs,
+    end_vertices_of_order_paths,
+    hamiltonian_ends,
+    tau_subset,
+)
 from taupart.errors import CapacityError, GraphError, InternalCheckError, NotTwoConnectedError, TargetError
 from taupart.graphs import (
     Graph,
     add_ear,
     complete_graph,
     cycle_graph,
+    encode_graph6,
     ids_to_mask,
     mask_to_ids,
     parse_graph6,
@@ -23,7 +31,7 @@ from taupart.graphs import (
     random_2connected,
     random_graph,
 )
-from taupart.ears import Ear, ear_decompose, ear_levels
+from taupart.ears import Ear, EarDecomposition, ear_decompose, ear_levels
 from taupart.partition import (
     PartitionTarget,
     brute_force_partition,
@@ -330,6 +338,72 @@ def test_graph_facts_check_the_cap_on_every_call():
         graph_facts(g, max_n=9)
     with pytest.raises(CapacityError):
         tau_partition(g, PartitionTarget(5, 5), max_n=9)
+
+
+def test_graph_facts_reject_levels_that_do_not_rebuild_the_graph(monkeypatch):
+    from taupart import partition
+
+    real = partition.ear_decompose
+
+    def drop_a_chord(g):
+        d = real(g)
+        i = next(i for i, ear in enumerate(d.ears) if not ear.r)
+        return EarDecomposition(d.base_cycle, d.ears[:i] + d.ears[i + 1:])
+
+    monkeypatch.setattr(partition, "ear_decompose", drop_a_chord)
+    partition._graph_facts.cache_clear()
+    with pytest.raises(InternalCheckError):
+        graph_facts(complete_graph(5))
+
+
+def _wheel(k: int) -> Graph:
+    """A hub, vertex k, joined to every vertex of the cycle 0..k-1."""
+    return Graph.from_edges(k + 1, [(i, (i + 1) % k) for i in range(k)] + [(i, k) for i in range(k)])
+
+
+def _k2m(m: int) -> Graph:
+    return Graph.from_edges(m + 2, [(i, j) for i in range(2) for j in range(2, m + 2)])
+
+
+def _level_tau_cases():
+    from taupart.oracle import corpus_graphs, two_connected_graphs_upto_iso
+
+    for n in range(3, 8):
+        yield from corpus_graphs(n, two_connected_graphs_upto_iso(n))
+    for m in range(2, 9):
+        yield _k2m(m)
+    # levels of 14 or more vertices run the numpy kernel's full-mask lookup
+    for seed in range(8):
+        yield random_2connected(14 + seed % 4, extra_ears=2 + seed % 5, seed=seed)
+
+
+def test_level_taus_carry_only_true_hamiltonian_ends():
+    from taupart import partition
+
+    big_levels = 0
+    for g in _level_tau_cases():
+        lv = graph_facts(g).levels
+        taus, carried = partition._level_taus(lv.graphs, lv.ears)
+        assert taus == lv.taus
+        assert graph_facts(g).tau == taus[-1]
+        for h, tau, ends in zip(lv.graphs, taus, carried):
+            exact_tau, exact_ends = hamiltonian_ends(h)
+            assert tau == exact_tau
+            assert ends & ~exact_ends == 0, (encode_graph6(g), h.n)
+            assert bool(ends) == (tau == h.n)
+            big_levels += h.n >= NUMPY_DP_MIN_K
+    assert big_levels >= 8
+
+
+@pytest.mark.parametrize("g, dps", [
+    (_wheel(6), 0), (complete_graph(6), 0), (petersen_graph(), 0), (_k2m(4), 1), (_k2m(6), 3),
+], ids=["W6", "K6", "petersen", "K2,4", "K2,6"])
+def test_graph_facts_run_a_dp_only_on_unsettled_levels(count_dps, g, dps):
+    from taupart import partition
+
+    partition._graph_facts.cache_clear()
+    graph_facts(g)
+    assert len(count_dps) == dps
 
 
 def test_rejects_target_not_summing_to_tau():
