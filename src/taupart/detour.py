@@ -24,6 +24,14 @@ stay below NUMPY_DP_MIN_K vertices never loads it.
 All subset-taking functions accept vertex masks in the graph's own ids and
 compact internally, so callers never pay for the full 2^n table when asking
 about a small part.
+
+The size cap is checked once, where a graph enters the package: the
+exported entries, which the CLI subcommands call, run `check_capacity` on
+the whole graph.  `detour_order` and `has_path_of_order` are such entries.  The other
+queries (`tau_subset`, `subset_has_path`, `subset_tau_at_most`,
+`end_vertices_of_order_paths`, `hamiltonian_ends`) assume an admitted graph
+and check nothing: every DP they run is on a subset of a graph already
+within the cap, whatever cap the entry was given.
 """
 
 from __future__ import annotations
@@ -39,9 +47,9 @@ if TYPE_CHECKING:
 
 # Time grows with the connected subsets a DP reaches, up to 2^n of them on a
 # dense graph.  Memory of a full-order run (`_dp_numpy`) grows with the
-# subsets reached, not with 2^n; an early-exit query below the numpy kernel's
-# threshold still allocates a 2^k list.  Overridable per call (the CLI wires
-# TAUPART_MAX_N through).
+# subsets reached, not with 2^n; an early-exit query, or any run below the
+# numpy kernel's threshold, still allocates a 2^k list.  Overridable at every
+# entry through max_n (the CLI wires TAUPART_MAX_N through).
 DETOUR_DP_MAX_N = 20
 
 # Full-order DPs on at least this many vertices run on the numpy kernel.
@@ -74,12 +82,18 @@ def _compact(g: Graph, mask: int) -> tuple[list[int], list[int]]:
     return ladj, order
 
 
-def check_capacity(k: int, max_n: int | None) -> None:
-    """Raise CapacityError when a DP over k vertices exceeds the cap
-    (max_n, or DETOUR_DP_MAX_N when None)."""
-    cap = DETOUR_DP_MAX_N if max_n is None else max_n
-    if k > cap:
-        raise CapacityError(f"subset dynamic program over {k} vertices exceeds the cap of {cap}")
+def check_capacity(k: int, max_n: int | None, cap: int = DETOUR_DP_MAX_N,
+                   what: str = "subset dynamic program") -> int:
+    """The vertex limit (max_n, or `cap` when None), after checking that
+    `what` over k vertices stays within it; CapacityError otherwise.
+
+    The one cap check of the package: the exported entries call it as a
+    graph comes in, with the DP cap by default, the brute-force cap or the
+    exact searches' cap."""
+    limit = cap if max_n is None else max_n
+    if k > limit:
+        raise CapacityError(f"{what} over {k} vertices exceeds the cap of {limit}")
+    return limit
 
 
 def _dp_levels(ladj: list[int], stop_at: int | None = None):
@@ -225,12 +239,11 @@ def detour_order(g: Graph, max_n: int | None = None) -> DetourRecord:
     return DetourRecord(tau, tuple(order[v] for v in path_local))
 
 
-def hamiltonian_ends(g: Graph, max_n: int | None = None) -> tuple[int, int]:
+def hamiltonian_ends(g: Graph) -> tuple[int, int]:
     """Detour order of g and the mask of vertices that end a Hamiltonian
     path of g (0 when tau < n), from one full-order DP with no witness."""
     if g.n == 0:
         raise GraphError("detour order of the empty graph is undefined")
-    check_capacity(g.n, max_n)
     tau, table, _ = _dp_levels(list(g.adj))
     return tau, table[g.full_mask]
 
@@ -249,44 +262,42 @@ def _reconstruct(ladj: list[int], table: list[int], mask: int) -> list[int]:
     return path
 
 
-def tau_subset(g: Graph, mask: int, max_n: int | None = None) -> int:
+def tau_subset(g: Graph, mask: int) -> int:
     """Detour order of the induced subgraph <mask>; 0 for the empty set."""
     if mask == 0:
         return 0
-    check_capacity(mask.bit_count(), max_n)
     ladj, _ = _compact(g, mask)
     tau, _, _ = _dp_levels(ladj)
     return tau
 
 
-def subset_has_path(g: Graph, mask: int, k: int, max_n: int | None = None) -> bool:
+def subset_has_path(g: Graph, mask: int, k: int) -> bool:
     """Does <mask> contain a path on at least k vertices?  Early-exits at level k."""
     if k < 1:
         raise GraphError(f"path order {k} must be positive")
     if k > mask.bit_count():
         return False
-    check_capacity(mask.bit_count(), max_n)
     ladj, _ = _compact(g, mask)
     tau, _, _ = _dp_levels(ladj, stop_at=k)
     return tau >= k
 
 
-def subset_tau_at_most(g: Graph, mask: int, bound: int, max_n: int | None = None) -> bool:
+def subset_tau_at_most(g: Graph, mask: int, bound: int) -> bool:
     """tau(<mask>) <= bound, checked with early exit."""
     if bound < 0:
         return mask == 0
     if mask.bit_count() <= bound:
         return True
-    return not subset_has_path(g, mask, bound + 1, max_n)
+    return not subset_has_path(g, mask, bound + 1)
 
 
 def has_path_of_order(g: Graph, k: int, max_n: int | None = None) -> bool:
     """Does g contain a path on at least k vertices?"""
-    return subset_has_path(g, g.full_mask, k, max_n)
+    check_capacity(g.n, max_n)
+    return subset_has_path(g, g.full_mask, k)
 
 
-def end_vertices_of_order_paths(g: Graph, k: int, within: int | None = None,
-                                max_n: int | None = None) -> int:
+def end_vertices_of_order_paths(g: Graph, k: int, within: int | None = None) -> int:
     """Mask of vertices that end at least one path of order exactly k in <within>.
 
     k = 1 returns every vertex of the set.  Vertices on longer paths still
@@ -298,7 +309,6 @@ def end_vertices_of_order_paths(g: Graph, k: int, within: int | None = None,
     mask = g.full_mask if within is None else within
     if k > mask.bit_count():
         return 0
-    check_capacity(mask.bit_count(), max_n)
     ladj, order = _compact(g, mask)
     tau, table, last = _dp_levels(ladj, stop_at=k)
     if tau < k:

@@ -9,14 +9,14 @@ is the base cycle; the rest are ears (a chain with no fresh vertices is a
 chord ear).
 
 An explicit base cycle can be forced instead, in which case ears are grown
-greedily from the covered set; the partitioner uses that when it wants a
-specific starting cycle.
+greedily from the covered set.  The partitioner never forces one: it folds
+the chain decomposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import GraphError, InternalCheckError, NotTwoConnectedError
 from .graphs import Graph, add_ear, blocks, cycle_graph, ids_to_mask, is_connected, iter_bits, pair_index
@@ -39,18 +39,6 @@ class Ear:
 class EarDecomposition:
     base_cycle: tuple[int, ...]
     ears: tuple[Ear, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "base_cycle": list(self.base_cycle),
-            "ears": [{"x": e.x, "y": e.y, "internals": list(e.internals)} for e in self.ears],
-        }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "EarDecomposition":
-        ears = tuple(Ear(int(e["x"]), int(e["y"]), tuple(int(v) for v in e["internals"]))
-                     for e in d["ears"])
-        return EarDecomposition(tuple(int(v) for v in d["base_cycle"]), ears)
 
 
 def is_two_connected(g: Graph) -> bool:
@@ -318,13 +306,21 @@ def reconstruct_decomposition(d: EarDecomposition) -> tuple[Graph, list[int]]:
     return gg, list(orig)
 
 
+def relabels_to(h: Graph, orig_of: Sequence[int], g: Graph) -> bool:
+    """Is h, with each local id i read as orig_of[i], exactly g?"""
+    if h.n != g.n or sorted(orig_of) != list(range(g.n)):
+        return False
+    rebuilt = [0] * g.n
+    for u, row in enumerate(h.adj):
+        for w in iter_bits(row):
+            rebuilt[orig_of[u]] |= 1 << orig_of[w]
+    return tuple(rebuilt) == g.adj
+
+
 def reconstruction_matches(g: Graph, d: EarDecomposition) -> bool:
     """Does folding the ears rebuild exactly g (under the id mapping)?"""
     try:
         gg, orig = reconstruct_decomposition(d)
     except GraphError:
         return False
-    if gg.n != g.n or sorted(orig) != list(range(g.n)):
-        return False
-    rebuilt = {(min(orig[a], orig[b]), max(orig[a], orig[b])) for a, b in gg.edges()}
-    return rebuilt == set(g.edges())
+    return relabels_to(gg, orig, g)

@@ -18,8 +18,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .detour import subset_tau_at_most
-from .errors import CapacityError, GraphError, InternalCheckError, TargetError, VerificationError
+from .detour import check_capacity, subset_tau_at_most
+from .errors import GraphError, InternalCheckError, TargetError, VerificationError
 from .graphs import Graph, encode_graph6, induced_subgraph, iter_bits, mask_to_ids
 from .partition import PartitionTarget, graph_facts, tau_partition
 
@@ -127,7 +127,7 @@ def t_partition(g: Graph, parts: tuple[int, ...] | list[int], max_n: int | None 
         if m & union:
             raise InternalCheckError("parts overlap")
         union |= m
-        if not subset_tau_at_most(g, m, parts[i], max_n=g.n):
+        if not subset_tau_at_most(g, m, parts[i]):
             raise InternalCheckError(f"part {i} exceeds its bound {parts[i]}")
     if union != g.full_mask:
         raise InternalCheckError("parts do not cover the graph")
@@ -148,15 +148,17 @@ def color_classes(g: Graph, colors) -> dict[int, int]:
     return classes
 
 
-def verify_detour_coloring(g: Graph, colors, n: int) -> bool:
+def verify_detour_coloring(g: Graph, colors, n: int, max_n: int | None = None) -> bool:
     """Every colour class induces a subgraph of detour order at most n.
 
     Raises GraphError if the assignment is not total; plain False for a
-    violated class bound.
+    violated class bound.  g must be within the DP cap (max_n, default
+    DETOUR_DP_MAX_N), else CapacityError.
     """
     if n < 1:
         raise TargetError(f"class bound n={n} must be positive")
-    return all(subset_tau_at_most(g, m, n, max_n=g.n) for m in color_classes(g, colors).values())
+    check_capacity(g.n, max_n)
+    return all(subset_tau_at_most(g, m, n) for m in color_classes(g, colors).values())
 
 
 def detour_coloring(g: Graph, n: int, max_n: int | None = None) -> ColoringCertificate:
@@ -176,20 +178,12 @@ def detour_coloring(g: Graph, n: int, max_n: int | None = None) -> ColoringCerti
     for i, m in enumerate(masks):
         for v in iter_bits(m):
             colors[v] = i
-    if not verify_detour_coloring(g, colors, n):
+    if not verify_detour_coloring(g, colors, n, max_n):
         raise VerificationError(f"constructed {n}-detour colouring failed verification on {g6}")
     used = len(set(colors))
     if used > bound:
         raise InternalCheckError(f"colouring used {used} colours, bound is {bound}")
     return ColoringCertificate(g6, tuple(colors), used, bound, "n-detour", True, n=n)
-
-
-def check_exact_cap(g: Graph, max_n: int | None, search: str) -> None:
-    """Raise CapacityError, naming `search`, when g has more vertices than
-    the exact searches' cap (max_n, or EXACT_SEARCH_MAX_N when None)."""
-    limit = EXACT_SEARCH_MAX_N if max_n is None else max_n
-    if g.n > limit:
-        raise CapacityError(f"{search} over {g.n} vertices exceeds the cap of {limit}")
 
 
 def smallest_coloring(g: Graph, admissible: Callable[[int, int, list[int], list[int]], bool],
@@ -236,7 +230,7 @@ def exact_detour_chromatic(g: Graph, n: int, max_n: int | None = None) -> int:
     """
     if n < 1:
         raise TargetError(f"class bound n={n} must be positive")
-    check_exact_cap(g, max_n, "exact search")
+    check_capacity(g.n, max_n, EXACT_SEARCH_MAX_N, "exact search")
     colors = smallest_coloring(
-        g, lambda v, c, colors, classes: subset_tau_at_most(g, classes[c], n, max_n=g.n), g.n)
+        g, lambda v, c, colors, classes: subset_tau_at_most(g, classes[c], n), g.n)
     return len(set(colors))

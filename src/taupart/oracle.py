@@ -106,8 +106,8 @@ def verify_partition_record(rec: dict, max_n: int | None = None) -> tuple[bool, 
     tau_g = detour_order(g, max_n=max_n).tau
     if a + b != tau_g:
         return False, f"target ({a}, {b}) sums to {a + b}, detour order is {tau_g}"
-    tau_a = tau_subset(g, part_a, max_n=max_n)
-    tau_b = tau_subset(g, part_b, max_n=max_n)
+    tau_a = tau_subset(g, part_a)
+    tau_b = tau_subset(g, part_b)
     if tau_a > a:
         return False, f"tau(A) = {tau_a} > a = {a}"
     if tau_b > b:
@@ -141,7 +141,7 @@ def verify_coloring_record(rec: dict, max_n: int | None = None) -> tuple[bool, s
             if not _is_json_int(nb) or nb < 1:
                 return False, f"schema: n-detour certificate needs a positive n, got {nb!r}"
             bound = -(-tau_g // nb) if g.n else 0
-            if g.n and not multiway.verify_detour_coloring(g, colors, nb):
+            if g.n and not multiway.verify_detour_coloring(g, colors, nb, max_n):
                 return False, f"a colour class has detour order above {nb}"
         elif prop == "star":
             bound = tau_g

@@ -67,10 +67,12 @@ from .detour import (
     subset_tau_at_most,
     tau_subset,
 )
-from .ears import Ear, ear_decompose, ear_levels, is_two_connected, require_two_connected
-from .errors import CapacityError, CounterexampleError, GraphError, InternalCheckError, TargetError
+from .ears import Ear, ear_decompose, ear_levels, is_two_connected, relabels_to, require_two_connected
+from .errors import CounterexampleError, GraphError, InternalCheckError, TargetError
 from .graphs import Graph, encode_graph6, ids_to_mask, is_connected, iter_bits, mask_to_ids
 
+# Brute force runs subset DPs on g with no cap check of their own, so this
+# cap must stay at or below DETOUR_DP_MAX_N.
 BRUTE_FORCE_MAX_N = 20
 
 
@@ -242,17 +244,11 @@ def graph_facts(g: Graph, max_n: int | None = None) -> GraphFacts:
 @functools.lru_cache(maxsize=32)
 def _graph_facts(g: Graph) -> GraphFacts:
     if not is_two_connected(g):
-        return GraphFacts(hamiltonian_ends(g, max_n=g.n)[0], None)
+        return GraphFacts(hamiltonian_ends(g)[0], None)
     graphs, local_ears, ids = zip(*ear_levels(ear_decompose(g)))
-    orig_of, top = ids[-1], graphs[-1]
-    # the top level's tau stands for tau(g) only if it is g relabelled; with
-    # a vertex missing, rebuilt stays empty and cannot match a 2-connected g
-    rebuilt = [0] * g.n
-    if top.n == g.n:
-        for u, row in enumerate(top.adj):
-            for w in iter_bits(row):
-                rebuilt[orig_of[u]] |= 1 << orig_of[w]
-    if tuple(rebuilt) != g.adj:
+    orig_of = ids[-1]
+    # the top level's tau stands for tau(g) only if it is g relabelled
+    if not relabels_to(graphs[-1], orig_of, g):
         raise InternalCheckError(f"ear levels do not rebuild {encode_graph6(g)}")
     taus, _ = _level_taus(graphs, local_ears[1:])
     return GraphFacts(taus[-1], EarLevels(graphs, local_ears[1:], orig_of, taus))
@@ -270,7 +266,7 @@ def _level_taus(graphs: tuple[Graph, ...], ears: tuple[Ear, ...]) -> tuple[tuple
         if ends:
             tau = h.n
         else:
-            tau, ends = hamiltonian_ends(h, max_n=h.n)
+            tau, ends = hamiltonian_ends(h)
         taus.append(tau)
         carried.append(ends)
     return tuple(taus), tuple(carried)
@@ -333,7 +329,7 @@ def extend_r0(h: Graph, prior: tuple[int, int], ear: Ear,
     if xa != bool(part_a >> ear.y & 1):
         return prior, "1.1", 0
     donor, bound = (part_a, t.a) if xa else (part_b, t.b)
-    migrated = end_vertices_of_order_paths(h, bound + 1, within=donor, max_n=h.n)
+    migrated = end_vertices_of_order_paths(h, bound + 1, within=donor)
     if xa:
         after = (part_a & ~migrated, part_b | migrated)
     else:
@@ -361,7 +357,7 @@ def extend_r1(h: Graph, prior: tuple[int, int], ear: Ear,
             after = (part_a | (1 << v1), part_b)
         return after, "2.1", 0
     a_end = ear.x if xa else ear.y
-    ends = end_vertices_of_order_paths(h, t.a, within=part_a, max_n=h.n)
+    ends = end_vertices_of_order_paths(h, t.a, within=part_a)
     if not ends >> a_end & 1:
         after = (part_a | (1 << v1), part_b)
     else:
@@ -396,15 +392,6 @@ def extend_rge2(h: Graph, prior: tuple[int, int], ear: Ear,
     return (part_a | add_a, part_b | add_b), "3", 0
 
 
-def _check_brute_force_capacity(g: Graph, max_n: int | None) -> int:
-    """The brute-force vertex cap (max_n, or BRUTE_FORCE_MAX_N when None),
-    after checking that g is within it."""
-    limit = BRUTE_FORCE_MAX_N if max_n is None else max_n
-    if g.n > limit:
-        raise CapacityError(f"brute-force partition over {g.n} vertices exceeds the cap of {limit}")
-    return limit
-
-
 def brute_force_partition(g: Graph, t: PartitionTarget, max_n: int | None = None,
                           tau_g: int | None = None) -> tuple[int, int] | None:
     """Exhaustive search for an (a, b) partition; None if there is none.
@@ -415,7 +402,7 @@ def brute_force_partition(g: Graph, t: PartitionTarget, max_n: int | None = None
     already holds tau(g) passes it as tau_g, and the sum is checked against
     it instead of a new whole-graph DP.
     """
-    limit = _check_brute_force_capacity(g, max_n)
+    limit = check_capacity(g.n, max_n, BRUTE_FORCE_MAX_N, "brute-force partition")
     if tau_g is None:
         tau_g = detour_order(g, max_n=limit).tau
     if t.total != tau_g:
@@ -424,8 +411,8 @@ def brute_force_partition(g: Graph, t: PartitionTarget, max_n: int | None = None
     for size in range(g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
             part_a = ids_to_mask(combo)
-            if subset_tau_at_most(g, part_a, t.a, max_n=g.n) and \
-               subset_tau_at_most(g, full & ~part_a, t.b, max_n=g.n):
+            if subset_tau_at_most(g, part_a, t.a) and \
+               subset_tau_at_most(g, full & ~part_a, t.b):
                 return part_a, full & ~part_a
     return None
 
@@ -455,8 +442,7 @@ def _audit_migration(h: Graph, receiver_pre: int, migrated: int, b: int) -> list
                     continue
                 length = b - q
                 if length not in ends_cache:
-                    ends_cache[length] = end_vertices_of_order_paths(h, length, within=receiver_pre,
-                                                                     max_n=h.n)
+                    ends_cache[length] = end_vertices_of_order_paths(h, length, within=receiver_pre)
                 conflicts = h.adj[u] & ends_cache[length]
                 if conflicts:
                     events.append({"type": "adjacency", "vertex": u, "q": q, "path_order": c,
@@ -524,8 +510,8 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
                     ev_orig["conflicts"] = [orig_of[v] for v in ev["conflicts"]]
                 witnesses.append(witness("migration-audit", i, "1.2", tt, prior, after, ev_orig))
 
-        ok_a = subset_tau_at_most(h, after[0], tt.a, max_n=g.n)
-        ok_b = subset_tau_at_most(h, after[1], tt.b, max_n=g.n)
+        ok_a = subset_tau_at_most(h, after[0], tt.a)
+        ok_b = subset_tau_at_most(h, after[1], tt.b)
         valid = ok_a and ok_b
         trace.append(CaseStep(i, case_tag, to_orig(migrated), (targets[i].a, targets[i].b), valid))
         if valid:
@@ -534,8 +520,8 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
 
         witnesses.append(witness(
             "bound", i, case_tag, tt, prior, after,
-            {"tau_A": tau_subset(h, after[0], max_n=g.n),
-             "tau_B": tau_subset(h, after[1], max_n=g.n),
+            {"tau_A": tau_subset(h, after[0]),
+             "tau_B": tau_subset(h, after[1]),
              "violated": [s for s, ok in (("A", ok_a), ("B", ok_b)) if not ok]}))
         method = "fallback"
         repaired = brute_force_partition(h, tt, max_n=max_n, tau_g=taus[i + 1])
@@ -555,8 +541,8 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
     if final_orig is None:
         final_orig = (to_orig(part_a), to_orig(part_b))
     out_a, out_b = final_orig
-    tau_a = tau_subset(g, out_a, max_n=g.n)
-    tau_b = tau_subset(g, out_b, max_n=g.n)
+    tau_a = tau_subset(g, out_a)
+    tau_b = tau_subset(g, out_b)
     if tau_a > t.a or tau_b > t.b or (out_a | out_b) != g.full_mask or (out_a & out_b):
         raise InternalCheckError(f"certified partition fails its own bounds on {g6}")
     return PartitionCertificate(g6, t.a, t.b, out_a, out_b, tau_a, tau_b, method,
@@ -576,7 +562,7 @@ def tau_partition(g: Graph, t: PartitionTarget, max_n: int | None = None,
         return tau_partition_2connected(g, t, max_n=max_n)
     # brute force's own cap first, so an oversized graph reports that cap and
     # not the DP's
-    _check_brute_force_capacity(g, max_n)
+    check_capacity(g.n, max_n, BRUTE_FORCE_MAX_N, "brute-force partition")
     if tau_g is None:
         tau_g = graph_facts(g, max_n).tau
     got = brute_force_partition(g, t, max_n=max_n, tau_g=tau_g)
@@ -584,5 +570,5 @@ def tau_partition(g: Graph, t: PartitionTarget, max_n: int | None = None,
         raise CounterexampleError(f"no ({t.a}, {t.b}) partition exists", encode_graph6(g), (t.a, t.b))
     part_a, part_b = got
     return PartitionCertificate(encode_graph6(g), t.a, t.b, part_a, part_b,
-                                tau_subset(g, part_a, max_n=g.n), tau_subset(g, part_b, max_n=g.n),
+                                tau_subset(g, part_a), tau_subset(g, part_b),
                                 "fallback", (), ())

@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
+from .detour import check_capacity
 from .errors import (
     CounterexampleError,
     GraphError,
@@ -29,7 +30,7 @@ from .errors import (
     StarRepairError,
 )
 from .graphs import Graph, closure, connected_components, encode_graph6, induced_subgraph, is_connected, iter_bits, mask_to_ids
-from .multiway import ColoringCertificate, check_exact_cap, color_classes, smallest_coloring, t_partition
+from .multiway import EXACT_SEARCH_MAX_N, ColoringCertificate, color_classes, smallest_coloring, t_partition
 from .partition import graph_facts
 
 
@@ -229,7 +230,7 @@ def exact_star_chromatic(g: Graph, max_n: int | None = None) -> int:
     Runs multiway.smallest_coloring with the star step test.  Exponential;
     capped at EXACT_SEARCH_MAX_N vertices (override with max_n).
     """
-    check_exact_cap(g, max_n, "exact star search")
+    check_capacity(g.n, max_n, EXACT_SEARCH_MAX_N, "exact star search")
     return len(set(smallest_coloring(g, _star_admissible(g), g.n)))
 
 
@@ -248,7 +249,7 @@ def exact_acyclic_chromatic(g: Graph, max_n: int | None = None) -> int:
     Runs multiway.smallest_coloring with the acyclic step test.
     Exponential; capped at EXACT_SEARCH_MAX_N vertices (override with max_n).
     """
-    check_exact_cap(g, max_n, "exact acyclic search")
+    check_capacity(g.n, max_n, EXACT_SEARCH_MAX_N, "exact acyclic search")
     return len(set(smallest_coloring(g, _acyclic_admissible(g), g.n)))
 
 

@@ -38,7 +38,7 @@ def ref_exact_detour_chromatic(g: Graph, n: int) -> int:
                 return True
             for c in range(min(used + 1, k)):
                 trial = classes[c] | (1 << v)
-                if subset_tau_at_most(g, trial, n, max_n=g.n):
+                if subset_tau_at_most(g, trial, n):
                     classes[c] = trial
                     if place(v + 1, max(used, c + 1)):
                         return True

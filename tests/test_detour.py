@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import taupart
 from taupart import detour
 from taupart.detour import (
     DETOUR_DP_MAX_N,
@@ -113,8 +114,6 @@ def test_hamiltonian_ends():
     assert hamiltonian_ends(star) == (3, 0)
     with pytest.raises(GraphError):
         hamiltonian_ends(Graph.from_edges(0, []))
-    with pytest.raises(CapacityError):
-        hamiltonian_ends(petersen_graph(), max_n=9)
 
 
 def test_tau_subset():
@@ -171,6 +170,27 @@ def test_capacity_gate():
     # Hamiltonian path are its arcs
     cycle = cycle_graph(DETOUR_DP_MAX_N + 1)
     assert detour_order(cycle, max_n=cycle.n).tau == cycle.n == detour_order_dfs(cycle)
+
+
+C21 = cycle_graph(DETOUR_DP_MAX_N + 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda **kw: taupart.has_path_of_order(C21, 3, **kw),
+    lambda **kw: taupart.tau_partition_2connected(C21, taupart.PartitionTarget(10, 11), **kw),
+    lambda **kw: taupart.t_partition(C21, (7, 7, 7), **kw),
+    lambda **kw: taupart.detour_coloring(C21, 7, **kw),
+    lambda **kw: taupart.verify_detour_coloring(C21, [v % 3 for v in range(21)], 1, **kw),
+    lambda **kw: taupart.pair_partition_coloring(C21, **kw),
+    lambda **kw: taupart.star_coloring(C21, **kw),
+], ids=["has_path_of_order", "tau_partition_2connected", "t_partition", "detour_coloring",
+        "verify_detour_coloring", "pair_partition_coloring", "star_coloring"])
+def test_exponential_entries_refuse_c21_with_the_dp_cap(call):
+    # the cap is checked where the graph comes in; the queries below trust it
+    with pytest.raises(CapacityError) as exc:
+        call()
+    assert str(exc.value) == "subset dynamic program over 21 vertices exceeds the cap of 20"
+    assert call(max_n=21)
 
 
 def test_stopped_loop_returns_level_k():

@@ -130,11 +130,6 @@ def test_diagnostics_catch_tampering():
     assert not validate_ears(g, missing)
 
 
-def test_json_roundtrip():
-    d = ear_decompose(petersen_graph())
-    assert EarDecomposition.from_json_dict(d.to_json_dict()) == d
-
-
 def test_ear_levels_add_one_ear_at_a_time():
     g = random_2connected(11, extra_ears=4, seed=3)
     levels = list(ear_levels(ear_decompose(g)))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taupart.detour import detour_order, tau_subset
-from taupart.errors import GraphError, TargetError, VerificationError
+from taupart.errors import CapacityError, GraphError, TargetError, VerificationError
 from taupart.graphs import (
     complete_graph,
     cycle_graph,
@@ -162,3 +162,11 @@ def test_exact_never_exceeds_constructive_bound(n, p, seed, nn):
     assert exact <= -(-tau // nn)
     cert = detour_coloring(g, nn)
     assert exact <= cert.colors_used
+
+
+def test_verify_detour_coloring_holds_the_dp_cap():
+    k21 = complete_graph(21)
+    with pytest.raises(CapacityError) as exc:
+        verify_detour_coloring(k21, [0] * 21, 1)
+    assert str(exc.value) == "subset dynamic program over 21 vertices exceeds the cap of 20"
+    assert verify_detour_coloring(k21, [0] * 21, 1, max_n=21) is False

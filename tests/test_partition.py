@@ -340,6 +340,24 @@ def test_graph_facts_check_the_cap_on_every_call():
         tau_partition(g, PartitionTarget(5, 5), max_n=9)
 
 
+def test_a_raised_cap_reaches_the_dps_below_the_entry(count_dps):
+    from taupart import partition
+    from taupart.oracle import verify_record
+
+    g = add_ear(add_ear(cycle_graph(4), 0, 2, 9), 1, 3, 9)
+    assert encode_graph6(g) == "Ul_GGC@?G?_@G@O???G?@??C??G??G??C??@C??G"
+    partition._graph_facts.cache_clear()
+    assert graph_facts(g, 22).tau == 22
+    assert count_dps == [22]  # the top level's hamiltonian_ends, on all of g
+    cert = tau_partition(g, PartitionTarget(11, 11), max_n=22)
+    assert cert.method == "constructed"
+    assert verify_record(cert.to_json_dict(), max_n=22) == (True, "ok")
+    with pytest.raises(CapacityError):
+        graph_facts(g)
+    with pytest.raises(CapacityError):
+        tau_partition(g, PartitionTarget(11, 11))
+
+
 def test_graph_facts_reject_levels_that_do_not_rebuild_the_graph(monkeypatch):
     from taupart import partition
 
