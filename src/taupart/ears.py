@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import GraphError, InternalCheckError, NotTwoConnectedError
-from .graphs import Graph, add_ear, blocks, cycle_graph, ids_to_mask, is_connected, iter_bits, pair_index
+from .graphs import Graph, add_ear, blocks, cycle_graph, dfs_tree, ids_to_mask, is_connected, iter_bits, pair_index
 
 
 @dataclass(frozen=True)
@@ -82,26 +82,10 @@ def ear_decompose(g: Graph, base_cycle: tuple[int, ...] | None = None) -> EarDec
 
 def _chain_decompose(g: Graph) -> EarDecomposition:
     n = g.n
-    parent = [-1] * n
-    dfsnum = [-1] * n
-    order: list[int] = []
-    # Iterative DFS from vertex 0, visiting neighbours in ascending order.
-    stack = [(0, iter(g.neighbors(0)))]
-    dfsnum[0] = 0
-    order.append(0)
-    timer = 1
-    while stack:
-        v, it = stack[-1]
-        w = next(it, None)
-        if w is None:
-            stack.pop()
-            continue
-        if dfsnum[w] == -1:
-            parent[w] = v
-            dfsnum[w] = timer
-            timer += 1
-            order.append(w)
-            stack.append((w, iter(g.neighbors(w))))
+    parent, order = dfs_tree(g, 0)
+    dfsnum = [0] * n
+    for i, v in enumerate(order):
+        dfsnum[v] = i
 
     back_at: list[list[int]] = [[] for _ in range(n)]
     for u in range(n):

@@ -74,8 +74,8 @@ class StarRepairError(RuntimeError):
     """The bicoloured-P4 repair loop gave up.
 
     `residual` holds the bicoloured P4s present when the loop stopped and
-    `colors` the colouring at that point; callers treat this as a witness
-    and fall back to exhaustive search.
+    `colors` the colouring at that point; star_coloring records both as a
+    witness and colours the component by depth in a depth-first tree.
     """
 
     def __init__(self, message: str, residual: list[tuple[int, int, int, int]], colors: tuple[int, ...]):

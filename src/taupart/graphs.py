@@ -333,6 +333,30 @@ def is_connected(g: Graph) -> bool:
     return closure(g.adj, 1, g.full_mask) == g.full_mask
 
 
+def dfs_tree(g: Graph, root: int) -> tuple[list[int], list[int]]:
+    """Depth-first tree of root's component, neighbours visited in ascending order.
+
+    Returns (parent, preorder): parent[v] is v's tree parent, -1 for the
+    root and for vertices outside the component; preorder lists the
+    component's vertices in the order they were reached.
+    """
+    parent = [-1] * g.n
+    preorder = [root]
+    seen = 1 << root
+    stack = [root]
+    while stack:
+        rest = g.adj[stack[-1]] & ~seen
+        if not rest:
+            stack.pop()
+            continue
+        w = (rest & -rest).bit_length() - 1
+        parent[w] = stack[-1]
+        preorder.append(w)
+        seen |= 1 << w
+        stack.append(w)
+    return parent, preorder
+
+
 def induced_subgraph(g: Graph, vertices: int | Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Induced subgraph on the given vertex set (mask or iterable of ids).
 

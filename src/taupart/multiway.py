@@ -31,8 +31,9 @@ class ColoringCertificate:
     """A verified vertex colouring with the bound it was built against.
 
     `property` names what was verified ("n-detour" with the class bound in
-    `n`, or "star").  `witness` is only present when a repair fell back to
-    exhaustive search.
+    `n`, or "star").  `witness` is only present on a star colouring whose
+    repair loop stalled: one dict per stalled component, in component
+    order, giving its vertices, residual P4s and colouring at the stall.
     """
 
     graph6: str
@@ -42,7 +43,7 @@ class ColoringCertificate:
     property: str
     verified: bool
     n: int | None = None
-    witness: dict | None = None
+    witness: list[dict] | None = None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -186,22 +187,22 @@ def detour_coloring(g: Graph, n: int, max_n: int | None = None) -> ColoringCerti
     return ColoringCertificate(g6, tuple(colors), used, bound, "n-detour", True, n=n)
 
 
-def smallest_coloring(g: Graph, admissible: Callable[[int, int, list[int], list[int]], bool],
-                      max_k: int) -> tuple[int, ...] | None:
-    """The first colouring of g with the fewest colours, at most max_k, or None.
+def smallest_coloring(g: Graph,
+                      admissible: Callable[[int, int, list[int], list[int]], bool]) -> tuple[int, ...]:
+    """The first colouring of g with the fewest colours.
 
-    The one backtracking colour search.  Vertices take colours in id order,
-    each trying colours from the lowest and opening at most one new colour.
+    The one backtracking colour search, behind the exact n-detour, star and
+    acyclic chromatic numbers.  Vertices take colours in id order, each
+    trying colours from the lowest and opening at most one new colour.
     After v takes colour c, `admissible(v, c, colors, classes)` says whether
     to go on: colors holds -1 above v, classes[c] is the vertex mask of
     colour c with v in it.  It may reject a partial colouring only when no
-    extension of it is valid.  With max_k = g.n a colouring is found when
-    one colour per vertex passes, as it does for every caller's test.
-    Exponential in g.n.
+    extension of it is valid, and must pass one colour per vertex, as every
+    caller's test does; else InternalCheckError.  Exponential in g.n.
     """
     if g.n == 0:
         return ()
-    for k in range(1, max_k + 1):
+    for k in range(1, g.n + 1):
         colors = [-1] * g.n
         classes = [0] * k
 
@@ -219,7 +220,7 @@ def smallest_coloring(g: Graph, admissible: Callable[[int, int, list[int], list[
 
         if place(0, 0):
             return tuple(colors)
-    return None
+    raise InternalCheckError("the step test rejects one colour per vertex")
 
 
 def exact_detour_chromatic(g: Graph, n: int, max_n: int | None = None) -> int:
@@ -231,6 +232,5 @@ def exact_detour_chromatic(g: Graph, n: int, max_n: int | None = None) -> int:
     if n < 1:
         raise TargetError(f"class bound n={n} must be positive")
     check_capacity(g.n, max_n, EXACT_SEARCH_MAX_N, "exact search")
-    colors = smallest_coloring(
-        g, lambda v, c, colors, classes: subset_tau_at_most(g, classes[c], n), g.n)
+    colors = smallest_coloring(g, lambda v, c, colors, classes: subset_tau_at_most(g, classes[c], n))
     return len(set(colors))

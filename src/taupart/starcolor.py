@@ -9,12 +9,16 @@ perfect matching plus isolated vertices), give part i the colour pair
 colour, then repair the remaining bicoloured P4s one at a time, flipping a
 degree-0 vertex of the offending pair or swapping a matching edge.  The
 repair loop is capped; if it stalls, the residual P4 list is reported as a
-witness and an exhaustive search (still within tau colours) takes over.
+witness and the component is coloured by depth in a depth-first tree
+instead.  That colouring needs no search: every non-tree edge joins an
+ancestor to a descendant, so any two depth classes induce a star forest,
+and a root-to-leaf path of the tree is a path of g, so there are at most
+tau depths (the tree-depth argument of Nesetril and Ossona de Mendez).
 
-That fallback and the exact star and acyclic chromatic numbers are the one
-backtracking search, multiway.smallest_coloring, each with its own step
-test.  Verification and the exact searches are independent of the
-construction and are what the certificates are checked against.
+The exact star and acyclic chromatic numbers run the one backtracking
+search, multiway.smallest_coloring, each with its own step test.
+Verification and the exact searches are independent of the construction
+and are what the certificates are checked against.
 """
 
 from __future__ import annotations
@@ -23,13 +27,18 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .detour import check_capacity
-from .errors import (
-    CounterexampleError,
-    GraphError,
-    InternalCheckError,
-    StarRepairError,
+from .errors import GraphError, InternalCheckError, StarRepairError
+from .graphs import (
+    Graph,
+    closure,
+    connected_components,
+    dfs_tree,
+    encode_graph6,
+    induced_subgraph,
+    is_connected,
+    iter_bits,
+    mask_to_ids,
 )
-from .graphs import Graph, closure, connected_components, encode_graph6, induced_subgraph, is_connected, iter_bits, mask_to_ids
 from .multiway import EXACT_SEARCH_MAX_N, ColoringCertificate, color_classes, smallest_coloring, t_partition
 from .partition import graph_facts
 
@@ -231,7 +240,7 @@ def exact_star_chromatic(g: Graph, max_n: int | None = None) -> int:
     capped at EXACT_SEARCH_MAX_N vertices (override with max_n).
     """
     check_capacity(g.n, max_n, EXACT_SEARCH_MAX_N, "exact star search")
-    return len(set(smallest_coloring(g, _star_admissible(g), g.n)))
+    return len(set(smallest_coloring(g, _star_admissible(g))))
 
 
 def _acyclic_admissible(g: Graph):
@@ -250,7 +259,27 @@ def exact_acyclic_chromatic(g: Graph, max_n: int | None = None) -> int:
     Exponential; capped at EXACT_SEARCH_MAX_N vertices (override with max_n).
     """
     check_capacity(g.n, max_n, EXACT_SEARCH_MAX_N, "exact acyclic search")
-    return len(set(smallest_coloring(g, _acyclic_admissible(g), g.n)))
+    return len(set(smallest_coloring(g, _acyclic_admissible(g))))
+
+
+def depth_coloring(g: Graph) -> tuple[int, ...]:
+    """Star colouring of a connected graph by depth in a depth-first tree.
+
+    Every root is tried (dfs_tree's tree from it); the fewest depths win,
+    ties going to the lowest root.  Uses at most tau(g) colours, with no
+    search: see the module docstring.  O(n (n + m)).
+    """
+    best: list[int] = []
+    for root in range(g.n):
+        parent, preorder = dfs_tree(g, root)
+        if len(preorder) != g.n:
+            raise GraphError("depth colouring expects a connected graph")
+        depth = [0] * g.n
+        for v in preorder[1:]:
+            depth[v] = depth[parent[v]] + 1
+        if not best or max(depth) < max(best):
+            best = depth
+    return tuple(best)
 
 
 def star_coloring(g: Graph, max_n: int | None = None) -> ColoringCertificate:
@@ -258,32 +287,28 @@ def star_coloring(g: Graph, max_n: int | None = None) -> ColoringCertificate:
 
     Components are coloured independently (colour indices are reused across
     components; no P4 crosses a component boundary).  A component whose
-    repair loop stalls falls back to exhaustive search within its own detour
-    order, and the stall is recorded as a witness on the certificate.
+    repair loop stalls is coloured by depth_coloring instead, and the stall
+    is recorded on the certificate: one witness per stalled component, in
+    component order.
     """
     g6 = encode_graph6(g)
     if g.n == 0:
         return ColoringCertificate(g6, (), 0, 0, "star", True)
     tau_g = graph_facts(g, max_n).tau
     colors = [0] * g.n
-    witness: dict | None = None
+    witnesses: list[dict] = []
     for comp in connected_components(g):
         sub, _ = induced_subgraph(g, comp)
         order = mask_to_ids(comp)
         try:
             ppc = pair_partition_coloring(sub, max_n=max_n)
-            ppc = repair_bicolored_p4s(sub, ppc)
-            comp_colors = ppc.colors
+            comp_colors = repair_bicolored_p4s(sub, ppc).colors
         except StarRepairError as exc:
-            tau_c = graph_facts(sub, max_n).tau
-            comp_colors = smallest_coloring(sub, _star_admissible(sub), tau_c)
-            if comp_colors is None:
-                raise CounterexampleError(
-                    f"no star colouring within {tau_c} colours", encode_graph6(sub), tau_c)
-            witness = {"component": order,
-                       "residual_p4s": [list(q) for q in exc.residual],
-                       "colors_at_failure": list(exc.colors),
-                       "note": str(exc)}
+            comp_colors = depth_coloring(sub)
+            witnesses.append({"component": order,
+                              "residual_p4s": [list(q) for q in exc.residual],
+                              "colors_at_failure": list(exc.colors),
+                              "note": str(exc)})
         for v_local, c in enumerate(comp_colors):
             colors[order[v_local]] = c
     if not verify_star_coloring(g, colors):
@@ -291,4 +316,5 @@ def star_coloring(g: Graph, max_n: int | None = None) -> ColoringCertificate:
     used = len(set(colors))
     if used > tau_g:
         raise InternalCheckError(f"star colouring used {used} colours, bound is {tau_g}")
-    return ColoringCertificate(g6, tuple(colors), used, tau_g, "star", True, witness=witness)
+    return ColoringCertificate(g6, tuple(colors), used, tau_g, "star", True,
+                               witness=witnesses or None)

@@ -484,7 +484,7 @@ def _construction_calls():
 
 # The digest of the construction's output at a fixed set of calls.  A change
 # that alters certificates, traces or witnesses on purpose re-pins it.
-CONSTRUCTION_OUTPUT_SHA256 = "c2e6b22c054ecd8d2baafb404f930d98646784a20f8866267b236b3116c1a81c"
+CONSTRUCTION_OUTPUT_SHA256 = "e1f2f4a3d4a7c1602e8edf775c3439f74c91f96fd12e9fd9441d789dcc7d7906"
 
 
 def test_construction_output_is_pinned(tmp_path):

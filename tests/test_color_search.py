@@ -2,9 +2,9 @@
 
 The reference below is a copy of the three hand-written backtrackers and
 the star fallback loop that `multiway.smallest_coloring` replaced: the
-exact n-detour, star and acyclic searches and the stalled-repair fallback
-of `star_coloring`.  The shared search must give the same chromatic numbers
-and, for the fallback, the same first colouring.
+exact n-detour, star and acyclic searches and the loop that once searched
+for a star colouring when the repair stalled.  The shared search must give
+the same chromatic numbers and, for the star test, the same first colouring.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from taupart.detour import detour_order, subset_tau_at_most
-from taupart.errors import CapacityError
+from taupart.errors import CapacityError, InternalCheckError
 from taupart.graphs import Graph, cycle_graph, from_triangle_mask, iter_bits, random_2connected
 from taupart.multiway import exact_detour_chromatic, smallest_coloring
 from taupart.oracle import connected_graphs_upto_iso
@@ -136,15 +136,15 @@ def test_shared_search_matches_the_old_backtrackers(g):
         assert exact_detour_chromatic(g, n) == ref_exact_detour_chromatic(g, n)
     assert exact_star_chromatic(g) == ref_smallest_k(ref_star_colors_with, g)
     assert exact_acyclic_chromatic(g) == ref_smallest_k(ref_acyclic_colors_with, g)
-    for k in range(1, tau + 1):
-        assert smallest_coloring(g, _star_admissible(g), k) == ref_star_fallback(g, k)
+    assert smallest_coloring(g, _star_admissible(g)) == ref_star_fallback(g, g.n)
 
 
 def test_shared_search_returns_the_first_colouring_of_the_fewest_colours():
     g = cycle_graph(5)
-    assert smallest_coloring(g, _acyclic_admissible(g), 5) == ref_acyclic_colors_with(g, 3)
-    assert smallest_coloring(g, _acyclic_admissible(g), 2) is None
-    assert smallest_coloring(Graph(0, ()), _star_admissible(Graph(0, ())), 0) == ()
+    assert smallest_coloring(g, _acyclic_admissible(g)) == ref_acyclic_colors_with(g, 3)
+    assert smallest_coloring(Graph(0, ()), _star_admissible(Graph(0, ()))) == ()
+    with pytest.raises(InternalCheckError):
+        smallest_coloring(g, lambda v, c, colors, classes: False)
 
 
 @pytest.mark.parametrize("search, call", [

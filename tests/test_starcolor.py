@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taupart.detour import detour_order
-from taupart.errors import StarRepairError
+from taupart.errors import GraphError, StarRepairError
 from taupart import starcolor
 from taupart.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
+    encode_graph6,
+    from_triangle_mask,
     ids_to_mask,
     iter_bits,
     parse_graph6,
@@ -24,8 +26,10 @@ from taupart.graphs import (
     random_2connected,
     random_graph,
 )
+from taupart.oracle import connected_graphs_upto_iso, two_connected_graphs_upto_iso
 from taupart.starcolor import (
     PairPartitionColoring,
+    depth_coloring,
     exact_acyclic_chromatic,
     exact_star_chromatic,
     find_bicolored_p4s,
@@ -244,14 +248,61 @@ def test_star_coloring_disconnected():
 
 def test_star_coloring_fallback_witness():
     # the one connected graph on <= 6 vertices whose pair colouring resists
-    # the local repairs; the exhaustive search still fits inside tau colours
+    # the local repairs; the depth colouring still fits inside tau colours
     g = parse_graph6("Ezn?")
     cert = star_coloring(g)
     assert cert.verified
     assert cert.witness is not None
-    assert "residual_p4s" in cert.witness
+    assert "residual_p4s" in cert.witness[0]
     assert cert.colors_used <= cert.bound
     assert "witness" in cert.to_json_dict()
+
+
+def test_star_coloring_keeps_a_witness_per_stalled_component():
+    g = parse_graph6("Ezn?")
+    twice = Graph(12, g.adj + tuple(row << 6 for row in g.adj))
+    cert = star_coloring(twice)
+    assert verify_star_coloring(twice, cert.colors)
+    assert [w["component"] for w in cert.witness] == [list(range(6)), list(range(6, 12))]
+    assert all("residual_p4s" in w and "colors_at_failure" in w for w in cert.witness)
+
+
+# every stall these graphs reach is coloured without the exact search: Ezn?,
+# the four stalling colourings of test_cli's construction calls, and a
+# 20-vertex graph on which that search took seconds
+STALLING = [parse_graph6("Ezn?"), parse_graph6("SheHGC@AgA_H?@??_?G?@??COCG??LO?C")] + [
+    random_2connected(7 + seed % 6, extra_ears=(7 + seed % 6) // 3, seed=seed) for seed in (1, 3, 4, 6)]
+
+
+@pytest.mark.parametrize("g", STALLING, ids=lambda g: f"n{g.n}m{g.m}")
+def test_stalled_repairs_need_no_exact_search(g, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("star_coloring ran the exact colour search")
+
+    monkeypatch.setattr(starcolor, "smallest_coloring", refuse)
+    cert = star_coloring(g)
+    assert cert.witness is not None
+    assert verify_star_coloring(g, cert.colors)
+    assert cert.colors_used <= cert.bound == detour_order(g).tau
+
+
+def test_depth_coloring_is_a_star_coloring_within_tau():
+    classes = [from_triangle_mask(n, m) for n in range(1, 7) for m in connected_graphs_upto_iso(n)]
+    classes += [from_triangle_mask(7, m) for m in two_connected_graphs_upto_iso(7)]
+    assert len(classes) == 611
+    for g in classes:
+        colors = depth_coloring(g)
+        assert verify_star_coloring(g, colors), encode_graph6(g)
+        assert len(set(colors)) <= detour_order(g).tau, encode_graph6(g)
+
+
+def test_depth_coloring_keeps_the_lowest_root_of_fewest_depths():
+    # a path on 5 vertices: the middle root gives 3 depths, an end root 5
+    assert depth_coloring(path_graph(5)) == (2, 1, 0, 1, 2)
+    # on 4 vertices the two middle roots both give 3 depths
+    assert depth_coloring(path_graph(4)) == (1, 0, 1, 2)
+    with pytest.raises(GraphError):
+        depth_coloring(Graph.from_edges(3, [(0, 1)]))
 
 
 def test_star_implies_acyclic():
