@@ -22,8 +22,8 @@ helpers on their first call, not with this module: a process whose DPs all
 stay below NUMPY_DP_MIN_K vertices never loads it.
 
 All subset-taking functions accept vertex masks in the graph's own ids and
-compact internally, so callers never pay for the full 2^n table when asking
-about a small part.
+relabel the subset to 0..k-1 with `graphs.relabel` before the DP, so callers
+never pay for the full 2^n table when asking about a small part.
 
 The size cap is checked once, where a graph enters the package: the
 exported entries, which the CLI subcommands call, run `check_capacity` on
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import CapacityError, GraphError
-from .graphs import Graph, closure, iter_bits, mask_to_ids
+from .graphs import Graph, closure, iter_bits, lift, relabel
 
 if TYPE_CHECKING:
     import numpy as np
@@ -66,20 +66,6 @@ class DetourRecord:
 
     tau: int
     witness_path: tuple[int, ...]
-
-
-def _compact(g: Graph, mask: int) -> tuple[list[int], list[int]]:
-    """Relabel `mask` to 0..k-1; returns (local adjacency masks, local->global ids)."""
-    order = mask_to_ids(mask)
-    pos = {v: i for i, v in enumerate(order)}
-    ladj = []
-    for v in order:
-        row = 0
-        rem = g.adj[v] & mask
-        for u in iter_bits(rem):
-            row |= 1 << pos[u]
-        ladj.append(row)
-    return ladj, order
 
 
 def check_capacity(k: int, max_n: int | None, cap: int = DETOUR_DP_MAX_N,
@@ -232,7 +218,7 @@ def detour_order(g: Graph, max_n: int | None = None) -> DetourRecord:
     if g.n == 0:
         raise GraphError("detour order of the empty graph is undefined")
     check_capacity(g.n, max_n)
-    ladj, order = _compact(g, g.full_mask)
+    ladj, order = relabel(g, g.full_mask)
     tau, table, last = _dp_levels(ladj)
     best_mask = min(last)
     path_local = _reconstruct(ladj, table, best_mask)
@@ -266,7 +252,7 @@ def tau_subset(g: Graph, mask: int) -> int:
     """Detour order of the induced subgraph <mask>; 0 for the empty set."""
     if mask == 0:
         return 0
-    ladj, _ = _compact(g, mask)
+    ladj, _ = relabel(g, mask)
     tau, _, _ = _dp_levels(ladj)
     return tau
 
@@ -277,7 +263,7 @@ def subset_has_path(g: Graph, mask: int, k: int) -> bool:
         raise GraphError(f"path order {k} must be positive")
     if k > mask.bit_count():
         return False
-    ladj, _ = _compact(g, mask)
+    ladj, _ = relabel(g, mask)
     tau, _, _ = _dp_levels(ladj, stop_at=k)
     return tau >= k
 
@@ -309,17 +295,14 @@ def end_vertices_of_order_paths(g: Graph, k: int, within: int | None = None) -> 
     mask = g.full_mask if within is None else within
     if k > mask.bit_count():
         return 0
-    ladj, order = _compact(g, mask)
+    ladj, order = relabel(g, mask)
     tau, table, last = _dp_levels(ladj, stop_at=k)
     if tau < k:
         return 0
     ends = 0
     for m in last:
         ends |= table[m]
-    out = 0
-    for v in iter_bits(ends):
-        out |= 1 << order[v]
-    return out
+    return lift(ends, order)
 
 
 def paths_of_order_at_least(g: Graph, k: int, within: int | None = None) -> list[tuple[int, ...]]:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import GraphError, InternalCheckError, NotTwoConnectedError
-from .graphs import Graph, add_ear, blocks, cycle_graph, dfs_tree, ids_to_mask, is_connected, iter_bits, pair_index
+from .graphs import (Graph, add_ear, blocks, cycle_graph, dfs_tree, ids_to_mask, is_connected, iter_bits, lift,
+                     pair_index)
 
 
 @dataclass(frozen=True)
@@ -296,8 +297,7 @@ def relabels_to(h: Graph, orig_of: Sequence[int], g: Graph) -> bool:
         return False
     rebuilt = [0] * g.n
     for u, row in enumerate(h.adj):
-        for w in iter_bits(row):
-            rebuilt[orig_of[u]] |= 1 << orig_of[w]
+        rebuilt[orig_of[u]] = lift(row, orig_of)
     return tuple(rebuilt) == g.adj
 
 

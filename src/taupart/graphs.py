@@ -6,6 +6,17 @@ representation keeps the subset dynamic programming and the induced-subgraph
 checks in the rest of the package cheap.  Graphs are immutable; editing
 operations return new graphs.
 
+The vertex-id conventions the rest of the package relies on live here, one
+function each:
+- `relabel` maps a vertex set A to local ids 0..k-1 in ascending order of
+  the original ids (the adjacency of <A> and the local->original `order`),
+  and `induced_subgraph` wraps the same rows in a Graph;
+- `lift` maps a mask over local ids back through such an `order`;
+- `connected_components` splits a vertex set into its components;
+- `triangle_rows` decodes an upper-triangle edge bitmask (pair_index order,
+  the bit order of graph6) into adjacency rows, and `to_triangle_mask`
+  encodes them.
+
 The supported vertex count is capped at MAX_VERTICES (64).  Python ints would
 happily go further, but everything downstream of parsing is exponential in n,
 so the cap keeps capacity failures explicit instead of letting a 200-vertex
@@ -235,31 +246,12 @@ def parse_graph6(line: str) -> Graph:
     if len(data) - pos > ngroups:
         raise Graph6Error("trailing garbage after edge data", pos + ngroups)
 
-    adj = [0] * n
-    bit = 0
-    for k in range(ngroups):
-        group = data[pos + k] - 63
-        for shift in range(5, -1, -1):
-            if bit >= nbits:
-                if group >> shift & 1:
-                    raise Graph6Error("nonzero padding bits", pos + k)
-                continue
-            if group >> shift & 1:
-                # invert pair_index: find column j with j*(j-1)/2 <= bit
-                j = _column_of(bit)
-                i = bit - j * (j - 1) // 2
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            bit += 1
-    return Graph(n, tuple(adj))
-
-
-def _column_of(bit: int) -> int:
-    # smallest j with (j+1)*j//2 > bit
-    j = 1
-    while j * (j + 1) // 2 <= bit:
-        j += 1
-    return j
+    # The groups' bits, most significant first, are the pairs in pair_index
+    # order; the padding that fills the last group must be zero.
+    bits = "".join(format(c - 63, "06b") for c in data[pos:])
+    if "1" in bits[nbits:]:
+        raise Graph6Error("nonzero padding bits", len(data) - 1)
+    return from_triangle_mask(n, int(bits[:nbits][::-1] or "0", 2))
 
 
 def encode_graph6(g: Graph) -> str:
@@ -269,32 +261,37 @@ def encode_graph6(g: Graph) -> str:
         head = [n + 63]
     else:
         head = [126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
-    nbits = n * (n - 1) // 2
-    groups = [0] * ((nbits + 5) // 6)
-    for j in range(n):
-        for i in range(j):
-            if g.adj[j] >> i & 1:
-                bit = pair_index(i, j)
-                groups[bit // 6] |= 1 << (5 - bit % 6)
-    return bytes(head + [x + 63 for x in groups]).decode("ascii")
+    width = (n * (n - 1) // 2 + 5) // 6 * 6
+    bits = f"{to_triangle_mask(g):0{width}b}"[::-1]  # pair 0 first, zero padding last
+    return bytes(head + [int(bits[k:k + 6], 2) + 63 for k in range(0, width, 6)]).decode("ascii")
+
+
+def triangle_rows(n: int, mask: int) -> list[int]:
+    """Adjacency rows of the graph on n vertices whose upper-triangle edge
+    bitmask (pair_index order) is `mask`.  Row j's lower part, the pairs
+    (i, j) with i < j, is the j bits of `mask` from bit j(j-1)/2 on; bits
+    past the last pair are ignored."""
+    adj = [0] * n
+    for j in range(1, n):
+        lower = mask >> (j * (j - 1) // 2) & ((1 << j) - 1)
+        adj[j] = lower
+        for i in iter_bits(lower):
+            adj[i] |= 1 << j
+    return adj
 
 
 def from_triangle_mask(n: int, mask: int) -> Graph:
     """Build a graph from its upper-triangle edge bitmask (pair_index order)."""
-    adj = [0] * n
-    for bit in iter_bits(mask):
-        j = _column_of(bit)
-        i = bit - j * (j - 1) // 2
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    return Graph(n, tuple(adj))
+    if mask >> (n * (n - 1) // 2):
+        raise GraphError(f"edge mask {mask:#x} has bits past the {n * (n - 1) // 2} pairs of n={n}")
+    return Graph(n, tuple(triangle_rows(n, mask)))
 
 
 def to_triangle_mask(g: Graph) -> int:
-    """Inverse of from_triangle_mask."""
+    """Inverse of from_triangle_mask: row j's lower part goes to bit j(j-1)/2 on."""
     mask = 0
-    for u, v in g.edges():
-        mask |= 1 << pair_index(u, v)
+    for j in range(1, g.n):
+        mask |= (g.adj[j] & ((1 << j) - 1)) << (j * (j - 1) // 2)
     return mask
 
 
@@ -316,14 +313,13 @@ def closure(adj: tuple[int, ...], seed_mask: int, allowed: int) -> int:
     return comp
 
 
-def connected_components(g: Graph) -> list[int]:
-    """Component vertex masks, ordered by smallest member id."""
-    rem = g.full_mask
+def connected_components(g: Graph, mask: int) -> list[int]:
+    """Vertex masks of the components of <mask>, ordered by smallest member id."""
     comps = []
-    while rem:
-        comp = closure(g.adj, rem & -rem, rem)
+    while mask:
+        comp = closure(g.adj, mask & -mask, mask)
         comps.append(comp)
-        rem &= ~comp
+        mask &= ~comp
     return comps
 
 
@@ -357,24 +353,45 @@ def dfs_tree(g: Graph, root: int) -> tuple[list[int], list[int]]:
     return parent, preorder
 
 
-def induced_subgraph(g: Graph, vertices: int | Iterable[int]) -> tuple[Graph, dict[int, int]]:
+def relabel(g: Graph, mask: int) -> tuple[list[int], list[int]]:
+    """Relabel the vertex set `mask` to 0..k-1 in ascending order of the
+    original ids.  Returns (local adjacency rows of <mask>, order), where
+    order[i] is the original id of local vertex i.
+
+    Every subset DP calls this, so `mask` is trusted and the rows are not
+    validated as a Graph; `induced_subgraph` is the checked form.
+    """
+    order = mask_to_ids(mask)
+    pos = {v: i for i, v in enumerate(order)}
+    rows = []
+    for v in order:
+        row = 0
+        for u in iter_bits(g.adj[v] & mask):
+            row |= 1 << pos[u]
+        rows.append(row)
+    return rows, order
+
+
+def lift(mask: int, order) -> int:
+    """Map a mask over local ids back to original ids: local vertex i is
+    order[i] (the order from `relabel`, or any local->original id list)."""
+    out = 0
+    for i in iter_bits(mask):
+        out |= 1 << order[i]
+    return out
+
+
+def induced_subgraph(g: Graph, vertices: int | Iterable[int]) -> tuple[Graph, list[int]]:
     """Induced subgraph on the given vertex set (mask or iterable of ids).
 
-    Returns the subgraph (vertices relabelled to 0..k-1 in ascending order
-    of their original ids) together with the old->new id mapping.
+    Returns the subgraph, relabelled as `relabel` does, together with
+    `order`: order[i] is the original id of the subgraph's vertex i.
     """
     mask = vertices if isinstance(vertices, int) else ids_to_mask(vertices)
     if mask & ~g.full_mask or mask < 0:
         raise GraphError(f"vertex set {mask:#x} not within 0..{g.n - 1}")
-    order = mask_to_ids(mask)
-    old_to_new = {v: i for i, v in enumerate(order)}
-    adj = []
-    for v in order:
-        row = 0
-        for u in iter_bits(g.adj[v] & mask):
-            row |= 1 << old_to_new[u]
-        adj.append(row)
-    return Graph(len(order), tuple(adj)), old_to_new
+    rows, order = relabel(g, mask)
+    return Graph(len(order), tuple(rows)), order
 
 
 def add_ear(g: Graph, x: int, y: int, r: int) -> Graph:

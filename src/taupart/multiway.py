@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 from .detour import check_capacity, subset_tau_at_most
 from .errors import GraphError, InternalCheckError, TargetError, VerificationError
-from .graphs import Graph, encode_graph6, induced_subgraph, iter_bits, mask_to_ids
-from .partition import PartitionTarget, graph_facts, tau_partition
+from .graphs import Graph, encode_graph6, induced_subgraph, iter_bits, lift
+from .partition import PartitionTarget, graph_facts, is_int, tau_partition
 
 EXACT_SEARCH_MAX_N = 14
 
@@ -89,20 +89,12 @@ def _split(g: Graph, parts: list[int], max_n: int | None) -> list[int]:
         return masks
     cert = tau_partition(g, PartitionTarget(parts[first], total - parts[first]), max_n=max_n,
                          tau_g=total)
-    sub, _ = induced_subgraph(g, cert.part_b)
-    order = mask_to_ids(cert.part_b)
+    sub, order = induced_subgraph(g, cert.part_b)
     # the certificate holds tau of the remainder, 0 when it is empty, so
     # the remainder needs no DP before its own split
     tau_rem = cert.tau_b
     rest = _rebalance(list(parts[first + 1:]), tau_rem)
-    sub_masks = _split(sub, rest, max_n)
-    lifted = []
-    for m in sub_masks:
-        lm = 0
-        for j in iter_bits(m):
-            lm |= 1 << order[j]
-        lifted.append(lm)
-    return [0] * first + [cert.part_a] + lifted
+    return [0] * first + [cert.part_a] + [lift(m, order) for m in _split(sub, rest, max_n)]
 
 
 def t_partition(g: Graph, parts: tuple[int, ...] | list[int], max_n: int | None = None) -> list[int]:
@@ -112,9 +104,11 @@ def t_partition(g: Graph, parts: tuple[int, ...] | list[int], max_n: int | None 
     mask per entry (possibly empty where re-balancing zeroed an entry's
     budget).
     """
-    parts = [int(p) for p in parts]
+    parts = list(parts)
     if not parts:
         raise TargetError("tuple target is empty")
+    if not all(is_int(p) for p in parts):
+        raise TargetError(f"tuple target {parts} must hold integers")
     if any(p < 1 for p in parts):
         raise TargetError(f"tuple target {parts} must be positive throughout")
     tau_g = graph_facts(g, max_n).tau

@@ -36,13 +36,15 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    closure,
+    blocks,
+    connected_components,
     encode_graph6,
     from_triangle_mask,
     ids_to_mask,
     is_connected,
     iter_bits,
     parse_graph6,
+    triangle_rows,
 )
 from .partition import PartitionTarget, tau_partition
 
@@ -69,14 +71,16 @@ def _is_json_int(x) -> bool:
 
 def _field_types_detail(rec: dict, ints: tuple[str, ...], int_lists: tuple[str, ...]) -> str | None:
     """The `schema:` detail for the first of `ints` that is not a JSON
-    integer or of `int_lists` that is not a JSON list of them; None when
-    every field is well typed."""
+    integer, of `int_lists` that is not a JSON list of them, or for a
+    'graph6' that is not a JSON string; None when every field is well typed."""
     for key in ints:
         if not _is_json_int(rec[key]):
             return f"schema: '{key}' must be an integer, got {type(rec[key]).__name__}"
     for key in int_lists:
         if not isinstance(rec[key], list) or not all(_is_json_int(x) for x in rec[key]):
             return f"schema: '{key}' must be a list of integers"
+    if not isinstance(rec["graph6"], str):
+        return "schema: 'graph6' must be a string"
     return None
 
 
@@ -89,7 +93,7 @@ def verify_partition_record(rec: dict, max_n: int | None = None) -> tuple[bool, 
     if bad:
         return False, bad
     try:
-        g = parse_graph6(str(rec["graph6"]))
+        g = parse_graph6(rec["graph6"])
     except (GraphError, CapacityError) as exc:
         return False, f"schema: {exc}"
     over = _capacity_detail(g, max_n)
@@ -126,7 +130,7 @@ def verify_coloring_record(rec: dict, max_n: int | None = None) -> tuple[bool, s
     if bad:
         return False, bad
     try:
-        g = parse_graph6(str(rec["graph6"]))
+        g = parse_graph6(rec["graph6"])
     except (GraphError, CapacityError) as exc:
         return False, f"schema: {exc}"
     colors = rec["colors"]
@@ -357,12 +361,7 @@ def _canonical_form(n: int, mask: int) -> int:
     is a pruned individualise-and-refine search (McKay & Piperno, Practical
     graph isomorphism II, J. Symb. Comput. 2014).
     """
-    adj = [0] * n  # read off the rows directly: a Graph would validate them again
-    for j in range(1, n):
-        lower = mask >> (j * (j - 1) // 2) & ((1 << j) - 1)
-        adj[j] = lower
-        for i in iter_bits(lower):
-            adj[i] |= 1 << j
+    adj = triangle_rows(n, mask)  # the rows alone: a Graph would validate them again
     best = -1
 
     def split(cells: list[int], u: int) -> list[int]:
@@ -462,14 +461,8 @@ def connected_graphs_upto_iso(n: int) -> list[int]:
 def _cut_parts(h: Graph) -> list[int]:
     """The components of h - c, for every cut vertex c of h."""
     parts = []
-    for c in range(h.n):
-        rest = h.full_mask & ~(1 << c)
-        comps = []
-        while rest:
-            comps.append(closure(h.adj, rest & -rest, rest))
-            rest &= ~comps[-1]
-        if len(comps) > 1:
-            parts += comps
+    for c in iter_bits(blocks(h)[1]):
+        parts += connected_components(h, h.full_mask & ~(1 << c))
     return parts
 
 

@@ -69,11 +69,17 @@ from .detour import (
 )
 from .ears import Ear, ear_decompose, ear_levels, is_two_connected, relabels_to, require_two_connected
 from .errors import CounterexampleError, GraphError, InternalCheckError, TargetError
-from .graphs import Graph, encode_graph6, ids_to_mask, is_connected, iter_bits, mask_to_ids
+from .graphs import Graph, encode_graph6, ids_to_mask, is_connected, lift, mask_to_ids
 
 # Brute force runs subset DPs on g with no cap check of their own, so this
 # cap must stay at or below DETOUR_DP_MAX_N.
 BRUTE_FORCE_MAX_N = 20
+
+
+def is_int(x) -> bool:
+    """An int and not a bool (True is an int in Python): the type of every
+    target entry."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -84,6 +90,8 @@ class PartitionTarget:
     b: int
 
     def __post_init__(self) -> None:
+        if not (is_int(self.a) and is_int(self.b)):
+            raise TargetError(f"target ({self.a!r}, {self.b!r}) must have integer parts")
         if self.a < 1 or self.b < 1:
             raise TargetError(f"target ({self.a}, {self.b}) must have positive parts")
 
@@ -469,15 +477,9 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
     lv = facts.levels
     levels, local_ears, orig_of, taus = lv.graphs, lv.ears, lv.orig_of, lv.taus
 
-    def to_orig(local_mask: int) -> int:
-        out = 0
-        for j in iter_bits(local_mask):
-            out |= 1 << orig_of[j]
-        return out
-
     def witness(kind: str, i: int, case_tag: str, tt: PartitionTarget, prior: tuple[int, int],
                 after: tuple[int, int] | None, detail: dict) -> FailureWitness:
-        pre_a, pre_b, post_a, post_b = (tuple(mask_to_ids(to_orig(m))) for m in (*prior, *(after or (0, 0))))
+        pre_a, pre_b, post_a, post_b = (tuple(mask_to_ids(lift(m, orig_of))) for m in (*prior, *(after or (0, 0))))
         return FailureWitness(kind, g6, t.a, t.b, i, case_tag, (tt.a, tt.b), pre_a, pre_b, post_a, post_b,
                               detail)
 
@@ -513,7 +515,7 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
         ok_a = subset_tau_at_most(h, after[0], tt.a)
         ok_b = subset_tau_at_most(h, after[1], tt.b)
         valid = ok_a and ok_b
-        trace.append(CaseStep(i, case_tag, to_orig(migrated), (targets[i].a, targets[i].b), valid))
+        trace.append(CaseStep(i, case_tag, lift(migrated, orig_of), (targets[i].a, targets[i].b), valid))
         if valid:
             part_a, part_b = after
             continue
@@ -539,7 +541,7 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
         break
 
     if final_orig is None:
-        final_orig = (to_orig(part_a), to_orig(part_b))
+        final_orig = (lift(part_a, orig_of), lift(part_b, orig_of))
     out_a, out_b = final_orig
     tau_a = tau_subset(g, out_a)
     tau_b = tau_subset(g, out_b)

@@ -30,14 +30,12 @@ from .detour import check_capacity
 from .errors import GraphError, InternalCheckError, StarRepairError
 from .graphs import (
     Graph,
-    closure,
     connected_components,
     dfs_tree,
     encode_graph6,
     induced_subgraph,
     is_connected,
     iter_bits,
-    mask_to_ids,
 )
 from .multiway import EXACT_SEARCH_MAX_N, ColoringCertificate, color_classes, smallest_coloring, t_partition
 from .partition import graph_facts
@@ -196,13 +194,7 @@ def verify_star_coloring(g: Graph, colors) -> bool:
 
 def _is_forest(g: Graph, mask: int) -> bool:
     edges2 = sum((g.adj[v] & mask).bit_count() for v in iter_bits(mask))
-    comps = 0
-    rem = mask
-    while rem:
-        comp = closure(g.adj, rem & -rem, rem)
-        comps += 1
-        rem &= ~comp
-    return edges2 // 2 == mask.bit_count() - comps
+    return edges2 // 2 == mask.bit_count() - len(connected_components(g, mask))
 
 
 def verify_acyclic_coloring(g: Graph, colors) -> bool:
@@ -297,9 +289,8 @@ def star_coloring(g: Graph, max_n: int | None = None) -> ColoringCertificate:
     tau_g = graph_facts(g, max_n).tau
     colors = [0] * g.n
     witnesses: list[dict] = []
-    for comp in connected_components(g):
-        sub, _ = induced_subgraph(g, comp)
-        order = mask_to_ids(comp)
+    for comp in connected_components(g, g.full_mask):
+        sub, order = induced_subgraph(g, comp)
         try:
             ppc = pair_partition_coloring(sub, max_n=max_n)
             comp_colors = repair_bicolored_p4s(sub, ppc).colors

@@ -421,6 +421,9 @@ def _verify_text(text: str) -> tuple[int, list[str]]:
     (1, "bound", lambda v: None),
     (1, "colors", lambda v: "".join(map(str, v))),
     (2, "colors", lambda v: [str(c) for c in v]),
+    # str() made a 32-deep list a 28-vertex graph6 string, "[[[...]]]"
+    (0, "graph6", lambda v: json.loads("[" * 32 + "]" * 32)),
+    (1, "graph6", lambda v: 67),
 ])
 def test_verify_rejects_mistyped_fields(line, key, edit):
     rec = json.loads(_valid_lines()[line])

@@ -18,7 +18,6 @@ from taupart.detour import (
     DETOUR_DP_MAX_N,
     NUMPY_DP_MIN_K,
     _LevelTable,
-    _compact,
     _dp_levels,
     _dp_loop,
     _dp_numpy,
@@ -44,6 +43,7 @@ from taupart.graphs import (
     petersen_graph,
     random_2connected,
     random_graph,
+    relabel,
 )
 
 BOWTIE = parse_graph6("DxK")
@@ -198,7 +198,7 @@ def test_stopped_loop_returns_level_k():
     # run stopped at k
     for seed in range(40):
         g = random_graph(4 + seed % 7, 0.45, seed=seed)
-        ladj, _ = _compact(g, g.full_mask)
+        ladj, _ = relabel(g, g.full_mask)
         tau, table, _ = _dp_loop(ladj)
         for k in range(1, g.n + 1):
             level = sorted(m for m in range(1, 1 << g.n) if m.bit_count() == k and table[m])
@@ -221,7 +221,7 @@ def _numpy_kernel_cases():
 
 
 def _assert_kernels_agree(g):
-    ladj, order = _compact(g, g.full_mask)
+    ladj, order = relabel(g, g.full_mask)
     tau, table, last = _dp_loop(ladj)
     np_tau, np_table, np_last = _dp_numpy(ladj)
     assert np_tau == tau
@@ -254,7 +254,7 @@ def test_numpy_kernel_extends_a_wide_level_in_parts(monkeypatch):
 
 
 def test_small_full_order_runs_stay_on_the_loop():
-    ladj, _ = _compact(petersen_graph(), petersen_graph().full_mask)
+    ladj, _ = relabel(petersen_graph(), petersen_graph().full_mask)
     assert len(ladj) < NUMPY_DP_MIN_K
     assert type(_dp_levels(ladj)[1]) is list
 

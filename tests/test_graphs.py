@@ -23,10 +23,12 @@ from taupart.graphs import (
     cycle_graph,
     empty_graph,
     encode_graph6,
+    from_triangle_mask,
     ids_to_mask,
     induced_subgraph,
     is_connected,
     iter_bits,
+    lift,
     mask_to_ids,
     pair_index,
     parse_graph6,
@@ -34,7 +36,10 @@ from taupart.graphs import (
     petersen_graph,
     random_2connected,
     random_graph,
+    relabel,
     to_dot,
+    to_triangle_mask,
+    triangle_rows,
 )
 
 
@@ -126,8 +131,16 @@ def test_parse_rejects_trailing_bytes():
 def test_parse_rejects_nonzero_padding():
     # C5 is "Dhc"; 'c' carries group value 36, whose low two bits are padding
     bad = "Dh" + chr((36 | 1) + 63)
-    with pytest.raises(Graph6Error, match="padding"):
+    with pytest.raises(Graph6Error, match="padding") as exc:
         parse_graph6(bad)
+    assert exc.value.offset == 2
+    # long form: 63 vertices give 1953 pairs in 326 groups after the 4-byte
+    # order, so the last group, at offset 329, holds 3 padding bits
+    good = encode_graph6(empty_graph(63))
+    assert len(good) == 330
+    with pytest.raises(Graph6Error, match="padding") as exc:
+        parse_graph6(good[:-1] + chr(1 + 63))
+    assert exc.value.offset == 329
 
 
 def test_parse_rejects_bad_byte_with_offset():
@@ -191,9 +204,38 @@ def test_neighbors_and_degree():
 
 def test_induced_subgraph_triangle_of_bowtie():
     g = parse_graph6("DxK")
-    h, old_to_new = induced_subgraph(g, [2, 3, 4])
+    h, order = induced_subgraph(g, [2, 3, 4])
     assert h == complete_graph(3)
-    assert old_to_new == {2: 0, 3: 1, 4: 2}
+    assert order == [2, 3, 4]
+
+
+def test_relabel_lift_and_components_agree_on_seeded_subsets():
+    for seed in range(30):
+        g = random_graph(3 + seed % 9, 0.4, seed=seed)
+        for m in random_graph(g.n + 1, 0.5, seed=seed).adj:  # seeded vertex sets
+            m &= g.full_mask
+            rows, order = relabel(g, m)
+            sub, sub_order = induced_subgraph(g, m)
+            assert sub_order == order == mask_to_ids(m)
+            assert list(sub.adj) == rows
+            # lift inverts the relabel, row by row and on the whole set
+            assert lift((1 << len(order)) - 1, order) == m
+            assert [lift(row, order) for row in rows] == [g.adj[v] & m for v in order]
+            comps = connected_components(g, m)
+            assert [lift(c, order) for c in connected_components(sub, sub.full_mask)] == comps
+            assert sum(c.bit_count() for c in comps) == m.bit_count()
+            assert all(closure(g.adj, c & -c, m) == c for c in comps)
+
+
+def test_triangle_rows_roundtrip():
+    for seed in range(40):
+        g = random_graph(seed % 12, 0.45, seed=seed)
+        mask = to_triangle_mask(g)
+        assert mask == sum(1 << pair_index(u, v) for u, v in g.edges())
+        assert triangle_rows(g.n, mask) == list(g.adj)
+        assert from_triangle_mask(g.n, mask) == g
+    with pytest.raises(GraphError):
+        from_triangle_mask(4, 1 << 6)  # K4 has pairs 0..5 only
 
 
 def test_induced_subgraph_mask_and_errors():
@@ -234,7 +276,7 @@ def test_random_2connected_is_2connected(n, extra, seed):
 
 def test_connectivity_helpers():
     g = Graph.from_edges(5, [(0, 1), (2, 3)])
-    comps = connected_components(g)
+    comps = connected_components(g, g.full_mask)
     assert comps == [0b00011, 0b01100, 0b10000]
     assert not is_connected(g)
     assert is_connected(path_graph(4))

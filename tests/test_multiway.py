@@ -68,6 +68,13 @@ def test_entries_must_be_positive_and_sum_to_tau():
         t_partition(cycle_graph(6), ())
 
 
+def test_entries_must_be_integers():
+    # int() would have read (2.9, 2.9) as (2, 2), a valid target of C4
+    for parts in ((2.9, 2.9), (1.5, 2.5), (2.0, 2.0), (True,) * 4, (2, "2")):
+        with pytest.raises(TargetError):
+            t_partition(cycle_graph(4), parts)
+
+
 def test_split_reuses_the_taus_it_already_holds(count_dps):
     # each remainder's tau comes from the certificate that cut it off, and a
     # remainder that is not 2-connected checks its target sum against it

@@ -74,6 +74,10 @@ def test_target_validation():
         PartitionTarget(0, 3)
     with pytest.raises(TargetError):
         PartitionTarget(2, -1)
+    # only ints: a float part, or a bool (an int in Python, `true` in JSON)
+    for a, b in ((1.5, 1.5), (True, 3), (3, False), (2.0, 3), ("2", 3)):
+        with pytest.raises(TargetError):
+            PartitionTarget(a, b)
     assert PartitionTarget(2, 3).total == 5
 
 
