@@ -2,15 +2,11 @@
 
 A decomposition is a base cycle plus an ordered list of ears; attaching the
 ears in order rebuilds the graph, every prefix is 2-connected, and the ears
-partition the edge set.  The default construction is the chain decomposition
-from a depth-first tree: each unprocessed back edge opens a chain that runs
-back up tree edges until it hits an already-covered vertex.  The first chain
-is the base cycle; the rest are ears (a chain with no fresh vertices is a
-chord ear).
-
-An explicit base cycle can be forced instead, in which case ears are grown
-greedily from the covered set.  The partitioner never forces one: it folds
-the chain decomposition.
+partition the edge set.  The construction is the chain decomposition
+(Schmidt 2013) of the depth-first tree `graphs.dfs_tree` grows from vertex 0:
+each unprocessed back edge opens a chain that runs back up tree edges until
+it hits an already-covered vertex.  The first chain is the base cycle; the
+rest are ears (a chain with no fresh vertices is a chord ear).
 """
 
 from __future__ import annotations
@@ -63,25 +59,15 @@ def require_two_connected(g: Graph) -> None:
         raise NotTwoConnectedError(f"vertex {v} is a cut vertex", cut_vertex=v)
 
 
-def ear_decompose(g: Graph, base_cycle: tuple[int, ...] | None = None) -> EarDecomposition:
-    """Decompose a 2-connected graph into a base cycle plus ears.
-
-    With `base_cycle` given (a cycle of g, listed once without repeating the
-    first vertex), that cycle is used verbatim and ears are grown from it;
-    otherwise the base cycle comes from the chain decomposition.  Output is
-    deterministic for a given graph.
+def ear_decompose(g: Graph) -> EarDecomposition:
+    """Decompose a 2-connected graph into a base cycle plus ears: the chain
+    decomposition of `dfs_tree(g, 0)`.  Output is deterministic for a given
+    graph.
 
     Raises NotTwoConnectedError (naming a cut vertex when one exists) on
-    graphs that are not 2-connected, and GraphError if a forced base cycle
-    is not actually a cycle of g.
+    graphs that are not 2-connected.
     """
     require_two_connected(g)
-    if base_cycle is not None:
-        return _decompose_from_cycle(g, tuple(base_cycle))
-    return _chain_decompose(g)
-
-
-def _chain_decompose(g: Graph) -> EarDecomposition:
     n = g.n
     parent, order = dfs_tree(g, 0)
     dfsnum = [0] * n
@@ -116,67 +102,6 @@ def _chain_decompose(g: Graph) -> EarDecomposition:
     base = tuple(first[:-1])
     ears = tuple(Ear(c[0], c[-1], tuple(c[1:-1])) for c in chains[1:])
     return EarDecomposition(base, ears)
-
-
-def _decompose_from_cycle(g: Graph, seq: tuple[int, ...]) -> EarDecomposition:
-    if len(seq) < 3 or len(set(seq)) != len(seq):
-        raise GraphError(f"base cycle {seq} is not a simple cycle")
-    for i, v in enumerate(seq):
-        if not (0 <= v < g.n):
-            raise GraphError(f"base cycle vertex {v} out of range")
-        w = seq[(i + 1) % len(seq)]
-        if not g.has_edge(v, w):
-            raise GraphError(f"base cycle edge ({v}, {w}) is not an edge of g")
-    s_mask = ids_to_mask(seq)
-    covered = 0
-    for i, v in enumerate(seq):
-        covered |= 1 << pair_index(v, seq[(i + 1) % len(seq)])
-    total = g.m
-    ears: list[Ear] = []
-    while covered.bit_count() < total:
-        u = v0 = -1
-        for u_cand in iter_bits(s_mask):
-            for v_cand in g.neighbors(u_cand):
-                if not covered >> pair_index(u_cand, v_cand) & 1:
-                    u, v0 = u_cand, v_cand
-                    break
-            if u != -1:
-                break
-        if u == -1:
-            raise InternalCheckError("uncovered edges but none touch the built subgraph")
-        if s_mask >> v0 & 1:
-            ears.append(Ear(u, v0, ()))
-            covered |= 1 << pair_index(u, v0)
-            continue
-        walk = _attach_path(g, u, v0, s_mask)
-        ears.append(Ear(u, walk[-1], tuple(walk[:-1])))
-        chain = [u] + walk
-        for a, b in zip(chain, chain[1:]):
-            covered |= 1 << pair_index(a, b)
-        s_mask |= ids_to_mask(walk[:-1])
-    return EarDecomposition(seq, tuple(ears))
-
-
-def _attach_path(g: Graph, u: int, v: int, s_mask: int) -> list[int]:
-    """Path v, ..., t through vertices outside s_mask, ending at t in
-    s_mask with t != u.  First such path in ascending depth-first order."""
-    target = s_mask & ~(1 << u)
-
-    def dfs(w: int, used: int, acc: list[int]) -> list[int] | None:
-        for x in g.neighbors(w):
-            if x == u or used >> x & 1:
-                continue
-            if target >> x & 1:
-                return acc + [x]
-            got = dfs(x, used | (1 << x), acc + [x])
-            if got is not None:
-                return got
-        return None
-
-    path = dfs(v, 1 << v, [v])
-    if path is None:
-        raise InternalCheckError(f"no second attachment for ear at {u}; graph not 2-connected?")
-    return path
 
 
 def ear_diagnostics(g: Graph, d: EarDecomposition) -> list[str]:

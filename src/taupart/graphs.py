@@ -17,6 +17,11 @@ function each:
   the bit order of graph6) into adjacency rows, and `to_triangle_mask`
   encodes them.
 
+`dfs_tree` is the package's one depth-first search for structure: `blocks`
+reads cut vertices and blocks from low points on its trees, `ear_decompose`
+builds the chain decomposition on it, and `starcolor.depth_coloring` colours
+by depth in it.
+
 The supported vertex count is capped at MAX_VERTICES (64).  Python ints would
 happily go further, but everything downstream of parsing is exponential in n,
 so the cap keeps capacity failures explicit instead of letting a 200-vertex
@@ -457,61 +462,43 @@ def blocks(g: Graph) -> tuple[list[tuple[int, bool]], int]:
     Returns (block list, cut vertex mask) where each block is a
     (vertex mask, is_bridge) pair.  Isolated vertices appear as singleton
     non-bridge blocks so that every vertex belongs to some block.
+
+    Low points come from one `dfs_tree` per component (Hopcroft and Tarjan):
+    low[v] is the least preorder index reached from v's subtree by one edge,
+    settled in reverse preorder.  A tree child v of u with low[v] >= disc[u]
+    closes the block of u and the vertices of v's subtree not yet closed;
+    in a simple graph it is a bridge exactly when it has two vertices.
     """
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    cut_mask = 0
+    disc = [-1] * g.n
+    low = [0] * g.n
+    below = [1 << v for v in range(g.n)]
     out: list[tuple[int, bool]] = []
-    timer = 0
-    for root in range(n):
+    cut_mask = 0
+    for root in range(g.n):
         if disc[root] != -1:
             continue
+        parent, preorder = dfs_tree(g, root)
+        for i, v in enumerate(preorder):
+            disc[v] = i
         if not g.adj[root]:
-            disc[root] = timer
-            timer += 1
             out.append((1 << root, False))
             continue
-        disc[root] = low[root] = timer
-        timer += 1
-        estack: list[tuple[int, int]] = []
-        dfs = [(root, -1, iter(g.neighbors(root)))]
+        for v in preorder:
+            low[v] = min(disc[w] for w in iter_bits(g.adj[v]))
         root_children = 0
-        while dfs:
-            v, pv, it = dfs[-1]
-            w = next(it, None)
-            if w is None:
-                dfs.pop()
-                if not dfs:
-                    continue
-                u = dfs[-1][0]
+        for v in reversed(preorder[1:]):
+            u = parent[v]
+            if low[v] >= disc[u]:
+                block = below[v] | 1 << u
+                out.append((block, block.bit_count() == 2))
+                if u == root:
+                    root_children += 1
+                else:
+                    cut_mask |= 1 << u
+            else:
+                below[u] |= below[v]
                 if low[v] < low[u]:
                     low[u] = low[v]
-                if low[v] >= disc[u]:
-                    # u separates the subtree at v: pop one block
-                    mask = 0
-                    edge_count = 0
-                    while True:
-                        e = estack.pop()
-                        mask |= (1 << e[0]) | (1 << e[1])
-                        edge_count += 1
-                        if e == (u, v):
-                            break
-                    out.append((mask, edge_count == 1))
-                    if u == root:
-                        root_children += 1
-                    else:
-                        cut_mask |= 1 << u
-                continue
-            if disc[w] == -1:
-                estack.append((v, w))
-                disc[w] = low[w] = timer
-                timer += 1
-                dfs.append((w, v, iter(g.neighbors(w))))
-            elif w != pv and disc[w] < disc[v]:
-                estack.append((v, w))
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
         if root_children >= 2:
             cut_mask |= 1 << root
     return out, cut_mask

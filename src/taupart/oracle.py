@@ -107,6 +107,11 @@ def verify_partition_record(rec: dict, max_n: int | None = None) -> tuple[bool, 
         return False, "parts overlap"
     if (part_a | part_b) != g.full_mask:
         return False, "parts do not cover the vertex set"
+    # the masks are disjoint and cover V, so more than n ids repeat one
+    if len(rec["A"]) + len(rec["B"]) != g.n:
+        return False, "a vertex is listed twice in one part"
+    if a < 1 or b < 1:
+        return False, f"target ({a}, {b}) must have positive parts"
     tau_g = detour_order(g, max_n=max_n).tau
     if a + b != tau_g:
         return False, f"target ({a}, {b}) sums to {a + b}, detour order is {tau_g}"

@@ -436,6 +436,18 @@ def test_verify_rejects_mistyped_fields(line, key, edit):
     assert result["detail"].startswith(f"schema: '{key}' must be ")
 
 
+def test_verify_exits_3_on_partitions_the_builder_never_emits():
+    rec = json.loads(_valid_lines()[0])
+    doubled = {**rec, "A": rec["A"] + rec["A"][:1]}
+    empty = {**rec, "a": 0, "b": 6, "A": [], "B": list(range(6)), "tauA": 0, "tauB": 6}
+    code, out = _verify_text("".join(json.dumps(r) + "\n" for r in (doubled, empty)))
+    assert code == 3
+    assert [json.loads(line) for line in out] == [
+        {"line": 1, "ok": False, "detail": "a vertex is listed twice in one part"},
+        {"line": 2, "ok": False, "detail": "target (0, 6) must have positive parts"},
+        {"failed": 2, "records": 2, "summary": True}]
+
+
 def test_verify_rejects_deeply_nested_json():
     code, out = _verify_text("[" * 100_000 + "]" * 100_000 + "\n")
     assert code == 3
@@ -470,6 +482,22 @@ def test_verify_survives_a_mutated_or_truncated_certificate(data):
     result, summary = map(json.loads, out)
     assert summary == {"summary": True, "records": 1, "failed": int(not result["ok"])}
     assert code == (0 if result["ok"] else 3)
+
+
+# The digest of `taupart analyze` over every graph class with n <= 7 (1,252
+# lines): tau, 2-connectivity, blocks, bridges and cut vertices of each.
+ANALYZE_CLASSES_SHA256 = "eb1e86ced01225087ddb0aa4421e0757ee7044166ab5e6d08aeff073bc2c4390"
+
+
+def test_analyze_output_over_small_classes_is_pinned(tmp_path):
+    src = tmp_path / "classes.g6"
+    src.write_text("".join(encode_graph6(g) + "\n" for n in range(1, 8)
+                           for g in oracle.corpus_graphs(n, oracle.graphs_upto_iso(n))))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", str(src)]) == 0
+    assert len(out.getvalue().splitlines()) == 1252
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == ANALYZE_CLASSES_SHA256
 
 
 def _construction_calls():

@@ -17,7 +17,7 @@ from taupart.ears import (
     reconstruction_matches,
     validate_ears,
 )
-from taupart.errors import GraphError, NotTwoConnectedError
+from taupart.errors import NotTwoConnectedError
 from taupart.graphs import (
     Graph,
     add_ear,
@@ -70,21 +70,6 @@ def test_rejects_disconnected_and_tiny():
         ear_decompose(complete_graph(2))
     with pytest.raises(NotTwoConnectedError):
         ear_decompose(Graph.from_edges(1, []))
-
-
-def test_forced_base_cycle():
-    g = add_ear(cycle_graph(4), 0, 2, 0)  # C4 plus the 0-2 chord
-    d = ear_decompose(g, base_cycle=(0, 1, 2))
-    assert d.base_cycle == (0, 1, 2)
-    assert ear_diagnostics(g, d) == []
-
-
-def test_forced_base_cycle_must_be_a_cycle():
-    g = complete_graph(4)
-    with pytest.raises(GraphError):
-        ear_decompose(g, base_cycle=(0, 1))
-    with pytest.raises(GraphError):
-        ear_decompose(cycle_graph(5), base_cycle=(0, 1, 3))
 
 
 def test_all_two_connected_up_to_7():

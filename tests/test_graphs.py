@@ -7,6 +7,8 @@ triangle, 6-bit groups, bytes offset by 63) and are frozen here.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +43,7 @@ from taupart.graphs import (
     to_triangle_mask,
     triangle_rows,
 )
+from taupart.oracle import corpus_graphs, graphs_upto_iso
 
 
 def reference_g6(n: int, edges) -> str:
@@ -310,6 +313,45 @@ def test_blocks_isolated_vertex():
     block_list, cuts = blocks(g)
     assert (0b100, False) in block_list
     assert cuts == 0
+
+
+def _small_and_random_graphs():
+    for n in range(1, 8):
+        yield from corpus_graphs(n, graphs_upto_iso(n))
+    rng = random.Random(20)
+    for seed in range(300):
+        n = rng.randint(1, 20)
+        yield random_graph(n, rng.choice((1.0, 1.5, 2.0, 3.0)) / n, seed=seed)
+
+
+def test_blocks_match_their_definitions():
+    for g in _small_and_random_graphs():
+        block_list, cuts = blocks(g)
+        comps = len(connected_components(g, g.full_mask))
+        for v in range(g.n):
+            # a cut vertex is one whose deletion adds a component
+            split = len(connected_components(g, g.full_mask & ~(1 << v))) > comps
+            assert bool(cuts >> v & 1) == split, (encode_graph6(g), v)
+        masks = [m for m, _ in block_list]
+        # the blocks split the edge set exactly, and cover every vertex
+        for u, v in g.edges():
+            assert sum(m >> u & m >> v & 1 for m in masks) == 1, (encode_graph6(g), u, v)
+        assert all(any(m >> v & 1 for m in masks) for v in range(g.n))
+        for m, bridge in block_list:
+            assert bridge == (m.bit_count() == 2)
+            if m.bit_count() == 1:
+                assert g.adj[m.bit_length() - 1] == 0
+            elif bridge:
+                # an edge whose deletion disconnects its ends
+                u, v = mask_to_ids(m)
+                rows = list(g.adj)
+                rows[u] ^= 1 << v
+                rows[v] ^= 1 << u
+                assert g.has_edge(u, v) and not closure(tuple(rows), 1 << u, g.full_mask) >> v & 1
+            else:
+                # connected after any one vertex is deleted
+                for w in mask_to_ids(m):
+                    assert len(connected_components(g, m & ~(1 << w))) == 1, (encode_graph6(g), m, w)
 
 
 def test_to_dot_smoke():

@@ -334,6 +334,20 @@ def test_verify_partition_record_rejects_tampering():
     assert not ok and "method" in msg
 
 
+# Both records passed every check before: a vertex listed twice inside one
+# part overlaps nothing and still covers, and a target part of 0 was never
+# compared with anything but the detour order.
+@pytest.mark.parametrize("edit, detail", [
+    ({"A": [0, 4, 0]}, "a vertex is listed twice in one part"),
+    ({"a": 0, "b": 5, "A": [], "B": [0, 1, 2, 3, 4], "tauA": 0, "tauB": 5},
+     "target (0, 5) must have positive parts"),
+], ids=["repeated-vertex", "empty-part"])
+def test_verify_partition_record_rejects_what_the_builder_never_emits(edit, detail):
+    rec = tau_partition(parse_graph6("Dhc"), PartitionTarget(2, 3)).to_json_dict()
+    assert rec["A"] == [0, 4] and verify_partition_record(rec) == (True, "ok")
+    assert verify_partition_record({**rec, **edit}) == (False, detail)
+
+
 def test_verify_partition_record_checks_bounds_not_labels():
     # a violated bound must fail even if the recorded taus agree
     g = cycle_graph(5)

@@ -16,7 +16,8 @@ from taupart.detour import (
     hamiltonian_ends,
     tau_subset,
 )
-from taupart.errors import CapacityError, GraphError, InternalCheckError, NotTwoConnectedError, TargetError
+from taupart.errors import (CapacityError, CounterexampleError, GraphError, InternalCheckError, NotTwoConnectedError,
+                            TargetError)
 from taupart.graphs import (
     Graph,
     add_ear,
@@ -280,6 +281,36 @@ def test_k4_hard_target_falls_back_with_witnesses():
     audit = next(w for w in cert.witnesses if w.kind == "migration-audit")
     assert audit.detail["type"] == "adjacency"
     assert audit.detail["q"] == 1
+
+
+def test_no_level_partition_falls_back_to_the_whole_graph(monkeypatch):
+    from taupart import partition
+    from taupart.oracle import verify_record
+
+    g, t = complete_graph(4), PartitionTarget(3, 1)
+    real = partition.brute_force_partition
+    calls = []
+
+    def level_fails(h, tt, **kw):
+        calls.append(h is g)
+        return real(h, tt, **kw) if h is g else None
+
+    monkeypatch.setattr(partition, "brute_force_partition", level_fails)
+    cert = tau_partition(g, t)
+    assert calls == [False, True]  # the level repair, then the whole graph
+    assert cert.method == "fallback"
+    cert_is_valid(g, cert)
+    assert verify_record(cert.to_json_dict()) == (True, "ok")
+    bound, = (w for w in cert.witnesses if w.kind == "bound")
+    missing, = (w for w in cert.witnesses if w.kind == "no-level-partition")
+    assert (missing.ear_index, missing.case_tag, missing.level_target) == \
+        (bound.ear_index, bound.case_tag, bound.level_target)
+    assert (missing.post_a, missing.post_b) == ((), ())
+
+    monkeypatch.setattr(partition, "brute_force_partition", lambda h, tt, **kw: None)
+    with pytest.raises(CounterexampleError) as exc:
+        tau_partition(g, t)
+    assert (exc.value.graph6, exc.value.target) == (encode_graph6(g), (3, 1))
 
 
 def test_long_ear_gap_instance_currently_constructs():
