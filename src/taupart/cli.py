@@ -25,7 +25,6 @@ import random
 import sys
 
 from .detour import detour_order
-from .ears import is_two_connected
 from .errors import (
     CapacityError,
     CounterexampleError,
@@ -131,7 +130,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "n": g.n,
             "m": g.m,
             "tau": tau_g,
-            "two_connected": is_two_connected(g),
+            # every vertex lies in some block, so one block on 3 or more
+            # vertices is a connected graph with no cut vertex
+            "two_connected": g.n >= 3 and len(blks) == 1,
             "blocks": sorted(mask_to_ids(m) for m, _ in blks),
             "bridges": sum(1 for _, is_bridge in blks if is_bridge),
             "cut_vertices": mask_to_ids(cut_mask),

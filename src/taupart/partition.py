@@ -69,7 +69,7 @@ from .detour import (
 )
 from .ears import Ear, ear_decompose, ear_levels, is_two_connected, relabels_to, require_two_connected
 from .errors import CounterexampleError, GraphError, InternalCheckError, TargetError
-from .graphs import Graph, encode_graph6, ids_to_mask, is_connected, lift, mask_to_ids
+from .graphs import Graph, connected_components, encode_graph6, ids_to_mask, is_connected, lift, mask_to_ids
 
 # Brute force runs subset DPs on g with no cap check of their own, so this
 # cap must stay at or below DETOUR_DP_MAX_N.
@@ -404,24 +404,49 @@ def brute_force_partition(g: Graph, t: PartitionTarget, max_n: int | None = None
                           tau_g: int | None = None) -> tuple[int, int] | None:
     """Exhaustive search for an (a, b) partition; None if there is none.
 
-    Subsets are tried by increasing size, then in lexicographic order of the
-    sorted id tuple, so the returned partition is deterministic.  Requires
-    t.a + t.b == tau(g); anything else is a target error.  A caller that
-    already holds tau(g) passes it as tau_g, and the sum is checked against
-    it instead of a new whole-graph DP.
+    The result is the first partition in one fixed order: part A by
+    increasing size, then in lexicographic order of its sorted id tuple.
+    Requires t.a + t.b == tau(g); anything else is a target error.  A
+    caller that already holds tau(g) passes it as tau_g, and the sum is
+    checked against it instead of a new whole-graph DP.  The cap applies
+    to g as a whole.
+
+    Each connected component C is searched on its own, in the same order,
+    for an A within C with tau(<A>) <= a and tau(<C - A>) <= b; the answer
+    is the union of every component's first such A, or None as soon as a
+    component has none.  That is the whole-graph search's answer: tau of
+    an induced subgraph is the maximum over its components, so the
+    feasible parts of g are exactly the unions of feasible parts of its
+    components.  The first of them has the least size, so each component
+    contributes a part of its own least size.  Of two sets of equal size
+    the earlier one holds the least element of their symmetric difference,
+    and that difference splits by component, so the union of the
+    components' first parts comes before any other union of that size.
     """
     limit = check_capacity(g.n, max_n, BRUTE_FORCE_MAX_N, "brute-force partition")
     if tau_g is None:
         tau_g = detour_order(g, max_n=limit).tau
     if t.total != tau_g:
         raise TargetError(f"target ({t.a}, {t.b}) sums to {t.total}, detour order is {tau_g}")
-    full = g.full_mask
-    for size in range(g.n + 1):
-        for combo in itertools.combinations(range(g.n), size):
+    part_a = 0
+    for comp in connected_components(g, g.full_mask):
+        found = _first_component_part(g, comp, t)
+        if found is None:
+            return None
+        part_a |= found
+    return part_a, g.full_mask & ~part_a
+
+
+def _first_component_part(g: Graph, comp: int, t: PartitionTarget) -> int | None:
+    """The first A within comp, by size and then lexicographically, with
+    tau(<A>) <= t.a and tau(<comp - A>) <= t.b; None if there is none."""
+    ids = mask_to_ids(comp)
+    for size in range(len(ids) + 1):
+        for combo in itertools.combinations(ids, size):
             part_a = ids_to_mask(combo)
             if subset_tau_at_most(g, part_a, t.a) and \
-               subset_tau_at_most(g, full & ~part_a, t.b):
-                return part_a, full & ~part_a
+               subset_tau_at_most(g, comp & ~part_a, t.b):
+                return part_a
     return None
 
 
@@ -554,7 +579,9 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
 def tau_partition(g: Graph, t: PartitionTarget, max_n: int | None = None,
                   tau_g: int | None = None) -> PartitionCertificate:
     """(a, b) partition of any graph: 2-connected graphs go through the
-    ear construction, everything else straight to brute force.
+    ear construction, everything else to brute force, which searches each
+    connected component on its own (the first step of the reduction to
+    2-connected graphs; a cut vertex inside a component is not split on).
 
     A caller that already holds tau(g) passes it as tau_g; a graph that is
     not 2-connected then checks its target sum against it instead of a new

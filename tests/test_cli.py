@@ -60,6 +60,27 @@ def test_analyze_reports_cut_structure(tmp_path, capsys):
     assert recs[0]["bridges"] == 0
 
 
+def test_analyze_runs_one_blocks_per_graph(tmp_path, capsys, monkeypatch):
+    from taupart import cli, ears, graphs
+
+    calls = []
+    real = graphs.blocks
+
+    def counted(g):
+        calls.append(encode_graph6(g))
+        return real(g)
+
+    for module in (cli, ears, graphs):
+        monkeypatch.setattr(module, "blocks", counted)
+    lines = ["C~", "DxK", "Dhc", "A_", "@", "Hl?GGS?", "EhEG"]  # K4, bowtie, C5, K2, K1, 2C4+K1, C6
+    src = tmp_path / "g.g6"
+    src.write_text("".join(s + "\n" for s in lines))
+    code, recs, _ = run(capsys, "analyze", str(src))
+    assert code == 0
+    assert calls == lines
+    assert [r["two_connected"] for r in recs] == [True, False, True, False, False, False, True]
+
+
 def test_analyze_keep_going_collects_errors(tmp_path, capsys):
     src = tmp_path / "g.g6"
     src.write_text("not graph6!!\nC~\n")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from taupart.detour import (
     detour_order_dfs,
     end_vertices_of_order_paths,
     hamiltonian_ends,
+    subset_tau_at_most,
     tau_subset,
 )
 from taupart.errors import (CapacityError, CounterexampleError, GraphError, InternalCheckError, NotTwoConnectedError,
@@ -25,6 +27,7 @@ from taupart.graphs import (
     cycle_graph,
     encode_graph6,
     ids_to_mask,
+    is_connected,
     mask_to_ids,
     parse_graph6,
     path_graph,
@@ -244,6 +247,68 @@ def test_brute_force_repairs_reuse_the_known_detour_order(monkeypatch):
     assert dps == [4]  # the public entry checks the sum with its own DP
     with pytest.raises(TargetError):
         brute_force_partition(k4, PartitionTarget(2, 1), tau_g=4)
+
+
+def _whole_graph_brute_force(g, t):
+    """The whole-graph search brute force ran before it split g into
+    components: part A by size, then lexicographically, over all of V(g)."""
+    full = g.full_mask
+    for size in range(g.n + 1):
+        for combo in itertools.combinations(range(g.n), size):
+            part_a = ids_to_mask(combo)
+            if subset_tau_at_most(g, part_a, t.a) and subset_tau_at_most(g, full & ~part_a, t.b):
+                return part_a, full & ~part_a
+    return None
+
+
+def _disjoint_unions(count: int, seed: int):
+    """Disjoint unions of 2-4 small random graphs and at least one isolated
+    vertex, n <= 12, with the ids shuffled so the components interleave."""
+    rng = random.Random(seed)
+    for i in range(count):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
+        while sum(sizes) > 11:
+            sizes.pop()
+        n = sum(sizes) + rng.randint(1, 12 - sum(sizes))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges, offset = [], 0
+        for j, k in enumerate(sizes):
+            h = random_graph(k, rng.choice((0.5, 0.8, 1.0)), seed=seed + 10 * i + j)
+            edges += [(perm[offset + u], perm[offset + v]) for u, v in h.edges()]
+            offset += k
+        yield Graph.from_edges(n, edges)
+
+
+def test_brute_force_matches_the_whole_graph_search_on_disconnected_graphs():
+    from taupart.oracle import corpus_graphs, graphs_upto_iso
+
+    small = [g for n in range(2, 7) for g in corpus_graphs(n, graphs_upto_iso(n)) if not is_connected(g)]
+    assert len(small) == 65
+    unions = list(_disjoint_unions(40, seed=14))
+    assert all(not is_connected(g) and g.n <= 12 for g in unions)
+    targets = 0
+    for g in small + unions:
+        tau = detour_order(g).tau
+        for a in range(1, tau):
+            t = PartitionTarget(a, tau - a)
+            assert brute_force_partition(g, t) == _whole_graph_brute_force(g, t), (encode_graph6(g), a)
+            targets += 1
+    assert targets == 250
+
+
+def test_brute_force_finds_nothing_when_one_component_has_no_part():
+    g = parse_graph6("G~?GW[")  # 2K4: no K4 splits into two independent sets
+    t = PartitionTarget(1, 1)
+    assert brute_force_partition(g, t, tau_g=2) is None
+    assert _whole_graph_brute_force(g, t) is None
+
+
+def test_brute_force_runs_its_dps_one_component_at_a_time(count_dps):
+    g = parse_graph6("Hl?GGS?")  # 2C4 + K1
+    part_a = ids_to_mask([0, 4])  # the first vertex of each C4
+    assert brute_force_partition(g, PartitionTarget(1, 3), tau_g=4) == (part_a, g.full_mask & ~part_a)
+    assert count_dps and max(count_dps) <= 4
 
 
 # --- full pipeline ---------------------------------------------------------
