@@ -9,17 +9,17 @@ a path of order >= k" stop as soon as level k is reached.  The second engine
 pruning, sharing no code with the DP; the oracle sweeps cross-check the two
 and abort loudly if they ever disagree.
 
-The subset DP has two kernels with identical results.  `_dp_loop` walks the
-reached subsets one by one in pure Python over a 2^k list; it serves every
-early-exit query (`stop_at`) and every run on fewer than NUMPY_DP_MIN_K
-vertices, where numpy's per-call cost outweighs the work.
-`_dp_numpy` runs full-order DPs on NUMPY_DP_MIN_K or more vertices: it keeps
-each level as sorted uint64 arrays of masks and end masks and extends the
-whole level in a few array operations, so its time and memory grow with the
-subsets reached rather than with 2^k.  `_dp_levels` picks the kernel from
-those two facts alone.  numpy is imported by the numpy kernel and its
-helpers on their first call, not with this module: a process whose DPs all
-stay below NUMPY_DP_MIN_K vertices never loads it.
+The subset DP has two kernels with identical results, early exit
+(`stop_at`) or not.  `_dp_loop` walks the reached subsets one by one in pure
+Python over a 2^k list; it serves every run on fewer than NUMPY_DP_MIN_K
+vertices, where numpy's per-call cost outweighs the work.  `_dp_numpy` serves
+every run on NUMPY_DP_MIN_K or more vertices: it keeps each level as sorted
+uint64 arrays of masks and end masks and extends the whole level in a few
+array operations, so its time and memory grow with the subsets reached
+rather than with 2^k.  `_dp_levels` picks the kernel from the vertex count
+alone.  numpy is imported by the numpy kernel and its helpers on their first
+call, not with this module: a process whose DPs all stay below
+NUMPY_DP_MIN_K vertices never loads it.
 
 All subset-taking functions accept vertex masks in the graph's own ids and
 relabel the subset to 0..k-1 with `graphs.relabel` before the DP, so callers
@@ -46,15 +46,17 @@ if TYPE_CHECKING:
     import numpy as np
 
 # Time grows with the connected subsets a DP reaches, up to 2^n of them on a
-# dense graph.  Memory of a full-order run (`_dp_numpy`) grows with the
-# subsets reached, not with 2^n; an early-exit query, or any run below the
-# numpy kernel's threshold, still allocates a 2^k list.  Overridable at every
-# entry through max_n (the CLI wires TAUPART_MAX_N through).
+# dense graph.  Memory of a run on NUMPY_DP_MIN_K or more vertices
+# (`_dp_numpy`) grows with the subsets reached, not with 2^n, early exit or
+# not; a smaller run allocates a 2^k list, k < NUMPY_DP_MIN_K.
+# Overridable at every entry through max_n (the CLI wires TAUPART_MAX_N
+# through).
 DETOUR_DP_MAX_N = 20
 
-# Full-order DPs on at least this many vertices run on the numpy kernel.
-# Below it the pure loop is faster: per-call times on the sparse random
-# graphs of the benchmark cross between k = 13 and k = 14.
+# DPs on at least this many vertices, early exit or not, run on the numpy
+# kernel.  Below it the pure loop is faster: per-call times of full-order
+# runs on the sparse random graphs of the benchmark cross between k = 13 and
+# k = 14.
 NUMPY_DP_MIN_K = 14
 # Subsets of one level that `_dp_numpy` extends in one array operation.
 _NUMPY_DP_ROWS = 1 << 13
@@ -85,12 +87,12 @@ def check_capacity(k: int, max_n: int | None, cap: int = DETOUR_DP_MAX_N,
 def _dp_levels(ladj: list[int], stop_at: int | None = None):
     """Run the endpoint DP level by level; every subset DP passes here once.
 
-    Returns (tau, table, last_frontier) as `_dp_loop` documents.  A
-    full-order run on NUMPY_DP_MIN_K or more vertices goes to `_dp_numpy`,
-    everything else to `_dp_loop`.
+    Returns (tau, table, last_frontier) as `_dp_loop` documents.  A run on
+    NUMPY_DP_MIN_K or more vertices goes to `_dp_numpy`, a smaller one to
+    `_dp_loop`, early exit or not.
     """
-    if stop_at is None and len(ladj) >= NUMPY_DP_MIN_K:
-        return _dp_numpy(ladj)
+    if len(ladj) >= NUMPY_DP_MIN_K:
+        return _dp_numpy(ladj, stop_at)
     return _dp_loop(ladj, stop_at)
 
 
@@ -172,16 +174,17 @@ def _or_ends_by_mask(masks: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, n
     return masks[starts], np.bitwise_or.reduceat(ends, starts)
 
 
-def _dp_numpy(ladj: list[int]):
-    """Full-order endpoint DP over the reached subsets, one level at a time.
+def _dp_numpy(ladj: list[int], stop_at: int | None = None):
+    """Endpoint DP over the reached subsets, one level at a time.
 
-    Same results as `_dp_loop(ladj)`; the table is a `_LevelTable`, never a
-    2^k structure.  Each level is a sorted array of subset masks with their
-    end masks.  Vertex v extends subset S when v is outside S and adjacent to
-    an end of S; the new subsets are sorted, and the end bits of equal masks
-    are OR-ed together.  A level is extended _NUMPY_DP_ROWS subsets at a
-    time, so the (rows x k) temporaries stay small on dense graphs, where a
-    middle level holds C(k, k/2) subsets.  Every operand is a uint64 array or
+    Same results as `_dp_loop(ladj, stop_at)`, stopped at the same level;
+    the table is a `_LevelTable`, never a 2^k structure.  Each level is a
+    sorted array of subset masks with their end masks.  Vertex v extends
+    subset S when v is outside S and adjacent to an end of S; the new
+    subsets are sorted, and the end bits of equal masks are OR-ed together.
+    A level is extended _NUMPY_DP_ROWS subsets at a time, so the (rows x k)
+    temporaries stay small on dense graphs, where a middle level holds
+    C(k, k/2) subsets.  Every operand is a uint64 array or
     scalar: numpy before 2.0 turns uint64 mixed with a Python int into float64.
     """
     import numpy as np
@@ -192,7 +195,7 @@ def _dp_numpy(ladj: list[int]):
     zero = np.uint64(0)
     masks, ends = bits, bits
     levels = [(masks, ends)]
-    while True:
+    while stop_at is None or len(levels) < stop_at:
         found = []
         for lo in range(0, len(masks), _NUMPY_DP_ROWS):
             part, part_ends = masks[lo:lo + _NUMPY_DP_ROWS], ends[lo:lo + _NUMPY_DP_ROWS]

@@ -434,10 +434,13 @@ def random_2connected(n: int, extra_ears: int = 0, seed: int = 0) -> Graph:
 
     Starts from a random cycle and repeatedly attaches ears with fresh
     internal vertices until the order reaches n, then adds up to
-    `extra_ears` random chords.  Deterministic for a fixed seed.
+    `extra_ears` random chords.  Deterministic for a fixed seed.  An n
+    above MAX_VERTICES is refused before anything is built.
     """
     if n < 3:
         raise GraphError(f"2-connected graphs need at least 3 vertices, got {n}")
+    if n > MAX_VERTICES:
+        raise CapacityError(f"graph on {n} vertices exceeds the supported maximum of {MAX_VERTICES}")
     rng = random.Random(seed)
     g = cycle_graph(rng.randint(3, n))
     while g.n < n:

@@ -69,7 +69,7 @@ from .detour import (
 )
 from .ears import Ear, ear_decompose, ear_levels, is_two_connected, relabels_to, require_two_connected
 from .errors import CounterexampleError, GraphError, InternalCheckError, TargetError
-from .graphs import Graph, connected_components, encode_graph6, ids_to_mask, is_connected, lift, mask_to_ids
+from .graphs import Graph, connected_components, encode_graph6, ids_to_mask, is_connected, iter_bits, lift, mask_to_ids
 
 # Brute force runs subset DPs on g with no cap check of their own, so this
 # cap must stay at or below DETOUR_DP_MAX_N.
@@ -112,7 +112,7 @@ class CaseStep:
     ear_index: int
     case_tag: str  # "1.1" | "1.2" | "2.1" | "2.2" | "3"
     migrated: int
-    subtarget: tuple[int, int] | None
+    subtarget: tuple[int, int]
     valid_after: bool
 
     def to_json_dict(self) -> dict:
@@ -120,7 +120,7 @@ class CaseStep:
             "ear_index": self.ear_index,
             "case": self.case_tag,
             "migrated": mask_to_ids(self.migrated),
-            "subtarget": list(self.subtarget) if self.subtarget else None,
+            "subtarget": list(self.subtarget),
             "valid_after": self.valid_after,
         }
 
@@ -319,9 +319,9 @@ def choose_subtarget(t: PartitionTarget, tau_sub: int) -> PartitionTarget:
     return PartitionTarget(a1, tau_sub - a1)
 
 
-def extend_r0(h: Graph, prior: tuple[int, int], ear: Ear,
-              t: PartitionTarget) -> tuple[tuple[int, int], str, int]:
-    """Fold a chord ear x-y into the partition of h.
+def extend_r0(h: Graph, part_a: int, ear: Ear, t: PartitionTarget) -> tuple[int, str, int]:
+    """Fold a chord ear x-y into the partition of h, given and returned as
+    part A (part B is the rest of h).
 
     Endpoints in different parts: nothing changes ("1.1").  Endpoints in the
     same part P with bound p: for every orientation of every path of order
@@ -329,53 +329,43 @@ def extend_r0(h: Graph, prior: tuple[int, int], ear: Ear,
     ("1.2"); nothing moves when tau(<P>) still fits.  The (p+1)-th vertex of
     such a path is the last vertex of its order-(p+1) prefix, so the
     migrated set is the set of ends of order-(p+1) paths in <P>.  Like
-    every fold step it returns (parts, case tag, migrated mask) and checks
+    every fold step it returns (part A, case tag, migrated mask) and checks
     no bound; the caller verifies and repairs.
     """
-    part_a, part_b = prior
     xa = bool(part_a >> ear.x & 1)
     if xa != bool(part_a >> ear.y & 1):
-        return prior, "1.1", 0
-    donor, bound = (part_a, t.a) if xa else (part_b, t.b)
+        return part_a, "1.1", 0
+    donor, bound = (part_a, t.a) if xa else (h.full_mask & ~part_a, t.b)
     migrated = end_vertices_of_order_paths(h, bound + 1, within=donor)
-    if xa:
-        after = (part_a & ~migrated, part_b | migrated)
-    else:
-        after = (part_a | migrated, part_b & ~migrated)
-    return after, "1.2", migrated
+    return part_a ^ migrated, "1.2", migrated
 
 
-def extend_r1(h: Graph, prior: tuple[int, int], ear: Ear,
-              t: PartitionTarget) -> tuple[tuple[int, int], str, int]:
-    """Fold a one-internal-vertex ear x, v1, y into the partition.
+def extend_r1(h: Graph, part_a: int, ear: Ear, t: PartitionTarget) -> tuple[int, str, int]:
+    """Fold a one-internal-vertex ear x, v1, y into part A of the level
+    below; returns part A of h, whose part B is the rest of h.
 
     Same-part endpoints: v1 joins the other part ("2.1").  Split endpoints:
     v1 joins the a-side unless its attachment there already ends a path of
     order a inside that side, in which case it joins the b-side ("2.2").
     Nothing migrates.
     """
-    part_a, part_b = prior
     (v1,) = ear.internals
     xa = bool(part_a >> ear.x & 1)
     ya = bool(part_a >> ear.y & 1)
     if xa == ya:
         if xa:
-            after = (part_a, part_b | (1 << v1))
-        else:
-            after = (part_a | (1 << v1), part_b)
-        return after, "2.1", 0
+            return part_a, "2.1", 0
+        return part_a | (1 << v1), "2.1", 0
     a_end = ear.x if xa else ear.y
     ends = end_vertices_of_order_paths(h, t.a, within=part_a)
-    if not ends >> a_end & 1:
-        after = (part_a | (1 << v1), part_b)
-    else:
-        after = (part_a, part_b | (1 << v1))
-    return after, "2.2", 0
+    if ends >> a_end & 1:
+        return part_a, "2.2", 0
+    return part_a | (1 << v1), "2.2", 0
 
 
-def extend_rge2(h: Graph, prior: tuple[int, int], ear: Ear,
-                t: PartitionTarget) -> tuple[tuple[int, int], str, int]:
-    """Fold an ear with r >= 2 internal vertices by two-colouring them ("3").
+def extend_rge2(h: Graph, part_a: int, ear: Ear, t: PartitionTarget) -> tuple[int, str, int]:
+    """Fold an ear with r >= 2 internal vertices by two-colouring them ("3"),
+    given part A of the level below and returning part A of h.
 
     The first internal vertex takes the part opposite its endpoint x, the
     run alternates from there, and the last internal vertex takes the part
@@ -383,21 +373,15 @@ def extend_rge2(h: Graph, prior: tuple[int, int], ear: Ear,
     leaves two adjacent internals in one part, which the caller's verifier
     will catch).  Nothing migrates.
     """
-    part_a, part_b = prior
-    r = ear.r
-    side = [False] * r  # True = part A
-    side[0] = not (part_a >> ear.x & 1)
-    for i in range(1, r - 1):
-        side[i] = not side[i - 1]
-    side[r - 1] = not (part_a >> ear.y & 1)
-    add_a = 0
-    add_b = 0
-    for v, in_a in zip(ear.internals, side):
+    *run, last = ear.internals
+    in_a = not part_a >> ear.x & 1
+    for v in run:
         if in_a:
-            add_a |= 1 << v
-        else:
-            add_b |= 1 << v
-    return (part_a | add_a, part_b | add_b), "3", 0
+            part_a |= 1 << v
+        in_a = not in_a
+    if not part_a >> ear.y & 1:
+        part_a |= 1 << last
+    return part_a, "3", 0
 
 
 def brute_force_partition(g: Graph, t: PartitionTarget, max_n: int | None = None,
@@ -450,36 +434,38 @@ def _first_component_part(g: Graph, comp: int, t: PartitionTarget) -> int | None
     return None
 
 
-def _audit_migration(h: Graph, receiver_pre: int, migrated: int, b: int) -> list[dict]:
+def _audit_migration(h: Graph, receiver_pre: int, migrated: int, b: int, orig_of: tuple[int, ...]) -> list[dict]:
     """Check the migrated vertices against the receiving part.
 
     For each path X induced inside the migrated set (order c) and each
     position i (1-based), with q = i-1 and q = c-i: the migration rule requires
     b >= q+1 and the vertex at position i non-adjacent to every end vertex
     of a path of order b-q in the pre-migration receiving part.  Returns
-    one event per observed violation; an empty list means the rule held
-    on this instance.
+    one event per observed violation, with its vertices mapped through
+    orig_of to the graph's own ids; an empty list means the rule held on
+    this instance.
     """
+
+    @functools.cache
+    def receiver_ends(length: int) -> int:
+        return end_vertices_of_order_paths(h, length, within=receiver_pre)
+
     events: list[dict] = []
-    ends_cache: dict[int, int] = {}
     for seq in paths_of_order_at_least(h, 1, within=migrated):
         if seq[0] > seq[-1]:
             continue  # audit one orientation; both q values are checked anyway
         c = len(seq)
-        for idx, u in enumerate(seq):
-            i = idx + 1
+        path = [orig_of[v] for v in seq]
+        for i, u in enumerate(seq, 1):
             for q in sorted({i - 1, c - i}):
                 if b - q < 1:
-                    events.append({"type": "order-bound", "vertex": u, "q": q, "bound_b": b,
-                                   "path": list(seq)})
+                    events.append({"type": "order-bound", "vertex": orig_of[u], "q": q, "bound_b": b,
+                                   "path": path})
                     continue
-                length = b - q
-                if length not in ends_cache:
-                    ends_cache[length] = end_vertices_of_order_paths(h, length, within=receiver_pre)
-                conflicts = h.adj[u] & ends_cache[length]
+                conflicts = h.adj[u] & receiver_ends(b - q)
                 if conflicts:
-                    events.append({"type": "adjacency", "vertex": u, "q": q, "path_order": c,
-                                   "path": list(seq), "conflicts": mask_to_ids(conflicts)})
+                    events.append({"type": "adjacency", "vertex": orig_of[u], "q": q, "path_order": c,
+                                   "path": path, "conflicts": [orig_of[v] for v in iter_bits(conflicts)]})
     return events
 
 
@@ -489,8 +475,9 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
     Takes the ear levels and their detour orders from graph_facts, derives
     per-level targets top-down, splits the base cycle, folds the ears with
     the case rules, verifies every step exactly, and repairs failed steps by
-    brute force at that level (recording witnesses).  The returned
-    certificate is always verified against g.
+    brute force at that level (recording witnesses).  The partition of each
+    level is held as its part A alone; part B is the rest of the level.  The
+    returned certificate is always verified against g.
     """
     facts = graph_facts(g, max_n)
     tau_g = facts.tau
@@ -502,9 +489,13 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
     lv = facts.levels
     levels, local_ears, orig_of, taus = lv.graphs, lv.ears, lv.orig_of, lv.taus
 
-    def witness(kind: str, i: int, case_tag: str, tt: PartitionTarget, prior: tuple[int, int],
-                after: tuple[int, int] | None, detail: dict) -> FailureWitness:
-        pre_a, pre_b, post_a, post_b = (tuple(mask_to_ids(lift(m, orig_of))) for m in (*prior, *(after or (0, 0))))
+    def witness(kind: str, i: int, case_tag: str, tt: PartitionTarget, prior: int,
+                after: int | None, detail: dict) -> FailureWitness:
+        """A witness at ear i, from part A before the fold (on levels[i]) and
+        after it (on levels[i + 1]; None leaves post_A and post_B empty)."""
+        pre_b = levels[i].full_mask & ~prior
+        post = (0, 0) if after is None else (after, levels[i + 1].full_mask & ~after)
+        pre_a, pre_b, post_a, post_b = (tuple(mask_to_ids(lift(m, orig_of))) for m in (prior, pre_b, *post))
         return FailureWitness(kind, g6, t.a, t.b, i, case_tag, (tt.a, tt.b), pre_a, pre_b, post_a, post_b,
                               detail)
 
@@ -512,62 +503,54 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
     for i in range(len(levels) - 1, 0, -1):
         targets[i - 1] = choose_subtarget(targets[i], taus[i - 1])
 
-    part_a, part_b = partition_cycle(levels[0], targets[0])
+    part_a, _ = partition_cycle(levels[0], targets[0])
     method = "base-cycle" if not local_ears else "constructed"
     trace: list[CaseStep] = []
     witnesses: list[FailureWitness] = []
-    final_orig: tuple[int, int] | None = None
 
     for i, lear in enumerate(local_ears):
         h = levels[i + 1]
         tt = targets[i + 1]
-        prior = (part_a, part_b)
-        after, case_tag, migrated = (extend_r0, extend_r1, extend_rge2)[min(lear.r, 2)](h, prior, lear, tt)
+        after, case_tag, migrated = (extend_r0, extend_r1, extend_rge2)[min(lear.r, 2)](h, part_a, lear, tt)
 
         if migrated:  # only a "1.2" chord migrates
             if migrated & part_a:
-                receiver_pre, bound_recv = part_b, tt.b
+                receiver_pre, bound_recv = h.full_mask & ~part_a, tt.b
             else:
                 receiver_pre, bound_recv = part_a, tt.a
-            for ev in _audit_migration(h, receiver_pre, migrated, bound_recv):
-                ev_orig = dict(ev)
-                ev_orig["vertex"] = orig_of[ev["vertex"]]
-                ev_orig["path"] = [orig_of[v] for v in ev["path"]]
-                if "conflicts" in ev:
-                    ev_orig["conflicts"] = [orig_of[v] for v in ev["conflicts"]]
-                witnesses.append(witness("migration-audit", i, "1.2", tt, prior, after, ev_orig))
+            for ev in _audit_migration(h, receiver_pre, migrated, bound_recv, orig_of):
+                witnesses.append(witness("migration-audit", i, "1.2", tt, part_a, after, ev))
 
-        ok_a = subset_tau_at_most(h, after[0], tt.a)
-        ok_b = subset_tau_at_most(h, after[1], tt.b)
+        ok_a = subset_tau_at_most(h, after, tt.a)
+        ok_b = subset_tau_at_most(h, h.full_mask & ~after, tt.b)
         valid = ok_a and ok_b
         trace.append(CaseStep(i, case_tag, lift(migrated, orig_of), (targets[i].a, targets[i].b), valid))
         if valid:
-            part_a, part_b = after
+            part_a = after
             continue
 
         witnesses.append(witness(
-            "bound", i, case_tag, tt, prior, after,
-            {"tau_A": tau_subset(h, after[0]),
-             "tau_B": tau_subset(h, after[1]),
+            "bound", i, case_tag, tt, part_a, after,
+            {"tau_A": tau_subset(h, after),
+             "tau_B": tau_subset(h, h.full_mask & ~after),
              "violated": [s for s, ok in (("A", ok_a), ("B", ok_b)) if not ok]}))
         method = "fallback"
         repaired = brute_force_partition(h, tt, max_n=max_n, tau_g=taus[i + 1])
         if repaired is not None:
-            part_a, part_b = repaired
+            part_a, _ = repaired
             continue
         witnesses.append(witness(
-            "no-level-partition", i, case_tag, tt, prior, None,
+            "no-level-partition", i, case_tag, tt, part_a, None,
             {"note": f"no ({tt.a}, {tt.b}) partition of the level-{i + 1} graph"}))
         whole = brute_force_partition(g, t, max_n=max_n, tau_g=tau_g)
         if whole is None:
             raise CounterexampleError(
                 f"no ({t.a}, {t.b}) partition exists", g6, (t.a, t.b))
-        final_orig = whole
+        out_a, out_b = whole
         break
-
-    if final_orig is None:
-        final_orig = (lift(part_a, orig_of), lift(part_b, orig_of))
-    out_a, out_b = final_orig
+    else:  # every ear folded in
+        out_a = lift(part_a, orig_of)
+        out_b = g.full_mask & ~out_a
     tau_a = tau_subset(g, out_a)
     tau_b = tau_subset(g, out_b)
     if tau_a > t.a or tau_b > t.b or (out_a | out_b) != g.full_mask or (out_a & out_b):

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -375,6 +376,22 @@ def test_hunt_exits_4_when_a_graph_hits_the_cap(tmp_path, capsys, monkeypatch):
     assert recs[-1]["counts"]["counterexample"] == 1
     src.write_text("C~\n")
     assert run(capsys, *argv)[0] == 3
+
+
+def test_hunt_refuses_a_huge_random_order_before_building_it(tmp_path, capsys):
+    # a cycle on N vertices used to be built before the 64-vertex cap was
+    # checked, so the memory of `hunt --random N` grew linearly with N
+    tracemalloc.start()
+    try:
+        code, recs, out = run(capsys, "hunt", "--random", str(10**6), "1", "1",
+                              "--witness-file", str(tmp_path / "w.jsonl"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert peak < 1 << 20
+    assert recs == []
+    assert out.err == "capacity: graph on 1000000 vertices exceeds the supported maximum of 64\n"
 
 
 def test_max_n_env_lowers_caps(tmp_path, capsys, monkeypatch):

@@ -6,6 +6,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,7 @@ from taupart.graphs import (
     random_graph,
     relabel,
 )
+from taupart.multiway import verify_detour_coloring
 
 BOWTIE = parse_graph6("DxK")
 
@@ -239,12 +241,39 @@ def test_numpy_kernel_matches_the_loop():
     for g in _numpy_kernel_cases():
         ladj, order, table, last = _assert_kernels_agree(g)
         assert isinstance(_dp_levels(ladj)[1], _LevelTable)
-        assert type(_dp_levels(ladj, stop_at=2)[1]) is list
+        assert isinstance(_dp_levels(ladj, stop_at=2)[1], _LevelTable)
         witness = tuple(order[v] for v in _reconstruct(ladj, table, min(last)))
         rec = detour_order(g)
         assert rec.witness_path == witness
         assert rec.tau == detour_order_dfs(g)
         assert hamiltonian_ends(g) == (rec.tau, table[g.full_mask])
+
+
+def test_stopped_numpy_kernel_matches_the_loop():
+    # an early-exit query on NUMPY_DP_MIN_K or more vertices runs the numpy
+    # kernel, which must stop at level k exactly as the loop does
+    for g in _numpy_kernel_cases():
+        ladj, _ = relabel(g, g.full_mask)
+        for k in range(1, g.n + 2):
+            tau, table, last = _dp_loop(ladj, stop_at=k)
+            np_tau, np_table, np_last = _dp_numpy(ladj, stop_at=k)
+            assert np_tau == tau
+            assert np_last == sorted(last)
+            assert [np_table[m] for m in np_last] == [table[m] for m in np_last]
+
+
+def test_early_exit_query_allocates_no_2_to_the_k_table():
+    # one path on 2 vertices settles K22 with one colour class of bound 1;
+    # a 2^22-entry list would take 32 MiB
+    g = complete_graph(22)
+    detour_order(cycle_graph(NUMPY_DP_MIN_K))  # numpy loaded before tracing
+    tracemalloc.start()
+    try:
+        assert not verify_detour_coloring(g, [0] * 22, 1, max_n=22)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_numpy_kernel_extends_a_wide_level_in_parts(monkeypatch):
