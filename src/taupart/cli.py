@@ -24,7 +24,7 @@ import os
 import random
 import sys
 
-from .detour import detour_order
+from .detour import check_capacity, tau_subset
 from .errors import (
     CapacityError,
     CounterexampleError,
@@ -118,7 +118,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             print(to_dot(g, name=f"g{lineno}"))
             continue
         try:
-            tau_g = detour_order(g, max_n=max_n).tau if g.n else 0
+            check_capacity(g.n, max_n)
+            tau_g = tau_subset(g, g.full_mask)
         except CapacityError as exc:
             rows.append({"line": lineno, "error": str(exc)})
             over_cap = True

@@ -9,16 +9,20 @@ a path of order >= k" stop as soon as level k is reached.  The second engine
 pruning, sharing no code with the DP; the oracle sweeps cross-check the two
 and abort loudly if they ever disagree.
 
-The subset DP has two kernels with identical results, early exit
-(`stop_at`) or not.  `_dp_loop` walks the reached subsets one by one in pure
-Python over a 2^k list; it serves every run on fewer than NUMPY_DP_MIN_K
-vertices, where numpy's per-call cost outweighs the work.  `_dp_numpy` serves
-every run on NUMPY_DP_MIN_K or more vertices: it keeps each level as sorted
+The subset DP has three kernels with identical results, and `_dp_levels`
+picks one from what it can see of the run: the vertex count k, whether it
+stops early (`stop_at`), and the edge count m.  `_dp_numpy` serves every
+run on NUMPY_DP_MIN_K or more vertices: it keeps each level as sorted
 uint64 arrays of masks and end masks and extends the whole level in a few
 array operations, so its time and memory grow with the subsets reached
-rather than with 2^k.  `_dp_levels` picks the kernel from the vertex count
-alone.  numpy is imported by the numpy kernel and its helpers on their first
-call, not with this module: a process whose DPs all stay below
+rather than with 2^k.  Below NUMPY_DP_MIN_K, `_dp_bits` serves full-order
+runs (no `stop_at`) on graphs with m >= k: it keeps, for each level and
+end vertex, one Python int with one bit per subset (the Held-Karp layout)
+and builds the next level with a few big-int operations per vertex.
+`_dp_loop` serves the rest, early-exit runs and graphs with m < k (every
+forest), which reach few subsets: it walks the reached subsets one by one
+in pure Python over a 2^k list.  numpy is imported by the numpy kernel and its helpers on their
+first call, not with this module: a process whose DPs all stay below
 NUMPY_DP_MIN_K vertices never loads it.
 
 All subset-taking functions accept vertex masks in the graph's own ids and
@@ -36,6 +40,9 @@ within the cap, whatever cap the entry was given.
 
 from __future__ import annotations
 
+import functools
+import operator
+import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -48,15 +55,16 @@ if TYPE_CHECKING:
 # Time grows with the connected subsets a DP reaches, up to 2^n of them on a
 # dense graph.  Memory of a run on NUMPY_DP_MIN_K or more vertices
 # (`_dp_numpy`) grows with the subsets reached, not with 2^n, early exit or
-# not; a smaller run allocates a 2^k list, k < NUMPY_DP_MIN_K.
+# not.  A smaller run, k < NUMPY_DP_MIN_K, allocates a 2^k list (`_dp_loop`)
+# or tau * k ints of 2^k bits (`_dp_bits`, about 170 KiB on K13).
 # Overridable at every entry through max_n (the CLI wires TAUPART_MAX_N
 # through).
 DETOUR_DP_MAX_N = 20
 
 # DPs on at least this many vertices, early exit or not, run on the numpy
-# kernel.  Below it the pure loop is faster: per-call times of full-order
-# runs on the sparse random graphs of the benchmark cross between k = 13 and
-# k = 14.
+# kernel.  Below it the pure-Python kernels are faster: per-call times of
+# full-order runs on the sparse random graphs of the benchmark cross between
+# k = 13 and k = 14.
 NUMPY_DP_MIN_K = 14
 # Subsets of one level that `_dp_numpy` extends in one array operation.
 _NUMPY_DP_ROWS = 1 << 13
@@ -88,11 +96,18 @@ def _dp_levels(ladj: list[int], stop_at: int | None = None):
     """Run the endpoint DP level by level; every subset DP passes here once.
 
     Returns (tau, table, last_frontier) as `_dp_loop` documents.  A run on
-    NUMPY_DP_MIN_K or more vertices goes to `_dp_numpy`, a smaller one to
-    `_dp_loop`, early exit or not.
+    NUMPY_DP_MIN_K or more vertices goes to `_dp_numpy`, early exit or not.
+    A smaller full-order run (no `stop_at`) goes to `_dp_bits` when the graph
+    has at least as many edges as vertices, and everything else to
+    `_dp_loop`: an early-exit run, or a graph with fewer edges than
+    vertices (every forest), reaches too few subsets to pay for whole
+    levels of 2^k bits.
     """
-    if len(ladj) >= NUMPY_DP_MIN_K:
+    k = len(ladj)
+    if k >= NUMPY_DP_MIN_K:
         return _dp_numpy(ladj, stop_at)
+    if stop_at is None and sum(map(int.bit_count, ladj)) >= 2 * k:
+        return _dp_bits(ladj)
     return _dp_loop(ladj, stop_at)
 
 
@@ -140,6 +155,72 @@ def _dp_loop(ladj: list[int], stop_at: int | None = None):
     return tau, table, frontier
 
 
+@functools.cache
+def _lacks(k: int) -> tuple[int, ...]:
+    """For each w < k, the 2^k-bit int whose bit S is set when subset S
+    lacks w; built by doubling the width one vertex at a time."""
+    out: list[int] = []
+    for j in range(k):
+        width = 1 << j
+        out = [p | p << width for p in out]
+        out.append((1 << width) - 1)
+    return tuple(out)
+
+
+class _BitTable:
+    """End sets of a `_dp_bits` run: `levels[j - 1][v]` has bit S set when
+    <S>, |S| = j, has a Hamiltonian path ending at v.  `table[mask]` reads
+    like `_dp_loop`'s list: the end mask, or 0 for a subset not reached."""
+
+    __slots__ = ("levels",)
+
+    def __init__(self, levels: list[list[int]]) -> None:
+        self.levels = levels
+
+    def __getitem__(self, mask: int) -> int:
+        size = mask.bit_count()
+        if not 1 <= size <= len(self.levels):
+            return 0
+        ends = 0
+        for v, row in enumerate(self.levels[size - 1]):
+            if row >> mask & 1:
+                ends |= 1 << v
+        return ends
+
+
+def _dp_bits(ladj: list[int]):
+    """Full-order endpoint DP over all subsets at once, one level at a time.
+
+    Same results as `_dp_loop(ladj)`; the table is a `_BitTable`.  Level j
+    holds, for each end vertex v, one int whose bit S is set when <S>
+    (|S| = j) has a Hamiltonian path ending at v.  A path ending at w on
+    S + {w} is a path on S ending at a neighbour u of w, with w outside S:
+    so level j + 1 at w is the OR of level j at w's neighbours, restricted
+    to the subsets that lack w and shifted left by 2^w, which adds w to each.
+    """
+    k = len(ladj)
+    if k == 0:
+        return 0, [], []
+    lacks = _lacks(k)
+    nbrs = [list(iter_bits(a)) for a in ladj]
+    level = [1 << (1 << v) for v in range(k)]
+    levels = [level]
+    for _ in range(k - 1):  # a path has at most k vertices
+        nxt = []
+        for w in range(k):
+            acc = 0
+            for u in nbrs[w]:
+                acc |= level[u]
+            nxt.append((acc & lacks[w]) << (1 << w))
+        if not any(nxt):
+            break
+        levels.append(nxt)
+        level = nxt
+    reached = bin(functools.reduce(operator.or_, level))[:1:-1]
+    last = [m.start() for m in re.finditer("1", reached)]
+    return len(levels), _BitTable(levels), last
+
+
 class _LevelTable:
     """End masks of the subsets a `_dp_numpy` run reached, one level per
     popcount as sorted uint64 arrays (masks, ends).  `table[mask]` reads like
@@ -160,6 +241,12 @@ class _LevelTable:
         key = np.uint64(mask)
         i = int(np.searchsorted(masks, key))
         return int(ends[i]) if i < len(masks) and masks[i] == key else 0
+
+    def last_ends(self) -> int:
+        """OR of the end masks of the deepest level."""
+        import numpy as np
+
+        return int(np.bitwise_or.reduce(self.levels[-1][1]))
 
 
 def _or_ends_by_mask(masks: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -302,9 +389,10 @@ def end_vertices_of_order_paths(g: Graph, k: int, within: int | None = None) -> 
     tau, table, last = _dp_levels(ladj, stop_at=k)
     if tau < k:
         return 0
-    ends = 0
-    for m in last:
-        ends |= table[m]
+    if isinstance(table, _LevelTable):
+        ends = table.last_ends()
+    else:
+        ends = functools.reduce(operator.or_, map(table.__getitem__, last), 0)
     return lift(ends, order)
 
 

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import multiway, starcolor
-from .detour import check_capacity, detour_order, detour_order_dfs, tau_subset
+from .detour import check_capacity, detour_order_dfs, tau_subset
 from .errors import (
     CapacityError,
     CounterexampleError,
@@ -112,7 +112,7 @@ def verify_partition_record(rec: dict, max_n: int | None = None) -> tuple[bool, 
         return False, "a vertex is listed twice in one part"
     if a < 1 or b < 1:
         return False, f"target ({a}, {b}) must have positive parts"
-    tau_g = detour_order(g, max_n=max_n).tau
+    tau_g = tau_subset(g, g.full_mask)
     if a + b != tau_g:
         return False, f"target ({a}, {b}) sums to {a + b}, detour order is {tau_g}"
     tau_a = tau_subset(g, part_a)
@@ -143,7 +143,7 @@ def verify_coloring_record(rec: dict, max_n: int | None = None) -> tuple[bool, s
     if over:
         return False, over
     prop = rec["property"]
-    tau_g = detour_order(g, max_n=max_n).tau if g.n else 0
+    tau_g = tau_subset(g, g.full_mask)
     try:
         if prop == "n-detour":
             nb = rec.get("n")
@@ -219,7 +219,8 @@ class SweepReport:
 
 
 def _crosscheck_tau(g: Graph, max_n: int | None) -> int:
-    tau_g = detour_order(g, max_n=max_n).tau
+    check_capacity(g.n, max_n)
+    tau_g = tau_subset(g, g.full_mask)
     if 1 <= g.n <= DFS_CROSSCHECK_MAX_N:
         other = detour_order_dfs(g)
         if other != tau_g:

@@ -60,7 +60,6 @@ from dataclasses import dataclass, field
 
 from .detour import (
     check_capacity,
-    detour_order,
     end_vertices_of_order_paths,
     hamiltonian_ends,
     paths_of_order_at_least,
@@ -407,9 +406,9 @@ def brute_force_partition(g: Graph, t: PartitionTarget, max_n: int | None = None
     and that difference splits by component, so the union of the
     components' first parts comes before any other union of that size.
     """
-    limit = check_capacity(g.n, max_n, BRUTE_FORCE_MAX_N, "brute-force partition")
+    check_capacity(g.n, max_n, BRUTE_FORCE_MAX_N, "brute-force partition")
     if tau_g is None:
-        tau_g = detour_order(g, max_n=limit).tau
+        tau_g = tau_subset(g, g.full_mask)
     if t.total != tau_g:
         raise TargetError(f"target ({t.a}, {t.b}) sums to {t.total}, detour order is {tau_g}")
     part_a = 0

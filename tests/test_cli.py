@@ -209,6 +209,16 @@ def test_hunt_random_deterministic(tmp_path, capsys):
     assert "runtime_ms" not in out1.out
 
 
+def test_hunt_counts_the_empty_graph_as_vacuously_constructed(tmp_path, capsys):
+    src = tmp_path / "corpus.g6"
+    src.write_text("?\nDhc\n")
+    code, recs, _ = run(capsys, "hunt", "--source", str(src), "--deterministic",
+                        "--witness-file", str(tmp_path / "w.jsonl"))
+    assert code == 0
+    assert recs[-1]["graphs"] == 2
+    assert recs[-1]["counts"]["constructed"] == 2
+
+
 def test_hunt_source_parse_errors_keep_going(tmp_path, capsys):
     src = tmp_path / "corpus.g6"
     src.write_text("??bad\nC~\n")
@@ -484,6 +494,17 @@ def test_verify_exits_3_on_partitions_the_builder_never_emits():
         {"line": 1, "ok": False, "detail": "a vertex is listed twice in one part"},
         {"line": 2, "ok": False, "detail": "target (0, 6) must have positive parts"},
         {"failed": 2, "records": 2, "summary": True}]
+
+
+def test_verify_rejects_an_empty_graph_target_and_checks_the_lines_after_it():
+    empty = {"graph6": "?", "a": 1, "b": 1, "A": [], "B": [], "tauA": 0, "tauB": 0,
+             "method": "constructed", "trace": []}
+    code, out = _verify_text("".join(line + "\n" for line in (json.dumps(empty), *_valid_lines())))
+    assert code == 3
+    assert [json.loads(line) for line in out] == [
+        {"line": 1, "ok": False, "detail": "target (1, 1) sums to 2, detour order is 0"},
+        *({"line": i, "ok": True, "detail": "ok"} for i in (2, 3, 4)),
+        {"failed": 1, "records": 4, "summary": True}]
 
 
 def test_verify_rejects_deeply_nested_json():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import os
 import subprocess
 import sys
@@ -18,7 +20,9 @@ from taupart import detour
 from taupart.detour import (
     DETOUR_DP_MAX_N,
     NUMPY_DP_MIN_K,
+    _BitTable,
     _LevelTable,
+    _dp_bits,
     _dp_levels,
     _dp_loop,
     _dp_numpy,
@@ -38,6 +42,7 @@ from taupart.graphs import (
     add_ear,
     complete_graph,
     cycle_graph,
+    from_triangle_mask,
     ids_to_mask,
     parse_graph6,
     path_graph,
@@ -47,6 +52,7 @@ from taupart.graphs import (
     relabel,
 )
 from taupart.multiway import verify_detour_coloring
+from taupart.oracle import graphs_upto_iso
 
 BOWTIE = parse_graph6("DxK")
 
@@ -260,6 +266,7 @@ def test_stopped_numpy_kernel_matches_the_loop():
             assert np_tau == tau
             assert np_last == sorted(last)
             assert [np_table[m] for m in np_last] == [table[m] for m in np_last]
+            assert np_table.last_ends() == functools.reduce(operator.or_, map(table.__getitem__, last))
 
 
 def test_early_exit_query_allocates_no_2_to_the_k_table():
@@ -282,10 +289,51 @@ def test_numpy_kernel_extends_a_wide_level_in_parts(monkeypatch):
         _assert_kernels_agree(g)
 
 
-def test_small_full_order_runs_stay_on_the_loop():
-    ladj, _ = relabel(petersen_graph(), petersen_graph().full_mask)
-    assert len(ladj) < NUMPY_DP_MIN_K
-    assert type(_dp_levels(ladj)[1]) is list
+def _bit_kernel_cases():
+    """Every class on up to 7 vertices, then G(n, p) and 2-connected graphs
+    on 8..13 vertices, from sparse to dense."""
+    for n in range(1, 8):
+        for mask in graphs_upto_iso(n):
+            yield from_triangle_mask(n, mask)
+    for seed in range(16):
+        n = 8 + seed % 6
+        yield random_graph(n, (0.15, 0.3, 0.55, 0.85)[seed % 4], seed=seed)
+        yield random_2connected(n, extra_ears=seed % 9, seed=seed)
+
+
+def test_bit_kernel_matches_the_loop():
+    for g in _bit_kernel_cases():
+        ladj, _ = relabel(g, g.full_mask)
+        tau, table, last = _dp_loop(ladj)
+        bit_tau, bit_table, bit_last = _dp_bits(ladj)
+        assert bit_tau == tau
+        assert bit_last == sorted(last)
+        assert [bit_table[m] for m in range(1 << g.n)] == table
+        assert _reconstruct(ladj, bit_table, min(last)) == _reconstruct(ladj, table, min(last))
+
+
+def test_dp_levels_picks_the_kernel_from_the_run():
+    petersen = list(petersen_graph().adj)
+    tree = list(Graph.from_edges(10, [(i, i // 2) for i in range(1, 10)]).adj)
+    assert type(_dp_levels(petersen)[1]) is _BitTable
+    assert type(_dp_levels(tree)[1]) is list
+    assert type(_dp_levels(petersen, stop_at=5)[1]) is list
+    for big in (cycle_graph(NUMPY_DP_MIN_K), complete_graph(NUMPY_DP_MIN_K + 1)):
+        assert type(_dp_levels(list(big.adj))[1]) is _LevelTable
+        assert type(_dp_levels(list(big.adj), stop_at=3)[1]) is _LevelTable
+
+
+def test_bit_kernel_memory_on_k13():
+    # tau * k ints of 2^k bits: 13 * 13 * 1 KiB
+    ladj = list(complete_graph(13).adj)
+    tracemalloc.start()
+    try:
+        tau, _, _ = _dp_levels(ladj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tau == 13
+    assert peak < 256 << 10
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

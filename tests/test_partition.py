@@ -238,14 +238,28 @@ def test_brute_force_repairs_reuse_the_known_detour_order(monkeypatch):
 
     k4, tree = complete_graph(4), path_graph(5)
     graph_facts(k4), graph_facts(tree)  # what tau_partition already holds
-    dps = []
-    real = partition.detour_order
-    monkeypatch.setattr(partition, "detour_order",
-                        lambda g, max_n=None: dps.append(g.n) or real(g, max_n=max_n))
+    # whole-graph DPs run inside brute force; the witnesses and the final
+    # check of tau_partition ask tau_subset of whole level graphs too
+    dps, depth = [], []
+    real_brute_force, real_tau = partition.brute_force_partition, partition.tau_subset
+
+    def brute_force(*args, **kwargs):
+        depth.append(None)
+        try:
+            return real_brute_force(*args, **kwargs)
+        finally:
+            depth.pop()
+
+    def counted(g, mask):
+        if depth and mask == g.full_mask:
+            dps.append(g.n)
+        return real_tau(g, mask)
+    monkeypatch.setattr(partition, "brute_force_partition", brute_force)
+    monkeypatch.setattr(partition, "tau_subset", counted)
     assert tau_partition(k4, PartitionTarget(3, 1)).method == "fallback"  # a level repair
     assert tau_partition(tree, PartitionTarget(2, 3)).method == "fallback"  # not 2-connected
     assert dps == []
-    assert brute_force_partition(k4, PartitionTarget(2, 2)) is not None
+    assert partition.brute_force_partition(k4, PartitionTarget(2, 2)) is not None
     assert dps == [4]  # the public entry checks the sum with its own DP
     with pytest.raises(TargetError):
         brute_force_partition(k4, PartitionTarget(2, 1), tau_g=4)
