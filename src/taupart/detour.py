@@ -216,8 +216,10 @@ def _dp_bits(ladj: list[int]):
             break
         levels.append(nxt)
         level = nxt
-    reached = bin(functools.reduce(operator.or_, level))[:1:-1]
-    last = [m.start() for m in re.finditer("1", reached)]
+    # the subsets of level tau are the set bits of its OR: read them off the
+    # binary digits, lowest first, with Python work only per set bit
+    digits = bin(functools.reduce(operator.or_, level))[:1:-1]
+    last = [m.start() for m in re.finditer("1", digits)]
     return len(levels), _BitTable(levels), last
 
 

@@ -324,7 +324,8 @@ def test_dp_levels_picks_the_kernel_from_the_run():
 
 
 def test_bit_kernel_memory_on_k13():
-    # tau * k ints of 2^k bits: 13 * 13 * 1 KiB
+    # tau * k ints of 2^k bits, 13 * 13 * 1 KiB; the loop kernel's 2^13
+    # list and its ints peak near 400 KiB
     ladj = list(complete_graph(13).adj)
     tracemalloc.start()
     try:
