@@ -33,9 +33,10 @@ The size cap is checked once, where a graph enters the package: the
 exported entries, which the CLI subcommands call, run `check_capacity` on
 the whole graph.  `detour_order` and `has_path_of_order` are such entries.  The other
 queries (`tau_subset`, `subset_has_path`, `subset_tau_at_most`,
-`end_vertices_of_order_paths`, `hamiltonian_ends`) assume an admitted graph
-and check nothing: every DP they run is on a subset of a graph already
-within the cap, whatever cap the entry was given.
+`end_vertices_of_order_paths`, `vertices_on_every_order_path`,
+`hamiltonian_ends`) assume an admitted graph and check nothing: every DP
+they run is on a subset of a graph already within the cap, whatever cap
+the entry was given.
 """
 
 from __future__ import annotations
@@ -250,6 +251,12 @@ class _LevelTable:
 
         return int(np.bitwise_or.reduce(self.levels[-1][1]))
 
+    def last_common(self) -> int:
+        """AND of the subset masks of the deepest level."""
+        import numpy as np
+
+        return int(np.bitwise_and.reduce(self.levels[-1][0]))
+
 
 def _or_ends_by_mask(masks: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort `masks` and OR together the `ends` of equal masks."""
@@ -375,6 +382,20 @@ def has_path_of_order(g: Graph, k: int, max_n: int | None = None) -> bool:
     return subset_has_path(g, g.full_mask, k)
 
 
+def _order_level(g: Graph, k: int, within: int | None):
+    """Run the DP on <within> (all of g when None) to level k: (table, last
+    level's masks, local-to-graph ids), or None when <within> has no path
+    of order k."""
+    if k < 1:
+        raise GraphError(f"path order {k} must be positive")
+    mask = g.full_mask if within is None else within
+    if k > mask.bit_count():
+        return None
+    ladj, order = relabel(g, mask)
+    tau, table, last = _dp_levels(ladj, stop_at=k)
+    return (table, last, order) if tau >= k else None
+
+
 def end_vertices_of_order_paths(g: Graph, k: int, within: int | None = None) -> int:
     """Mask of vertices that end at least one path of order exactly k in <within>.
 
@@ -382,20 +403,33 @@ def end_vertices_of_order_paths(g: Graph, k: int, within: int | None = None) -> 
     count only if some order-k path ends there (which always holds: any
     order-k prefix of a longer path is itself a path).
     """
-    if k < 1:
-        raise GraphError(f"path order {k} must be positive")
-    mask = g.full_mask if within is None else within
-    if k > mask.bit_count():
+    level = _order_level(g, k, within)
+    if level is None:
         return 0
-    ladj, order = relabel(g, mask)
-    tau, table, last = _dp_levels(ladj, stop_at=k)
-    if tau < k:
-        return 0
+    table, last, order = level
     if isinstance(table, _LevelTable):
         ends = table.last_ends()
     else:
         ends = functools.reduce(operator.or_, map(table.__getitem__, last), 0)
     return lift(ends, order)
+
+
+def vertices_on_every_order_path(g: Graph, k: int, within: int | None = None) -> int | None:
+    """Mask of vertices that lie on every path of order exactly k in
+    <within>, or None when there is no such path.
+
+    These are the v with no path of order k in <within - v>, so none of
+    order k or more either: a longer path holds an order-k subpath.
+    """
+    level = _order_level(g, k, within)
+    if level is None:
+        return None
+    table, last, order = level
+    if isinstance(table, _LevelTable):
+        common = table.last_common()
+    else:
+        common = functools.reduce(operator.and_, last)
+    return lift(common, order)
 
 
 def paths_of_order_at_least(g: Graph, k: int, within: int | None = None) -> list[tuple[int, ...]]:

@@ -65,6 +65,7 @@ from .detour import (
     paths_of_order_at_least,
     subset_tau_at_most,
     tau_subset,
+    vertices_on_every_order_path,
 )
 from .ears import Ear, ear_decompose, ear_levels, is_two_connected, relabels_to, require_two_connected
 from .errors import CounterexampleError, GraphError, InternalCheckError, TargetError
@@ -229,13 +230,14 @@ class GraphFacts:
 def graph_facts(g: Graph, max_n: int | None = None) -> GraphFacts:
     """The GraphFacts of g, computed once and then served from a small cache.
 
-    A graph that is not 2-connected costs one DP.  A 2-connected one costs
-    one DP per ear level that the three settling facts of the module
-    docstring leave open: a base cycle has tau = c with a Hamiltonian path
-    ending at every vertex, a chord keeps every Hamiltonian path of the
-    level below, and an ear whose endpoint x (or y) ends such a path gives
-    one ending at its last (or first) internal vertex.  The top level must
-    rebuild g edge for edge, else InternalCheckError.
+    The empty graph costs no DP (tau = 0), and any other graph that is not
+    2-connected costs one.  A 2-connected one costs one DP per ear level
+    that the three settling facts of the module docstring leave open: a
+    base cycle has tau = c with a Hamiltonian path ending at every vertex,
+    a chord keeps every Hamiltonian path of the level below, and an ear
+    whose endpoint x (or y) ends such a path gives one ending at its last
+    (or first) internal vertex.  The top level must rebuild g edge for
+    edge, else InternalCheckError.
 
     The DP capacity cap (max_n, default DETOUR_DP_MAX_N) is checked on every
     call before the lookup, so an entry built under a larger cap never
@@ -250,6 +252,8 @@ def graph_facts(g: Graph, max_n: int | None = None) -> GraphFacts:
 # hold all of that while a long sweep's memory stays flat.
 @functools.lru_cache(maxsize=32)
 def _graph_facts(g: Graph) -> GraphFacts:
+    if g.n == 0:  # tau of the empty graph is 0, as tau_subset reads it
+        return GraphFacts(0, None)
     if not is_two_connected(g):
         return GraphFacts(hamiltonian_ends(g)[0], None)
     graphs, local_ears, ids = zip(*ear_levels(ear_decompose(g)))
@@ -405,6 +409,9 @@ def brute_force_partition(g: Graph, t: PartitionTarget, max_n: int | None = None
     the earlier one holds the least element of their symmetric difference,
     and that difference splits by component, so the union of the
     components' first parts comes before any other union of that size.
+
+    A component's empty and one-vertex candidates cost one DP between
+    them (`_first_component_part`); each larger candidate costs up to two.
     """
     check_capacity(g.n, max_n, BRUTE_FORCE_MAX_N, "brute-force partition")
     if tau_g is None:
@@ -422,9 +429,21 @@ def brute_force_partition(g: Graph, t: PartitionTarget, max_n: int | None = None
 
 def _first_component_part(g: Graph, comp: int, t: PartitionTarget) -> int | None:
     """The first A within comp, by size and then lexicographically, with
-    tau(<A>) <= t.a and tau(<comp - A>) <= t.b; None if there is none."""
+    tau(<A>) <= t.a and tau(<comp - A>) <= t.b; None if there is none.
+
+    The empty and one-vertex candidates are read off one DP to level
+    b + 1 on comp.  Any one vertex fits A, as a >= 1, and tau(<comp - v>)
+    <= b exactly when v lies on every path of order b + 1 in <comp>.  So A
+    is empty when <comp> has no such path, and else the lowest such v if
+    there is one; only when there is none does the search go on, from size
+    2, with up to two DPs per candidate."""
+    on_every = vertices_on_every_order_path(g, t.b + 1, within=comp)
+    if on_every is None:
+        return 0
+    if on_every:
+        return on_every & -on_every
     ids = mask_to_ids(comp)
-    for size in range(len(ids) + 1):
+    for size in range(2, len(ids) + 1):
         for combo in itertools.combinations(ids, size):
             part_a = ids_to_mask(combo)
             if subset_tau_at_most(g, part_a, t.a) and \

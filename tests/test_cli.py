@@ -157,6 +157,16 @@ def test_partition_bad_target_exits_2(capsys):
     assert "detour order" in out.err
 
 
+def test_partition_reads_the_empty_graph_as_detour_order_0(capsys):
+    # like the one-vertex graph, it has no target to print for --all-pairs
+    for g6 in ("?", "@"):
+        code, _, out = run(capsys, "partition", g6, "--all-pairs")
+        assert (code, out.out, out.err) == (0, "", "")
+    code, _, out = run(capsys, "partition", "?", "-a", "1", "-b", "1")
+    assert code == 2
+    assert out.err == "error: target (1, 1) sums to 2, detour order is 0\n"
+
+
 def test_partition_bad_graph6_exits_2(capsys):
     assert run(capsys, "partition", "!!bad!!", "-a", "1", "-b", "1")[0] == 2
 

@@ -6,6 +6,7 @@ import functools
 import itertools
 import operator
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -35,6 +36,7 @@ from taupart.detour import (
     paths_of_order_at_least,
     subset_tau_at_most,
     tau_subset,
+    vertices_on_every_order_path,
 )
 from taupart.errors import CapacityError, GraphError
 from taupart.graphs import (
@@ -42,6 +44,7 @@ from taupart.graphs import (
     add_ear,
     complete_graph,
     cycle_graph,
+    encode_graph6,
     from_triangle_mask,
     ids_to_mask,
     parse_graph6,
@@ -267,6 +270,23 @@ def test_stopped_numpy_kernel_matches_the_loop():
             assert np_last == sorted(last)
             assert [np_table[m] for m in np_last] == [table[m] for m in np_last]
             assert np_table.last_ends() == functools.reduce(operator.or_, map(table.__getitem__, last))
+            assert np_table.last_common() == functools.reduce(operator.and_, last)
+
+
+def test_vertices_on_every_order_path_match_the_path_enumeration():
+    # the paths come from the DFS enumerator, which shares nothing with the DP
+    rng = random.Random(11)
+    graphs = [random_graph(rng.randint(1, 9), rng.uniform(0.2, 0.8), seed=s) for s in range(120)]
+    graphs += list(itertools.islice(_numpy_kernel_cases(), 6))
+    for g in graphs:
+        mask = g.full_mask if g.n >= NUMPY_DP_MIN_K else rng.randrange(1 << g.n)
+        common: dict[int, int] = {}
+        for path in paths_of_order_at_least(g, 1, within=mask):
+            common[len(path)] = common.get(len(path), -1) & ids_to_mask(path)
+        for k in range(1, g.n + 2):
+            assert vertices_on_every_order_path(g, k, within=mask) == common.get(k), (encode_graph6(g), mask, k)
+    with pytest.raises(GraphError):
+        vertices_on_every_order_path(path_graph(3), 0)
 
 
 def test_early_exit_query_allocates_no_2_to_the_k_table():

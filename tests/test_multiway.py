@@ -83,7 +83,7 @@ def test_split_reuses_the_taus_it_already_holds(count_dps):
     g = petersen_graph()
     partition._graph_facts.cache_clear()
     masks = t_partition(g, (2,) * 5)
-    assert len(count_dps) == 19
+    assert len(count_dps) == 16
     parts_are_valid(g, (2,) * 5, masks)
 
 

@@ -26,6 +26,7 @@ from taupart.graphs import (
     Graph,
     add_ear,
     complete_graph,
+    connected_components,
     cycle_graph,
     encode_graph6,
     ids_to_mask,
@@ -311,6 +312,47 @@ def test_brute_force_matches_the_whole_graph_search_on_disconnected_graphs():
             assert brute_force_partition(g, t) == _whole_graph_brute_force(g, t), (encode_graph6(g), a)
             targets += 1
     assert targets == 250
+
+
+def test_brute_force_matches_the_whole_graph_search_on_every_small_class():
+    from taupart.oracle import corpus_graphs, graphs_upto_iso
+
+    targets = 0
+    for n in range(1, 8):
+        for g in corpus_graphs(n, graphs_upto_iso(n)):
+            tau = tau_subset(g, g.full_mask)
+            for a in range(1, tau):
+                t = PartitionTarget(a, tau - a)
+                assert brute_force_partition(g, t, tau_g=tau) == _whole_graph_brute_force(g, t), \
+                    (encode_graph6(g), a)
+                targets += 1
+    assert targets == 6545
+
+
+def test_brute_force_matches_the_whole_graph_search_on_random_graphs():
+    # sparse graphs on 8-16 vertices, whose largest component often has 14
+    # or more vertices and so runs its DPs on the numpy kernel; targets with
+    # a <= 3 keep the whole-graph search to small parts
+    rng = random.Random(5)
+    big_parts = set()  # (size, is the component's lowest id) of parts in numpy-kernel components
+    for i in range(36):
+        g = random_graph(8 + i % 9, rng.choice((0.15, 0.2, 0.25, 0.3)), seed=rng.randrange(1 << 30))
+        tau = tau_subset(g, g.full_mask)
+        for a in range(1, min(3, tau - 1) + 1):
+            t = PartitionTarget(a, tau - a)
+            got = brute_force_partition(g, t, tau_g=tau)
+            assert got == _whole_graph_brute_force(g, t), (encode_graph6(g), a)
+            for comp in connected_components(g, g.full_mask):
+                if comp.bit_count() >= NUMPY_DP_MIN_K:
+                    part = got[0] & comp
+                    big_parts.add((part.bit_count(), part == comp & -comp))
+    assert big_parts >= {(1, True), (1, False), (2, False)}
+
+
+def test_brute_force_answers_a_one_vertex_part_from_one_dp(count_dps):
+    g = path_graph(5)  # every path of order 4 holds 1, 2 and 3, and 1 comes first
+    assert brute_force_partition(g, PartitionTarget(2, 3), tau_g=5) == (0b00010, 0b11101)
+    assert count_dps == [5]
 
 
 def test_brute_force_finds_nothing_when_one_component_has_no_part():
