@@ -25,18 +25,34 @@ in pure Python over a 2^k list.  numpy is imported by the numpy kernel and its h
 first call, not with this module: a process whose DPs all stay below
 NUMPY_DP_MIN_K vertices never loads it.
 
-All subset-taking functions accept vertex masks in the graph's own ids and
+The per-query functions accept vertex masks in the graph's own ids and
 relabel the subset to 0..k-1 with `graphs.relabel` before the DP, so callers
 never pay for the full 2^n table when asking about a small part.
+
+The construction asks most of its questions through `subset_queries`.  On
+a graph below NUMPY_DP_MIN_K vertices that is one cached `SubsetTable`,
+built by one full-order `_dp_bits` run, which answers tau(<S>), tau(<S>)
+<= b and the vertices on every order-k path for any mask S with a few
+big-int operations and no relabel.  It serves partition's step checks,
+witness taus and final certificate check, brute-force repair, and
+multiway's part check and exact colour search.  From NUMPY_DP_MIN_K
+vertices on, each query runs its own DP as above: a table there would
+hold 2^n bits per level, where `_dp_numpy` keeps only the subsets it
+reaches.  Two kinds of query never read a table.
+`end_vertices_of_order_paths` needs the end vertices of each path, which
+the table does not keep.  The verifier (`oracle.verify_*` and
+`multiway.verify_detour_coloring`) calls `tau_subset` and
+`subset_tau_at_most` directly, so a fault in the table cannot pass the
+check of the certificates built with it.
 
 The size cap is checked once, where a graph enters the package: the
 exported entries, which the CLI subcommands call, run `check_capacity` on
 the whole graph.  `detour_order` and `has_path_of_order` are such entries.  The other
 queries (`tau_subset`, `subset_has_path`, `subset_tau_at_most`,
 `end_vertices_of_order_paths`, `vertices_on_every_order_path`,
-`hamiltonian_ends`) assume an admitted graph and check nothing: every DP
-they run is on a subset of a graph already within the cap, whatever cap
-the entry was given.
+`hamiltonian_ends`, `subset_queries`) assume an admitted graph and check
+nothing: every DP they run is on a subset of a graph already within the
+cap, whatever cap the entry was given.
 """
 
 from __future__ import annotations
@@ -93,7 +109,7 @@ def check_capacity(k: int, max_n: int | None, cap: int = DETOUR_DP_MAX_N,
     return limit
 
 
-def _dp_levels(ladj: list[int], stop_at: int | None = None):
+def _dp_levels(ladj: list[int], stop_at: int | None = None, all_subsets: bool = False):
     """Run the endpoint DP level by level; every subset DP passes here once.
 
     Returns (tau, table, last_frontier) as `_dp_loop` documents.  A run on
@@ -102,12 +118,14 @@ def _dp_levels(ladj: list[int], stop_at: int | None = None):
     has at least as many edges as vertices, and everything else to
     `_dp_loop`: an early-exit run, or a graph with fewer edges than
     vertices (every forest), reaches too few subsets to pay for whole
-    levels of 2^k bits.
+    levels of 2^k bits.  `all_subsets` sends a full-order run below
+    NUMPY_DP_MIN_K to `_dp_bits` whatever the edge count, for the
+    whole-level bit sets that `SubsetTable` keeps.
     """
     k = len(ladj)
     if k >= NUMPY_DP_MIN_K:
         return _dp_numpy(ladj, stop_at)
-    if stop_at is None and sum(map(int.bit_count, ladj)) >= 2 * k:
+    if stop_at is None and (all_subsets or sum(map(int.bit_count, ladj)) >= 2 * k):
         return _dp_bits(ladj)
     return _dp_loop(ladj, stop_at)
 
@@ -430,6 +448,106 @@ def vertices_on_every_order_path(g: Graph, k: int, within: int | None = None) ->
     else:
         common = functools.reduce(operator.and_, last)
     return lift(common, order)
+
+
+def _subsets_of(mask: int) -> int:
+    """The int whose bit T is set for every subset T of mask: from the
+    empty set alone, each vertex v of mask doubles the family, and shifting
+    left by 2^v adds v to each member."""
+    x = 1
+    while mask:
+        low = mask & -mask
+        x |= x << low
+        mask ^= low
+    return x
+
+
+class SubsetTable:
+    """tau of every induced subgraph of one graph, from one full-order DP.
+
+    `has[j]` has bit S set when <S>, |S| = j, has a Hamiltonian path: the OR
+    over end vertices of level j of a `_dp_bits` run, one 2^n-bit int per
+    level.  has[0] = 1 stands for the empty set, and the list stops at
+    tau(g).  A query on mask S meets these with `_subsets_of(S)`, with no
+    relabel and no DP: tau(<S>) is the largest j whose has[j] meets it, and
+    tau(<S>) <= b exactly when has[b + 1] misses it, as a path of order
+    above b + 1 has a prefix of order b + 1.  Built for graphs below
+    NUMPY_DP_MIN_K vertices, where K13's table keeps 14 ints of 1 KiB."""
+
+    __slots__ = ("n", "has")
+
+    def __init__(self, g: Graph) -> None:
+        self.n = g.n
+        self.has = [1]
+        if g.n:
+            _, table, _ = _dp_levels(list(g.adj), all_subsets=True)
+            self.has += [functools.reduce(operator.or_, level) for level in table.levels]
+
+    def tau(self, mask: int) -> int:
+        """tau(<mask>); 0 for the empty set."""
+        sub = _subsets_of(mask)
+        j = min(mask.bit_count(), len(self.has) - 1)
+        while not self.has[j] & sub:
+            j -= 1
+        return j
+
+    def at_most(self, mask: int, bound: int) -> bool:
+        """tau(<mask>) <= bound."""
+        if bound < 0:
+            return mask == 0
+        if mask.bit_count() <= bound or bound + 1 >= len(self.has):
+            return True
+        return not self.has[bound + 1] & _subsets_of(mask)
+
+    def on_every_order_path(self, k: int, mask: int) -> int | None:
+        """As `vertices_on_every_order_path`: v is on every order-k path of
+        <mask> when every order-k subset of mask whose has[k] bit is set
+        holds v."""
+        if k < 1:
+            raise GraphError(f"path order {k} must be positive")
+        if k >= len(self.has):
+            return None
+        hits = self.has[k] & _subsets_of(mask)
+        if not hits:
+            return None
+        lacks = _lacks(self.n)
+        return sum(1 << v for v in iter_bits(mask) if not hits & lacks[v])
+
+
+class SubsetDPs:
+    """The queries of `SubsetTable`, each answered by its own DP: for graphs
+    on NUMPY_DP_MIN_K or more vertices, whose table would cost 2^n bits per
+    level where `_dp_numpy` keeps only the subsets it reaches."""
+
+    __slots__ = ("g",)
+
+    def __init__(self, g: Graph) -> None:
+        self.g = g
+
+    def tau(self, mask: int) -> int:
+        return tau_subset(self.g, mask)
+
+    def at_most(self, mask: int, bound: int) -> bool:
+        return subset_tau_at_most(self.g, mask, bound)
+
+    def on_every_order_path(self, k: int, mask: int) -> int | None:
+        return vertices_on_every_order_path(self.g, k, mask)
+
+
+def subset_queries(g: Graph) -> SubsetTable | SubsetDPs:
+    """The construction's subset-tau queries on g: a cached SubsetTable
+    below NUMPY_DP_MIN_K vertices, per-query DPs from there on.  The
+    verifier in `oracle` and `multiway.verify_detour_coloring` never come
+    here; they run their own DPs."""
+    return _subset_table(g) if g.n < NUMPY_DP_MIN_K else SubsetDPs(g)
+
+
+# The same bound as partition's graph facts: a call's graph, its ear levels
+# and the remainders multiway peels off it; 32 tables on 13 vertices keep
+# under half a MiB.
+@functools.lru_cache(maxsize=32)
+def _subset_table(g: Graph) -> SubsetTable:
+    return SubsetTable(g)
 
 
 def paths_of_order_at_least(g: Graph, k: int, within: int | None = None) -> list[tuple[int, ...]]:

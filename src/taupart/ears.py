@@ -205,17 +205,6 @@ def ear_levels(d: EarDecomposition) -> Iterator[tuple[Graph, Ear | None, tuple[i
         yield gg, Ear(lx, ly, tuple(range(start, gg.n))), tuple(orig)
 
 
-def reconstruct_decomposition(d: EarDecomposition) -> tuple[Graph, list[int]]:
-    """Rebuild the graph by folding add_ear over the decomposition.
-
-    Returns the rebuilt graph (fresh local ids in attachment order) and the
-    local->original id list.
-    """
-    for gg, _, orig in ear_levels(d):
-        pass
-    return gg, list(orig)
-
-
 def relabels_to(h: Graph, orig_of: Sequence[int], g: Graph) -> bool:
     """Is h, with each local id i read as orig_of[i], exactly g?"""
     if h.n != g.n or sorted(orig_of) != list(range(g.n)):
@@ -224,12 +213,3 @@ def relabels_to(h: Graph, orig_of: Sequence[int], g: Graph) -> bool:
     for u, row in enumerate(h.adj):
         rebuilt[orig_of[u]] = lift(row, orig_of)
     return tuple(rebuilt) == g.adj
-
-
-def reconstruction_matches(g: Graph, d: EarDecomposition) -> bool:
-    """Does folding the ears rebuild exactly g (under the id mapping)?"""
-    try:
-        gg, orig = reconstruct_decomposition(d)
-    except GraphError:
-        return False
-    return relabels_to(gg, orig, g)

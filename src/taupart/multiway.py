@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .detour import check_capacity, subset_tau_at_most
+from .detour import check_capacity, subset_queries, subset_tau_at_most
 from .errors import GraphError, InternalCheckError, TargetError, VerificationError
 from .graphs import Graph, encode_graph6, induced_subgraph, iter_bits, lift
 from .partition import PartitionTarget, graph_facts, is_int, tau_partition
@@ -118,11 +118,12 @@ def t_partition(g: Graph, parts: tuple[int, ...] | list[int], max_n: int | None 
     if len(masks) != len(parts):
         raise InternalCheckError("part count drifted during the split")
     union = 0
+    q = subset_queries(g)
     for i, m in enumerate(masks):
         if m & union:
             raise InternalCheckError("parts overlap")
         union |= m
-        if not subset_tau_at_most(g, m, parts[i]):
+        if not q.at_most(m, parts[i]):
             raise InternalCheckError(f"part {i} exceeds its bound {parts[i]}")
     if union != g.full_mask:
         raise InternalCheckError("parts do not cover the graph")
@@ -226,5 +227,6 @@ def exact_detour_chromatic(g: Graph, n: int, max_n: int | None = None) -> int:
     if n < 1:
         raise TargetError(f"class bound n={n} must be positive")
     check_capacity(g.n, max_n, EXACT_SEARCH_MAX_N, "exact search")
-    colors = smallest_coloring(g, lambda v, c, colors, classes: subset_tau_at_most(g, classes[c], n))
+    q = subset_queries(g)
+    colors = smallest_coloring(g, lambda v, c, colors, classes: q.at_most(classes[c], n))
     return len(set(colors))

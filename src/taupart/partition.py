@@ -28,8 +28,10 @@ tau(g) and, for a 2-connected g, the ear levels with their detour orders
 once per graph; every target, and every colouring step in multiway and
 starcolor, reuses them.  The per-step bound checks, the migration audit,
 brute-force repair and the final certificate check still run for every
-target, and the verifier in oracle recomputes everything from scratch
-without reading these facts.
+target; on graphs below NUMPY_DP_MIN_K vertices the bound checks read one
+subset table per graph (`detour.subset_queries`) instead of running a DP
+each.  The verifier in oracle recomputes everything from scratch without
+reading these facts or tables.
 
 Most level detour orders need no DP.  Going up the levels, `graph_facts`
 carries a mask of vertices known to end a Hamiltonian path of the level,
@@ -59,13 +61,13 @@ import itertools
 from dataclasses import dataclass, field
 
 from .detour import (
+    SubsetDPs,
+    SubsetTable,
     check_capacity,
     end_vertices_of_order_paths,
     hamiltonian_ends,
     paths_of_order_at_least,
-    subset_tau_at_most,
-    tau_subset,
-    vertices_on_every_order_path,
+    subset_queries,
 )
 from .ears import Ear, ear_decompose, ear_levels, is_two_connected, relabels_to, require_two_connected
 from .errors import CounterexampleError, GraphError, InternalCheckError, TargetError
@@ -410,34 +412,38 @@ def brute_force_partition(g: Graph, t: PartitionTarget, max_n: int | None = None
     and that difference splits by component, so the union of the
     components' first parts comes before any other union of that size.
 
-    A component's empty and one-vertex candidates cost one DP between
-    them (`_first_component_part`); each larger candidate costs up to two.
+    Every candidate is checked with `detour.subset_queries`: below
+    NUMPY_DP_MIN_K vertices that reads one table of g, built by one DP;
+    from there on, a component's empty and one-vertex candidates cost one
+    DP between them (`_first_component_part`), and each larger candidate
+    up to two.
     """
     check_capacity(g.n, max_n, BRUTE_FORCE_MAX_N, "brute-force partition")
+    q = subset_queries(g)
     if tau_g is None:
-        tau_g = tau_subset(g, g.full_mask)
+        tau_g = q.tau(g.full_mask)
     if t.total != tau_g:
         raise TargetError(f"target ({t.a}, {t.b}) sums to {t.total}, detour order is {tau_g}")
     part_a = 0
     for comp in connected_components(g, g.full_mask):
-        found = _first_component_part(g, comp, t)
+        found = _first_component_part(q, comp, t)
         if found is None:
             return None
         part_a |= found
     return part_a, g.full_mask & ~part_a
 
 
-def _first_component_part(g: Graph, comp: int, t: PartitionTarget) -> int | None:
+def _first_component_part(q: SubsetTable | SubsetDPs, comp: int, t: PartitionTarget) -> int | None:
     """The first A within comp, by size and then lexicographically, with
     tau(<A>) <= t.a and tau(<comp - A>) <= t.b; None if there is none.
+    `q` answers the subset queries on the graph.
 
-    The empty and one-vertex candidates are read off one DP to level
-    b + 1 on comp.  Any one vertex fits A, as a >= 1, and tau(<comp - v>)
-    <= b exactly when v lies on every path of order b + 1 in <comp>.  So A
-    is empty when <comp> has no such path, and else the lowest such v if
-    there is one; only when there is none does the search go on, from size
-    2, with up to two DPs per candidate."""
-    on_every = vertices_on_every_order_path(g, t.b + 1, within=comp)
+    The empty and one-vertex candidates are read off the paths of order
+    b + 1 in <comp>.  Any one vertex fits A, as a >= 1, and tau(<comp - v>)
+    <= b exactly when v lies on every such path.  So A is empty when
+    <comp> has no such path, and else the lowest such v if there is one;
+    only when there is none does the search go on, from size 2."""
+    on_every = q.on_every_order_path(t.b + 1, comp)
     if on_every is None:
         return 0
     if on_every:
@@ -446,8 +452,7 @@ def _first_component_part(g: Graph, comp: int, t: PartitionTarget) -> int | None
     for size in range(2, len(ids) + 1):
         for combo in itertools.combinations(ids, size):
             part_a = ids_to_mask(combo)
-            if subset_tau_at_most(g, part_a, t.a) and \
-               subset_tau_at_most(g, comp & ~part_a, t.b):
+            if q.at_most(part_a, t.a) and q.at_most(comp & ~part_a, t.b):
                 return part_a
     return None
 
@@ -539,8 +544,9 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
             for ev in _audit_migration(h, receiver_pre, migrated, bound_recv, orig_of):
                 witnesses.append(witness("migration-audit", i, "1.2", tt, part_a, after, ev))
 
-        ok_a = subset_tau_at_most(h, after, tt.a)
-        ok_b = subset_tau_at_most(h, h.full_mask & ~after, tt.b)
+        q = subset_queries(h)
+        ok_a = q.at_most(after, tt.a)
+        ok_b = q.at_most(h.full_mask & ~after, tt.b)
         valid = ok_a and ok_b
         trace.append(CaseStep(i, case_tag, lift(migrated, orig_of), (targets[i].a, targets[i].b), valid))
         if valid:
@@ -549,8 +555,8 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
 
         witnesses.append(witness(
             "bound", i, case_tag, tt, part_a, after,
-            {"tau_A": tau_subset(h, after),
-             "tau_B": tau_subset(h, h.full_mask & ~after),
+            {"tau_A": q.tau(after),
+             "tau_B": q.tau(h.full_mask & ~after),
              "violated": [s for s, ok in (("A", ok_a), ("B", ok_b)) if not ok]}))
         method = "fallback"
         repaired = brute_force_partition(h, tt, max_n=max_n, tau_g=taus[i + 1])
@@ -569,8 +575,9 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
     else:  # every ear folded in
         out_a = lift(part_a, orig_of)
         out_b = g.full_mask & ~out_a
-    tau_a = tau_subset(g, out_a)
-    tau_b = tau_subset(g, out_b)
+    q = subset_queries(g)
+    tau_a = q.tau(out_a)
+    tau_b = q.tau(out_b)
     if tau_a > t.a or tau_b > t.b or (out_a | out_b) != g.full_mask or (out_a & out_b):
         raise InternalCheckError(f"certified partition fails its own bounds on {g6}")
     return PartitionCertificate(g6, t.a, t.b, out_a, out_b, tau_a, tau_b, method,
@@ -599,6 +606,7 @@ def tau_partition(g: Graph, t: PartitionTarget, max_n: int | None = None,
     if got is None:
         raise CounterexampleError(f"no ({t.a}, {t.b}) partition exists", encode_graph6(g), (t.a, t.b))
     part_a, part_b = got
+    q = subset_queries(g)
     return PartitionCertificate(encode_graph6(g), t.a, t.b, part_a, part_b,
-                                tau_subset(g, part_a), tau_subset(g, part_b),
+                                q.tau(part_a), q.tau(part_b),
                                 "fallback", (), ())

@@ -12,14 +12,16 @@ def count_dps(monkeypatch):
     """The vertex count of every subset DP run during the test, in order.
 
     Every detour query that runs a DP runs exactly one `detour._dp_levels`,
-    so the length of the list is the number of DPs.
+    so the length of the list is the number of DPs.  The subset tables
+    cached by earlier tests are dropped, so each count starts cold.
     """
+    detour._subset_table.cache_clear()
     sizes: list[int] = []
     real = detour._dp_levels
 
-    def counted(ladj, stop_at=None):
+    def counted(ladj, stop_at=None, all_subsets=False):
         sizes.append(len(ladj))
-        return real(ladj, stop_at)
+        return real(ladj, stop_at, all_subsets)
 
     monkeypatch.setattr(detour, "_dp_levels", counted)
     return sizes

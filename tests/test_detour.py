@@ -289,6 +289,61 @@ def test_vertices_on_every_order_path_match_the_path_enumeration():
         vertices_on_every_order_path(path_graph(3), 0)
 
 
+def _subset_table_cases():
+    """Every class on up to 7 vertices, then seeded graphs on 8..13 vertices:
+    G(n, p) from sparse to dense, a random forest (m < k), and a disjoint
+    union of two random graphs."""
+    for n in range(1, 8):
+        for mask in graphs_upto_iso(n):
+            yield from_triangle_mask(n, mask)
+    rng = random.Random(5)
+    for n in range(8, 14):
+        yield random_graph(n, (0.15, 0.3, 0.5)[n % 3], seed=n)
+        yield Graph.from_edges(n, [(v, rng.randrange(v)) for v in range(1, n) if rng.random() < 0.8])
+    left, right = random_graph(6, 0.5, seed=1), random_graph(7, 0.4, seed=2)
+    yield Graph.from_edges(13, list(left.edges()) + [(u + 6, v + 6) for u, v in right.edges()])
+
+
+def test_subset_table_matches_the_per_query_loop():
+    # the reference runs `_dp_loop` on every mask, relabelled, as the
+    # per-query functions do below NUMPY_DP_MIN_K; induced subgraphs that
+    # relabel alike share one run
+    loop_tau = functools.cache(lambda ladj: _dp_loop(list(ladj))[0])
+    for g in _subset_table_cases():
+        table = detour.SubsetTable(g)
+        ref = [loop_tau(tuple(relabel(g, mask)[0])) for mask in range(1 << g.n)]
+        for mask, tau in enumerate(ref):
+            assert table.tau(mask) == tau, (encode_graph6(g), mask)
+            for b in range(g.n + 2):
+                assert table.at_most(mask, b) == (tau <= b), (encode_graph6(g), mask, b)
+            drops = [(v, ref[mask & ~(1 << v)]) for v in range(g.n) if mask >> v & 1]
+            for k in range(1, g.n + 2):
+                on_every = None if tau < k else sum(1 << v for v, t in drops if t < k)
+                assert table.on_every_order_path(k, mask) == on_every, (encode_graph6(g), mask, k)
+    assert detour.SubsetTable(path_graph(3)).on_every_order_path(2, 0b111) == 0b010
+    assert detour.SubsetTable(Graph.from_edges(0, [])).tau(0) == 0
+    with pytest.raises(GraphError):
+        detour.SubsetTable(path_graph(3)).on_every_order_path(0, 0b111)
+
+
+def test_a_full_subset_table_cache_keeps_under_a_mib():
+    # 32 tables of dense 13-vertex graphs: tau = 13, so 14 ints of 1 KiB each
+    graphs = [random_graph(13, 0.9, seed=s) for s in range(40)]
+    assert len(set(graphs)) == 40
+    detour._subset_table.cache_clear()
+    tracemalloc.start()
+    try:
+        for g in graphs:
+            assert detour.subset_queries(g).tau(g.full_mask) == 13
+        kept, _ = tracemalloc.get_traced_memory()
+        held = detour._subset_table.cache_info().currsize
+    finally:
+        tracemalloc.stop()
+        detour._subset_table.cache_clear()
+    assert held == 32
+    assert kept < 1 << 20
+
+
 def test_early_exit_query_allocates_no_2_to_the_k_table():
     # one path on 2 vertices settles K22 with one colour class of bound 1;
     # a 2^22-entry list would take 32 MiB

@@ -77,13 +77,16 @@ def test_entries_must_be_integers():
 
 def test_split_reuses_the_taus_it_already_holds(count_dps):
     # each remainder's tau comes from the certificate that cut it off, and a
-    # remainder that is not 2-connected checks its target sum against it
+    # remainder that is not 2-connected checks its target sum against it.
+    # Below NUMPY_DP_MIN_K vertices every part check reads its graph's
+    # subset table: one DP per graph queried, one early-exit DP for a fold
+    # step's migration
     from taupart import partition
 
     g = petersen_graph()
     partition._graph_facts.cache_clear()
     masks = t_partition(g, (2,) * 5)
-    assert len(count_dps) == 16
+    assert len(count_dps) == 9
     parts_are_valid(g, (2,) * 5, masks)
 
 

@@ -406,6 +406,37 @@ def test_verification_never_reads_the_construction_cache():
     assert partition._graph_facts.cache_info() == before
 
 
+def test_a_wrong_subset_table_moves_no_verdict(monkeypatch):
+    # the verifier runs its own DPs; were it to read the construction's
+    # subset tables, the wrong answers patched in below would accept the
+    # tampered parts and colourings
+    from taupart import detour
+    from taupart.graphs import random_2connected
+    from taupart.multiway import verify_detour_coloring
+
+    records, colourings = [], []
+    for g in (petersen_graph(), parse_graph6("DxK"), random_2connected(12, extra_ears=3, seed=4)):
+        assert g.n < detour.NUMPY_DP_MIN_K
+        tau = detour.tau_subset(g, g.full_mask)
+        rec = tau_partition(g, PartitionTarget(2, tau - 2)).to_json_dict()
+        records.append(rec)
+        for v in range(g.n):  # each vertex moved to the other part
+            records.append(dict(rec, A=sorted(set(rec["A"]) ^ {v}), B=sorted(set(rec["B"]) ^ {v})))
+        records.append(dict(rec, b=rec["b"] + 1))
+        colourings += [(g, detour_coloring(g, 2).colors), (g, [0] * g.n), (g, [v % 2 for v in range(g.n)])]
+
+    def verdicts():
+        return ([verify_partition_record(r) for r in records],
+                [verify_detour_coloring(g, colors, 2) for g, colors in colourings])
+
+    before = verdicts()
+    assert {ok for ok, _ in before[0]} == {True, False} and set(before[1]) == {True, False}
+    monkeypatch.setattr(detour.SubsetTable, "tau", lambda self, mask: 0)
+    monkeypatch.setattr(detour.SubsetTable, "at_most", lambda self, mask, bound: True)
+    monkeypatch.setattr(detour.SubsetTable, "on_every_order_path", lambda self, k, mask: 0)
+    assert verdicts() == before
+
+
 def test_verify_record_dispatch():
     assert verify_record(good_partition_record())[0]
     assert verify_record(detour_coloring(cycle_graph(5), 2).to_json_dict())[0]

@@ -235,14 +235,14 @@ def test_brute_force_capacity():
 
 
 def test_brute_force_repairs_reuse_the_known_detour_order(monkeypatch):
-    from taupart import partition
+    from taupart import detour, partition
 
     k4, tree = complete_graph(4), path_graph(5)
     graph_facts(k4), graph_facts(tree)  # what tau_partition already holds
-    # whole-graph DPs run inside brute force; the witnesses and the final
-    # check of tau_partition ask tau_subset of whole level graphs too
+    # whole-graph taus asked inside brute force; the witnesses and the final
+    # check of tau_partition ask the taus of whole level graphs too
     dps, depth = [], []
-    real_brute_force, real_tau = partition.brute_force_partition, partition.tau_subset
+    real_brute_force, real_tau = partition.brute_force_partition, detour.SubsetTable.tau
 
     def brute_force(*args, **kwargs):
         depth.append(None)
@@ -251,17 +251,17 @@ def test_brute_force_repairs_reuse_the_known_detour_order(monkeypatch):
         finally:
             depth.pop()
 
-    def counted(g, mask):
-        if depth and mask == g.full_mask:
-            dps.append(g.n)
-        return real_tau(g, mask)
+    def counted(table, mask):
+        if depth and mask == (1 << table.n) - 1:
+            dps.append(table.n)
+        return real_tau(table, mask)
     monkeypatch.setattr(partition, "brute_force_partition", brute_force)
-    monkeypatch.setattr(partition, "tau_subset", counted)
+    monkeypatch.setattr(detour.SubsetTable, "tau", counted)
     assert tau_partition(k4, PartitionTarget(3, 1)).method == "fallback"  # a level repair
     assert tau_partition(tree, PartitionTarget(2, 3)).method == "fallback"  # not 2-connected
     assert dps == []
     assert partition.brute_force_partition(k4, PartitionTarget(2, 2)) is not None
-    assert dps == [4]  # the public entry checks the sum with its own DP
+    assert dps == [4]  # the public entry checks the sum itself
     with pytest.raises(TargetError):
         brute_force_partition(k4, PartitionTarget(2, 1), tau_g=4)
 
@@ -352,7 +352,7 @@ def test_brute_force_matches_the_whole_graph_search_on_random_graphs():
 def test_brute_force_answers_a_one_vertex_part_from_one_dp(count_dps):
     g = path_graph(5)  # every path of order 4 holds 1, 2 and 3, and 1 comes first
     assert brute_force_partition(g, PartitionTarget(2, 3), tau_g=5) == (0b00010, 0b11101)
-    assert count_dps == [5]
+    assert count_dps == [5]  # the subset table of g
 
 
 def test_brute_force_finds_nothing_when_one_component_has_no_part():
@@ -363,10 +363,17 @@ def test_brute_force_finds_nothing_when_one_component_has_no_part():
 
 
 def test_brute_force_runs_its_dps_one_component_at_a_time(count_dps):
+    # below NUMPY_DP_MIN_K vertices every component reads one table of g
     g = parse_graph6("Hl?GGS?")  # 2C4 + K1
     part_a = ids_to_mask([0, 4])  # the first vertex of each C4
     assert brute_force_partition(g, PartitionTarget(1, 3), tau_g=4) == (part_a, g.full_mask & ~part_a)
-    assert count_dps and max(count_dps) <= 4
+    assert count_dps == [9]
+    # from there on each DP runs on one component: one per C8 of 2C8
+    count_dps.clear()
+    g = Graph.from_edges(16, [(i + s, (i + 1) % 8 + s) for s in (0, 8) for i in range(8)])
+    part_a = ids_to_mask([0, 8])
+    assert brute_force_partition(g, PartitionTarget(1, 7), tau_g=8) == (part_a, g.full_mask & ~part_a)
+    assert count_dps == [8, 8]
 
 
 # --- full pipeline ---------------------------------------------------------
