@@ -1,29 +1,35 @@
 """Detour order (longest-path vertex count) and path queries.
 
 Two independent engines live here on purpose.  The workhorse is a subset
-dynamic program over connected vertex sets: for every reachable subset S the
-table stores the mask of vertices that end some Hamiltonian path of <S>.
-Levels of the DP are subsets of equal size, so queries of the form "is there
-a path of order >= k" stop as soon as level k is reached.  The second engine
+dynamic program over connected vertex sets: for every reachable subset S it
+finds the mask of vertices that end some Hamiltonian path of <S>.  Levels
+of the DP are subsets of equal size, so queries of the form "is there a
+path of order >= k" stop as soon as level k is reached.  The second engine
 (`detour_order_dfs`) is a plain depth-first enumeration with reachability
 pruning, sharing no code with the DP; the oracle sweeps cross-check the two
-and abort loudly if they ever disagree.
+and abort loudly if they ever disagree.  Every query needs only orders and
+end vertices, never a path itself, so neither engine returns one: the DP
+keeps no table to rebuild a longest path from.
 
-The subset DP has three kernels with identical results, and `_dp_levels`
-picks one from what it can see of the run: the vertex count k, whether it
-stops early (`stop_at`), and the edge count m.  `_dp_numpy` serves every
-run on NUMPY_DP_MIN_K or more vertices: it keeps each level as sorted
-uint64 arrays of masks and end masks and extends the whole level in a few
-array operations, so its time and memory grow with the subsets reached
-rather than with 2^k.  Below NUMPY_DP_MIN_K, `_dp_bits` serves full-order
-runs (no `stop_at`) on graphs with m >= k: it keeps, for each level and
-end vertex, one Python int with one bit per subset (the Held-Karp layout)
-and builds the next level with a few big-int operations per vertex.
-`_dp_loop` serves the rest, early-exit runs and graphs with m < k (every
-forest), which reach few subsets: it walks the reached subsets one by one
-in pure Python over a 2^k list.  numpy is imported by the numpy kernel and its helpers on their
-first call, not with this module: a process whose DPs all stay below
-NUMPY_DP_MIN_K vertices never loads it.
+The subset DP has three kernels with one result, (tau, last, ends): the
+detour order reached, the masks of the deepest level (level tau, or level
+`stop_at` on an early exit), and in the same order the end mask of each.
+`_dp_levels` picks the kernel from what it can see of the run: the vertex
+count k, whether it stops early (`stop_at`), and the edge count m.
+`_dp_numpy` serves every run on NUMPY_DP_MIN_K or more vertices: it keeps
+the current level as sorted uint64 arrays of masks and end masks and
+extends it in a few array operations, so its time and memory grow with the
+subsets reached rather than with 2^k.  Below NUMPY_DP_MIN_K, `_dp_bits`
+serves full-order runs (no `stop_at`) on graphs with m >= k: it keeps, for
+each level and end vertex, one Python int with one bit per subset (the
+Held-Karp layout) and builds the next level with a few big-int operations
+per vertex.  `_dp_loop` serves the rest, early-exit runs and graphs with
+m < k (every forest), which reach few subsets: it walks the reached
+subsets one by one in pure Python over a 2^k list.  The loop and the bit
+kernel give the end masks lazily, so a query that reads only tau pays
+nothing for them.  numpy is imported by the numpy kernel and its helpers
+on their first call, not with this module: a process whose DPs all stay
+below NUMPY_DP_MIN_K vertices never loads it.
 
 The per-query functions accept vertex masks in the graph's own ids and
 relabel the subset to 0..k-1 with `graphs.relabel` before the DP, so callers
@@ -71,9 +77,10 @@ if TYPE_CHECKING:
 
 # Time grows with the connected subsets a DP reaches, up to 2^n of them on a
 # dense graph.  Memory of a run on NUMPY_DP_MIN_K or more vertices
-# (`_dp_numpy`) grows with the subsets reached, not with 2^n, early exit or
-# not.  A smaller run, k < NUMPY_DP_MIN_K, allocates a 2^k list (`_dp_loop`)
-# or tau * k ints of 2^k bits (`_dp_bits`, about 170 KiB on K13).
+# (`_dp_numpy`) grows with the largest level it holds, never with 2^n,
+# early exit or not.  A smaller run, k < NUMPY_DP_MIN_K, allocates a 2^k
+# list (`_dp_loop`) or tau * k ints of 2^k bits (`_dp_bits`, about 170 KiB
+# on K13).
 # Overridable at every entry through max_n (the CLI wires TAUPART_MAX_N
 # through).
 DETOUR_DP_MAX_N = 20
@@ -89,10 +96,9 @@ _NUMPY_DP_ROWS = 1 << 13
 
 @dataclass(frozen=True)
 class DetourRecord:
-    """Detour order together with one witness path realising it."""
+    """Detour order of a graph: the number of vertices on a longest path."""
 
     tau: int
-    witness_path: tuple[int, ...]
 
 
 def check_capacity(k: int, max_n: int | None, cap: int = DETOUR_DP_MAX_N,
@@ -109,35 +115,36 @@ def check_capacity(k: int, max_n: int | None, cap: int = DETOUR_DP_MAX_N,
     return limit
 
 
-def _dp_levels(ladj: list[int], stop_at: int | None = None, all_subsets: bool = False):
+def _dp_levels(ladj: list[int], stop_at: int | None = None, unions: list[int] | None = None):
     """Run the endpoint DP level by level; every subset DP passes here once.
 
-    Returns (tau, table, last_frontier) as `_dp_loop` documents.  A run on
+    Returns (tau, last, ends) as `_dp_loop` documents.  A run on
     NUMPY_DP_MIN_K or more vertices goes to `_dp_numpy`, early exit or not.
     A smaller full-order run (no `stop_at`) goes to `_dp_bits` when the graph
     has at least as many edges as vertices, and everything else to
     `_dp_loop`: an early-exit run, or a graph with fewer edges than
     vertices (every forest), reaches too few subsets to pay for whole
-    levels of 2^k bits.  `all_subsets` sends a full-order run below
-    NUMPY_DP_MIN_K to `_dp_bits` whatever the edge count, for the
+    levels of 2^k bits.  `unions` sends a full-order run below
+    NUMPY_DP_MIN_K to `_dp_bits` whatever the edge count, and receives the
     whole-level bit sets that `SubsetTable` keeps.
     """
     k = len(ladj)
     if k >= NUMPY_DP_MIN_K:
         return _dp_numpy(ladj, stop_at)
-    if stop_at is None and (all_subsets or sum(map(int.bit_count, ladj)) >= 2 * k):
-        return _dp_bits(ladj)
+    if stop_at is None and (unions is not None or sum(map(int.bit_count, ladj)) >= 2 * k):
+        return _dp_bits(ladj, unions)
     return _dp_loop(ladj, stop_at)
 
 
 def _dp_loop(ladj: list[int], stop_at: int | None = None):
     """Run the endpoint DP level by level, one subset at a time.
 
-    Returns (tau, table, last_frontier) where `table[mask]` is the endpoint
-    mask of subset `mask` (0 if <mask> has no Hamiltonian path) and
-    `last_frontier` lists the masks of the deepest level reached, level tau.
-    With `stop_at` the run ends as soon as tau reaches it (table is then
-    partial), so a run that reaches level stop_at returns that level.
+    Returns (tau, last, ends): the masks of the deepest level reached, level
+    tau, and in the same order the mask of vertices that end a Hamiltonian
+    path of each.  With `stop_at` the run ends as soon as tau reaches it, so
+    a run that reaches level stop_at returns that level.  The end masks are
+    read from the run's 2^k list lazily, so a caller that needs only tau
+    pays nothing for them.
     """
     k = len(ladj)
     if k == 0:
@@ -171,7 +178,7 @@ def _dp_loop(ladj: list[int], stop_at: int | None = None):
             break
         tau += 1
         frontier = nxt
-    return tau, table, frontier
+    return tau, frontier, map(table.__getitem__, frontier)
 
 
 @functools.cache
@@ -186,36 +193,17 @@ def _lacks(k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class _BitTable:
-    """End sets of a `_dp_bits` run: `levels[j - 1][v]` has bit S set when
-    <S>, |S| = j, has a Hamiltonian path ending at v.  `table[mask]` reads
-    like `_dp_loop`'s list: the end mask, or 0 for a subset not reached."""
-
-    __slots__ = ("levels",)
-
-    def __init__(self, levels: list[list[int]]) -> None:
-        self.levels = levels
-
-    def __getitem__(self, mask: int) -> int:
-        size = mask.bit_count()
-        if not 1 <= size <= len(self.levels):
-            return 0
-        ends = 0
-        for v, row in enumerate(self.levels[size - 1]):
-            if row >> mask & 1:
-                ends |= 1 << v
-        return ends
-
-
-def _dp_bits(ladj: list[int]):
+def _dp_bits(ladj: list[int], unions: list[int] | None = None):
     """Full-order endpoint DP over all subsets at once, one level at a time.
 
-    Same results as `_dp_loop(ladj)`; the table is a `_BitTable`.  Level j
-    holds, for each end vertex v, one int whose bit S is set when <S>
-    (|S| = j) has a Hamiltonian path ending at v.  A path ending at w on
-    S + {w} is a path on S ending at a neighbour u of w, with w outside S:
-    so level j + 1 at w is the OR of level j at w's neighbours, restricted
-    to the subsets that lack w and shifted left by 2^w, which adds w to each.
+    Same results as `_dp_loop(ladj)`.  Level j holds, for each end vertex
+    v, one int whose bit S is set when <S> (|S| = j) has a Hamiltonian path
+    ending at v.  A path ending at w on S + {w} is a path on S ending at a
+    neighbour u of w, with w outside S: so level j + 1 at w is the OR of
+    level j at w's neighbours, restricted to the subsets that lack w and
+    shifted left by 2^w, which adds w to each.  `unions`, when given,
+    receives after the run the OR of each level over its end vertices,
+    level 1 first.
     """
     k = len(ladj)
     if k == 0:
@@ -235,45 +223,14 @@ def _dp_bits(ladj: list[int]):
             break
         levels.append(nxt)
         level = nxt
+    if unions is not None:
+        unions += [functools.reduce(operator.or_, lv) for lv in levels]
     # the subsets of level tau are the set bits of its OR: read them off the
     # binary digits, lowest first, with Python work only per set bit
     digits = bin(functools.reduce(operator.or_, level))[:1:-1]
     last = [m.start() for m in re.finditer("1", digits)]
-    return len(levels), _BitTable(levels), last
-
-
-class _LevelTable:
-    """End masks of the subsets a `_dp_numpy` run reached, one level per
-    popcount as sorted uint64 arrays (masks, ends).  `table[mask]` reads like
-    `_dp_loop`'s list: the end mask, or 0 for a subset not reached."""
-
-    __slots__ = ("levels",)
-
-    def __init__(self, levels: list[tuple[np.ndarray, np.ndarray]]) -> None:
-        self.levels = levels
-
-    def __getitem__(self, mask: int) -> int:
-        import numpy as np
-
-        size = mask.bit_count()
-        if not 1 <= size <= len(self.levels):
-            return 0
-        masks, ends = self.levels[size - 1]
-        key = np.uint64(mask)
-        i = int(np.searchsorted(masks, key))
-        return int(ends[i]) if i < len(masks) and masks[i] == key else 0
-
-    def last_ends(self) -> int:
-        """OR of the end masks of the deepest level."""
-        import numpy as np
-
-        return int(np.bitwise_or.reduce(self.levels[-1][1]))
-
-    def last_common(self) -> int:
-        """AND of the subset masks of the deepest level."""
-        import numpy as np
-
-        return int(np.bitwise_and.reduce(self.levels[-1][0]))
+    return len(levels), last, (sum(1 << v for v, row in enumerate(level) if row >> mask & 1)
+                               for mask in last)
 
 
 def _or_ends_by_mask(masks: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -292,7 +249,7 @@ def _dp_numpy(ladj: list[int], stop_at: int | None = None):
     """Endpoint DP over the reached subsets, one level at a time.
 
     Same results as `_dp_loop(ladj, stop_at)`, stopped at the same level;
-    the table is a `_LevelTable`, never a 2^k structure.  Each level is a
+    only the current level is kept, never a 2^k structure.  A level is a
     sorted array of subset masks with their end masks.  Vertex v extends
     subset S when v is outside S and adjacent to an end of S; the new
     subsets are sorted, and the end bits of equal masks are OR-ed together.
@@ -308,8 +265,8 @@ def _dp_numpy(ladj: list[int], stop_at: int | None = None):
     adj = np.array(ladj, dtype=np.uint64)
     zero = np.uint64(0)
     masks, ends = bits, bits
-    levels = [(masks, ends)]
-    while stop_at is None or len(levels) < stop_at:
+    tau = 1
+    while stop_at is None or tau < stop_at:
         found = []
         for lo in range(0, len(masks), _NUMPY_DP_ROWS):
             part, part_ends = masks[lo:lo + _NUMPY_DP_ROWS], ends[lo:lo + _NUMPY_DP_ROWS]
@@ -317,52 +274,33 @@ def _dp_numpy(ladj: list[int], stop_at: int | None = None):
             rows, cols = np.nonzero(grow)
             found.append(_or_ends_by_mask(part[rows] | bits[cols], bits[cols]))
         if len(found) > 1:
-            masks, ends = _or_ends_by_mask(*map(np.concatenate, zip(*found)))
+            nxt = _or_ends_by_mask(*map(np.concatenate, zip(*found)))
         else:
-            masks, ends = found[0]
-        if not len(masks):
+            nxt = found[0]
+        if not len(nxt[0]):
             break
-        levels.append((masks, ends))
-    return len(levels), _LevelTable(levels), levels[-1][0].tolist()
+        masks, ends = nxt
+        tau += 1
+    return tau, masks.tolist(), ends.tolist()
 
 
 def detour_order(g: Graph, max_n: int | None = None) -> DetourRecord:
-    """Detour order of g with a witness path, via the subset DP.
-
-    The witness is deterministic: among maximum paths the one with the
-    smallest vertex-set mask and then smallest endpoint is reconstructed.
-    """
+    """Detour order of g, via the subset DP."""
     if g.n == 0:
         raise GraphError("detour order of the empty graph is undefined")
     check_capacity(g.n, max_n)
-    ladj, order = relabel(g, g.full_mask)
-    tau, table, last = _dp_levels(ladj)
-    best_mask = min(last)
-    path_local = _reconstruct(ladj, table, best_mask)
-    return DetourRecord(tau, tuple(order[v] for v in path_local))
+    tau, _, _ = _dp_levels(list(g.adj))
+    return DetourRecord(tau)
 
 
 def hamiltonian_ends(g: Graph) -> tuple[int, int]:
     """Detour order of g and the mask of vertices that end a Hamiltonian
-    path of g (0 when tau < n), from one full-order DP with no witness."""
+    path of g (0 when tau < n), from one full-order DP: level n, when
+    reached, holds one subset, V itself."""
     if g.n == 0:
         raise GraphError("detour order of the empty graph is undefined")
-    tau, table, _ = _dp_levels(list(g.adj))
-    return tau, table[g.full_mask]
-
-
-def _reconstruct(ladj: list[int], table: list[int], mask: int) -> list[int]:
-    ends = table[mask]
-    v = (ends & -ends).bit_length() - 1
-    path = [v]
-    while mask != 1 << v:
-        prev_mask = mask & ~(1 << v)
-        cand = table[prev_mask] & ladj[v]
-        v = (cand & -cand).bit_length() - 1
-        path.append(v)
-        mask = prev_mask
-    path.reverse()
-    return path
+    tau, _, ends = _dp_levels(list(g.adj))
+    return tau, (next(iter(ends)) if tau == g.n else 0)
 
 
 def tau_subset(g: Graph, mask: int) -> int:
@@ -401,17 +339,17 @@ def has_path_of_order(g: Graph, k: int, max_n: int | None = None) -> bool:
 
 
 def _order_level(g: Graph, k: int, within: int | None):
-    """Run the DP on <within> (all of g when None) to level k: (table, last
-    level's masks, local-to-graph ids), or None when <within> has no path
-    of order k."""
+    """Run the DP on <within> (all of g when None) to level k: (level k's
+    masks, their end masks, local-to-graph ids), or None when <within> has
+    no path of order k."""
     if k < 1:
         raise GraphError(f"path order {k} must be positive")
     mask = g.full_mask if within is None else within
     if k > mask.bit_count():
         return None
     ladj, order = relabel(g, mask)
-    tau, table, last = _dp_levels(ladj, stop_at=k)
-    return (table, last, order) if tau >= k else None
+    tau, last, ends = _dp_levels(ladj, stop_at=k)
+    return (last, ends, order) if tau >= k else None
 
 
 def end_vertices_of_order_paths(g: Graph, k: int, within: int | None = None) -> int:
@@ -424,12 +362,8 @@ def end_vertices_of_order_paths(g: Graph, k: int, within: int | None = None) -> 
     level = _order_level(g, k, within)
     if level is None:
         return 0
-    table, last, order = level
-    if isinstance(table, _LevelTable):
-        ends = table.last_ends()
-    else:
-        ends = functools.reduce(operator.or_, map(table.__getitem__, last), 0)
-    return lift(ends, order)
+    _, ends, order = level
+    return lift(functools.reduce(operator.or_, ends), order)
 
 
 def vertices_on_every_order_path(g: Graph, k: int, within: int | None = None) -> int | None:
@@ -442,12 +376,8 @@ def vertices_on_every_order_path(g: Graph, k: int, within: int | None = None) ->
     level = _order_level(g, k, within)
     if level is None:
         return None
-    table, last, order = level
-    if isinstance(table, _LevelTable):
-        common = table.last_common()
-    else:
-        common = functools.reduce(operator.and_, last)
-    return lift(common, order)
+    last, _, order = level
+    return lift(functools.reduce(operator.and_, last), order)
 
 
 def _subsets_of(mask: int) -> int:
@@ -480,8 +410,7 @@ class SubsetTable:
         self.n = g.n
         self.has = [1]
         if g.n:
-            _, table, _ = _dp_levels(list(g.adj), all_subsets=True)
-            self.has += [functools.reduce(operator.or_, level) for level in table.levels]
+            _dp_levels(list(g.adj), unions=self.has)
 
     def tau(self, mask: int) -> int:
         """tau(<mask>); 0 for the empty set."""

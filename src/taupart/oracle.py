@@ -508,18 +508,5 @@ def two_connected_graphs_upto_iso(n: int) -> list[int]:
     return sorted(set(canonical_forms(n, cands)))
 
 
-@_classes_by_order
-def trees_upto_iso(n: int) -> list[int]:
-    """Tree classes, grown by attaching one leaf everywhere."""
-    if n < 1:
-        raise GraphError(f"corpus order {n} must be at least 1")
-    if n == 1:
-        return [0]
-    prev = trees_upto_iso(n - 1)
-    base = (n - 1) * (n - 2) // 2
-    cands = {pm | (1 << (base + at)) for pm in prev for at in range(n - 1)}
-    return sorted(set(canonical_forms(n, sorted(cands))))
-
-
 def corpus_graphs(n: int, masks) -> list[Graph]:
     return [from_triangle_mask(n, m) for m in masks]

@@ -19,9 +19,9 @@ def count_dps(monkeypatch):
     sizes: list[int] = []
     real = detour._dp_levels
 
-    def counted(ladj, stop_at=None, all_subsets=False):
+    def counted(ladj, stop_at=None, unions=None):
         sizes.append(len(ladj))
-        return real(ladj, stop_at, all_subsets)
+        return real(ladj, stop_at, unions)
 
     monkeypatch.setattr(detour, "_dp_levels", counted)
     return sizes

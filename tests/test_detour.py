@@ -1,10 +1,9 @@
-"""Detour order: subset DP, witness paths, and the DFS cross-check engine."""
+"""Detour order: the subset DP kernels and the DFS cross-check engine."""
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import os
 import random
 import subprocess
@@ -21,13 +20,10 @@ from taupart import detour
 from taupart.detour import (
     DETOUR_DP_MAX_N,
     NUMPY_DP_MIN_K,
-    _BitTable,
-    _LevelTable,
     _dp_bits,
     _dp_levels,
     _dp_loop,
     _dp_numpy,
-    _reconstruct,
     detour_order,
     detour_order_dfs,
     end_vertices_of_order_paths,
@@ -75,20 +71,6 @@ def test_detour_order_petersen():
     assert detour_order_dfs(petersen_graph()) == 10
 
 
-def test_witness_is_a_real_path():
-    rec = detour_order(BOWTIE)
-    assert len(rec.witness_path) == rec.tau == 5
-    assert len(set(rec.witness_path)) == 5
-    for u, v in zip(rec.witness_path, rec.witness_path[1:]):
-        assert BOWTIE.has_edge(u, v)
-
-
-def test_witness_deterministic():
-    a = detour_order(complete_graph(4)).witness_path
-    b = detour_order(complete_graph(4)).witness_path
-    assert a == b
-
-
 def test_disconnected_takes_max_over_components():
     g = Graph.from_edges(4, [(0, 1), (1, 2)])
     assert detour_order(g).tau == 3
@@ -99,11 +81,7 @@ def test_disconnected_takes_max_over_components():
 @settings(max_examples=200, deadline=None)
 def test_dp_matches_dfs(n, p, seed):
     g = random_graph(n, p, seed=seed)
-    rec = detour_order(g)
-    assert rec.tau == detour_order_dfs(g)
-    assert len(rec.witness_path) == rec.tau
-    for u, v in zip(rec.witness_path, rec.witness_path[1:]):
-        assert g.has_edge(u, v)
+    assert detour_order(g).tau == detour_order_dfs(g)
 
 
 @given(st.integers(3, 9), st.floats(0.2, 0.9), st.integers(0, 2**31 - 1))
@@ -204,22 +182,28 @@ def test_exponential_entries_refuse_c21_with_the_dp_cap(call):
     assert call(max_n=21)
 
 
+def _pairs(result):
+    """A kernel result as tau and its deepest level's (mask, ends) pairs,
+    sorted."""
+    tau, last, ends = result
+    return tau, sorted(zip(last, ends))
+
+
 def test_stopped_loop_returns_level_k():
-    # end_vertices_of_order_paths reads level k as the last frontier of a
-    # run stopped at k
+    # the reference is the DFS path enumerator, which shares nothing with
+    # the DP: level k holds the vertex sets of the order-k paths, each with
+    # the vertices that end one of them
     for seed in range(40):
         g = random_graph(4 + seed % 7, 0.45, seed=seed)
-        ladj, _ = relabel(g, g.full_mask)
-        tau, table, _ = _dp_loop(ladj)
-        for k in range(1, g.n + 1):
-            level = sorted(m for m in range(1, 1 << g.n) if m.bit_count() == k and table[m])
-            tau_k, table_k, last = _dp_loop(ladj, stop_at=k)
-            if k <= tau:
-                assert tau_k == k
-                assert sorted(last) == level
-                assert all(table_k[m] == table[m] for m in level)
-            else:
-                assert tau_k == tau and not level
+        levels: dict[int, dict[int, int]] = {}
+        for path in paths_of_order_at_least(g, 1):
+            level = levels.setdefault(len(path), {})
+            mask = ids_to_mask(path)
+            level[mask] = level.get(mask, 0) | 1 << path[-1]
+        tau = max(levels)
+        for k in (*range(1, g.n + 2), None):
+            depth = tau if k is None else min(k, tau)
+            assert _pairs(_dp_loop(list(g.adj), stop_at=k)) == (depth, sorted(levels[depth].items()))
 
 
 def _numpy_kernel_cases():
@@ -231,46 +215,26 @@ def _numpy_kernel_cases():
         yield random_graph(n, 2.6 / n, seed=seed)
 
 
-def _assert_kernels_agree(g):
-    ladj, order = relabel(g, g.full_mask)
-    tau, table, last = _dp_loop(ladj)
-    np_tau, np_table, np_last = _dp_numpy(ladj)
-    assert np_tau == tau
-    assert np_last == sorted(last)
-    reached = {m: e for masks, ends in np_table.levels
-               for m, e in zip(masks.tolist(), ends.tolist())}
-    assert reached == {m: e for m, e in enumerate(table) if e}
-    # lookups of subsets of the first 8 vertices, reached or not, and of V
-    for m in [*range(1, 1 << 8), g.full_mask]:
-        assert np_table[m] == table[m]
-    return ladj, order, table, last
+def _assert_kernels_agree(g, stops):
+    ladj = list(g.adj)
+    for k in stops:
+        assert _pairs(_dp_numpy(ladj, k)) == _pairs(_dp_loop(ladj, k)), (encode_graph6(g), k)
 
 
 def test_numpy_kernel_matches_the_loop():
     for g in _numpy_kernel_cases():
-        ladj, order, table, last = _assert_kernels_agree(g)
-        assert isinstance(_dp_levels(ladj)[1], _LevelTable)
-        assert isinstance(_dp_levels(ladj, stop_at=2)[1], _LevelTable)
-        witness = tuple(order[v] for v in _reconstruct(ladj, table, min(last)))
-        rec = detour_order(g)
-        assert rec.witness_path == witness
-        assert rec.tau == detour_order_dfs(g)
-        assert hamiltonian_ends(g) == (rec.tau, table[g.full_mask])
+        _assert_kernels_agree(g, [None])
+        tau = detour_order(g).tau
+        assert tau == detour_order_dfs(g)
+        _, _, ends = _dp_loop(list(g.adj))
+        assert hamiltonian_ends(g) == (tau, next(ends) if tau == g.n else 0)
 
 
 def test_stopped_numpy_kernel_matches_the_loop():
     # an early-exit query on NUMPY_DP_MIN_K or more vertices runs the numpy
     # kernel, which must stop at level k exactly as the loop does
     for g in _numpy_kernel_cases():
-        ladj, _ = relabel(g, g.full_mask)
-        for k in range(1, g.n + 2):
-            tau, table, last = _dp_loop(ladj, stop_at=k)
-            np_tau, np_table, np_last = _dp_numpy(ladj, stop_at=k)
-            assert np_tau == tau
-            assert np_last == sorted(last)
-            assert [np_table[m] for m in np_last] == [table[m] for m in np_last]
-            assert np_table.last_ends() == functools.reduce(operator.or_, map(table.__getitem__, last))
-            assert np_table.last_common() == functools.reduce(operator.and_, last)
+        _assert_kernels_agree(g, range(1, g.n + 2))
 
 
 def test_vertices_on_every_order_path_match_the_path_enumeration():
@@ -361,7 +325,7 @@ def test_early_exit_query_allocates_no_2_to_the_k_table():
 def test_numpy_kernel_extends_a_wide_level_in_parts(monkeypatch):
     monkeypatch.setattr(detour, "_NUMPY_DP_ROWS", 5)
     for g in itertools.islice(_numpy_kernel_cases(), 10):
-        _assert_kernels_agree(g)
+        _assert_kernels_agree(g, [*range(1, g.n + 2), None])
 
 
 def _bit_kernel_cases():
@@ -378,24 +342,35 @@ def _bit_kernel_cases():
 
 def test_bit_kernel_matches_the_loop():
     for g in _bit_kernel_cases():
-        ladj, _ = relabel(g, g.full_mask)
-        tau, table, last = _dp_loop(ladj)
-        bit_tau, bit_table, bit_last = _dp_bits(ladj)
-        assert bit_tau == tau
-        assert bit_last == sorted(last)
-        assert [bit_table[m] for m in range(1 << g.n)] == table
-        assert _reconstruct(ladj, bit_table, min(last)) == _reconstruct(ladj, table, min(last))
+        ladj = list(g.adj)
+        assert _pairs(_dp_bits(ladj)) == _pairs(_dp_loop(ladj)), encode_graph6(g)
 
 
-def test_dp_levels_picks_the_kernel_from_the_run():
-    petersen = list(petersen_graph().adj)
-    tree = list(Graph.from_edges(10, [(i, i // 2) for i in range(1, 10)]).adj)
-    assert type(_dp_levels(petersen)[1]) is _BitTable
-    assert type(_dp_levels(tree)[1]) is list
-    assert type(_dp_levels(petersen, stop_at=5)[1]) is list
-    for big in (cycle_graph(NUMPY_DP_MIN_K), complete_graph(NUMPY_DP_MIN_K + 1)):
-        assert type(_dp_levels(list(big.adj))[1]) is _LevelTable
-        assert type(_dp_levels(list(big.adj), stop_at=3)[1]) is _LevelTable
+def test_dp_levels_picks_the_kernel_from_the_run(monkeypatch):
+    ran = []
+    for name in ("_dp_loop", "_dp_bits", "_dp_numpy"):
+        def spy(*args, _name=name, _real=getattr(detour, name)):
+            ran.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(detour, name, spy)
+
+    def picked(g, stop_at=None, unions=None):
+        ran.clear()
+        _dp_levels(list(g.adj), stop_at, unions)
+        return ran
+
+    petersen = petersen_graph()
+    tree = Graph.from_edges(10, [(i, i // 2) for i in range(1, 10)])
+    assert picked(petersen) == ["_dp_bits"]
+    assert picked(tree) == ["_dp_loop"]
+    assert picked(tree, unions=[]) == ["_dp_bits"]
+    assert picked(petersen, stop_at=5) == ["_dp_loop"]
+    # the threshold the README documents: 14 vertices, early exit or not
+    assert picked(complete_graph(13)) == ["_dp_bits"]
+    assert picked(complete_graph(13), stop_at=3) == ["_dp_loop"]
+    for big in (cycle_graph(14), complete_graph(15)):
+        assert picked(big) == ["_dp_numpy"]
+        assert picked(big, stop_at=3) == ["_dp_numpy"]
 
 
 def test_bit_kernel_memory_on_k13():
@@ -439,7 +414,5 @@ def test_numpy_loads_on_the_first_numpy_dp():
 def test_numpy_kernel_reaches_bit_63():
     # the 2^64-entry list of the loop kernel could not even be allocated
     for g in (path_graph(64), cycle_graph(64)):
-        rec = detour_order(g, max_n=64)
-        assert rec.tau == 64 == detour_order_dfs(g)
-        assert len(set(rec.witness_path)) == 64
-        assert all(g.has_edge(u, v) for u, v in zip(rec.witness_path, rec.witness_path[1:]))
+        assert detour_order(g, max_n=64).tau == 64 == detour_order_dfs(g)
+    assert hamiltonian_ends(path_graph(64)) == (64, 1 | 1 << 63)

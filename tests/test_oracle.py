@@ -1,7 +1,7 @@
 """Certificate verification, sweeps, and isomorphism-class corpora.
 
 The class counts pinned below are the published sequences for graphs,
-connected graphs, 2-connected graphs, and trees up to isomorphism.
+connected graphs and 2-connected graphs up to isomorphism.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from taupart.oracle import (
     graphs_upto_iso,
     sweep_bounds,
     sweep_ppc,
-    trees_upto_iso,
     two_connected_graphs_upto_iso,
     verify_coloring_record,
     verify_partition_record,
@@ -61,15 +60,9 @@ def test_class_counts_two_connected():
     assert [len(two_connected_graphs_upto_iso(n)) for n in range(3, 9)] == [1, 3, 10, 56, 468, 7123]
 
 
-def test_class_counts_trees():
-    # the trees at n=9 and 10 are symmetric enough to lean on the twin rule
-    assert [len(trees_upto_iso(n)) for n in range(1, 11)] == [
-        1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
-
-
 # SHA-256 of each class list (its masks in decimal, comma-joined), recorded
-# when canonical forms were still minimised over all n! relabellings (n <= 7,
-# trees n <= 8) and when every augmentation of every smaller class was still
+# when canonical forms were still minimised over all n! relabellings (n <= 7)
+# and when every augmentation of every smaller class was still
 # canonicalised (n = 8): the refinement search and the minimum-degree rule
 # must reproduce every representative and their order.
 CLASS_LIST_DIGESTS = {
@@ -101,16 +94,6 @@ CLASS_LIST_DIGESTS = {
         7: "5f42acf3763c10be3c760f98ef89ffc4f101748007a4affd94b8c7cf9b1440ac",
         8: "84cee41fd609e921b4736b9c32cca8fefd4bb371d88076fc5c5c7180406f502f",
     },
-    trees_upto_iso: {
-        1: "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
-        2: "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
-        3: "4e07408562bedb8b60ce05c1decfe3ad16b72230967de01f640b7e4729b49fce",
-        4: "0ef98458d634720c2ed17959f8a428b3d1ff9f4862ae8a4f3a23ac4400e6305f",
-        5: "0fded9670b9d3578a6337351468acbfec028804dcc71748a65984ffdf3ee5c43",
-        6: "b4e8133f685ceeb906819602c9de88afa25448124e944266c5c4e746b53dfb71",
-        7: "67cd9ff3b95ef837e19ac74091776fe2bc58165f5d2c3ad866e9a2db610e76f1",
-        8: "912b36dd8bc47e3a39eb5a56ad94b4e847021e0637ee9fa33974c068561cc21c",
-    },
 }
 
 
@@ -124,7 +107,7 @@ def test_class_lists_are_pinned(enumerate_classes):
 
 def test_class_enumerators_return_fresh_lists():
     for enumerate_classes, n in ((graphs_upto_iso, 4), (connected_graphs_upto_iso, 4),
-                                 (two_connected_graphs_upto_iso, 4), (trees_upto_iso, 5)):
+                                 (two_connected_graphs_upto_iso, 4)):
         first = enumerate_classes(n)
         expected = list(first)
         first.clear()
@@ -186,7 +169,7 @@ def enumerator_candidates(monkeypatch, n: int) -> list[list[int]]:
             calls.append(masks)
         return real(order, masks)
     monkeypatch.setattr(oracle, "canonical_forms", record)
-    for enumerate_classes in (graphs_upto_iso, two_connected_graphs_upto_iso, trees_upto_iso):
+    for enumerate_classes in (graphs_upto_iso, two_connected_graphs_upto_iso):
         if n >= 3 or enumerate_classes is not two_connected_graphs_upto_iso:
             enumerate_classes.__wrapped__(n)  # uncached: the body runs again
     monkeypatch.undo()
@@ -196,7 +179,7 @@ def enumerator_candidates(monkeypatch, n: int) -> list[list[int]]:
 @pytest.mark.parametrize("n", range(2, 8))
 def test_enumerators_canonicalise_only_minimum_degree_augmentations(monkeypatch, n):
     calls = enumerator_candidates(monkeypatch, n)
-    assert len(calls) == (3 if n >= 3 else 2)
+    assert len(calls) == (2 if n >= 3 else 1)
     for cands in calls:
         for m in cands:
             degrees = [row.bit_count() for row in from_triangle_mask(n, m).adj]
