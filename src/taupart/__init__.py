@@ -10,7 +10,7 @@ recorded as replayable witnesses rather than papered over.
 """
 
 from .detour import DetourRecord, detour_order, detour_order_dfs, has_path_of_order
-from .ears import Ear, EarDecomposition, ear_decompose, is_two_connected, validate_ears
+from .ears import Ear, EarDecomposition, ear_decompose, is_two_connected
 from .errors import (
     CapacityError,
     CounterexampleError,
@@ -41,19 +41,16 @@ from .partition import (
     PartitionCertificate,
     PartitionTarget,
     brute_force_partition,
-    partition_cycle,
     tau_partition,
     tau_partition_2connected,
 )
 from .starcolor import (
     PairPartitionColoring,
-    exact_acyclic_chromatic,
     exact_star_chromatic,
     find_bicolored_p4s,
     pair_partition_coloring,
     repair_bicolored_p4s,
     star_coloring,
-    verify_acyclic_coloring,
     verify_star_coloring,
 )
 from .oracle import SweepReport, sweep_bounds, sweep_ppc, verify_record

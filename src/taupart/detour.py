@@ -21,11 +21,11 @@ the current level as sorted uint64 arrays of masks and end masks and
 extends it in a few array operations, so its time and memory grow with the
 subsets reached rather than with 2^k.  Below NUMPY_DP_MIN_K, `_dp_bits`
 serves full-order runs (no `stop_at`) on graphs with m >= k: it keeps, for
-each level and end vertex, one Python int with one bit per subset (the
-Held-Karp layout) and builds the next level with a few big-int operations
-per vertex.  `_dp_loop` serves the rest, early-exit runs and graphs with
-m < k (every forest), which reach few subsets: it walks the reached
-subsets one by one in pure Python over a 2^k list.  The loop and the bit
+the current level and each end vertex, one Python int with one bit per
+subset (the Held-Karp layout) and builds the next level with a few big-int
+operations per vertex.  `_dp_loop` serves the rest, early-exit runs and
+graphs with m < k (every forest), which reach few subsets: it walks the
+reached subsets one by one in pure Python over a 2^k list.  The loop and the bit
 kernel give the end masks lazily, so a query that reads only tau pays
 nothing for them.  numpy is imported by the numpy kernel and its helpers
 on their first call, not with this module: a process whose DPs all stay
@@ -79,8 +79,8 @@ if TYPE_CHECKING:
 # dense graph.  Memory of a run on NUMPY_DP_MIN_K or more vertices
 # (`_dp_numpy`) grows with the largest level it holds, never with 2^n,
 # early exit or not.  A smaller run, k < NUMPY_DP_MIN_K, allocates a 2^k
-# list (`_dp_loop`) or tau * k ints of 2^k bits (`_dp_bits`, about 170 KiB
-# on K13).
+# list (`_dp_loop`) or two levels of k ints of 2^k bits (`_dp_bits`, about
+# 35 KiB peak on K13).
 # Overridable at every entry through max_n (the CLI wires TAUPART_MAX_N
 # through).
 DETOUR_DP_MAX_N = 20
@@ -201,18 +201,22 @@ def _dp_bits(ladj: list[int], unions: list[int] | None = None):
     ending at v.  A path ending at w on S + {w} is a path on S ending at a
     neighbour u of w, with w outside S: so level j + 1 at w is the OR of
     level j at w's neighbours, restricted to the subsets that lack w and
-    shifted left by 2^w, which adds w to each.  `unions`, when given,
-    receives after the run the OR of each level over its end vertices,
-    level 1 first.
+    shifted left by 2^w, which adds w to each.  Only the level being built
+    and the one below it are held.  `unions`, when given, receives the OR
+    of each level over its end vertices as that level is reached, level 1
+    first.
     """
     k = len(ladj)
     if k == 0:
         return 0, [], []
     lacks = _lacks(k)
     nbrs = [list(iter_bits(a)) for a in ladj]
-    level = [1 << (1 << v) for v in range(k)]
-    levels = [level]
-    for _ in range(k - 1):  # a path has at most k vertices
+    tau, level = 1, [1 << (1 << v) for v in range(k)]
+    while True:
+        if unions is not None:
+            unions.append(functools.reduce(operator.or_, level))
+        if tau == k:  # a path has at most k vertices
+            break
         nxt = []
         for w in range(k):
             acc = 0
@@ -221,16 +225,13 @@ def _dp_bits(ladj: list[int], unions: list[int] | None = None):
             nxt.append((acc & lacks[w]) << (1 << w))
         if not any(nxt):
             break
-        levels.append(nxt)
-        level = nxt
-    if unions is not None:
-        unions += [functools.reduce(operator.or_, lv) for lv in levels]
+        tau, level = tau + 1, nxt
     # the subsets of level tau are the set bits of its OR: read them off the
     # binary digits, lowest first, with Python work only per set bit
     digits = bin(functools.reduce(operator.or_, level))[:1:-1]
     last = [m.start() for m in re.finditer("1", digits)]
-    return len(levels), last, (sum(1 << v for v, row in enumerate(level) if row >> mask & 1)
-                               for mask in last)
+    return tau, last, (sum(1 << v for v, row in enumerate(level) if row >> mask & 1)
+                       for mask in last)
 
 
 def _or_ends_by_mask(masks: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -314,13 +315,7 @@ def tau_subset(g: Graph, mask: int) -> int:
 
 def subset_has_path(g: Graph, mask: int, k: int) -> bool:
     """Does <mask> contain a path on at least k vertices?  Early-exits at level k."""
-    if k < 1:
-        raise GraphError(f"path order {k} must be positive")
-    if k > mask.bit_count():
-        return False
-    ladj, _ = relabel(g, mask)
-    tau, _, _ = _dp_levels(ladj, stop_at=k)
-    return tau >= k
+    return _order_level(g, k, mask) is not None
 
 
 def subset_tau_at_most(g: Graph, mask: int, bound: int) -> bool:

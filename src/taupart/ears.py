@@ -170,11 +170,6 @@ def ear_diagnostics(g: Graph, d: EarDecomposition) -> list[str]:
     return msgs
 
 
-def validate_ears(g: Graph, d: EarDecomposition) -> bool:
-    """True iff `d` is a valid ear decomposition of g (see ear_diagnostics)."""
-    return not ear_diagnostics(g, d)
-
-
 def ear_levels(d: EarDecomposition) -> Iterator[tuple[Graph, Ear | None, tuple[int, ...]]]:
     """Fold add_ear over the decomposition, yielding every level in turn.
 

@@ -186,8 +186,8 @@ def smallest_coloring(g: Graph,
                       admissible: Callable[[int, int, list[int], list[int]], bool]) -> tuple[int, ...]:
     """The first colouring of g with the fewest colours.
 
-    The one backtracking colour search, behind the exact n-detour, star and
-    acyclic chromatic numbers.  Vertices take colours in id order, each
+    The one backtracking colour search, behind the exact n-detour and star
+    chromatic numbers.  Vertices take colours in id order, each
     trying colours from the lowest and opening at most one new colour.
     After v takes colour c, `admissible(v, c, colors, classes)` says whether
     to go on: colors holds -1 above v, classes[c] is the vertex mask of

@@ -46,7 +46,7 @@ from .graphs import (
     parse_graph6,
     triangle_rows,
 )
-from .partition import PartitionTarget, tau_partition
+from .partition import PartitionTarget, is_int, tau_partition
 
 DFS_CROSSCHECK_MAX_N = 10
 
@@ -65,19 +65,15 @@ def _capacity_detail(g: Graph, max_n: int | None) -> str | None:
     return None
 
 
-def _is_json_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)  # JSON true is an int in Python
-
-
 def _field_types_detail(rec: dict, ints: tuple[str, ...], int_lists: tuple[str, ...]) -> str | None:
     """The `schema:` detail for the first of `ints` that is not a JSON
     integer, of `int_lists` that is not a JSON list of them, or for a
     'graph6' that is not a JSON string; None when every field is well typed."""
     for key in ints:
-        if not _is_json_int(rec[key]):
+        if not is_int(rec[key]):
             return f"schema: '{key}' must be an integer, got {type(rec[key]).__name__}"
     for key in int_lists:
-        if not isinstance(rec[key], list) or not all(_is_json_int(x) for x in rec[key]):
+        if not isinstance(rec[key], list) or not all(is_int(x) for x in rec[key]):
             return f"schema: '{key}' must be a list of integers"
     if not isinstance(rec["graph6"], str):
         return "schema: 'graph6' must be a string"
@@ -147,7 +143,7 @@ def verify_coloring_record(rec: dict, max_n: int | None = None) -> tuple[bool, s
     try:
         if prop == "n-detour":
             nb = rec.get("n")
-            if not _is_json_int(nb) or nb < 1:
+            if not is_int(nb) or nb < 1:
                 return False, f"schema: n-detour certificate needs a positive n, got {nb!r}"
             bound = -(-tau_g // nb) if g.n else 0
             if g.n and not multiway.verify_detour_coloring(g, colors, nb, max_n):
@@ -290,8 +286,8 @@ def sweep_bounds(graphs, corpus: str = "", max_n: int | None = None,
 
     Per graph: for every class bound n in 1..tau, the exact n-detour
     chromatic number must fit under ceil(tau/n) and the constructed
-    colouring must verify under it; the exact star chromatic number must
-    fit under tau; and the exact acyclic number under the star number.
+    colouring must verify under it; and the exact star chromatic number
+    and the constructed star colouring must fit under tau.
     """
     records: list[dict] = []
     counts = {"ok": 0, "violation": 0, "error": 0}
@@ -316,13 +312,10 @@ def sweep_bounds(graphs, corpus: str = "", max_n: int | None = None,
                     rec["runtime_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
                 records.append(rec)
             chi_star = starcolor.exact_star_chromatic(g, max_n=max_n)
-            chi_acyclic = starcolor.exact_acyclic_chromatic(g, max_n=max_n)
             cert = starcolor.star_coloring(g, max_n=max_n)
-            ok = (chi_acyclic <= chi_star <= tau_g and cert.verified
-                  and cert.colors_used <= tau_g)
+            ok = chi_star <= tau_g and cert.verified and cert.colors_used <= tau_g
             good = good and ok
-            rec = {"graph6": g6, "check": "star", "exact_star": chi_star,
-                   "exact_acyclic": chi_acyclic, "bound": tau_g,
+            rec = {"graph6": g6, "check": "star", "exact_star": chi_star, "bound": tau_g,
                    "constructed_used": cert.colors_used, "ok": ok}
             if not deterministic:
                 rec["runtime_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)

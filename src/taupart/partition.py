@@ -71,7 +71,7 @@ from .detour import (
 )
 from .ears import Ear, ear_decompose, ear_levels, is_two_connected, relabels_to, require_two_connected
 from .errors import CounterexampleError, GraphError, InternalCheckError, TargetError
-from .graphs import Graph, connected_components, encode_graph6, ids_to_mask, is_connected, iter_bits, lift, mask_to_ids
+from .graphs import Graph, connected_components, encode_graph6, ids_to_mask, iter_bits, lift, mask_to_ids
 
 # Brute force runs subset DPs on g with no cap check of their own, so this
 # cap must stay at or below DETOUR_DP_MAX_N.
@@ -80,7 +80,8 @@ BRUTE_FORCE_MAX_N = 20
 
 def is_int(x) -> bool:
     """An int and not a bool (True is an int in Python): the type of every
-    target entry."""
+    target entry, and of every integer field the verifier reads from a
+    certificate (JSON true parses to True)."""
     return isinstance(x, int) and not isinstance(x, bool)
 
 
@@ -283,31 +284,6 @@ def _level_taus(graphs: tuple[Graph, ...], ears: tuple[Ear, ...]) -> tuple[tuple
         taus.append(tau)
         carried.append(ends)
     return tuple(taus), tuple(carried)
-
-
-def _cycle_order(g: Graph) -> list[int]:
-    if g.n < 3 or not is_connected(g) or any(g.degree(v) != 2 for v in range(g.n)):
-        raise GraphError("graph is not a cycle")
-    seq = [0, min(g.neighbors(0))]
-    while True:
-        prev, cur = seq[-2], seq[-1]
-        rem = g.adj[cur] & ~(1 << prev)
-        nxt = (rem & -rem).bit_length() - 1
-        if nxt == 0:
-            break
-        seq.append(nxt)
-    return seq
-
-
-def partition_cycle(g: Graph, t: PartitionTarget) -> tuple[int, int]:
-    """Partition a cycle by a consecutive split: the first t.a vertices along
-    the cycle versus the rest.  tau of a path equals its order, so both
-    bounds hold with equality."""
-    seq = _cycle_order(g)
-    if t.total != g.n:
-        raise TargetError(f"target ({t.a}, {t.b}) sums to {t.total}, detour order of the cycle is {g.n}")
-    part_a = ids_to_mask(seq[:t.a])
-    return part_a, g.full_mask & ~part_a
 
 
 def choose_subtarget(t: PartitionTarget, tau_sub: int) -> PartitionTarget:
@@ -526,7 +502,10 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
     for i in range(len(levels) - 1, 0, -1):
         targets[i - 1] = choose_subtarget(targets[i], taus[i - 1])
 
-    part_a, _ = partition_cycle(levels[0], targets[0])
+    # level 0 is cycle_graph(c), numbered along the cycle, so its first
+    # targets[0].a vertices induce a path on that many vertices and the rest
+    # a path on c - a: a consecutive split meets both bounds with equality
+    part_a = (1 << targets[0].a) - 1
     method = "base-cycle" if not local_ears else "constructed"
     trace: list[CaseStep] = []
     witnesses: list[FailureWitness] = []

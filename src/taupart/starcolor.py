@@ -15,10 +15,10 @@ ancestor to a descendant, so any two depth classes induce a star forest,
 and a root-to-leaf path of the tree is a path of g, so there are at most
 tau depths (the tree-depth argument of Nesetril and Ossona de Mendez).
 
-The exact star and acyclic chromatic numbers run the one backtracking
-search, multiway.smallest_coloring, each with its own step test.
-Verification and the exact searches are independent of the construction
-and are what the certificates are checked against.
+The exact star chromatic number runs the one backtracking search,
+multiway.smallest_coloring, with the star step test.  Verification and the
+exact search are independent of the construction and are what the
+certificates are checked against.
 """
 
 from __future__ import annotations
@@ -192,25 +192,6 @@ def verify_star_coloring(g: Graph, colors) -> bool:
     return not find_bicolored_p4s(g, colors)
 
 
-def _is_forest(g: Graph, mask: int) -> bool:
-    edges2 = sum((g.adj[v] & mask).bit_count() for v in iter_bits(mask))
-    return edges2 // 2 == mask.bit_count() - len(connected_components(g, mask))
-
-
-def verify_acyclic_coloring(g: Graph, colors) -> bool:
-    """Proper and every union of two colour classes induces a forest."""
-    colors = list(colors)
-    classes = color_classes(g, colors)
-    if not _is_proper(g, colors):
-        return False
-    keys = sorted(classes)
-    for i, c1 in enumerate(keys):
-        for c2 in keys[i + 1:]:
-            if not _is_forest(g, classes[c1] | classes[c2]):
-                return False
-    return True
-
-
 def _star_admissible(g: Graph):
     """The star step test for smallest_coloring: v's class stays
     independent, and every P4 whose largest vertex is v keeps at least 3
@@ -233,25 +214,6 @@ def exact_star_chromatic(g: Graph, max_n: int | None = None) -> int:
     """
     check_capacity(g.n, max_n, EXACT_SEARCH_MAX_N, "exact star search")
     return len(set(smallest_coloring(g, _star_admissible(g))))
-
-
-def _acyclic_admissible(g: Graph):
-    """The acyclic step test for smallest_coloring: v's class stays
-    independent, and a forest together with every other non-empty class."""
-    def admissible(v: int, c: int, colors: list[int], classes: list[int]) -> bool:
-        return not g.adj[v] & classes[c] and all(
-            _is_forest(g, classes[c] | m) for o, m in enumerate(classes) if o != c and m)
-    return admissible
-
-
-def exact_acyclic_chromatic(g: Graph, max_n: int | None = None) -> int:
-    """Smallest number of colours in any acyclic colouring of g.
-
-    Runs multiway.smallest_coloring with the acyclic step test.
-    Exponential; capped at EXACT_SEARCH_MAX_N vertices (override with max_n).
-    """
-    check_capacity(g.n, max_n, EXACT_SEARCH_MAX_N, "exact acyclic search")
-    return len(set(smallest_coloring(g, _acyclic_admissible(g))))
 
 
 def depth_coloring(g: Graph) -> tuple[int, ...]:

@@ -117,6 +117,19 @@ def test_analyze_table_and_dot(tmp_path, capsys):
     assert out.out.startswith("graph g1 {")
 
 
+def test_analyze_dot_reports_malformed_lines_as_comments(monkeypatch, capsys):
+    g1 = "graph g1 {\n  0 -- 1;\n  0 -- 2;\n  1 -- 2;\n  2 -- 3;\n  2 -- 4;\n  3 -- 4;\n}\n"
+    bad = "// line 2: error: invalid graph6 character '!' (byte 0)\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO("DxK\n!!!\nC~\n"))
+    code, _, out = run(capsys, "analyze", "--dot")
+    assert code == 0
+    assert out.out.startswith(g1 + bad + "graph g3 {")
+    monkeypatch.setattr("sys.stdin", io.StringIO("DxK\n!!!\nC~\n"))
+    code, _, out = run(capsys, "analyze", "--dot", "--no-keep-going")
+    assert code == 2
+    assert out.out == g1 + bad
+
+
 def test_partition_single_target(capsys):
     code, recs, _ = run(capsys, "partition", "C~", "-a", "2", "-b", "2")
     assert code == 0

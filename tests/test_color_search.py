@@ -1,9 +1,9 @@
 """The shared backtracking colour search against the searches it replaced.
 
-The reference below is a copy of the three hand-written backtrackers and
-the star fallback loop that `multiway.smallest_coloring` replaced: the
-exact n-detour, star and acyclic searches and the loop that once searched
-for a star colouring when the repair stalled.  The shared search must give
+The reference below is a copy of the hand-written backtrackers and the
+star fallback loop that `multiway.smallest_coloring` replaced: the exact
+n-detour and star searches and the loop that once searched for a star
+colouring when the repair stalled.  The shared search must give
 the same chromatic numbers and, for the star test, the same first colouring.
 """
 
@@ -16,14 +16,7 @@ from taupart.errors import CapacityError, InternalCheckError
 from taupart.graphs import Graph, cycle_graph, from_triangle_mask, iter_bits, random_2connected
 from taupart.multiway import exact_detour_chromatic, smallest_coloring
 from taupart.oracle import connected_graphs_upto_iso
-from taupart.starcolor import (
-    _acyclic_admissible,
-    _all_p4s,
-    _is_forest,
-    _star_admissible,
-    exact_acyclic_chromatic,
-    exact_star_chromatic,
-)
+from taupart.starcolor import _all_p4s, _star_admissible, exact_star_chromatic
 
 
 def ref_exact_detour_chromatic(g: Graph, n: int) -> int:
@@ -78,30 +71,6 @@ def ref_star_colors_with(g: Graph, k: int) -> tuple[int, ...] | None:
     return tuple(colors) if place(0, 0) else None
 
 
-def ref_acyclic_colors_with(g: Graph, k: int) -> tuple[int, ...] | None:
-    colors = [-1] * g.n
-    classes = [0] * k
-
-    def place(v: int, used: int) -> bool:
-        below = (1 << v) - 1
-        for c in range(min(used + 1, k)):
-            if any(colors[u] == c for u in iter_bits(g.adj[v] & below)):
-                continue
-            trial = classes[c] | (1 << v)
-            if all(_is_forest(g, trial | classes[o]) for o in range(k) if o != c and classes[o]):
-                colors[v] = c
-                classes[c] = trial
-                if v + 1 == g.n or place(v + 1, max(used, c + 1)):
-                    return True
-                colors[v] = -1
-                classes[c] ^= 1 << v
-        return False
-
-    if g.n == 0:
-        return ()
-    return tuple(colors) if place(0, 0) else None
-
-
 def ref_smallest_k(colors_with, g: Graph) -> int:
     if g.n == 0:
         return 0
@@ -135,13 +104,12 @@ def test_shared_search_matches_the_old_backtrackers(g):
     for n in range(1, tau + 1):
         assert exact_detour_chromatic(g, n) == ref_exact_detour_chromatic(g, n)
     assert exact_star_chromatic(g) == ref_smallest_k(ref_star_colors_with, g)
-    assert exact_acyclic_chromatic(g) == ref_smallest_k(ref_acyclic_colors_with, g)
     assert smallest_coloring(g, _star_admissible(g)) == ref_star_fallback(g, g.n)
 
 
 def test_shared_search_returns_the_first_colouring_of_the_fewest_colours():
-    g = cycle_graph(5)
-    assert smallest_coloring(g, _acyclic_admissible(g)) == ref_acyclic_colors_with(g, 3)
+    g = cycle_graph(5)  # star chromatic number 4
+    assert smallest_coloring(g, _star_admissible(g)) == ref_star_colors_with(g, 4)
     assert smallest_coloring(Graph(0, ()), _star_admissible(Graph(0, ()))) == ()
     with pytest.raises(InternalCheckError):
         smallest_coloring(g, lambda v, c, colors, classes: False)
@@ -150,7 +118,6 @@ def test_shared_search_returns_the_first_colouring_of_the_fewest_colours():
 @pytest.mark.parametrize("search, call", [
     ("exact search", lambda g, **kw: exact_detour_chromatic(g, 2, **kw)),
     ("exact star search", exact_star_chromatic),
-    ("exact acyclic search", exact_acyclic_chromatic),
 ])
 def test_exact_searches_keep_their_capacity_messages(search, call):
     with pytest.raises(CapacityError) as exc:

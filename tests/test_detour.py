@@ -374,17 +374,19 @@ def test_dp_levels_picks_the_kernel_from_the_run(monkeypatch):
 
 
 def test_bit_kernel_memory_on_k13():
-    # tau * k ints of 2^k bits, 13 * 13 * 1 KiB; the loop kernel's 2^13
-    # list and its ints peak near 400 KiB
+    # two levels of k ints of 2^k bits, 2 * 13 * 1 KiB, plus a table's 14
+    # level ORs of 1 KiB; keeping all tau levels (13 * 13 KiB) fails both
+    # bounds, and the loop kernel's 2^13 list and its ints peak near 400 KiB
     ladj = list(complete_graph(13).adj)
-    tracemalloc.start()
-    try:
-        tau, _, _ = _dp_levels(ladj)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert tau == 13
-    assert peak < 256 << 10
+    for unions, bound in ((None, 64 << 10), ([1], 96 << 10)):
+        tracemalloc.start()
+        try:
+            tau, _, _ = _dp_levels(ladj, unions=unions)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tau == 13
+        assert peak < bound, (unions is not None, peak)
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

@@ -47,7 +47,6 @@ from taupart.partition import (
     extend_r1,
     extend_rge2,
     graph_facts,
-    partition_cycle,
     tau_partition,
     tau_partition_2connected,
 )
@@ -89,13 +88,18 @@ def test_target_validation():
 
 
 def test_partition_cycle_consecutive():
-    g = cycle_graph(7)
-    a_mask, b_mask = partition_cycle(g, PartitionTarget(3, 4))
-    assert a_mask | b_mask == g.full_mask and a_mask & b_mask == 0
-    assert tau_subset(g, a_mask) == 3
-    assert tau_subset(g, b_mask) == 4
+    along = [3, 6, 0, 5, 1, 4, 2]  # a 7-cycle whose ids do not follow it
+    g = Graph.from_edges(7, [(u, along[i - 1]) for i, u in enumerate(along)])
+    for a in range(1, 7):
+        cert = tau_partition(g, PartitionTarget(a, 7 - a))
+        assert cert.method == "base-cycle"
+        assert cert.part_b == g.full_mask & ~cert.part_a
+        # A is a run of a consecutive vertices of the cycle, so it induces a path
+        assert any(cert.part_a == ids_to_mask((along * 2)[s:s + a]) for s in range(7))
+        cert_is_valid(g, cert)
+        assert (cert.tau_a, cert.tau_b) == (a, 7 - a)
     with pytest.raises(TargetError):
-        partition_cycle(g, PartitionTarget(3, 3))
+        tau_partition(g, PartitionTarget(3, 3))
 
 
 def test_choose_subtarget_exhaustive():

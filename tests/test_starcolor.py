@@ -30,13 +30,11 @@ from taupart.oracle import connected_graphs_upto_iso, two_connected_graphs_upto_
 from taupart.starcolor import (
     PairPartitionColoring,
     depth_coloring,
-    exact_acyclic_chromatic,
     exact_star_chromatic,
     find_bicolored_p4s,
     pair_partition_coloring,
     repair_bicolored_p4s,
     star_coloring,
-    verify_acyclic_coloring,
     verify_star_coloring,
 )
 
@@ -55,13 +53,6 @@ def test_verify_star_coloring():
     assert not verify_star_coloring(path_graph(4), [0, 1, 0, 1])  # bicoloured path
     assert not verify_star_coloring(path_graph(4), [0, 0, 1, 2])  # not proper
     assert verify_star_coloring(complete_graph(4), [0, 1, 2, 3])
-
-
-def test_verify_acyclic_coloring():
-    assert verify_acyclic_coloring(cycle_graph(5), [0, 1, 0, 1, 2])
-    # two colour classes of C4 span the whole cycle
-    assert not verify_acyclic_coloring(cycle_graph(4), [0, 1, 0, 1])
-    assert not verify_acyclic_coloring(cycle_graph(4), [0, 0, 1, 1])
 
 
 def test_pair_coloring_is_proper():
@@ -223,12 +214,6 @@ def test_exact_star_chromatic_known_values():
     assert exact_star_chromatic(k23) == 3
 
 
-def test_exact_acyclic_chromatic_values():
-    assert exact_acyclic_chromatic(cycle_graph(4)) == 3
-    assert exact_acyclic_chromatic(path_graph(4)) == 2
-    assert exact_acyclic_chromatic(complete_graph(4)) == 4
-
-
 def test_star_coloring_families():
     for g in (path_graph(4), cycle_graph(5), cycle_graph(6), complete_graph(5), BOWTIE):
         cert = star_coloring(g)
@@ -305,22 +290,15 @@ def test_depth_coloring_keeps_the_lowest_root_of_fewest_depths():
         depth_coloring(Graph.from_edges(3, [(0, 1)]))
 
 
-def test_star_implies_acyclic():
-    for g in (cycle_graph(6), BOWTIE, complete_graph(4), parse_graph6("Ezn?")):
-        cert = star_coloring(g)
-        assert verify_acyclic_coloring(g, cert.colors)
-
-
 def test_chromatic_chain_on_small_graphs():
     from taupart.multiway import exact_detour_chromatic
 
     for seed in range(30):
         g = random_graph(6, 0.5, seed=seed)
         chi = exact_detour_chromatic(g, 1)
-        acyc = exact_acyclic_chromatic(g)
         star = exact_star_chromatic(g)
         tau = detour_order(g).tau
-        assert chi <= acyc <= star <= tau
+        assert chi <= star <= tau
 
 
 @given(st.integers(2, 8), st.floats(0.2, 0.9), st.integers(0, 2**31 - 1))
