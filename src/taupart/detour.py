@@ -39,7 +39,10 @@ The construction asks most of its questions through `subset_queries`.  On
 a graph below NUMPY_DP_MIN_K vertices that is one cached `SubsetTable`,
 built by one full-order `_dp_bits` run, which answers tau(<S>), tau(<S>)
 <= b and the vertices on every order-k path for any mask S with a few
-big-int operations and no relabel.  It serves partition's step checks,
+big-int operations and no relabel, and keeps the mask of vertices that
+end a Hamiltonian path of the whole graph.  It is the only full-order DP
+the construction runs on such a graph: it serves partition's graph facts
+(tau of a graph, the Hamiltonian ends of an ear level), step checks,
 witness taus and final certificate check, brute-force repair, and
 multiway's part check and exact colour search.  From NUMPY_DP_MIN_K
 vertices on, each query runs its own DP as above: a table there would
@@ -53,12 +56,12 @@ check of the certificates built with it.
 
 The size cap is checked once, where a graph enters the package: the
 exported entries, which the CLI subcommands call, run `check_capacity` on
-the whole graph.  `detour_order` and `has_path_of_order` are such entries.  The other
-queries (`tau_subset`, `subset_has_path`, `subset_tau_at_most`,
-`end_vertices_of_order_paths`, `vertices_on_every_order_path`,
-`hamiltonian_ends`, `subset_queries`) assume an admitted graph and check
-nothing: every DP they run is on a subset of a graph already within the
-cap, whatever cap the entry was given.
+the whole graph.  `detour_order` and `has_path_of_order` are such
+entries.  The other queries (`tau_subset`, `subset_has_path`,
+`subset_tau_at_most`, `end_vertices_of_order_paths`,
+`vertices_on_every_order_path`, `subset_queries`) assume an admitted graph
+and check nothing: every DP they run is on a subset of a graph already
+within the cap, whatever cap the entry was given.
 """
 
 from __future__ import annotations
@@ -294,16 +297,6 @@ def detour_order(g: Graph, max_n: int | None = None) -> DetourRecord:
     return DetourRecord(tau)
 
 
-def hamiltonian_ends(g: Graph) -> tuple[int, int]:
-    """Detour order of g and the mask of vertices that end a Hamiltonian
-    path of g (0 when tau < n), from one full-order DP: level n, when
-    reached, holds one subset, V itself."""
-    if g.n == 0:
-        raise GraphError("detour order of the empty graph is undefined")
-    tau, _, ends = _dp_levels(list(g.adj))
-    return tau, (next(iter(ends)) if tau == g.n else 0)
-
-
 def tau_subset(g: Graph, mask: int) -> int:
     """Detour order of the induced subgraph <mask>; 0 for the empty set."""
     if mask == 0:
@@ -396,16 +389,24 @@ class SubsetTable:
     tau(g).  A query on mask S meets these with `_subsets_of(S)`, with no
     relabel and no DP: tau(<S>) is the largest j whose has[j] meets it, and
     tau(<S>) <= b exactly when has[b + 1] misses it, as a path of order
-    above b + 1 has a prefix of order b + 1.  Built for graphs below
-    NUMPY_DP_MIN_K vertices, where K13's table keeps 14 ints of 1 KiB."""
+    above b + 1 has a prefix of order b + 1.  `ends` is the mask of
+    vertices that end a Hamiltonian path of g (0 when tau(g) < n), read off
+    the run's last level, which then holds one subset, V itself.  Built for
+    graphs below NUMPY_DP_MIN_K vertices, where K13's table keeps 14 ints
+    of 1 KiB."""
 
-    __slots__ = ("n", "has")
+    __slots__ = ("n", "has", "ends")
 
     def __init__(self, g: Graph) -> None:
         self.n = g.n
         self.has = [1]
-        if g.n:
-            _dp_levels(list(g.adj), unions=self.has)
+        tau, _, ends = _dp_levels(list(g.adj), unions=self.has)
+        self.ends = next(iter(ends), 0) if tau == g.n else 0
+
+    def hamiltonian_ends(self) -> tuple[int, int]:
+        """tau(g) and the mask of vertices that end a Hamiltonian path of g
+        (0 when tau(g) < n)."""
+        return len(self.has) - 1, self.ends
 
     def tau(self, mask: int) -> int:
         """tau(<mask>); 0 for the empty set."""
@@ -456,6 +457,10 @@ class SubsetDPs:
 
     def on_every_order_path(self, k: int, mask: int) -> int | None:
         return vertices_on_every_order_path(self.g, k, mask)
+
+    def hamiltonian_ends(self) -> tuple[int, int]:
+        tau, _, ends = _dp_levels(list(self.g.adj))
+        return tau, (next(iter(ends)) if tau == self.g.n else 0)
 
 
 def subset_queries(g: Graph) -> SubsetTable | SubsetDPs:

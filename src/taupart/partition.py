@@ -28,10 +28,11 @@ tau(g) and, for a 2-connected g, the ear levels with their detour orders
 once per graph; every target, and every colouring step in multiway and
 starcolor, reuses them.  The per-step bound checks, the migration audit,
 brute-force repair and the final certificate check still run for every
-target; on graphs below NUMPY_DP_MIN_K vertices the bound checks read one
-subset table per graph (`detour.subset_queries`) instead of running a DP
-each.  The verifier in oracle recomputes everything from scratch without
-reading these facts or tables.
+target.  Every full-order question, in the facts and in the checks, goes
+through `detour.subset_queries`: on a graph below NUMPY_DP_MIN_K vertices
+that reads one cached subset table, so the facts and the checks of one
+graph or level share a single DP.  The verifier in oracle recomputes
+everything from scratch without reading these facts or tables.
 
 Most level detour orders need no DP.  Going up the levels, `graph_facts`
 carries a mask of vertices known to end a Hamiltonian path of the level,
@@ -48,10 +49,13 @@ and three facts settle a level:
                has more vertices than the graph.
 
 A level these leave open (no carried end, or neither ear endpoint among
-them) runs one DP, which gives its exact tau and its exact mask of
-Hamiltonian-path ends (0 when tau < |V_i|) for the next level to carry.
-The top level is g relabelled, checked edge for edge, so for a 2-connected
-g its tau is tau(g) and g gets no DP of its own.
+them) asks its subset queries for its exact tau and its exact mask of
+Hamiltonian-path ends (0 when tau < |V_i|), for the next level to carry:
+below NUMPY_DP_MIN_K vertices the level's subset table holds both, and the
+level's step checks read the same table.  The top level is g relabelled,
+checked edge for edge, so for a 2-connected g its tau is tau(g), the final
+certificate check reads the top level's table, and g gets no DP or table
+of its own unless brute force repartitions all of g.
 """
 
 from __future__ import annotations
@@ -65,7 +69,6 @@ from .detour import (
     SubsetTable,
     check_capacity,
     end_vertices_of_order_paths,
-    hamiltonian_ends,
     paths_of_order_at_least,
     subset_queries,
 )
@@ -224,7 +227,8 @@ class GraphFacts:
 
     For a 2-connected graph, tau is the top level's detour order; the level
     orders are settled as the module docstring explains, by a carried
-    Hamiltonian path where one reaches the level and by a DP elsewhere."""
+    Hamiltonian path where one reaches the level and by the level's subset
+    queries elsewhere."""
 
     tau: int
     levels: EarLevels | None
@@ -234,13 +238,15 @@ def graph_facts(g: Graph, max_n: int | None = None) -> GraphFacts:
     """The GraphFacts of g, computed once and then served from a small cache.
 
     The empty graph costs no DP (tau = 0), and any other graph that is not
-    2-connected costs one.  A 2-connected one costs one DP per ear level
-    that the three settling facts of the module docstring leave open: a
-    base cycle has tau = c with a Hamiltonian path ending at every vertex,
-    a chord keeps every Hamiltonian path of the level below, and an ear
-    whose endpoint x (or y) ends such a path gives one ending at its last
-    (or first) internal vertex.  The top level must rebuild g edge for
-    edge, else InternalCheckError.
+    2-connected reads tau(g) from its subset queries: below NUMPY_DP_MIN_K
+    vertices that builds the table that brute force then reads.  A
+    2-connected one asks the subset queries of each ear level that the
+    three settling facts of the module docstring leave open: a base cycle
+    has tau = c with a Hamiltonian path ending at every vertex, a chord
+    keeps every Hamiltonian path of the level below, and an ear whose
+    endpoint x (or y) ends such a path gives one ending at its last (or
+    first) internal vertex.  The top level must rebuild g edge for edge,
+    else InternalCheckError.
 
     The DP capacity cap (max_n, default DETOUR_DP_MAX_N) is checked on every
     call before the lookup, so an entry built under a larger cap never
@@ -258,7 +264,7 @@ def _graph_facts(g: Graph) -> GraphFacts:
     if g.n == 0:  # tau of the empty graph is 0, as tau_subset reads it
         return GraphFacts(0, None)
     if not is_two_connected(g):
-        return GraphFacts(hamiltonian_ends(g)[0], None)
+        return GraphFacts(subset_queries(g).tau(g.full_mask), None)
     graphs, local_ears, ids = zip(*ear_levels(ear_decompose(g)))
     orig_of = ids[-1]
     # the top level's tau stands for tau(g) only if it is g relabelled
@@ -271,7 +277,8 @@ def _graph_facts(g: Graph) -> GraphFacts:
 def _level_taus(graphs: tuple[Graph, ...], ears: tuple[Ear, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The detour order of every ear level, and for each level the mask of
     vertices carried up as ends of its Hamiltonian paths (the exact end
-    mask where the level ran a DP, a subset of it elsewhere)."""
+    mask where the level asked its subset queries, a subset of it
+    elsewhere)."""
     tau, ends = graphs[0].n, graphs[0].full_mask
     taus, carried = [tau], [ends]
     for h, ear in zip(graphs[1:], ears):
@@ -280,7 +287,7 @@ def _level_taus(graphs: tuple[Graph, ...], ears: tuple[Ear, ...]) -> tuple[tuple
         if ends:
             tau = h.n
         else:
-            tau, ends = hamiltonian_ends(h)
+            tau, ends = subset_queries(h).hamiltonian_ends()
         taus.append(tau)
         carried.append(ends)
     return tuple(taus), tuple(carried)
@@ -550,13 +557,14 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
             raise CounterexampleError(
                 f"no ({t.a}, {t.b}) partition exists", g6, (t.a, t.b))
         out_a, out_b = whole
+        q = subset_queries(g)
+        tau_a, tau_b = q.tau(out_a), q.tau(out_b)
         break
-    else:  # every ear folded in
+    else:  # every ear folded in: check part A on the top level, g relabelled
+        q = subset_queries(levels[-1])
+        tau_a, tau_b = q.tau(part_a), q.tau(levels[-1].full_mask & ~part_a)
         out_a = lift(part_a, orig_of)
         out_b = g.full_mask & ~out_a
-    q = subset_queries(g)
-    tau_a = q.tau(out_a)
-    tau_b = q.tau(out_b)
     if tau_a > t.a or tau_b > t.b or (out_a | out_b) != g.full_mask or (out_a & out_b):
         raise InternalCheckError(f"certified partition fails its own bounds on {g6}")
     return PartitionCertificate(g6, t.a, t.b, out_a, out_b, tau_a, tau_b, method,

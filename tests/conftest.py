@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from taupart import detour
+from taupart import detour, partition
 
 
 @pytest.fixture
@@ -12,10 +12,12 @@ def count_dps(monkeypatch):
     """The vertex count of every subset DP run during the test, in order.
 
     Every detour query that runs a DP runs exactly one `detour._dp_levels`,
-    so the length of the list is the number of DPs.  The subset tables
-    cached by earlier tests are dropped, so each count starts cold.
+    so the length of the list is the number of DPs.  The subset tables and
+    graph facts cached by earlier tests are dropped, so each count starts
+    cold.
     """
     detour._subset_table.cache_clear()
+    partition._graph_facts.cache_clear()
     sizes: list[int] = []
     real = detour._dp_levels
 

@@ -27,7 +27,6 @@ from taupart.detour import (
     detour_order,
     detour_order_dfs,
     end_vertices_of_order_paths,
-    hamiltonian_ends,
     has_path_of_order,
     paths_of_order_at_least,
     subset_tau_at_most,
@@ -96,13 +95,15 @@ def test_tau_monotone_under_ears(n, p, seed):
 
 
 def test_hamiltonian_ends():
+    def ends(g):
+        return detour.subset_queries(g).hamiltonian_ends()
+
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    assert hamiltonian_ends(path_graph(5)) == (5, ids_to_mask([0, 4]))
-    assert hamiltonian_ends(cycle_graph(5)) == (5, 0b11111)
-    assert hamiltonian_ends(BOWTIE) == (5, BOWTIE.full_mask & ~(1 << 2))
-    assert hamiltonian_ends(star) == (3, 0)
-    with pytest.raises(GraphError):
-        hamiltonian_ends(Graph.from_edges(0, []))
+    assert ends(path_graph(5)) == (5, ids_to_mask([0, 4]))
+    assert ends(cycle_graph(5)) == (5, 0b11111)
+    assert ends(BOWTIE) == (5, BOWTIE.full_mask & ~(1 << 2))
+    assert ends(star) == (3, 0)
+    assert ends(Graph.from_edges(0, [])) == (0, 0)  # tau = 0, as tau_subset reads it
 
 
 def test_tau_subset():
@@ -227,7 +228,7 @@ def test_numpy_kernel_matches_the_loop():
         tau = detour_order(g).tau
         assert tau == detour_order_dfs(g)
         _, _, ends = _dp_loop(list(g.adj))
-        assert hamiltonian_ends(g) == (tau, next(ends) if tau == g.n else 0)
+        assert detour.subset_queries(g).hamiltonian_ends() == (tau, next(ends) if tau == g.n else 0)
 
 
 def test_stopped_numpy_kernel_matches_the_loop():
@@ -276,6 +277,8 @@ def test_subset_table_matches_the_per_query_loop():
     for g in _subset_table_cases():
         table = detour.SubsetTable(g)
         ref = [loop_tau(tuple(relabel(g, mask)[0])) for mask in range(1 << g.n)]
+        _, _, ends = _dp_loop(list(g.adj))
+        assert table.hamiltonian_ends() == (ref[-1], next(ends) if ref[-1] == g.n else 0), encode_graph6(g)
         for mask, tau in enumerate(ref):
             assert table.tau(mask) == tau, (encode_graph6(g), mask)
             for b in range(g.n + 2):
@@ -417,4 +420,4 @@ def test_numpy_kernel_reaches_bit_63():
     # the 2^64-entry list of the loop kernel could not even be allocated
     for g in (path_graph(64), cycle_graph(64)):
         assert detour_order(g, max_n=64).tau == 64 == detour_order_dfs(g)
-    assert hamiltonian_ends(path_graph(64)) == (64, 1 | 1 << 63)
+    assert detour.subset_queries(path_graph(64)).hamiltonian_ends() == (64, 1 | 1 << 63)

@@ -81,10 +81,7 @@ def test_split_reuses_the_taus_it_already_holds(count_dps):
     # Below NUMPY_DP_MIN_K vertices every part check reads its graph's
     # subset table: one DP per graph queried, one early-exit DP for a fold
     # step's migration
-    from taupart import partition
-
     g = petersen_graph()
-    partition._graph_facts.cache_clear()
     masks = t_partition(g, (2,) * 5)
     assert len(count_dps) == 9
     parts_are_valid(g, (2,) * 5, masks)

@@ -16,7 +16,6 @@ from taupart.detour import (
     detour_order,
     detour_order_dfs,
     end_vertices_of_order_paths,
-    hamiltonian_ends,
     subset_tau_at_most,
     tau_subset,
 )
@@ -510,14 +509,12 @@ def test_graph_facts_check_the_cap_on_every_call():
 
 
 def test_a_raised_cap_reaches_the_dps_below_the_entry(count_dps):
-    from taupart import partition
     from taupart.oracle import verify_record
 
     g = add_ear(add_ear(cycle_graph(4), 0, 2, 9), 1, 3, 9)
     assert encode_graph6(g) == "Ul_GGC@?G?_@G@O???G?@??C??G??G??C??@C??G"
-    partition._graph_facts.cache_clear()
     assert graph_facts(g, 22).tau == 22
-    assert count_dps == [22]  # the top level's hamiltonian_ends, on all of g
+    assert count_dps == [22]  # the top level's Hamiltonian ends, on all of g
     cert = tau_partition(g, PartitionTarget(11, 11), max_n=22)
     assert cert.method == "constructed"
     assert verify_record(cert.to_json_dict(), max_n=22) == (True, "ok")
@@ -574,7 +571,9 @@ def test_level_taus_carry_only_true_hamiltonian_ends():
         assert taus == lv.taus
         assert graph_facts(g).tau == taus[-1]
         for h, tau, ends in zip(lv.graphs, taus, carried):
-            exact_tau, exact_ends = hamiltonian_ends(h)
+            # the ends of paths of order |V(h)|, from an early-exit DP that
+            # reads no subset table
+            exact_tau, exact_ends = tau_subset(h, h.full_mask), end_vertices_of_order_paths(h, h.n)
             assert tau == exact_tau
             assert ends & ~exact_ends == 0, (encode_graph6(g), h.n)
             assert bool(ends) == (tau == h.n)
@@ -586,11 +585,51 @@ def test_level_taus_carry_only_true_hamiltonian_ends():
     (_wheel(6), 0), (complete_graph(6), 0), (petersen_graph(), 0), (_k2m(4), 1), (_k2m(6), 3),
 ], ids=["W6", "K6", "petersen", "K2,4", "K2,6"])
 def test_graph_facts_run_a_dp_only_on_unsettled_levels(count_dps, g, dps):
-    from taupart import partition
-
-    partition._graph_facts.cache_clear()
     graph_facts(g)
     assert len(count_dps) == dps
+
+
+def test_no_full_order_dp_repeats_a_graph(count_dps, monkeypatch):
+    # an open level's Hamiltonian ends and its step checks read one subset
+    # table, so a graph's facts and all its targets together run each
+    # full-order DP once per adjacency list
+    from taupart import detour
+    from taupart.oracle import corpus_graphs, two_connected_graphs_upto_iso
+
+    seen: set[tuple[int, ...]] = set()
+    counted = detour._dp_levels
+
+    def once(ladj, stop_at=None, unions=None):
+        if stop_at is None:
+            assert tuple(ladj) not in seen, (encode_graph6(g), ladj)
+            seen.add(tuple(ladj))
+        return counted(ladj, stop_at, unions)
+
+    monkeypatch.setattr(detour, "_dp_levels", once)
+    for g in corpus_graphs(6, two_connected_graphs_upto_iso(6)) + [_k2m(4), _k2m(6)]:
+        seen.clear()
+        tau = graph_facts(g).tau
+        for a in range(1, tau):
+            tau_partition(g, PartitionTarget(a, tau - a))
+    assert count_dps
+
+
+def test_the_final_check_reads_the_top_level_table(count_dps, monkeypatch):
+    # the top ear level is g relabelled, so a certificate whose ears all
+    # folded in is checked on that level's table, and g gets none
+    from taupart import detour
+
+    g = petersen_graph()
+    top = graph_facts(g).levels.graphs[-1]
+    assert g.n < NUMPY_DP_MIN_K and top != g
+    built = []
+    real = detour.SubsetTable.__init__
+    monkeypatch.setattr(detour.SubsetTable, "__init__", lambda self, h: built.append(h) or real(self, h))
+    for a in range(1, 7):
+        cert = tau_partition_2connected(g, PartitionTarget(a, 10 - a))
+        assert cert.method == "constructed"
+        assert (cert.tau_a, cert.tau_b) == (tau_subset(g, cert.part_a), tau_subset(g, cert.part_b))
+    assert top in built and g not in built
 
 
 def test_rejects_target_not_summing_to_tau():
