@@ -36,7 +36,7 @@ from .errors import (
 )
 from .graphs import blocks, mask_to_ids, parse_graph6, random_2connected, to_dot
 from .multiway import detour_coloring
-from .oracle import sweep_ppc, verify_record
+from .oracle import WholeGraphTau, sweep_ppc, verify_record
 from .partition import PartitionTarget, graph_facts, tau_partition
 from .starcolor import star_coloring
 
@@ -234,6 +234,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     total = 0
     failed = 0
     over_cap = False
+    whole_tau = WholeGraphTau()  # tau of the graph of the last lines, for this call only
     for lineno, raw in _read_lines(args.input):
         s = raw.strip()
         if not s:
@@ -249,7 +250,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except RecursionError:
             ok, msg = False, "schema: invalid JSON: nested too deeply"
         else:
-            ok, msg = verify_record(rec, max_n=max_n)
+            ok, msg = verify_record(rec, max_n=max_n, whole_tau=whole_tau)
         failed += 0 if ok else 1
         over_cap = over_cap or msg.startswith("capacity:")
         _emit({"line": lineno, "ok": ok, "detail": msg})

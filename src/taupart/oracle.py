@@ -6,6 +6,18 @@ primitives; the sweeps drive the constructions across whole corpora, verify
 every emitted certificate independently, cross-check the two detour engines
 against each other, and abort loudly on any internal disagreement.
 
+A record's checks run cheapest first: its schema, field types, graph6 and
+cap, then every check that needs no DP, and only then the DPs for tau(g)
+and for the parts or colour classes.  tau(g) comes from a `WholeGraphTau`
+that the caller owns for one call: a run of records on one graph (the
+lines of one `taupart verify` call, or the certificates of one graph in a
+sweep) computes it once, and nothing keeps it after the call.  It answers
+only for a graph equal to the one it holds, so each record is still parsed
+from its own graph6 string and every part's tau still comes from the
+verifier's own DP.  `sweep_ppc` seeds it with the tau(g) that it has just
+computed and cross-checked against the DFS engine, and checks each
+certificate of g against that.
+
 The corpus enumerators produce one representative per isomorphism class by
 vertex augmentation: deleting a vertex of minimum degree from an n-vertex
 graph leaves an (n-1)-vertex class, so every class is reached by adding to
@@ -80,8 +92,33 @@ def _field_types_detail(rec: dict, ints: tuple[str, ...], int_lists: tuple[str, 
     return None
 
 
-def verify_partition_record(rec: dict, max_n: int | None = None) -> tuple[bool, str]:
-    """Re-check a partition certificate dict from scratch, within the DP cap."""
+class WholeGraphTau:
+    """tau of one graph at a time, for a caller that checks a run of
+    records on one graph.
+
+    The caller creates it for one call and passes it to each verification;
+    it holds one graph and its tau, and asking about another graph
+    replaces both, so it never grows.  A caller that has computed tau(g)
+    itself seeds it with (g, tau)."""
+
+    __slots__ = ("graph", "tau")
+
+    def __init__(self, graph: Graph | None = None, tau: int = 0) -> None:
+        self.graph, self.tau = graph, tau
+
+    def of(self, g: Graph) -> int:
+        """tau(g): the held value when g equals the held graph, else one
+        whole-graph DP, which then replaces it."""
+        if g != self.graph:
+            self.graph, self.tau = g, tau_subset(g, g.full_mask)
+        return self.tau
+
+
+def verify_partition_record(rec: dict, max_n: int | None = None,
+                            whole_tau: WholeGraphTau | None = None) -> tuple[bool, str]:
+    """Re-check a partition certificate dict from scratch, within the DP cap.
+    tau(g) comes from `whole_tau` when given (see WholeGraphTau), else from
+    a DP of its own."""
     for key in ("graph6", "a", "b", "A", "B", "tauA", "tauB", "method", "trace"):
         if key not in rec:
             return False, f"schema: missing key '{key}'"
@@ -108,7 +145,7 @@ def verify_partition_record(rec: dict, max_n: int | None = None) -> tuple[bool, 
         return False, "a vertex is listed twice in one part"
     if a < 1 or b < 1:
         return False, f"target ({a}, {b}) must have positive parts"
-    tau_g = tau_subset(g, g.full_mask)
+    tau_g = (whole_tau or WholeGraphTau()).of(g)
     if a + b != tau_g:
         return False, f"target ({a}, {b}) sums to {a + b}, detour order is {tau_g}"
     tau_a = tau_subset(g, part_a)
@@ -122,8 +159,16 @@ def verify_partition_record(rec: dict, max_n: int | None = None) -> tuple[bool, 
     return True, "ok"
 
 
-def verify_coloring_record(rec: dict, max_n: int | None = None) -> tuple[bool, str]:
-    """Re-check a colouring certificate dict from scratch, within the DP cap."""
+def verify_coloring_record(rec: dict, max_n: int | None = None,
+                           whole_tau: WholeGraphTau | None = None) -> tuple[bool, str]:
+    """Re-check a colouring certificate dict from scratch, within the DP cap.
+    tau(g) comes from `whole_tau` when given (see WholeGraphTau), else from
+    a DP of its own.
+
+    The property, its class bound and the colours themselves are checked
+    before any DP; the recorded colour count, bound and verified flag only
+    after the colour classes, so a record with several faults reports the
+    first of them in that order."""
     for key in ("graph6", "colors", "colors_used", "bound", "property"):
         if key not in rec:
             return False, f"schema: missing key '{key}'"
@@ -139,23 +184,28 @@ def verify_coloring_record(rec: dict, max_n: int | None = None) -> tuple[bool, s
     if over:
         return False, over
     prop = rec["property"]
-    tau_g = tau_subset(g, g.full_mask)
-    try:
-        if prop == "n-detour":
-            nb = rec.get("n")
-            if not is_int(nb) or nb < 1:
-                return False, f"schema: n-detour certificate needs a positive n, got {nb!r}"
-            bound = -(-tau_g // nb) if g.n else 0
-            if g.n and not multiway.verify_detour_coloring(g, colors, nb, max_n):
-                return False, f"a colour class has detour order above {nb}"
-        elif prop == "star":
-            bound = tau_g
-            if not starcolor.verify_star_coloring(g, colors):
-                return False, "colouring is not a star colouring"
-        else:
-            return False, f"schema: unknown property {prop!r}"
-    except GraphError as exc:
-        return False, f"schema: {exc}"
+    if prop == "n-detour":
+        nb = rec.get("n")
+        if not is_int(nb) or nb < 1:
+            return False, f"schema: n-detour certificate needs a positive n, got {nb!r}"
+    elif prop != "star":
+        return False, f"schema: unknown property {prop!r}"
+    # an n-detour colouring of the empty graph has no classes to check, so
+    # only its recorded counts below can fail
+    if g.n or prop == "star":
+        try:
+            multiway.color_classes(g, colors)
+        except GraphError as exc:
+            return False, f"schema: {exc}"
+    tau_g = (whole_tau or WholeGraphTau()).of(g)
+    if prop == "star":
+        bound = tau_g
+        if not starcolor.verify_star_coloring(g, colors):
+            return False, "colouring is not a star colouring"
+    else:
+        bound = -(-tau_g // nb) if g.n else 0
+        if g.n and not multiway.verify_detour_coloring(g, colors, nb, max_n):
+            return False, f"a colour class has detour order above {nb}"
     used = len(set(colors)) if colors else 0
     if used != rec["colors_used"]:
         return False, f"recorded colors_used {rec['colors_used']} != recomputed {used}"
@@ -168,18 +218,21 @@ def verify_coloring_record(rec: dict, max_n: int | None = None) -> tuple[bool, s
     return True, "ok"
 
 
-def verify_record(rec: dict, max_n: int | None = None) -> tuple[bool, str]:
+def verify_record(rec: dict, max_n: int | None = None,
+                  whole_tau: WholeGraphTau | None = None) -> tuple[bool, str]:
     """Dispatch on record shape: partition (A/B keys) or colouring (colors).
 
     A graph whose DP would exceed the cap (max_n, default DETOUR_DP_MAX_N)
-    is not checked: the verdict is False with a `capacity:` detail.
+    is not checked: the verdict is False with a `capacity:` detail.  A
+    caller checking many records passes one WholeGraphTau as `whole_tau`,
+    so a run of records on one graph computes tau(g) once.
     """
     if not isinstance(rec, dict):
         return False, "schema: record is not an object"
     if "A" in rec and "B" in rec:
-        return verify_partition_record(rec, max_n)
+        return verify_partition_record(rec, max_n, whole_tau)
     if "colors" in rec:
-        return verify_coloring_record(rec, max_n)
+        return verify_coloring_record(rec, max_n, whole_tau)
     return False, "schema: neither a partition nor a colouring certificate"
 
 
@@ -227,7 +280,8 @@ def _crosscheck_tau(g: Graph, max_n: int | None) -> int:
 
 def sweep_ppc(graphs, corpus: str = "", max_n: int | None = None,
               deterministic: bool = False) -> SweepReport:
-    """Partition every graph for every (a, b) target and verify each result.
+    """Partition every graph for every (a, b) target and verify each result
+    against tau(g), computed once per graph and cross-checked.
 
     One record per (graph, target); graphs with detour order below 2 have no
     targets and count as vacuously constructed.  Counterexamples and capacity
@@ -246,11 +300,12 @@ def sweep_ppc(graphs, corpus: str = "", max_n: int | None = None,
         outcome = "constructed"
         try:
             tau_g = _crosscheck_tau(g, max_n)
+            whole_tau = WholeGraphTau(g, tau_g)
             had_fallback = False
             had_witness = False
             for a in range(1, tau_g):
                 cert = tau_partition(g, PartitionTarget(a, tau_g - a), max_n=max_n)
-                ok, msg = verify_record(cert.to_json_dict(), max_n=max_n)
+                ok, msg = verify_record(cert.to_json_dict(), max_n=max_n, whole_tau=whole_tau)
                 if not ok:
                     raise InternalCheckError(
                         f"fresh certificate failed re-verification on {cert.graph6}: {msg}")

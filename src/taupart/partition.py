@@ -24,14 +24,15 @@ construction was not.  Certificates whose every step verified carry method
 "constructed"; repaired ones carry "fallback".
 
 None of the ear machinery depends on the target, so `graph_facts` computes
-tau(g) and, for a 2-connected g, the ear levels with their detour orders
-once per graph; every target, and every colouring step in multiway and
-starcolor, reuses them.  The per-step bound checks, the migration audit,
-brute-force repair and the final certificate check still run for every
-target.  Every full-order question, in the facts and in the checks, goes
-through `detour.subset_queries`: on a graph below NUMPY_DP_MIN_K vertices
-that reads one cached subset table, so the facts and the checks of one
-graph or level share a single DP.  The verifier in oracle recomputes
+tau(g), whether g is 2-connected (its ear decomposition's check) and, for
+a 2-connected g, the ear levels with their detour orders once per graph;
+every target, and every colouring step in multiway and starcolor, reuses
+them.  The per-step bound checks, the migration audit, brute-force repair
+and the final certificate check still run for every target.  Every
+full-order question, in the facts and in the checks, goes through
+`detour.subset_queries`: on a graph below NUMPY_DP_MIN_K vertices that
+reads one cached subset table, so the facts and the checks of one graph
+or level share a single DP.  The verifier in oracle recomputes
 everything from scratch without reading these facts or tables.
 
 Most level detour orders need no DP.  Going up the levels, `graph_facts`
@@ -73,7 +74,8 @@ from .detour import (
     subset_queries,
 )
 from .ears import Ear, ear_decompose, ear_levels, is_two_connected, relabels_to, require_two_connected
-from .errors import CounterexampleError, GraphError, InternalCheckError, TargetError
+from .errors import (CapacityError, CounterexampleError, GraphError, InternalCheckError, NotTwoConnectedError,
+                     TargetError)
 from .graphs import Graph, connected_components, encode_graph6, ids_to_mask, iter_bits, lift, mask_to_ids
 
 # Brute force runs subset DPs on g with no cap check of their own, so this
@@ -223,13 +225,15 @@ class EarLevels:
 @dataclass(frozen=True)
 class GraphFacts:
     """What the construction needs to know about a graph whatever the target:
-    its detour order, and its ear levels when it is 2-connected (else None).
+    its graph6 string, its detour order, and its ear levels when it is
+    2-connected (else None).
 
     For a 2-connected graph, tau is the top level's detour order; the level
     orders are settled as the module docstring explains, by a carried
     Hamiltonian path where one reaches the level and by the level's subset
     queries elsewhere."""
 
+    graph6: str
     tau: int
     levels: EarLevels | None
 
@@ -261,17 +265,20 @@ def graph_facts(g: Graph, max_n: int | None = None) -> GraphFacts:
 # hold all of that while a long sweep's memory stays flat.
 @functools.lru_cache(maxsize=32)
 def _graph_facts(g: Graph) -> GraphFacts:
+    g6 = encode_graph6(g)
     if g.n == 0:  # tau of the empty graph is 0, as tau_subset reads it
-        return GraphFacts(0, None)
-    if not is_two_connected(g):
-        return GraphFacts(subset_queries(g).tau(g.full_mask), None)
-    graphs, local_ears, ids = zip(*ear_levels(ear_decompose(g)))
+        return GraphFacts(g6, 0, None)
+    try:  # the one 2-connectivity check of g's facts
+        decomposition = ear_decompose(g)
+    except NotTwoConnectedError:
+        return GraphFacts(g6, subset_queries(g).tau(g.full_mask), None)
+    graphs, local_ears, ids = zip(*ear_levels(decomposition))
     orig_of = ids[-1]
     # the top level's tau stands for tau(g) only if it is g relabelled
     if not relabels_to(graphs[-1], orig_of, g):
-        raise InternalCheckError(f"ear levels do not rebuild {encode_graph6(g)}")
+        raise InternalCheckError(f"ear levels do not rebuild {g6}")
     taus, _ = _level_taus(graphs, local_ears[1:])
-    return GraphFacts(taus[-1], EarLevels(graphs, local_ears[1:], orig_of, taus))
+    return GraphFacts(g6, taus[-1], EarLevels(graphs, local_ears[1:], orig_of, taus))
 
 
 def _level_taus(graphs: tuple[Graph, ...], ears: tuple[Ear, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -491,7 +498,7 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
         raise TargetError(f"target ({t.a}, {t.b}) sums to {t.total}, detour order is {tau_g}")
     if facts.levels is None:
         require_two_connected(g)
-    g6 = encode_graph6(g)
+    g6 = facts.graph6
     lv = facts.levels
     levels, local_ears, orig_of, taus = lv.graphs, lv.ears, lv.orig_of, lv.taus
 
@@ -578,18 +585,26 @@ def tau_partition(g: Graph, t: PartitionTarget, max_n: int | None = None,
     connected component on its own (the first step of the reduction to
     2-connected graphs; a cut vertex inside a component is not split on).
 
-    A caller that already holds tau(g) passes it as tau_g; a graph that is
-    not 2-connected then checks its target sum against it instead of a new
-    DP.  The ear construction takes tau(g) from graph_facts either way.
+    Whether g is 2-connected comes from graph_facts, which every target of
+    g shares.  A caller that already holds tau(g) and passes it as tau_g
+    (multiway's remainders, each a new graph) gets one `is_two_connected`
+    check instead, since facts would cost a graph of NUMPY_DP_MIN_K or more
+    vertices a DP; a graph that is not 2-connected then checks its target
+    sum against tau_g.  The ear construction takes tau(g) from graph_facts
+    either way.  A graph over the cap reports the cap of the engine it
+    would go to: the DP's when it is 2-connected, brute force's otherwise.
     """
-    if is_two_connected(g):
-        return tau_partition_2connected(g, t, max_n=max_n)
-    # brute force's own cap first, so an oversized graph reports that cap and
-    # not the DP's
-    check_capacity(g.n, max_n, BRUTE_FORCE_MAX_N, "brute-force partition")
+    facts = None
     if tau_g is None:
-        tau_g = graph_facts(g, max_n).tau
-    got = brute_force_partition(g, t, max_n=max_n, tau_g=tau_g)
+        try:
+            facts = graph_facts(g, max_n)
+        except CapacityError:
+            pass  # named below by the engine g would go to
+    two_connected = is_two_connected(g) if facts is None else facts.levels is not None
+    if two_connected:
+        return tau_partition_2connected(g, t, max_n=max_n)
+    check_capacity(g.n, max_n, BRUTE_FORCE_MAX_N, "brute-force partition")
+    got = brute_force_partition(g, t, max_n=max_n, tau_g=facts.tau if facts else tau_g)
     if got is None:
         raise CounterexampleError(f"no ({t.a}, {t.b}) partition exists", encode_graph6(g), (t.a, t.b))
     part_a, part_b = got

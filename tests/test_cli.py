@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from taupart import oracle, partition
 from taupart.cli import main
 from taupart.errors import CounterexampleError
-from taupart.graphs import cycle_graph, encode_graph6, parse_graph6, random_2connected
+from taupart.graphs import cycle_graph, encode_graph6, parse_graph6, petersen_graph, random_2connected
 from taupart.multiway import detour_coloring
 from taupart.oracle import verify_record
 from taupart.starcolor import star_coloring
@@ -540,6 +540,57 @@ def test_verify_rejects_vertex_ids_out_of_range_without_building_them():
     rec = json.loads(_valid_lines()[0])
     rec["B"] = rec["B"] + [10 ** 12]  # a mask with this bit set would take 125 GB
     assert verify_record(rec) == (False, "vertex id out of range for the graph")
+
+
+def test_verify_tampered_record_details_are_pinned():
+    # every kind of line the verify-certs benchmark builds: a genuine
+    # certificate, a moved vertex, a raised recorded count, an id or colour
+    # out of range, and a line cut short
+    g = petersen_graph()
+    rec = partition.tau_partition(g, partition.PartitionTarget(4, 6)).to_json_dict()
+    v = rec["A"][0]
+    recs = [rec, {**rec, "A": rec["A"][1:], "B": sorted(rec["B"] + [v])},
+            {**rec, "tauA": rec["tauA"] + 1}, {**rec, "A": rec["A"] + [g.n]}]
+    lines = [json.dumps(r, sort_keys=True) for r in recs] + [json.dumps(rec, sort_keys=True)[:-1]]
+    for col in (star_coloring(g).to_json_dict(), detour_coloring(g, 3).to_json_dict()):
+        recs = [col, {**col, "colors_used": col["colors_used"] + 1}, {**col, "colors": col["colors"] + [0]}]
+        lines += [json.dumps(r, sort_keys=True) for r in recs] + [json.dumps(col, sort_keys=True)[:-1]]
+    code, out = _verify_text("".join(line + "\n" for line in lines))
+    assert code == 3
+    cut = "schema: invalid JSON: Expecting ',' delimiter"
+    colours = "schema: colouring must assign a non-negative colour to every vertex"
+    assert [json.loads(line)["detail"] for line in out[:-1]] == [
+        "ok", "tau(B) = 7 > b = 6", "recorded tauA/tauB (3, 5) != recomputed (2, 5)",
+        "vertex id out of range for the graph", cut,
+        "ok", "recorded colors_used 10 != recomputed 9", colours, cut,
+        "ok", "recorded colors_used 4 != recomputed 3", colours, cut]
+
+
+def test_verify_of_all_pairs_output_runs_one_whole_graph_dp(capsys, count_dps):
+    # no part of a certificate holds all of g, so every DP on 5 vertices
+    # is one for tau(g)
+    _, recs, _ = run(capsys, "partition", "Dhc", "--all-pairs")
+    count_dps.clear()
+    code, out = _verify_text("".join(json.dumps(r) + "\n" for r in recs))
+    assert code == 0 and len(out) == 5
+    assert count_dps.count(5) == 1
+
+
+def test_verify_runs_one_whole_graph_dp_per_run_of_lines_on_one_graph(capsys, count_dps):
+    # Dhc is C5 (tau 5) and D~? is K4 plus a vertex (tau 4)
+    _, c5, _ = run(capsys, "partition", "Dhc", "--all-pairs")
+    _, k4k1, _ = run(capsys, "partition", "D~?", "--all-pairs")
+    # a K4 + K1 line whose target sums to C5's tau: checked against the tau
+    # of the line before it, it would pass
+    wrong_sum = {**k4k1[0], "b": k4k1[0]["b"] + 1}
+    recs = [*c5[:2], wrong_sum, *k4k1[:2], *c5[2:], k4k1[2]]
+    count_dps.clear()
+    code, out = _verify_text("".join(json.dumps(r) + "\n" for r in recs))
+    assert count_dps.count(5) == 4  # one per run of lines on one graph
+    assert code == 3
+    verdicts = [json.loads(line) for line in out[:-1]]
+    assert [(v["ok"], v["detail"]) for v in verdicts] == [verify_record(r) for r in recs]
+    assert verdicts[2]["detail"] == "target (1, 4) sums to 5, detour order is 4"
 
 
 JSON_VALUES = st.recursive(

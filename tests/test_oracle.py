@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from taupart import oracle, partition
+from taupart.detour import detour_order_dfs
 from taupart.ears import is_two_connected
 from taupart.graphs import (
     Graph,
@@ -368,6 +369,49 @@ def test_verify_coloring_record():
     assert not ok and msg.startswith("schema:")
 
 
+# The first failing check names each record; the colour list, the
+# property and its class bound are checked before any DP, the recorded
+# counts after it, and an n-detour colouring of the empty graph is read by
+# its recorded counts alone.
+C5_COLOURING = {"graph6": "Dhc", "n": 2, "colors": [0, 2, 1, 2, 0], "colors_used": 3, "bound": 3,
+                "property": "n-detour", "verified": True}
+DXK_STAR = {"graph6": "DxK", "n": None, "colors": [2, 3, 0, 2, 3], "colors_used": 3, "bound": 5,
+            "property": "star", "verified": True}
+COLOURS = "schema: colouring must assign a non-negative colour to every vertex"
+
+
+@pytest.mark.parametrize("rec, detail", [
+    ({**C5_COLOURING, "property": "acyclic", "colors": [0] * 6}, "schema: unknown property 'acyclic'"),
+    ({**C5_COLOURING, "n": 0, "colors": [0] * 6, "bound": 99},
+     "schema: n-detour certificate needs a positive n, got 0"),
+    ({**C5_COLOURING, "n": True, "colors": [-1]}, "schema: n-detour certificate needs a positive n, got True"),
+    ({**C5_COLOURING, "colors": [0, 2, 1, 2, -1], "colors_used": 9, "bound": 99}, COLOURS),
+    ({**C5_COLOURING, "colors": [0] * 5, "colors_used": 9, "bound": 99, "verified": False},
+     "a colour class has detour order above 2"),
+    ({**DXK_STAR, "colors": [0, 1, 0, 1, 2], "colors_used": 9, "bound": 99}, "colouring is not a star colouring"),
+    ({**C5_COLOURING, "colors_used": 9, "bound": 99, "verified": False}, "recorded colors_used 9 != recomputed 3"),
+    ({**C5_COLOURING, "bound": 99, "verified": False}, "recorded bound 99 != recomputed 3"),
+    ({**C5_COLOURING, "graph6": "?", "colors": [0], "colors_used": 1, "bound": 0}, "1 colours exceed the bound 0"),
+    ({**C5_COLOURING, "graph6": "?", "colors": [-1, 3], "colors_used": 2, "bound": 5},
+     "recorded bound 5 != recomputed 0"),
+    ({**DXK_STAR, "graph6": "?", "colors": [0], "colors_used": 1, "bound": 0}, COLOURS),
+], ids=["property-and-colours", "n-and-colours", "true-n", "colours-and-counts", "class-and-counts",
+        "star-and-counts", "count-and-bound", "bound-and-flag", "empty-n-detour", "empty-n-detour-bad-colours",
+        "empty-star"])
+def test_a_colouring_record_with_several_faults_reports_the_first(rec, detail):
+    assert verify_coloring_record(C5_COLOURING) == verify_coloring_record(DXK_STAR) == (True, "ok")
+    assert verify_coloring_record(rec) == (False, detail)
+
+
+def test_an_out_of_range_colouring_is_rejected_before_any_dp(count_dps):
+    rec = detour_coloring(cycle_graph(20), 10).to_json_dict()
+    assert verify_record(rec) == (True, "ok")
+    count_dps.clear()
+    for colors in (rec["colors"] + [0], [-1] + rec["colors"][1:]):
+        assert verify_record({**rec, "colors": colors}) == (False, COLOURS)
+    assert count_dps == []
+
+
 def test_verify_star_record():
     rec = star_coloring(parse_graph6("DxK")).to_json_dict()
     ok, msg = verify_coloring_record(rec)
@@ -438,6 +482,18 @@ def test_verify_record_holds_the_dp_cap():
         assert verify_record(r, max_n=21) == (True, "ok")
     ok, msg = verify_record(rec, max_n=5)
     assert not ok and msg.startswith("capacity:")
+
+
+def test_a_sweep_checks_every_certificate_against_the_cross_checked_tau(count_dps):
+    g = corpus_graphs(7, two_connected_graphs_upto_iso(7))[200]
+    tau = detour_order_dfs(g)
+    for a in range(1, tau):  # the construction's facts and tables, made before counting
+        tau_partition(g, PartitionTarget(a, tau - a))
+    count_dps.clear()
+    rep = sweep_ppc([g], deterministic=True)
+    assert len(rep.records) == tau - 1 >= 4 and all(r["verified"] for r in rep.records)
+    # no part holds all 7 vertices: the one DP on 7 is the cross-check's
+    assert count_dps.count(7) == 1
 
 
 def test_sweep_passes_its_cap_to_the_verifier():

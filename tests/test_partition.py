@@ -508,6 +508,38 @@ def test_graph_facts_check_the_cap_on_every_call():
         tau_partition(g, PartitionTarget(5, 5), max_n=9)
 
 
+@pytest.mark.parametrize("g, max_n, detail", [
+    (cycle_graph(21), None, "subset dynamic program over 21 vertices exceeds the cap of 20"),
+    (path_graph(21), None, "brute-force partition over 21 vertices exceeds the cap of 20"),
+    (cycle_graph(8), 7, "subset dynamic program over 8 vertices exceeds the cap of 7"),
+    (path_graph(8), 7, "brute-force partition over 8 vertices exceeds the cap of 7"),
+], ids=["C21", "P21", "C8-under-7", "P8-under-7"])
+def test_an_oversized_graph_reports_the_cap_of_its_engine(g, max_n, detail):
+    # the ear construction's DP cap for a 2-connected graph, brute force's
+    # for any other, whether or not the caller holds tau(g)
+    for tau_g in (None, g.n):
+        with pytest.raises(CapacityError) as exc:
+            tau_partition(g, PartitionTarget(1, g.n - 1), max_n=max_n, tau_g=tau_g)
+        assert str(exc.value) == detail
+
+
+def test_every_target_shares_one_two_connectivity_check(monkeypatch):
+    from taupart import ears, graphs, partition
+
+    calls = []
+    real = graphs.blocks
+    for module in (ears, graphs):
+        monkeypatch.setattr(module, "blocks", lambda g: calls.append(g) or real(g))
+    partition._graph_facts.cache_clear()
+    g = petersen_graph()
+    for a in range(1, 10):
+        tau_partition(g, PartitionTarget(a, 10 - a))
+    assert calls == [g]  # inside graph_facts' ear decomposition
+    # a caller that holds tau(g) gets no facts, and checks g itself
+    tau_partition(g, PartitionTarget(1, 9), tau_g=10)
+    assert calls == [g, g]
+
+
 def test_a_raised_cap_reaches_the_dps_below_the_entry(count_dps):
     from taupart.oracle import verify_record
 
