@@ -225,15 +225,13 @@ class EarLevels:
 @dataclass(frozen=True)
 class GraphFacts:
     """What the construction needs to know about a graph whatever the target:
-    its graph6 string, its detour order, and its ear levels when it is
-    2-connected (else None).
+    its detour order, and its ear levels when it is 2-connected (else None).
 
     For a 2-connected graph, tau is the top level's detour order; the level
     orders are settled as the module docstring explains, by a carried
     Hamiltonian path where one reaches the level and by the level's subset
     queries elsewhere."""
 
-    graph6: str
     tau: int
     levels: EarLevels | None
 
@@ -265,20 +263,19 @@ def graph_facts(g: Graph, max_n: int | None = None) -> GraphFacts:
 # hold all of that while a long sweep's memory stays flat.
 @functools.lru_cache(maxsize=32)
 def _graph_facts(g: Graph) -> GraphFacts:
-    g6 = encode_graph6(g)
     if g.n == 0:  # tau of the empty graph is 0, as tau_subset reads it
-        return GraphFacts(g6, 0, None)
+        return GraphFacts(0, None)
     try:  # the one 2-connectivity check of g's facts
         decomposition = ear_decompose(g)
     except NotTwoConnectedError:
-        return GraphFacts(g6, subset_queries(g).tau(g.full_mask), None)
+        return GraphFacts(subset_queries(g).tau(g.full_mask), None)
     graphs, local_ears, ids = zip(*ear_levels(decomposition))
     orig_of = ids[-1]
     # the top level's tau stands for tau(g) only if it is g relabelled
     if not relabels_to(graphs[-1], orig_of, g):
-        raise InternalCheckError(f"ear levels do not rebuild {g6}")
+        raise InternalCheckError(f"ear levels do not rebuild {encode_graph6(g)}")
     taus, _ = _level_taus(graphs, local_ears[1:])
-    return GraphFacts(g6, taus[-1], EarLevels(graphs, local_ears[1:], orig_of, taus))
+    return GraphFacts(taus[-1], EarLevels(graphs, local_ears[1:], orig_of, taus))
 
 
 def _level_taus(graphs: tuple[Graph, ...], ears: tuple[Ear, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -498,7 +495,7 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
         raise TargetError(f"target ({t.a}, {t.b}) sums to {t.total}, detour order is {tau_g}")
     if facts.levels is None:
         require_two_connected(g)
-    g6 = facts.graph6
+    g6 = encode_graph6(g)
     lv = facts.levels
     levels, local_ears, orig_of, taus = lv.graphs, lv.ears, lv.orig_of, lv.taus
 
