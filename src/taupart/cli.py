@@ -247,6 +247,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             ok, msg = False, f"schema: non-ASCII character at offset {exc.start}"
         except json.JSONDecodeError as exc:
             ok, msg = False, f"schema: invalid JSON: {exc.msg}"
+        except ValueError as exc:  # an integer over Python's int-to-str digit limit
+            ok, msg = False, f"schema: invalid JSON: {exc}"
         except RecursionError:
             ok, msg = False, "schema: invalid JSON: nested too deeply"
         else:

@@ -28,12 +28,11 @@ class NotTwoConnectedError(GraphError):
     """The graph is not 2-connected.
 
     `cut_vertex` names an articulation vertex when one exists; for
-    disconnected or too-small graphs it is None and `reason` says why.
+    disconnected or too-small graphs it is None.
     """
 
     def __init__(self, reason: str, cut_vertex: int | None = None):
         super().__init__(reason)
-        self.reason = reason
         self.cut_vertex = cut_vertex
 
 

@@ -6,17 +6,20 @@ primitives; the sweeps drive the constructions across whole corpora, verify
 every emitted certificate independently, cross-check the two detour engines
 against each other, and abort loudly on any internal disagreement.
 
-A record's checks run cheapest first: its schema, field types, graph6 and
-cap, then every check that needs no DP, and only then the DPs for tau(g)
-and for the parts or colour classes.  tau(g) comes from a `WholeGraphTau`
-that the caller owns for one call: a run of records on one graph (the
-lines of one `taupart verify` call, or the certificates of one graph in a
-sweep) computes it once, and nothing keeps it after the call.  It answers
-only for a graph equal to the one it holds, so each record is still parsed
-from its own graph6 string and every part's tau still comes from the
-verifier's own DP.  `sweep_ppc` seeds it with the tau(g) that it has just
-computed and cross-checked against the DFS engine, and checks each
-certificate of g against that.
+A record's checks run cheapest first.  One admission step, `_admit`,
+serves both record kinds: required keys, then field types, then the graph6
+parse, then the DP cap, each fault named by a `schema:` or `capacity:`
+detail.  Then come the checks of the record's kind that need no DP, and
+only then the DPs for tau(g) and for the parts or colour classes.
+
+tau(g) comes from a `WholeGraphTau` that the caller owns for one call: a
+run of records on one graph (the lines of one `taupart verify` call, or
+the certificates of one graph in a sweep) computes it once, and nothing
+keeps it after the call.  It answers only for a graph equal to the one it
+holds, so each record is still parsed from its own graph6 string and every
+part's tau still comes from the verifier's own DP.  `sweep_ppc` seeds it
+with the tau(g) that it has just computed and cross-checked against the
+DFS engine, and checks each certificate of g against that.
 
 The corpus enumerators produce one representative per isomorphism class by
 vertex augmentation: deleting a vertex of minimum degree from an n-vertex
@@ -67,20 +70,17 @@ DFS_CROSSCHECK_MAX_N = 10
 # certificate re-verification (graph + detour primitives only)
 
 
-def _capacity_detail(g: Graph, max_n: int | None) -> str | None:
-    """The `capacity:` detail when a DP over g exceeds the cap (max_n, or
-    the detour default when None); None when it fits."""
-    try:
-        check_capacity(g.n, max_n)
-    except CapacityError as exc:
-        return f"capacity: {exc}"
-    return None
-
-
-def _field_types_detail(rec: dict, ints: tuple[str, ...], int_lists: tuple[str, ...]) -> str | None:
-    """The `schema:` detail for the first of `ints` that is not a JSON
-    integer, of `int_lists` that is not a JSON list of them, or for a
-    'graph6' that is not a JSON string; None when every field is well typed."""
+def _admit(rec: dict, keys: tuple[str, ...], ints: tuple[str, ...], int_lists: tuple[str, ...],
+           max_n: int | None) -> Graph | str:
+    """A record's graph, or the detail of its first fault in admission
+    order: a missing one of `keys`, one of `ints` that is not a JSON
+    integer, one of `int_lists` that is not a JSON list of them, a 'graph6'
+    that is not a JSON string or does not parse (all `schema:`), then a
+    graph whose DP exceeds the cap (max_n, or the detour default when
+    None; `capacity:`)."""
+    for key in keys:
+        if key not in rec:
+            return f"schema: missing key '{key}'"
     for key in ints:
         if not is_int(rec[key]):
             return f"schema: '{key}' must be an integer, got {type(rec[key]).__name__}"
@@ -89,7 +89,15 @@ def _field_types_detail(rec: dict, ints: tuple[str, ...], int_lists: tuple[str, 
             return f"schema: '{key}' must be a list of integers"
     if not isinstance(rec["graph6"], str):
         return "schema: 'graph6' must be a string"
-    return None
+    try:
+        g = parse_graph6(rec["graph6"])
+    except (GraphError, CapacityError) as exc:
+        return f"schema: {exc}"
+    try:
+        check_capacity(g.n, max_n)
+    except CapacityError as exc:
+        return f"capacity: {exc}"
+    return g
 
 
 class WholeGraphTau:
@@ -119,19 +127,10 @@ def verify_partition_record(rec: dict, max_n: int | None = None,
     """Re-check a partition certificate dict from scratch, within the DP cap.
     tau(g) comes from `whole_tau` when given (see WholeGraphTau), else from
     a DP of its own."""
-    for key in ("graph6", "a", "b", "A", "B", "tauA", "tauB", "method", "trace"):
-        if key not in rec:
-            return False, f"schema: missing key '{key}'"
-    bad = _field_types_detail(rec, ("a", "b", "tauA", "tauB"), ("A", "B"))
-    if bad:
-        return False, bad
-    try:
-        g = parse_graph6(rec["graph6"])
-    except (GraphError, CapacityError) as exc:
-        return False, f"schema: {exc}"
-    over = _capacity_detail(g, max_n)
-    if over:
-        return False, over
+    g = _admit(rec, ("graph6", "a", "b", "A", "B", "tauA", "tauB", "method", "trace"),
+               ("a", "b", "tauA", "tauB"), ("A", "B"), max_n)
+    if isinstance(g, str):
+        return False, g
     if not all(0 <= v < g.n for v in rec["A"] + rec["B"]):
         return False, "vertex id out of range for the graph"
     a, b = rec["a"], rec["b"]
@@ -147,7 +146,11 @@ def verify_partition_record(rec: dict, max_n: int | None = None,
         return False, f"target ({a}, {b}) must have positive parts"
     tau_g = (whole_tau or WholeGraphTau()).of(g)
     if a + b != tau_g:
-        return False, f"target ({a}, {b}) sums to {a + b}, detour order is {tau_g}"
+        try:
+            total = str(a + b)
+        except ValueError:  # a and b print, but their sum may have a digit over the limit
+            total = "a number too long to print"
+        return False, f"target ({a}, {b}) sums to {total}, detour order is {tau_g}"
     tau_a = tau_subset(g, part_a)
     tau_b = tau_subset(g, part_b)
     if tau_a > a:
@@ -169,20 +172,11 @@ def verify_coloring_record(rec: dict, max_n: int | None = None,
     before any DP; the recorded colour count, bound and verified flag only
     after the colour classes, so a record with several faults reports the
     first of them in that order."""
-    for key in ("graph6", "colors", "colors_used", "bound", "property"):
-        if key not in rec:
-            return False, f"schema: missing key '{key}'"
-    bad = _field_types_detail(rec, ("colors_used", "bound"), ("colors",))
-    if bad:
-        return False, bad
-    try:
-        g = parse_graph6(rec["graph6"])
-    except (GraphError, CapacityError) as exc:
-        return False, f"schema: {exc}"
+    g = _admit(rec, ("graph6", "colors", "colors_used", "bound", "property"),
+               ("colors_used", "bound"), ("colors",), max_n)
+    if isinstance(g, str):
+        return False, g
     colors = rec["colors"]
-    over = _capacity_detail(g, max_n)
-    if over:
-        return False, over
     prop = rec["property"]
     if prop == "n-detour":
         nb = rec.get("n")

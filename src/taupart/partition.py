@@ -600,7 +600,6 @@ def tau_partition(g: Graph, t: PartitionTarget, max_n: int | None = None,
     two_connected = is_two_connected(g) if facts is None else facts.levels is not None
     if two_connected:
         return tau_partition_2connected(g, t, max_n=max_n)
-    check_capacity(g.n, max_n, BRUTE_FORCE_MAX_N, "brute-force partition")
     got = brute_force_partition(g, t, max_n=max_n, tau_g=facts.tau if facts else tau_g)
     if got is None:
         raise CounterexampleError(f"no ({t.a}, {t.b}) partition exists", encode_graph6(g), (t.a, t.b))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from taupart import detour, partition
@@ -27,3 +29,14 @@ def count_dps(monkeypatch):
 
     monkeypatch.setattr(detour, "_dp_levels", counted)
     return sizes
+
+
+@pytest.fixture
+def int_str_limit():
+    """Python's limit on the digits of an int converted to or from str.
+
+    Skips where the interpreter has none (before 3.11) or it is off (0)."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        pytest.skip("no int-to-str digit limit")
+    return limit

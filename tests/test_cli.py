@@ -536,6 +536,28 @@ def test_verify_rejects_deeply_nested_json():
     assert json.loads(out[0]) == {"line": 1, "ok": False, "detail": "schema: invalid JSON: nested too deeply"}
 
 
+def test_verify_gives_integers_too_long_for_str_a_verdict(tmp_path, capsys, int_str_limit):
+    # Python refuses to convert an int of more than int_str_limit digits
+    # to or from str: json.loads raises a plain ValueError on line 1, and
+    # line 2's target sum, one digit longer than its parts, cannot print
+    too_long = '{"graph6": "Dhc", "a": 1' + "0" * int_str_limit + ', "b": 1}'
+    with pytest.raises(ValueError) as exc:
+        json.loads(too_long)
+    big = int("9" * int_str_limit)
+    wide = {"graph6": "Dhc", "a": big, "b": big, "A": [0, 4], "B": [1, 2, 3], "tauA": 2, "tauB": 3,
+            "method": "constructed", "trace": []}
+    src = tmp_path / "certs.jsonl"
+    src.write_text("".join(line + "\n" for line in (too_long, json.dumps(wide), *_valid_lines())))
+    code, recs, _ = run(capsys, "verify", str(src))
+    assert code == 3
+    assert recs == [
+        {"line": 1, "ok": False, "detail": f"schema: invalid JSON: {exc.value}"},
+        {"line": 2, "ok": False,
+         "detail": f"target ({big}, {big}) sums to a number too long to print, detour order is 5"},
+        *({"line": i, "ok": True, "detail": "ok"} for i in (3, 4, 5)),
+        {"failed": 2, "records": 5, "summary": True}]
+
+
 def test_verify_rejects_vertex_ids_out_of_range_without_building_them():
     rec = json.loads(_valid_lines()[0])
     rec["B"] = rec["B"] + [10 ** 12]  # a mask with this bit set would take 125 GB

@@ -14,6 +14,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from taupart import oracle, partition
 from taupart.detour import detour_order_dfs
@@ -482,6 +484,89 @@ def test_verify_record_holds_the_dp_cap():
         assert verify_record(r, max_n=21) == (True, "ok")
     ok, msg = verify_record(rec, max_n=5)
     assert not ok and msg.startswith("capacity:")
+
+
+# --- admission: keys, field types, graph6, cap ------------------------------
+
+C5_PARTITION = {"graph6": "Dhc", "a": 2, "b": 3, "A": [0, 4], "B": [1, 2, 3], "tauA": 2, "tauB": 3,
+                "method": "constructed", "trace": []}
+C21 = encode_graph6(cycle_graph(21))  # one over the default cap
+OVER_CAP = "capacity: subset dynamic program over 21 vertices exceeds the cap of 20"
+TRUNCATED_C21 = "schema: truncated edge data for n=21 (byte 1)"
+
+
+def _without(rec: dict, key: str) -> dict:
+    return {k: v for k, v in rec.items() if k != key}
+
+
+# Each record has two faults, and the one that admission meets first names
+# it: required keys, then field types, then the graph6 parse, then the cap,
+# and only then the checks of the record's kind.
+@pytest.mark.parametrize("rec, detail", [
+    ({**_without(C5_PARTITION, "method"), "a": "2"}, "schema: missing key 'method'"),
+    ({**C5_PARTITION, "tauB": 3.0, "graph6": "Dh"}, "schema: 'tauB' must be an integer, got float"),
+    ({**C5_PARTITION, "graph6": "T"}, TRUNCATED_C21),
+    ({**C5_PARTITION, "graph6": C21, "A": [0, 99]}, OVER_CAP),
+    ({**_without(C5_COLOURING, "property"), "colors_used": "3"}, "schema: missing key 'property'"),
+    ({**C5_COLOURING, "bound": None, "graph6": "Dh"}, "schema: 'bound' must be an integer, got NoneType"),
+    ({**C5_COLOURING, "graph6": "T"}, TRUNCATED_C21),
+    ({**C5_COLOURING, "graph6": C21, "colors": [-1] * 5}, OVER_CAP),
+    ({**DXK_STAR, "graph6": C21, "property": "acyclic"}, OVER_CAP),
+], ids=["partition-key-and-type", "partition-type-and-graph6", "partition-graph6-and-cap",
+        "partition-cap-and-ids", "colouring-key-and-type", "colouring-type-and-graph6",
+        "colouring-graph6-and-cap", "colouring-cap-and-colours", "star-cap-and-property"])
+def test_admission_reports_the_first_of_two_faults(rec, detail):
+    assert verify_record(C5_PARTITION) == (True, "ok")
+    assert verify_record(rec) == (False, detail)
+
+
+def test_a_target_sum_too_long_to_print_is_still_a_verdict(int_str_limit):
+    big = int("9" * int_str_limit)  # printable, but big + big has one digit more
+    assert verify_record({**C5_PARTITION, "a": big, "b": big}) == (
+        False, f"target ({big}, {big}) sums to a number too long to print, detour order is 5")
+
+
+# the largest ints json.loads returns have this many digits
+LONG_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 4300)() or 4300
+LONG_INTS = st.builds(lambda sign, digit: sign * int(str(digit) * LONG_DIGITS),
+                      st.sampled_from([1, -1]), st.integers(1, 9))
+INTS = st.integers(-3, 25) | st.integers() | LONG_INTS | st.booleans() | st.floats()
+JSON_VALUES = st.recursive(
+    st.none() | INTS | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=6)
+FIELD_VALUES = {"graph6": st.sampled_from(["Dhc", "DxK", "?", "@", "T", C21]) | st.text(max_size=8)}
+for key in ("a", "b", "tauA", "tauB", "colors_used", "bound", "n"):
+    FIELD_VALUES[key] = INTS
+for key in ("A", "B", "colors"):
+    FIELD_VALUES[key] = st.lists(INTS, max_size=6)
+
+
+@st.composite
+def json_records(draw):
+    """What json.loads may return for a certificate line: mostly a genuine
+    record with up to three keys dropped or set to other JSON values,
+    sometimes any JSON value at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_VALUES)
+    rec = dict(draw(st.sampled_from([C5_PARTITION, C5_COLOURING, DXK_STAR])))
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(sorted({*rec, *FIELD_VALUES, "verified", "property"})))
+        if key in rec and draw(st.booleans()):
+            del rec[key]
+        else:
+            rec[key] = draw(FIELD_VALUES.get(key, JSON_VALUES) | JSON_VALUES)
+    return rec
+
+
+@settings(max_examples=300, deadline=None)
+@given(rec=json_records())
+@example(rec={**C5_PARTITION, "a": int("9" * LONG_DIGITS), "b": int("9" * LONG_DIGITS)})
+@example(rec={**C5_PARTITION, "a": 10 ** (LONG_DIGITS - 1)})  # the longest int json.loads reads
+def test_verify_record_gives_a_verdict_for_any_json_record(rec):
+    ok, detail = verify_record(rec, max_n=20)
+    assert type(ok) is bool and isinstance(detail, str)
+    assert ok == (detail == "ok")
 
 
 def test_a_sweep_checks_every_certificate_against_the_cross_checked_tau(count_dps):
