@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .detour import check_capacity, subset_queries, subset_tau_at_most
 from .errors import GraphError, InternalCheckError, TargetError, VerificationError
 from .graphs import Graph, encode_graph6, induced_subgraph, iter_bits, lift
-from .partition import PartitionTarget, graph_facts, is_int, tau_partition
+from .partition import PartitionTarget, graph_facts, is_int, sum_mismatch, tau_partition
 
 EXACT_SEARCH_MAX_N = 14
 
@@ -113,7 +113,7 @@ def t_partition(g: Graph, parts: tuple[int, ...] | list[int], max_n: int | None 
         raise TargetError(f"tuple target {parts} must be positive throughout")
     tau_g = graph_facts(g, max_n).tau
     if sum(parts) != tau_g:
-        raise TargetError(f"tuple target {parts} sums to {sum(parts)}, detour order is {tau_g}")
+        raise TargetError(sum_mismatch(f"tuple target {parts}", sum(parts), tau_g))
     masks = _split(g, parts, max_n)
     if len(masks) != len(parts):
         raise InternalCheckError("part count drifted during the split")

@@ -61,7 +61,7 @@ from .graphs import (
     parse_graph6,
     triangle_rows,
 )
-from .partition import PartitionTarget, is_int, tau_partition
+from .partition import PartitionTarget, is_int, sum_mismatch, tau_partition
 
 DFS_CROSSCHECK_MAX_N = 10
 
@@ -146,11 +146,7 @@ def verify_partition_record(rec: dict, max_n: int | None = None,
         return False, f"target ({a}, {b}) must have positive parts"
     tau_g = (whole_tau or WholeGraphTau()).of(g)
     if a + b != tau_g:
-        try:
-            total = str(a + b)
-        except ValueError:  # a and b print, but their sum may have a digit over the limit
-            total = "a number too long to print"
-        return False, f"target ({a}, {b}) sums to {total}, detour order is {tau_g}"
+        return False, sum_mismatch(f"target ({a}, {b})", a + b, tau_g)
     tau_a = tau_subset(g, part_a)
     tau_b = tau_subset(g, part_b)
     if tau_a > a:

@@ -90,6 +90,18 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def sum_mismatch(target: str, total: int, tau_g: int) -> str:
+    """The detail "`target` sums to `total`, detour order is `tau_g`".
+    Parts within Python's int-to-str limit can have a sum one digit over
+    it; that sum reads "a number too long to print" instead of raising
+    ValueError."""
+    try:
+        printed = str(total)
+    except ValueError:
+        printed = "a number too long to print"
+    return f"{target} sums to {printed}, detour order is {tau_g}"
+
+
 @dataclass(frozen=True)
 class PartitionTarget:
     """Target bounds (a, b) for a two-part detour partition."""
@@ -410,7 +422,7 @@ def brute_force_partition(g: Graph, t: PartitionTarget, max_n: int | None = None
     if tau_g is None:
         tau_g = q.tau(g.full_mask)
     if t.total != tau_g:
-        raise TargetError(f"target ({t.a}, {t.b}) sums to {t.total}, detour order is {tau_g}")
+        raise TargetError(sum_mismatch(f"target ({t.a}, {t.b})", t.total, tau_g))
     part_a = 0
     for comp in connected_components(g, g.full_mask):
         found = _first_component_part(q, comp, t)
@@ -492,7 +504,7 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
     facts = graph_facts(g, max_n)
     tau_g = facts.tau
     if t.total != tau_g:
-        raise TargetError(f"target ({t.a}, {t.b}) sums to {t.total}, detour order is {tau_g}")
+        raise TargetError(sum_mismatch(f"target ({t.a}, {t.b})", t.total, tau_g))
     if facts.levels is None:
         require_two_connected(g)
     g6 = encode_graph6(g)

@@ -180,6 +180,17 @@ def test_partition_reads_the_empty_graph_as_detour_order_0(capsys):
     assert out.err == "error: target (1, 1) sums to 2, detour order is 0\n"
 
 
+def test_partition_target_with_a_sum_too_long_to_print_exits_2(capsys, int_str_limit):
+    # each part prints, their sum has one digit more: C5 goes through the
+    # ear construction, 2C4 + K1 through brute force, and both refuse it
+    big = "9" * int_str_limit
+    for g6, tau in (("Dhc", 5), ("Hl?GGS?", 4)):
+        code, _, out = run(capsys, "partition", g6, "-a", big, "-b", big)
+        assert (code, out.out) == (2, "")
+        assert out.err == (f"error: target ({big}, {big}) sums to a number too long to print,"
+                           f" detour order is {tau}\n")
+
+
 def test_partition_bad_graph6_exits_2(capsys):
     assert run(capsys, "partition", "!!bad!!", "-a", "1", "-b", "1")[0] == 2
 

@@ -209,11 +209,21 @@ def test_stopped_loop_returns_level_k():
 
 def _numpy_kernel_cases():
     """60 sparse graphs on 14..18 vertices: 2-connected ones and G(n, p)
-    ones, which are often disconnected."""
+    ones, which are often disconnected.  Then the dense ones."""
     for seed in range(30):
         n = 14 + seed % 5
         yield random_2connected(n, extra_ears=seed % 7, seed=seed)
         yield random_graph(n, 2.6 / n, seed=seed)
+    yield from _dense_numpy_kernel_cases()
+
+
+def _dense_numpy_kernel_cases():
+    """G(n, 1/2) on 14 and 15 vertices, whose middle levels hold thousands
+    of subsets, and the disjoint union of G(7, 1/2) and G(8, 1/2)."""
+    yield random_graph(14, 0.5, seed=1)
+    yield random_graph(15, 0.5, seed=2)
+    left, right = random_graph(7, 0.5, seed=3), random_graph(8, 0.5, seed=4)
+    yield Graph.from_edges(15, list(left.edges()) + [(u + 7, v + 7) for u, v in right.edges()])
 
 
 def _assert_kernels_agree(g, stops):
@@ -326,9 +336,37 @@ def test_early_exit_query_allocates_no_2_to_the_k_table():
 
 
 def test_numpy_kernel_extends_a_wide_level_in_parts(monkeypatch):
-    monkeypatch.setattr(detour, "_NUMPY_DP_ROWS", 5)
-    for g in itertools.islice(_numpy_kernel_cases(), 10):
-        _assert_kernels_agree(g, [*range(1, g.n + 2), None])
+    # each part is sorted and reduced before the merge, which must give the
+    # one-part result exactly: the same masks, in ascending order, with the
+    # same end masks.  The tests above check the one-part result against
+    # the loop at every stop.
+    cases = ((5, list(itertools.islice(_numpy_kernel_cases(), 10))), (1 << 8, list(_dense_numpy_kernel_cases())))
+    for rows, graphs in cases:
+        for g in graphs:
+            ladj = list(g.adj)
+            stops = [*range(1, g.n + 2), None]
+            whole = [_dp_numpy(ladj, k) for k in stops]
+            assert all(last == sorted(set(last)) for _, last, _ in whole), encode_graph6(g)
+            with monkeypatch.context() as m:
+                m.setattr(detour, "_NUMPY_DP_ROWS", rows)
+                assert [_dp_numpy(ladj, k) for k in stops] == whole, (encode_graph6(g), rows)
+
+
+def test_numpy_kernel_memory_on_k17():
+    # a middle level of K17 holds C(17, 8) = 24,310 subsets, three parts of
+    # _NUMPY_DP_ROWS, and each part is reduced before the merge: the run
+    # peaks near 5.3 MiB, where merging the parts' unreduced candidates
+    # would peak at 14 MiB
+    detour_order(cycle_graph(NUMPY_DP_MIN_K))  # numpy loaded before tracing
+    ladj = list(complete_graph(17).adj)
+    tracemalloc.start()
+    try:
+        tau, _, _ = _dp_numpy(ladj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tau == 17
+    assert peak < 6 << 20, peak
 
 
 def _bit_kernel_cases():

@@ -68,6 +68,12 @@ def test_entries_must_be_positive_and_sum_to_tau():
         t_partition(cycle_graph(6), ())
 
 
+def test_a_tuple_target_sum_too_long_to_print_is_a_target_error(int_str_limit):
+    big = int("9" * int_str_limit)
+    with pytest.raises(TargetError, match=r"sums to a number too long to print, detour order is 6$"):
+        t_partition(cycle_graph(6), (big, big))
+
+
 def test_entries_must_be_integers():
     # int() would have read (2.9, 2.9) as (2, 2), a valid target of C4
     for parts in ((2.9, 2.9), (1.5, 2.5), (2.0, 2.0), (True,) * 4, (2, "2")):
