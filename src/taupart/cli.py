@@ -24,7 +24,7 @@ import os
 import random
 import sys
 
-from .detour import check_capacity, tau_subset
+from .detour import detour_order
 from .errors import (
     CapacityError,
     CounterexampleError,
@@ -122,8 +122,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             print(to_dot(g, name=f"g{lineno}"))
             continue
         try:
-            check_capacity(g.n, max_n)
-            tau_g = tau_subset(g, g.full_mask)
+            tau_g = detour_order(g, max_n).tau
         except CapacityError as exc:
             rows.append({"line": lineno, "error": str(exc)})
             over_cap = True

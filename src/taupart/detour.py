@@ -60,7 +60,10 @@ check of the certificates built with it.
 The size cap is checked once, where a graph enters the package: the
 exported entries, which the CLI subcommands call, run `check_capacity` on
 the whole graph.  `detour_order` and `has_path_of_order` are such
-entries.  The other queries (`tau_subset`, `subset_has_path`,
+entries; `detour_order` is the whole-graph entry that `analyze` and the
+sweep's cross-check call.  The empty graph has detour order 0 everywhere
+in the package, as the DP gives for zero vertices: every entry and both
+engines answer 0 for it.  The other queries (`tau_subset`, `subset_has_path`,
 `subset_tau_at_most`, `end_vertices_of_order_paths`,
 `vertices_on_every_order_path`, `subset_queries`) assume an admitted graph
 and check nothing: every DP they run is on a subset of a graph already
@@ -108,9 +111,9 @@ class DetourRecord:
 
 
 def check_capacity(k: int, max_n: int | None, cap: int = DETOUR_DP_MAX_N,
-                   what: str = "subset dynamic program") -> int:
-    """The vertex limit (max_n, or `cap` when None), after checking that
-    `what` over k vertices stays within it; CapacityError otherwise.
+                   what: str = "subset dynamic program") -> None:
+    """Check that `what` over k vertices stays within the vertex limit
+    (max_n, or `cap` when None); CapacityError otherwise.
 
     The one cap check of the package: the exported entries call it as a
     graph comes in, with the DP cap by default, the brute-force cap or the
@@ -118,7 +121,6 @@ def check_capacity(k: int, max_n: int | None, cap: int = DETOUR_DP_MAX_N,
     limit = cap if max_n is None else max_n
     if k > limit:
         raise CapacityError(f"{what} over {k} vertices exceeds the cap of {limit}")
-    return limit
 
 
 def _dp_levels(ladj: list[int], stop_at: int | None = None, unions: list[int] | None = None):
@@ -301,9 +303,7 @@ def _dp_numpy(ladj: list[int], stop_at: int | None = None):
 
 
 def detour_order(g: Graph, max_n: int | None = None) -> DetourRecord:
-    """Detour order of g, via the subset DP."""
-    if g.n == 0:
-        raise GraphError("detour order of the empty graph is undefined")
+    """Detour order of g, via the subset DP; 0 for the empty graph."""
     check_capacity(g.n, max_n)
     tau, _, _ = _dp_levels(list(g.adj))
     return DetourRecord(tau)
@@ -494,10 +494,10 @@ def _subset_table(g: Graph) -> SubsetTable:
 def paths_of_order_at_least(g: Graph, k: int, within: int | None = None) -> list[tuple[int, ...]]:
     """All directed simple paths on >= k vertices inside <within>.
 
-    Both orientations of every path are listed (callers that migrate "the
-    (a+1)-th vertex of each orientation" rely on that).  Output order is
-    deterministic: depth-first from each start vertex ascending, extending
-    to neighbours ascending.
+    Both orientations of every path are listed; the migration audit
+    (`partition._audit_migration`) keeps one orientation of each.  Output
+    order is deterministic: depth-first from each start vertex ascending,
+    extending to neighbours ascending.
     """
     if k < 1:
         raise GraphError(f"path order {k} must be positive")
@@ -526,12 +526,11 @@ def detour_order_dfs(g: Graph) -> int:
     Prunes a branch when even absorbing everything still reachable from the
     path head cannot beat the current best, and stops outright on a
     Hamiltonian path.  Used to cross-check the DP; shares nothing with it.
+    0 for the empty graph.
     """
-    if g.n == 0:
-        raise GraphError("detour order of the empty graph is undefined")
     adj = g.adj
     full = g.full_mask
-    best = 1
+    best = 0
 
     def grow(v: int, used: int, length: int) -> None:
         nonlocal best

@@ -323,8 +323,6 @@ def connected_components(g: Graph, mask: int) -> list[int]:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
     return closure(g.adj, 1, g.full_mask) == g.full_mask
 
 

@@ -65,8 +65,6 @@ def _rebalance(rest: list[int], tau_rem: int) -> list[int]:
     delta = sum(rest) - tau_rem
     if delta < 0:
         raise InternalCheckError(f"remainder detour order {tau_rem} exceeds residual sum {sum(rest)}")
-    if delta == 0:
-        return rest
     new = list(rest)
     for i in range(len(new) - 1, -1, -1):
         cut = min(new[i], delta)
@@ -100,13 +98,11 @@ def _split(g: Graph, parts: list[int], max_n: int | None) -> list[int]:
 def t_partition(g: Graph, parts: tuple[int, ...] | list[int], max_n: int | None = None) -> list[int]:
     """Partition V(g) into parts with tau(<part_i>) <= parts[i].
 
-    `parts` must be positive integers summing to tau(g).  Returns one vertex
-    mask per entry (possibly empty where re-balancing zeroed an entry's
-    budget).
+    `parts` must be positive integers summing to tau(g), so the empty graph
+    takes only the empty tuple.  Returns one vertex mask per entry (possibly
+    empty where re-balancing zeroed an entry's budget).
     """
     parts = list(parts)
-    if not parts:
-        raise TargetError("tuple target is empty")
     if not all(is_int(p) for p in parts):
         raise TargetError(f"tuple target {parts} must hold integers")
     if any(p < 1 for p in parts):
@@ -162,8 +158,6 @@ def detour_coloring(g: Graph, n: int, max_n: int | None = None) -> ColoringCerti
     if n < 1:
         raise TargetError(f"class bound n={n} must be positive")
     g6 = encode_graph6(g)
-    if g.n == 0:
-        return ColoringCertificate(g6, (), 0, 0, "n-detour", True, n=n)
     tau_g = graph_facts(g, max_n).tau
     bound = -(-tau_g // n)
     parts = [n] * (tau_g // n)

@@ -41,7 +41,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import multiway, starcolor
-from .detour import check_capacity, detour_order_dfs, tau_subset
+from .detour import check_capacity, detour_order, detour_order_dfs, tau_subset
 from .errors import (
     CapacityError,
     CounterexampleError,
@@ -193,10 +193,10 @@ def verify_coloring_record(rec: dict, max_n: int | None = None,
         if not starcolor.verify_star_coloring(g, colors):
             return False, "colouring is not a star colouring"
     else:
-        bound = -(-tau_g // nb) if g.n else 0
+        bound = -(-tau_g // nb)
         if g.n and not multiway.verify_detour_coloring(g, colors, nb, max_n):
             return False, f"a colour class has detour order above {nb}"
-    used = len(set(colors)) if colors else 0
+    used = len(set(colors))
     if used != rec["colors_used"]:
         return False, f"recorded colors_used {rec['colors_used']} != recomputed {used}"
     if rec["bound"] != bound:
@@ -258,9 +258,8 @@ class SweepReport:
 
 
 def _crosscheck_tau(g: Graph, max_n: int | None) -> int:
-    check_capacity(g.n, max_n)
-    tau_g = tau_subset(g, g.full_mask)
-    if 1 <= g.n <= DFS_CROSSCHECK_MAX_N:
+    tau_g = detour_order(g, max_n).tau
+    if g.n <= DFS_CROSSCHECK_MAX_N:
         other = detour_order_dfs(g)
         if other != tau_g:
             raise InternalCheckError(

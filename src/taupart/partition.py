@@ -275,7 +275,7 @@ def graph_facts(g: Graph, max_n: int | None = None) -> GraphFacts:
 # hold all of that while a long sweep's memory stays flat.
 @functools.lru_cache(maxsize=32)
 def _graph_facts(g: Graph) -> GraphFacts:
-    if g.n == 0:  # tau of the empty graph is 0, as tau_subset reads it
+    if g.n == 0:  # tau of the empty graph is 0, the package's rule, with no DP
         return GraphFacts(0, None)
     try:  # the one 2-connectivity check of g's facts
         decomposition = ear_decompose(g)

@@ -246,8 +246,6 @@ def star_coloring(g: Graph, max_n: int | None = None) -> ColoringCertificate:
     component order.
     """
     g6 = encode_graph6(g)
-    if g.n == 0:
-        return ColoringCertificate(g6, (), 0, 0, "star", True)
     tau_g = graph_facts(g, max_n).tau
     colors = [0] * g.n
     witnesses: list[dict] = []

@@ -12,7 +12,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import taupart
@@ -49,8 +49,10 @@ from taupart.graphs import (
     random_graph,
     relabel,
 )
-from taupart.multiway import verify_detour_coloring
-from taupart.oracle import graphs_upto_iso
+from taupart.multiway import detour_coloring, t_partition, verify_detour_coloring
+from taupart.oracle import graphs_upto_iso, verify_record
+from taupart.partition import graph_facts
+from taupart.starcolor import star_coloring
 
 BOWTIE = parse_graph6("DxK")
 
@@ -70,6 +72,27 @@ def test_detour_order_petersen():
     assert detour_order_dfs(petersen_graph()) == 10
 
 
+def test_every_entry_reads_tau_zero_on_the_empty_graph():
+    g = Graph(0, ())
+    assert detour_order(g).tau == 0
+    assert detour_order_dfs(g) == 0
+    assert tau_subset(g, 0) == 0
+    assert detour.subset_queries(g).tau(0) == 0
+    assert graph_facts(g).tau == 0
+    assert has_path_of_order(g, 1) is False
+    assert t_partition(g, []) == []
+    # the general paths build the certificates the empty graph always had
+    for n in (1, 2):
+        cert = detour_coloring(g, n).to_json_dict()
+        assert cert == {"graph6": "?", "n": n, "colors": [], "colors_used": 0, "bound": 0,
+                        "property": "n-detour", "verified": True}
+        assert verify_record(cert) == (True, "ok")
+    cert = star_coloring(g).to_json_dict()
+    assert cert == {"graph6": "?", "n": None, "colors": [], "colors_used": 0, "bound": 0,
+                    "property": "star", "verified": True}
+    assert verify_record(cert) == (True, "ok")
+
+
 def test_disconnected_takes_max_over_components():
     g = Graph.from_edges(4, [(0, 1), (1, 2)])
     assert detour_order(g).tau == 3
@@ -78,6 +101,8 @@ def test_disconnected_takes_max_over_components():
 
 @given(st.integers(1, 10), st.floats(0.0, 1.0), st.integers(0, 2**31 - 1))
 @settings(max_examples=200, deadline=None)
+@example(0, 0.0, 0)  # the empty graph
+@example(1, 0.0, 0)  # K1
 def test_dp_matches_dfs(n, p, seed):
     g = random_graph(n, p, seed=seed)
     assert detour_order(g).tau == detour_order_dfs(g)

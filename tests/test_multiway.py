@@ -66,6 +66,9 @@ def test_entries_must_be_positive_and_sum_to_tau():
         t_partition(cycle_graph(6), (6, 0))
     with pytest.raises(TargetError):
         t_partition(cycle_graph(6), ())
+    # the empty tuple is the empty graph's target; anywhere else its sum is wrong
+    with pytest.raises(TargetError, match=r"^tuple target \[\] sums to 0, detour order is 5$"):
+        t_partition(cycle_graph(5), [])
 
 
 def test_a_tuple_target_sum_too_long_to_print_is_a_target_error(int_str_limit):

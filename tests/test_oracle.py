@@ -581,6 +581,19 @@ def test_a_sweep_checks_every_certificate_against_the_cross_checked_tau(count_dp
     assert count_dps.count(7) == 1
 
 
+def test_a_sweep_cross_checks_the_empty_graph_and_counts_it_constructed(monkeypatch):
+    calls = []
+
+    def spy(g):
+        calls.append(g)
+        return detour_order_dfs(g)
+
+    monkeypatch.setattr(oracle, "detour_order_dfs", spy)
+    rep = sweep_ppc([Graph(0, ())], deterministic=True)
+    assert calls == [Graph(0, ())]
+    assert rep.counts["constructed"] == 1 and rep.records == []
+
+
 def test_sweep_passes_its_cap_to_the_verifier():
     rep = sweep_ppc([cycle_graph(21)], max_n=21, deterministic=True)
     assert rep.counts["constructed"] == 1
