@@ -8,7 +8,8 @@ behind --table.  Exit codes: 0 success, 2 usage or target errors and
 files that cannot be opened, 3 verification failures or counterexamples,
 4 capacity overruns (any graph or line over the cap, even when others
 failed).  Input files are ASCII: a line with any other byte is
-malformed like any other bad line.
+malformed like any other bad line, and so is a line over LINE_LIMIT
+characters.
 
 TAUPART_MAX_N overrides the library capacity caps for every subcommand; a
 value that is not an integer of at least 1 is a usage error (exit 2).
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import itertools
 import json
 import os
 import random
@@ -39,6 +41,14 @@ from .multiway import detour_coloring
 from .oracle import WholeGraphTau, sweep_ppc, verify_record
 from .partition import PartitionTarget, graph_facts, tau_partition
 from .starcolor import star_coloring
+
+
+# The longest input line read, in characters without its newline.  A longer
+# line is skipped in chunks of at most this size and reported as malformed,
+# so memory stays bounded whatever the input; the limit is far above any
+# certificate line of a graph within the caps.
+LINE_LIMIT = 1 << 18
+LINE_TOO_LONG = f"line longer than {LINE_LIMIT} characters"
 
 
 def _max_n() -> int | None:
@@ -68,8 +78,21 @@ def _open(path: str, mode: str):
         raise FileAccessError(f"cannot open {path}: {exc.strerror or exc}") from exc
 
 
+def _bounded_lines(fh):
+    """(line number, line) for each line of the text stream fh; None in
+    place of a line of more than LINE_LIMIT characters, whose characters
+    are skipped up to its newline."""
+    for lineno, line in enumerate(iter(functools.partial(fh.readline, LINE_LIMIT + 1), ""), start=1):
+        if len(line) > LINE_LIMIT and not line.endswith("\n"):
+            while line and not line.endswith("\n"):
+                line = fh.readline(LINE_LIMIT)
+            line = None
+        yield lineno, line
+
+
 def _read_lines(path: str):
-    """(line number, line) for each line of the file, or of stdin for '-'.
+    """(line number, line) for each line of the file, or of stdin for '-',
+    with None for a line over LINE_LIMIT characters.
 
     Stdin is read as ASCII like a named file when it has bytes beneath it;
     a text-only stream (an io.StringIO) is read as the text it holds.
@@ -77,22 +100,25 @@ def _read_lines(path: str):
     if path == "-":
         buffer = getattr(sys.stdin, "buffer", None)
         if buffer is None:
-            yield from enumerate(sys.stdin, start=1)
+            yield from _bounded_lines(sys.stdin)
             return
         text = io.TextIOWrapper(buffer, encoding="ascii", errors="replace")
         try:
-            yield from enumerate(text, start=1)
+            yield from _bounded_lines(text)
         finally:
             text.detach()  # closing the wrapper would close stdin's buffer
         return
     with _open(path, "r") as fh:
-        yield from enumerate(fh, start=1)
+        yield from _bounded_lines(fh)
 
 
 def _read_graphs(path: str):
     """(line number, stripped line, graph) for each non-blank graph6 line;
     a malformed line gives its error row in place of the graph."""
     for lineno, raw in _read_lines(path):
+        if raw is None:
+            yield lineno, None, {"line": lineno, "error": LINE_TOO_LONG}
+            continue
         s = raw.strip()
         if not s:
             continue
@@ -104,17 +130,28 @@ def _read_graphs(path: str):
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    """One row per graph6 line, printed as the line is read."""
     max_n = args.max_n
-    rows = []
     over_cap = False
-    for lineno, s, g in _read_graphs(args.input):
+
+    def write(row: dict) -> None:
+        if args.dot:  # only error rows: a DOT comment, so stdout stays valid DOT
+            print(f"// line {row['line']}: error: {row['error']}")
+        elif not args.table:
+            _emit(row)
+        elif "error" in row:
+            print(f"{row['line']:>5} error: {row['error']}")
+        else:
+            print(f"{row['line']:>5} {row['n']:>3} {row['m']:>3} {row['tau']:>4}  "
+                  f"{str(row['two_connected']).lower():<5} {row['graph6']}")
+
+    graphs = _read_graphs(args.input)
+    first = next(graphs, None)  # opens the input, so one that cannot be opened prints nothing
+    if args.table and not args.dot:
+        print(f"{'line':>5} {'n':>3} {'m':>3} {'tau':>4}  {'2conn':<5} graph6")
+    for lineno, s, g in itertools.chain([first] if first else [], graphs):
         if isinstance(g, dict):
-            if args.dot:  # a DOT comment, so stdout stays valid DOT
-                print(f"// line {g['line']}: error: {g['error']}")
-            elif not args.keep_going:
-                _emit(g)
-            else:
-                rows.append(g)
+            write(g)
             if not args.keep_going:
                 return 2
             continue
@@ -124,11 +161,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         try:
             tau_g = detour_order(g, max_n).tau
         except CapacityError as exc:
-            rows.append({"line": lineno, "error": str(exc)})
+            write({"line": lineno, "error": str(exc)})
             over_cap = True
             continue
         blks, cut_mask = blocks(g)
-        rows.append({
+        write({
             "line": lineno,
             "graph6": s,
             "n": g.n,
@@ -141,19 +178,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "bridges": sum(1 for _, is_bridge in blks if is_bridge),
             "cut_vertices": mask_to_ids(cut_mask),
         })
-    if args.dot:
-        return 0
-    if args.table:
-        print(f"{'line':>5} {'n':>3} {'m':>3} {'tau':>4}  {'2conn':<5} graph6")
-        for r in rows:
-            if "error" in r:
-                print(f"{r['line']:>5} error: {r['error']}")
-            else:
-                print(f"{r['line']:>5} {r['n']:>3} {r['m']:>3} {r['tau']:>4}  "
-                      f"{str(r['two_connected']).lower():<5} {r['graph6']}")
-    else:
-        for r in rows:
-            _emit(r)
     return 4 if over_cap else 0
 
 
@@ -228,6 +252,22 @@ def cmd_hunt(args: argparse.Namespace) -> int:
     return 0 if report.counterexamples == 0 else 3
 
 
+def _verify_line(s: str, max_n: int | None, whole_tau: WholeGraphTau) -> tuple[bool, str]:
+    """(ok, detail) for one stripped certificate line."""
+    try:
+        s.encode("ascii")
+        rec = json.loads(s)
+    except UnicodeEncodeError as exc:
+        return False, f"schema: non-ASCII character at offset {exc.start}"
+    except json.JSONDecodeError as exc:
+        return False, f"schema: invalid JSON: {exc.msg}"
+    except ValueError as exc:  # an integer over Python's int-to-str digit limit
+        return False, f"schema: invalid JSON: {exc}"
+    except RecursionError:
+        return False, "schema: invalid JSON: nested too deeply"
+    return verify_record(rec, max_n=max_n, whole_tau=whole_tau)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     max_n = args.max_n
     total = 0
@@ -235,23 +275,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     over_cap = False
     whole_tau = WholeGraphTau()  # tau of the graph of the last lines, for this call only
     for lineno, raw in _read_lines(args.input):
-        s = raw.strip()
-        if not s:
+        s = None if raw is None else raw.strip()
+        if s == "":
             continue
         total += 1
-        try:
-            s.encode("ascii")
-            rec = json.loads(s)
-        except UnicodeEncodeError as exc:
-            ok, msg = False, f"schema: non-ASCII character at offset {exc.start}"
-        except json.JSONDecodeError as exc:
-            ok, msg = False, f"schema: invalid JSON: {exc.msg}"
-        except ValueError as exc:  # an integer over Python's int-to-str digit limit
-            ok, msg = False, f"schema: invalid JSON: {exc}"
-        except RecursionError:
-            ok, msg = False, "schema: invalid JSON: nested too deeply"
+        if s is None:
+            ok, msg = False, f"schema: {LINE_TOO_LONG}"
         else:
-            ok, msg = verify_record(rec, max_n=max_n, whole_tau=whole_tau)
+            ok, msg = _verify_line(s, max_n, whole_tau)
         failed += 0 if ok else 1
         over_cap = over_cap or msg.startswith("capacity:")
         _emit({"line": lineno, "ok": ok, "detail": msg})

@@ -28,9 +28,10 @@ the current level and each end vertex, one Python int with one bit per
 subset (the Held-Karp layout) and builds the next level with a few big-int
 operations per vertex.  `_dp_loop` serves the rest, early-exit runs and
 graphs with m < k (every forest), which reach few subsets: it walks the
-reached subsets one by one in pure Python over a 2^k list.  The loop and the bit
-kernel give the end masks lazily, so a query that reads only tau pays
-nothing for them.  numpy is imported by the numpy kernel and its helpers
+reached subsets one by one in pure Python, holding one dict per level
+from each reached subset to its end mask.  The loop and the bit kernel
+give the end masks lazily, so a query that reads only tau pays nothing
+for them.  numpy is imported by the numpy kernel and its helpers
 on their first call, not with this module: a process whose DPs all stay
 below NUMPY_DP_MIN_K vertices never loads it.
 
@@ -86,10 +87,10 @@ if TYPE_CHECKING:
 
 # Time grows with the connected subsets a DP reaches, up to 2^n of them on a
 # dense graph.  Memory of a run on NUMPY_DP_MIN_K or more vertices
-# (`_dp_numpy`) grows with the largest level it holds, never with 2^n,
-# early exit or not.  A smaller run, k < NUMPY_DP_MIN_K, allocates a 2^k
-# list (`_dp_loop`) or two levels of k ints of 2^k bits (`_dp_bits`, about
-# 35 KiB peak on K13).
+# (`_dp_numpy`) and of the loop (`_dp_loop`, one dict per level) grows with
+# the largest level it holds, never with 2^n, early exit or not.  A
+# full-order run on the bit kernel, k < NUMPY_DP_MIN_K, holds two levels of
+# k ints of 2^k bits (`_dp_bits`, about 35 KiB peak on K13).
 # Overridable at every entry through max_n (the CLI wires TAUPART_MAX_N
 # through).
 DETOUR_DP_MAX_N = 20
@@ -116,8 +117,8 @@ def check_capacity(k: int, max_n: int | None, cap: int = DETOUR_DP_MAX_N,
     (max_n, or `cap` when None); CapacityError otherwise.
 
     The one cap check of the package: the exported entries call it as a
-    graph comes in, with the DP cap by default, the brute-force cap or the
-    exact searches' cap."""
+    graph comes in, with the DP cap by default, which brute force shares,
+    or the exact searches' cap."""
     limit = cap if max_n is None else max_n
     if k > limit:
         raise CapacityError(f"{what} over {k} vertices exceeds the cap of {limit}")
@@ -150,43 +151,34 @@ def _dp_loop(ladj: list[int], stop_at: int | None = None):
     Returns (tau, last, ends): the masks of the deepest level reached, level
     tau, and in the same order the mask of vertices that end a Hamiltonian
     path of each.  With `stop_at` the run ends as soon as tau reaches it, so
-    a run that reaches level stop_at returns that level.  The end masks are
-    read from the run's 2^k list lazily, so a caller that needs only tau
-    pays nothing for them.
+    a run that reaches level stop_at returns that level.  Each level is
+    one dict from each reached subset to its end mask, in the order the
+    subsets are reached; only the current level and the next are held, so
+    memory grows with the subsets reached, not with 2^k.  The end masks
+    come as an iterator over the last level's dict.
     """
-    k = len(ladj)
-    if k == 0:
-        return 0, [], []
-    table = [0] * (1 << k)
-    frontier = []
-    for i in range(k):
-        table[1 << i] = 1 << i
-        frontier.append(1 << i)
-    tau = 1
-    while frontier:
-        if stop_at is not None and tau >= stop_at:
-            break
-        nxt: list[int] = []
-        for mask in frontier:
-            ends = table[mask]
-            e = ends
+    level = {1 << v: 1 << v for v in range(len(ladj))}
+    tau = min(1, len(ladj))
+    while stop_at is None or tau < stop_at:
+        nxt: dict[int, int] = {}
+        for mask, e in level.items():
             while e:
                 low = e & -e
-                v = low.bit_length() - 1
                 e ^= low
-                ext = ladj[v] & ~mask
+                ext = ladj[low.bit_length() - 1] & ~mask
                 while ext:
                     lw = ext & -ext
                     ext ^= lw
                     nm = mask | lw
-                    if not table[nm]:
-                        nxt.append(nm)
-                    table[nm] |= lw
+                    if nm in nxt:
+                        nxt[nm] |= lw
+                    else:
+                        nxt[nm] = lw
         if not nxt:
             break
         tau += 1
-        frontier = nxt
-    return tau, frontier, map(table.__getitem__, frontier)
+        level = nxt
+    return tau, list(level), iter(level.values())
 
 
 @functools.cache

@@ -76,23 +76,20 @@ def _rebalance(rest: list[int], tau_rem: int) -> list[int]:
 
 
 def _split(g: Graph, parts: list[int], max_n: int | None) -> list[int]:
-    # parts may contain zeros (empty parts); sum(parts) == tau(g) when g.n > 0
+    # sum(parts) == tau(g), and parts may end in zeros (empty parts) but
+    # parts[0] > 0 when g.n > 0: a remainder is never empty, so its tau is
+    # at least 1, and `_rebalance` zeroes entries from the last one down
     if g.n == 0:
         return [0] * len(parts)
-    first = next(i for i, p in enumerate(parts) if p > 0)
     total = sum(parts)
-    if parts[first] == total:
-        masks = [0] * len(parts)
-        masks[first] = g.full_mask
-        return masks
-    cert = tau_partition(g, PartitionTarget(parts[first], total - parts[first]), max_n=max_n,
-                         tau_g=total)
+    if parts[0] == total:
+        return [g.full_mask] + [0] * (len(parts) - 1)
+    cert = tau_partition(g, PartitionTarget(parts[0], total - parts[0]), max_n=max_n, tau_g=total)
     sub, order = induced_subgraph(g, cert.part_b)
-    # the certificate holds tau of the remainder, 0 when it is empty, so
-    # the remainder needs no DP before its own split
-    tau_rem = cert.tau_b
-    rest = _rebalance(list(parts[first + 1:]), tau_rem)
-    return [0] * first + [cert.part_a] + [lift(m, order) for m in _split(sub, rest, max_n)]
+    # the certificate holds tau of the remainder, so the remainder needs no
+    # DP before its own split
+    rest = _rebalance(parts[1:], cert.tau_b)
+    return [cert.part_a] + [lift(m, order) for m in _split(sub, rest, max_n)]
 
 
 def t_partition(g: Graph, parts: tuple[int, ...] | list[int], max_n: int | None = None) -> list[int]:

@@ -78,11 +78,6 @@ from .errors import (CapacityError, CounterexampleError, GraphError, InternalChe
                      TargetError)
 from .graphs import Graph, connected_components, encode_graph6, ids_to_mask, iter_bits, lift, mask_to_ids
 
-# Brute force runs subset DPs on g with no cap check of their own, so this
-# cap must stay at or below DETOUR_DP_MAX_N.
-BRUTE_FORCE_MAX_N = 20
-
-
 def is_int(x) -> bool:
     """An int and not a bool (True is an int in Python): the type of every
     target entry, and of every integer field the verifier reads from a
@@ -417,7 +412,7 @@ def brute_force_partition(g: Graph, t: PartitionTarget, max_n: int | None = None
     DP between them (`_first_component_part`), and each larger candidate
     up to two.
     """
-    check_capacity(g.n, max_n, BRUTE_FORCE_MAX_N, "brute-force partition")
+    check_capacity(g.n, max_n, what="brute-force partition")
     q = subset_queries(g)
     if tau_g is None:
         tau_g = q.tau(g.full_mask)
@@ -491,6 +486,25 @@ def _audit_migration(h: Graph, receiver_pre: int, migrated: int, b: int, orig_of
     return events
 
 
+def _brute_force_certificate(g: Graph, t: PartitionTarget, max_n: int | None, tau_g: int | None,
+                             trace=(), witnesses=()) -> PartitionCertificate:
+    """The "fallback" certificate of g from `brute_force_partition`, with
+    the trace and witnesses of a construction that gave up on g, if any.
+    CounterexampleError when g has no (a, b) partition; both part taus are
+    read from `subset_queries(g)` and checked against (a, b)."""
+    g6 = encode_graph6(g)
+    got = brute_force_partition(g, t, max_n=max_n, tau_g=tau_g)
+    if got is None:
+        raise CounterexampleError(f"no ({t.a}, {t.b}) partition exists", g6, (t.a, t.b))
+    part_a, part_b = got
+    q = subset_queries(g)
+    tau_a, tau_b = q.tau(part_a), q.tau(part_b)
+    if tau_a > t.a or tau_b > t.b:
+        raise InternalCheckError(f"certified partition fails its own bounds on {g6}")
+    return PartitionCertificate(g6, t.a, t.b, part_a, part_b, tau_a, tau_b, "fallback",
+                                tuple(trace), tuple(witnesses))
+
+
 def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = None) -> PartitionCertificate:
     """Constructive (a, b) partition of a 2-connected graph.
 
@@ -562,25 +576,18 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
              "violated": [s for s, ok in (("A", ok_a), ("B", ok_b)) if not ok]}))
         method = "fallback"
         repaired = brute_force_partition(h, tt, max_n=max_n, tau_g=taus[i + 1])
-        if repaired is not None:
-            part_a, _ = repaired
-            continue
-        witnesses.append(witness(
-            "no-level-partition", i, case_tag, tt, part_a, None,
-            {"note": f"no ({tt.a}, {tt.b}) partition of the level-{i + 1} graph"}))
-        whole = brute_force_partition(g, t, max_n=max_n, tau_g=tau_g)
-        if whole is None:
-            raise CounterexampleError(
-                f"no ({t.a}, {t.b}) partition exists", g6, (t.a, t.b))
-        out_a, out_b = whole
-        q = subset_queries(g)
-        tau_a, tau_b = q.tau(out_a), q.tau(out_b)
-        break
-    else:  # every ear folded in: check part A on the top level, g relabelled
-        q = subset_queries(levels[-1])
-        tau_a, tau_b = q.tau(part_a), q.tau(levels[-1].full_mask & ~part_a)
-        out_a = lift(part_a, orig_of)
-        out_b = g.full_mask & ~out_a
+        if repaired is None:
+            witnesses.append(witness(
+                "no-level-partition", i, case_tag, tt, part_a, None,
+                {"note": f"no ({tt.a}, {tt.b}) partition of the level-{i + 1} graph"}))
+            return _brute_force_certificate(g, t, max_n, tau_g, trace, witnesses)
+        part_a, _ = repaired
+
+    # every ear folded in: check part A on the top level, g relabelled
+    q = subset_queries(levels[-1])
+    tau_a, tau_b = q.tau(part_a), q.tau(levels[-1].full_mask & ~part_a)
+    out_a = lift(part_a, orig_of)
+    out_b = g.full_mask & ~out_a
     if tau_a > t.a or tau_b > t.b or (out_a | out_b) != g.full_mask or (out_a & out_b):
         raise InternalCheckError(f"certified partition fails its own bounds on {g6}")
     return PartitionCertificate(g6, t.a, t.b, out_a, out_b, tau_a, tau_b, method,
@@ -612,11 +619,4 @@ def tau_partition(g: Graph, t: PartitionTarget, max_n: int | None = None,
     two_connected = is_two_connected(g) if facts is None else facts.levels is not None
     if two_connected:
         return tau_partition_2connected(g, t, max_n=max_n)
-    got = brute_force_partition(g, t, max_n=max_n, tau_g=facts.tau if facts else tau_g)
-    if got is None:
-        raise CounterexampleError(f"no ({t.a}, {t.b}) partition exists", encode_graph6(g), (t.a, t.b))
-    part_a, part_b = got
-    q = subset_queries(g)
-    return PartitionCertificate(encode_graph6(g), t.a, t.b, part_a, part_b,
-                                q.tau(part_a), q.tau(part_b),
-                                "fallback", (), ())
+    return _brute_force_certificate(g, t, max_n, facts.tau if facts else tau_g)

@@ -99,6 +99,20 @@ def test_analyze_no_keep_going_stops(tmp_path, capsys):
     assert len(recs) == 1 and "error" in recs[0]
 
 
+def test_analyze_no_keep_going_prints_the_rows_before_the_error(monkeypatch, capsys):
+    # rows once waited for the end of the input, so only the error printed
+    bad = "invalid graph6 character '!' (byte 0)"
+    monkeypatch.setattr("sys.stdin", io.StringIO("DxK\n!!!\nC~\n"))
+    code, recs, _ = run(capsys, "analyze", "--no-keep-going")
+    assert code == 2
+    assert [r.get("graph6") for r in recs] == ["DxK", None]
+    assert recs[1] == {"line": 2, "error": bad}
+    monkeypatch.setattr("sys.stdin", io.StringIO("DxK\n!!!\nC~\n"))
+    code, _, out = run(capsys, "analyze", "--no-keep-going", "--table")
+    assert code == 2
+    assert out.out.splitlines()[1:] == ["    1   5   6    5  false DxK", f"    2 error: {bad}"]
+
+
 def test_analyze_stdin(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("Dhc\n"))
     code, recs, _ = run(capsys, "analyze")
@@ -349,17 +363,63 @@ def tau_partition_json(g6: str, a: int, b: int) -> bytes:
 
 @pytest.mark.parametrize("argv", [
     ("analyze", "{missing}"),
+    ("analyze", "{missing}", "--table"),
     ("verify", "{missing}"),
     ("hunt", "--source", "{missing}", "--witness-file", "{tmp}/w.jsonl"),
     ("hunt", "--random", "5", "1", "1", "--witness-file", "{tmp}/no/such/dir/w.jsonl"),
     ("analyze", "{tmp}"),
-], ids=["analyze-missing", "verify-missing", "hunt-missing", "witness-dir-missing", "analyze-directory"])
+], ids=["analyze-missing", "analyze-table-missing", "verify-missing", "hunt-missing", "witness-dir-missing", "analyze-directory"])
 def test_unopenable_files_are_usage_errors(argv, tmp_path, capsys):
     argv = [a.format(missing=tmp_path / "missing.g6", tmp=tmp_path) for a in argv]
     code, _, out = run(capsys, *argv)
     assert code == 2
     assert out.err.startswith("error: cannot open ") and out.err.count("\n") == 1
     assert out.out == ""  # a bad witness path stops hunt before its sweep reports
+
+
+@pytest.mark.parametrize("command", ["analyze", "hunt", "verify"])
+def test_a_line_over_the_limit_is_skipped_in_bounded_memory(command, tmp_path, capsys):
+    # the line is 16 times the limit: read whole, it alone would take 4 MiB
+    from taupart.cli import LINE_LIMIT, LINE_TOO_LONG
+
+    valid = tau_partition_json("DxK", 2, 3).decode() if command == "verify" else "DxK\n"
+    src = tmp_path / "in.txt"
+    src.write_text("x" * (16 * LINE_LIMIT) + "\n" + valid)
+    argv = {"analyze": ["analyze", str(src)],
+            "hunt": ["hunt", "--source", str(src), "--witness-file", str(tmp_path / "w.jsonl")],
+            "verify": ["verify", str(src)]}[command]
+    tracemalloc.start()
+    try:
+        code, recs, _ = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * LINE_LIMIT, peak
+    if command == "verify":
+        assert code == 3
+        assert recs == [{"line": 1, "ok": False, "detail": f"schema: {LINE_TOO_LONG}"},
+                        {"line": 2, "ok": True, "detail": "ok"},
+                        {"summary": True, "records": 2, "failed": 1}]
+        return
+    assert code == 0
+    assert recs[0] == {"line": 1, "error": LINE_TOO_LONG}
+    if command == "analyze":
+        assert [r["graph6"] for r in recs[1:]] == ["DxK"] and recs[1]["line"] == 2
+    else:
+        assert recs[-1]["graphs"] == 1 and recs[-1]["counts"]["fallback"] == 1
+
+
+def test_the_line_limit_counts_the_characters_before_the_newline(monkeypatch, capsys):
+    from taupart.cli import LINE_LIMIT, LINE_TOO_LONG
+
+    longest, over = "x" * LINE_LIMIT, "x" * (LINE_LIMIT + 1)
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{longest}\n{over}\nDxK\n{over}"))
+    code, recs, _ = run(capsys, "analyze")
+    assert code == 0
+    assert [r["line"] for r in recs] == [1, 2, 3, 4]
+    assert recs[0]["error"].startswith("trailing garbage")  # parsed as graph6
+    assert recs[1]["error"] == recs[3]["error"] == LINE_TOO_LONG
+    assert recs[2]["graph6"] == "DxK"
 
 
 def test_verify_holds_the_dp_cap(tmp_path, capsys, monkeypatch):

@@ -360,6 +360,21 @@ def test_early_exit_query_allocates_no_2_to_the_k_table():
     assert peak < 1 << 20
 
 
+def test_loop_kernel_holds_only_the_subsets_it_reaches():
+    # stopped at level 2, P13 reaches its 13 vertices and 12 edges; a 2^13
+    # list, as the loop once allocated on every call, takes 64 KiB
+    ladj = list(path_graph(13).adj)
+    tracemalloc.start()
+    try:
+        tau, last, ends = _dp_loop(ladj, stop_at=2)
+        ends = list(ends)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tau, last, ends) == (2, [3 << v for v in range(12)], [3 << v for v in range(12)])
+    assert peak < 8 << 10, peak
+
+
 def test_numpy_kernel_extends_a_wide_level_in_parts(monkeypatch):
     # each part is sorted and reduced before the merge, which must give the
     # one-part result exactly: the same masks, in ascending order, with the
@@ -442,7 +457,7 @@ def test_dp_levels_picks_the_kernel_from_the_run(monkeypatch):
 def test_bit_kernel_memory_on_k13():
     # two levels of k ints of 2^k bits, 2 * 13 * 1 KiB, plus a table's 14
     # level ORs of 1 KiB; keeping all tau levels (13 * 13 KiB) fails both
-    # bounds, and the loop kernel's 2^13 list and its ints peak near 400 KiB
+    # bounds, and the loop kernel's dicts of its widest levels peak near 370 KiB
     ladj = list(complete_graph(13).adj)
     for unions, bound in ((None, 64 << 10), ([1], 96 << 10)):
         tracemalloc.start()
