@@ -19,7 +19,6 @@ from .errors import (
     NotTwoConnectedError,
     StarRepairError,
     TargetError,
-    VerificationError,
 )
 from .graphs import (
     Graph,

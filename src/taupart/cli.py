@@ -34,7 +34,6 @@ from .errors import (
     Graph6Error,
     GraphError,
     TargetError,
-    VerificationError,
 )
 from .graphs import blocks, mask_to_ids, parse_graph6, random_2connected, to_dot
 from .multiway import detour_coloring
@@ -114,10 +113,12 @@ def _read_lines(path: str):
 
 def _read_graphs(path: str):
     """(line number, stripped line, graph) for each non-blank graph6 line;
-    a malformed line gives its error row in place of the graph."""
+    a line that gives no graph gives its fault in place of the graph: a
+    CapacityError for an order over graphs.MAX_VERTICES, a GraphError for
+    a malformed line."""
     for lineno, raw in _read_lines(path):
         if raw is None:
-            yield lineno, None, {"line": lineno, "error": LINE_TOO_LONG}
+            yield lineno, None, GraphError(LINE_TOO_LONG)
             continue
         s = raw.strip()
         if not s:
@@ -125,7 +126,7 @@ def _read_graphs(path: str):
         try:
             g = parse_graph6(s)
         except (Graph6Error, CapacityError) as exc:
-            g = {"line": lineno, "error": str(exc)}
+            g = exc
         yield lineno, s, g
 
 
@@ -150,9 +151,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.table and not args.dot:
         print(f"{'line':>5} {'n':>3} {'m':>3} {'tau':>4}  {'2conn':<5} graph6")
     for lineno, s, g in itertools.chain([first] if first else [], graphs):
-        if isinstance(g, dict):
-            write(g)
-            if not args.keep_going:
+        if isinstance(g, Exception):
+            write({"line": lineno, "error": str(g)})
+            if isinstance(g, CapacityError):
+                over_cap = True
+            elif not args.keep_going:
                 return 2
             continue
         if args.dot:
@@ -222,6 +225,7 @@ def cmd_hunt(args: argparse.Namespace) -> int:
     max_n = args.max_n
     graphs = []
     prelude = []
+    over_cap = False
     if args.random:
         n, seed, count = args.random
         rng = random.Random(seed)
@@ -231,14 +235,17 @@ def cmd_hunt(args: argparse.Namespace) -> int:
         corpus = f"random(n={n},seed={seed},count={count})"
     else:
         corpus = args.source
-        for _, _, g in _read_graphs(args.source):
-            if isinstance(g, dict):
-                if not args.keep_going:
-                    _emit(g)
-                    return 2
-                prelude.append(g)
-            else:
+        for lineno, _, g in _read_graphs(args.source):
+            if not isinstance(g, Exception):
                 graphs.append(g)
+                continue
+            row = {"line": lineno, "error": str(g)}
+            if isinstance(g, CapacityError):
+                over_cap = True
+            elif not args.keep_going:
+                _emit(row)
+                return 2
+            prelude.append(row)
     with _open(args.witness_file, "w") as fh:  # a bad path fails before the sweep
         report = sweep_ppc(graphs, corpus=corpus, max_n=max_n, deterministic=args.deterministic)
         for err in prelude:
@@ -247,7 +254,7 @@ def cmd_hunt(args: argparse.Namespace) -> int:
             print(line)
         for w in report.witnesses:
             fh.write(json.dumps(w, sort_keys=True) + "\n")
-    if report.over_cap:  # as in verify, a capacity overrun outranks a counterexample
+    if over_cap or report.over_cap:  # as in verify, a capacity overrun outranks a counterexample
         return 4
     return 0 if report.counterexamples == 0 else 3
 
@@ -358,9 +365,6 @@ def main(argv=None) -> int:
         return 2
     except CounterexampleError as exc:
         print(f"counterexample candidate: {exc} on {exc.graph6}", file=sys.stderr)
-        return 3
-    except VerificationError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
         return 3
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)

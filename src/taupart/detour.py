@@ -316,9 +316,10 @@ def subset_has_path(g: Graph, mask: int, k: int) -> bool:
 
 
 def subset_tau_at_most(g: Graph, mask: int, bound: int) -> bool:
-    """tau(<mask>) <= bound, checked with early exit."""
+    """tau(<mask>) <= bound, checked with early exit; False for a negative
+    bound, as tau of the empty set is 0."""
     if bound < 0:
-        return mask == 0
+        return False
     if mask.bit_count() <= bound:
         return True
     return not subset_has_path(g, mask, bound + 1)
@@ -421,9 +422,10 @@ class SubsetTable:
         return j
 
     def at_most(self, mask: int, bound: int) -> bool:
-        """tau(<mask>) <= bound."""
+        """tau(<mask>) <= bound; False for a negative bound, which would
+        otherwise index `has` from its end."""
         if bound < 0:
-            return mask == 0
+            return False
         if mask.bit_count() <= bound or bound + 1 >= len(self.has):
             return True
         return not self.has[bound + 1] & _subsets_of(mask)

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: argument/target problems and files
-that cannot be opened exit 2, verification failures and counterexample
-reports exit 3, capacity overruns exit 4.
+that cannot be opened exit 2, counterexample reports exit 3, capacity
+overruns exit 4.  An InternalCheckError, such as a constructed
+certificate failing its own check, is a bug and aborts loudly.
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ class TargetError(ValueError):
 
 class CapacityError(RuntimeError):
     """The instance exceeds a documented size cap for the requested operation."""
-
-
-class VerificationError(RuntimeError):
-    """A certificate failed re-verification."""
 
 
 class InternalCheckError(RuntimeError):

@@ -19,7 +19,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .detour import check_capacity, subset_queries, subset_tau_at_most
-from .errors import GraphError, InternalCheckError, TargetError, VerificationError
+from .errors import GraphError, InternalCheckError, TargetError
 from .graphs import Graph, encode_graph6, induced_subgraph, iter_bits, lift
 from .partition import PartitionTarget, graph_facts, is_int, sum_mismatch, tau_partition
 
@@ -166,7 +166,7 @@ def detour_coloring(g: Graph, n: int, max_n: int | None = None) -> ColoringCerti
         for v in iter_bits(m):
             colors[v] = i
     if not verify_detour_coloring(g, colors, n, max_n):
-        raise VerificationError(f"constructed {n}-detour colouring failed verification on {g6}")
+        raise InternalCheckError(f"constructed {n}-detour colouring failed verification on {g6}")
     used = len(set(colors))
     if used > bound:
         raise InternalCheckError(f"colouring used {used} colours, bound is {bound}")

@@ -75,9 +75,9 @@ def _admit(rec: dict, keys: tuple[str, ...], ints: tuple[str, ...], int_lists: t
     """A record's graph, or the detail of its first fault in admission
     order: a missing one of `keys`, one of `ints` that is not a JSON
     integer, one of `int_lists` that is not a JSON list of them, a 'graph6'
-    that is not a JSON string or does not parse (all `schema:`), then a
-    graph whose DP exceeds the cap (max_n, or the detour default when
-    None; `capacity:`)."""
+    that is not a JSON string or is malformed (all `schema:`), then a
+    graph6 order over graphs.MAX_VERTICES or a graph whose DP exceeds the
+    cap (max_n, or the detour default when None; both `capacity:`)."""
     for key in keys:
         if key not in rec:
             return f"schema: missing key '{key}'"
@@ -91,10 +91,9 @@ def _admit(rec: dict, keys: tuple[str, ...], ints: tuple[str, ...], int_lists: t
         return "schema: 'graph6' must be a string"
     try:
         g = parse_graph6(rec["graph6"])
-    except (GraphError, CapacityError) as exc:
-        return f"schema: {exc}"
-    try:
         check_capacity(g.n, max_n)
+    except GraphError as exc:
+        return f"schema: {exc}"
     except CapacityError as exc:
         return f"capacity: {exc}"
     return g

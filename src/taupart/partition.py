@@ -23,11 +23,14 @@ level repairs the fold, so the certificate is always correct even when the
 construction was not.  Certificates whose every step verified carry method
 "constructed"; repaired ones carry "fallback".
 
-None of the ear machinery depends on the target, so `graph_facts` computes
-tau(g), whether g is 2-connected (its ear decomposition's check) and, for
-a 2-connected g, the ear levels with their detour orders once per graph;
-every target, and every colouring step in multiway and starcolor, reuses
-them.  The per-step bound checks, the migration audit, brute-force repair
+None of the ear machinery depends on the target, so `graph_facts` decides
+each graph's route once: whether g is 2-connected (its ear decomposition's
+check) and, for a 2-connected g, the ear levels with their detour orders.
+Every target, and every colouring step in multiway and starcolor, reuses
+them.  The facts also hold tau(g), read from the top level of a
+2-connected g and on first use for any other graph, and they check the
+one DP cap, so both engines report a graph over it with the same
+message.  The per-step bound checks, the migration audit, brute-force repair
 and the final certificate check still run for every target.  Every
 full-order question, in the facts and in the checks, goes through
 `detour.subset_queries`: on a graph below NUMPY_DP_MIN_K vertices that
@@ -73,9 +76,8 @@ from .detour import (
     paths_of_order_at_least,
     subset_queries,
 )
-from .ears import Ear, ear_decompose, ear_levels, is_two_connected, relabels_to, require_two_connected
-from .errors import (CapacityError, CounterexampleError, GraphError, InternalCheckError, NotTwoConnectedError,
-                     TargetError)
+from .ears import Ear, ear_decompose, ear_levels, relabels_to, require_two_connected
+from .errors import CounterexampleError, GraphError, InternalCheckError, NotTwoConnectedError, TargetError
 from .graphs import Graph, connected_components, encode_graph6, ids_to_mask, iter_bits, lift, mask_to_ids
 
 def is_int(x) -> bool:
@@ -231,31 +233,40 @@ class EarLevels:
 
 @dataclass(frozen=True)
 class GraphFacts:
-    """What the construction needs to know about a graph whatever the target:
-    its detour order, and its ear levels when it is 2-connected (else None).
+    """What the construction needs to know about a graph g whatever the
+    target: its ear levels when it is 2-connected (else None), which decide
+    the route of every target of g, and its detour order.
 
     For a 2-connected graph, tau is the top level's detour order; the level
     orders are settled as the module docstring explains, by a carried
     Hamiltonian path where one reaches the level and by the level's subset
-    queries elsewhere."""
+    queries elsewhere.  For any other graph, tau is read from its subset
+    queries on first use (0 on the empty graph, with no DP), so a caller
+    that only needs the route costs g no DP."""
 
-    tau: int
+    g: Graph
     levels: EarLevels | None
+
+    @functools.cached_property
+    def tau(self) -> int:
+        if self.levels is not None:
+            return self.levels.taus[-1]
+        return subset_queries(self.g).tau(self.g.full_mask) if self.g.n else 0
 
 
 def graph_facts(g: Graph, max_n: int | None = None) -> GraphFacts:
     """The GraphFacts of g, computed once and then served from a small cache.
 
-    The empty graph costs no DP (tau = 0), and any other graph that is not
-    2-connected reads tau(g) from its subset queries: below NUMPY_DP_MIN_K
-    vertices that builds the table that brute force then reads.  A
-    2-connected one asks the subset queries of each ear level that the
-    three settling facts of the module docstring leave open: a base cycle
-    has tau = c with a Hamiltonian path ending at every vertex, a chord
-    keeps every Hamiltonian path of the level below, and an ear whose
-    endpoint x (or y) ends such a path gives one ending at its last (or
-    first) internal vertex.  The top level must rebuild g edge for edge,
-    else InternalCheckError.
+    The one 2-connectivity check of g is its ear decomposition.  A graph
+    that is not 2-connected gets no levels, and its tau waits for its first
+    read: below NUMPY_DP_MIN_K vertices that builds the table that brute
+    force then reads.  A 2-connected one asks the subset queries of each
+    ear level that the three settling facts of the module docstring leave
+    open: a base cycle has tau = c with a Hamiltonian path ending at every
+    vertex, a chord keeps every Hamiltonian path of the level below, and an
+    ear whose endpoint x (or y) ends such a path gives one ending at its
+    last (or first) internal vertex.  The top level must rebuild g edge for
+    edge, else InternalCheckError.
 
     The DP capacity cap (max_n, default DETOUR_DP_MAX_N) is checked on every
     call before the lookup, so an entry built under a larger cap never
@@ -270,19 +281,17 @@ def graph_facts(g: Graph, max_n: int | None = None) -> GraphFacts:
 # hold all of that while a long sweep's memory stays flat.
 @functools.lru_cache(maxsize=32)
 def _graph_facts(g: Graph) -> GraphFacts:
-    if g.n == 0:  # tau of the empty graph is 0, the package's rule, with no DP
-        return GraphFacts(0, None)
-    try:  # the one 2-connectivity check of g's facts
+    try:
         decomposition = ear_decompose(g)
     except NotTwoConnectedError:
-        return GraphFacts(subset_queries(g).tau(g.full_mask), None)
+        return GraphFacts(g, None)
     graphs, local_ears, ids = zip(*ear_levels(decomposition))
     orig_of = ids[-1]
     # the top level's tau stands for tau(g) only if it is g relabelled
     if not relabels_to(graphs[-1], orig_of, g):
         raise InternalCheckError(f"ear levels do not rebuild {encode_graph6(g)}")
     taus, _ = _level_taus(graphs, local_ears[1:])
-    return GraphFacts(taus[-1], EarLevels(graphs, local_ears[1:], orig_of, taus))
+    return GraphFacts(g, EarLevels(graphs, local_ears[1:], orig_of, taus))
 
 
 def _level_taus(graphs: tuple[Graph, ...], ears: tuple[Ear, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -412,7 +421,7 @@ def brute_force_partition(g: Graph, t: PartitionTarget, max_n: int | None = None
     DP between them (`_first_component_part`), and each larger candidate
     up to two.
     """
-    check_capacity(g.n, max_n, what="brute-force partition")
+    check_capacity(g.n, max_n)
     q = subset_queries(g)
     if tau_g is None:
         tau_g = q.tau(g.full_mask)
@@ -601,22 +610,14 @@ def tau_partition(g: Graph, t: PartitionTarget, max_n: int | None = None,
     connected component on its own (the first step of the reduction to
     2-connected graphs; a cut vertex inside a component is not split on).
 
-    Whether g is 2-connected comes from graph_facts, which every target of
-    g shares.  A caller that already holds tau(g) and passes it as tau_g
-    (multiway's remainders, each a new graph) gets one `is_two_connected`
-    check instead, since facts would cost a graph of NUMPY_DP_MIN_K or more
-    vertices a DP; a graph that is not 2-connected then checks its target
-    sum against tau_g.  The ear construction takes tau(g) from graph_facts
-    either way.  A graph over the cap reports the cap of the engine it
-    would go to: the DP's when it is 2-connected, brute force's otherwise.
+    The route comes from graph_facts, which every target of g shares, and
+    so does the DP cap, one message for both engines.  A caller that
+    already holds tau(g) (multiway's remainders, each a new graph) passes
+    it as tau_g: brute force then checks its target sum against it, so a
+    graph that is not 2-connected costs no whole-graph DP of its own.  The
+    ear construction takes tau(g) from graph_facts either way.
     """
-    facts = None
-    if tau_g is None:
-        try:
-            facts = graph_facts(g, max_n)
-        except CapacityError:
-            pass  # named below by the engine g would go to
-    two_connected = is_two_connected(g) if facts is None else facts.levels is not None
-    if two_connected:
+    facts = graph_facts(g, max_n)
+    if facts.levels is not None:
         return tau_partition_2connected(g, t, max_n=max_n)
-    return _brute_force_certificate(g, t, max_n, facts.tau if facts else tau_g)
+    return _brute_force_certificate(g, t, max_n, facts.tau if tau_g is None else tau_g)

@@ -482,6 +482,51 @@ def test_hunt_exits_4_when_a_graph_hits_the_cap(tmp_path, capsys, monkeypatch):
     assert run(capsys, *argv)[0] == 3
 
 
+G65 = "~?@@" + "?" * 347  # the edgeless graph on 65 vertices
+OVER_64 = "graph6 order 65 exceeds the supported maximum of 64"
+
+
+def test_analyze_exits_4_on_a_graph6_order_over_64(tmp_path, capsys):
+    # a capacity overrun like a graph over the DP cap, not a malformed line
+    src = tmp_path / "graphs.g6"
+    src.write_text(f"{G65}\nC~\n")
+    for keep_going in ("--keep-going", "--no-keep-going"):
+        code, recs, _ = run(capsys, "analyze", str(src), keep_going)
+        assert code == 4
+        assert recs[0] == {"line": 1, "error": OVER_64}
+        assert recs[1]["tau"] == 4
+
+
+def test_hunt_exits_4_on_a_graph6_order_over_64(tmp_path, capsys):
+    src = tmp_path / "corpus.g6"
+    src.write_text(f"{G65}\nC~\n")
+    for keep_going in ("--keep-going", "--no-keep-going"):
+        code, recs, _ = run(capsys, "hunt", "--source", str(src), "--deterministic",
+                            "--witness-file", str(tmp_path / "w.jsonl"), keep_going)
+        assert code == 4
+        assert recs[0] == {"line": 1, "error": OVER_64}
+        assert recs[-1]["graphs"] == 1 and recs[-1]["counts"]["error"] == 0  # K4 is swept
+
+
+def test_verify_reports_a_graph6_order_over_64_as_a_capacity_overrun(tmp_path, capsys):
+    _, recs, _ = run(capsys, "partition", "C~", "-a", "2", "-b", "2")
+    cert_file = tmp_path / "certs.jsonl"
+    cert_file.write_text(json.dumps(dict(recs[0], graph6=G65)) + "\n" + json.dumps(recs[0]) + "\n")
+    code, out_recs, _ = run(capsys, "verify", str(cert_file))
+    assert code == 4
+    assert out_recs[0] == {"line": 1, "ok": False, "detail": f"capacity: {OVER_64}"}
+    assert out_recs[1]["ok"] is True
+
+
+def test_hunt_no_keep_going_stops_at_a_malformed_line_before_the_sweep(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("Dhc\n!!!\nC~\n"))
+    witness = tmp_path / "w.jsonl"
+    code, _, out = run(capsys, "hunt", "--source", "-", "--no-keep-going", "--witness-file", str(witness))
+    assert code == 2
+    assert out.out == '{"error": "invalid graph6 character \'!\' (byte 0)", "line": 2}\n'
+    assert not witness.exists()
+
+
 def test_hunt_refuses_a_huge_random_order_before_building_it(tmp_path, capsys):
     # a cycle on N vertices used to be built before the 64-vertex cap was
     # checked, so the memory of `hunt --random N` grew linearly with N

@@ -147,6 +147,16 @@ def test_subset_tau_at_most_agrees(n, p, seed, mask_bits, bound):
     assert subset_tau_at_most(g, mask, bound) == (tau_subset(g, mask) <= bound)
 
 
+def test_no_subset_meets_a_negative_bound():
+    # tau of the empty set is 0, so a negative bound fails every mask
+    g = path_graph(4)
+    for q in (detour.SubsetTable(g), detour.SubsetDPs(g)):
+        for mask in (0, 0b1, 0b11, g.full_mask):
+            for bound in range(-6, 0):
+                assert not q.at_most(mask, bound), (type(q).__name__, mask, bound)
+                assert not subset_tau_at_most(g, mask, bound), (mask, bound)
+
+
 def test_has_path_of_order():
     assert has_path_of_order(path_graph(4), 4)
     assert not has_path_of_order(path_graph(4), 5)

@@ -126,6 +126,19 @@ def test_parse_rejects_truncation():
         parse_graph6("D?")
 
 
+def test_parse_reads_the_order_headers_and_their_faults():
+    # long form: '~' then three groups; very long form: "~~" then six
+    for text, offset in (("~?@", 3), ("~", 1), ("~~?????", 7)):
+        with pytest.raises(Graph6Error, match="truncated") as exc:
+            parse_graph6(text)
+        assert exc.value.offset == offset
+    assert parse_graph6("~~?????Dhc") == parse_graph6("Dhc")  # C5 with a very-long-form order
+    for text, n in (("~?@@" + "?" * 347, 65), ("~~~~~~~~", (1 << 36) - 1)):
+        with pytest.raises(CapacityError) as exc:
+            parse_graph6(text)
+        assert str(exc.value) == f"graph6 order {n} exceeds the supported maximum of 64"
+
+
 def test_parse_rejects_trailing_bytes():
     with pytest.raises(Graph6Error, match="trailing"):
         parse_graph6("C~~")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taupart.detour import detour_order, tau_subset
-from taupart.errors import CapacityError, GraphError, TargetError, VerificationError
+from taupart.errors import CapacityError, GraphError, TargetError
 from taupart.graphs import (
     complete_graph,
     cycle_graph,

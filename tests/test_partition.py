@@ -510,13 +510,13 @@ def test_graph_facts_check_the_cap_on_every_call():
 
 @pytest.mark.parametrize("g, max_n, detail", [
     (cycle_graph(21), None, "subset dynamic program over 21 vertices exceeds the cap of 20"),
-    (path_graph(21), None, "brute-force partition over 21 vertices exceeds the cap of 20"),
+    (path_graph(21), None, "subset dynamic program over 21 vertices exceeds the cap of 20"),
     (cycle_graph(8), 7, "subset dynamic program over 8 vertices exceeds the cap of 7"),
-    (path_graph(8), 7, "brute-force partition over 8 vertices exceeds the cap of 7"),
+    (path_graph(8), 7, "subset dynamic program over 8 vertices exceeds the cap of 7"),
 ], ids=["C21", "P21", "C8-under-7", "P8-under-7"])
 def test_an_oversized_graph_reports_the_cap_of_its_engine(g, max_n, detail):
-    # the ear construction's DP cap for a 2-connected graph, brute force's
-    # for any other, whether or not the caller holds tau(g)
+    # one DP cap for both engines, checked by graph_facts whether or not
+    # the caller holds tau(g)
     for tau_g in (None, g.n):
         with pytest.raises(CapacityError) as exc:
             tau_partition(g, PartitionTarget(1, g.n - 1), max_n=max_n, tau_g=tau_g)
@@ -535,9 +535,9 @@ def test_every_target_shares_one_two_connectivity_check(monkeypatch):
     for a in range(1, 10):
         tau_partition(g, PartitionTarget(a, 10 - a))
     assert calls == [g]  # inside graph_facts' ear decomposition
-    # a caller that holds tau(g) gets no facts, and checks g itself
+    # a caller that holds tau(g) reads the same facts
     tau_partition(g, PartitionTarget(1, 9), tau_g=10)
-    assert calls == [g, g]
+    assert calls == [g]
 
 
 def test_a_raised_cap_reaches_the_dps_below_the_entry(count_dps):
