@@ -188,6 +188,43 @@ def test_graph_validation():
         Graph.from_edges(MAX_VERTICES + 1, [])
 
 
+# one fault per case, with the exact exception type and message it raises
+SINGLE_FAULTS = {
+    "negative order": (lambda: Graph(-1, ()), GraphError, "vertex count -1 is negative"),
+    "order over the cap": (lambda: Graph(65, (0,) * 65), CapacityError,
+                           "graph on 65 vertices exceeds the supported maximum of 64"),
+    "neighbour out of range": (lambda: Graph(2, (0b100, 0)), GraphError,
+                               "vertex 0 has neighbours outside 0..1"),
+    "asymmetric row": (lambda: Graph(2, (0b10, 0)), GraphError, "asymmetric adjacency between 0 and 1"),
+    "from_edges negative order": (lambda: Graph.from_edges(-1, []), GraphError,
+                                  "vertex count -1 is negative"),
+    "from_edges self-loop": (lambda: Graph.from_edges(3, [(0, 1), (1, 1)]), GraphError,
+                             "self-loop at vertex 1"),
+    "from_edges repeated edge": (lambda: Graph.from_edges(3, [(0, 1), (1, 0)]), GraphError,
+                                 "duplicate edge (1, 0)"),
+    "from_edges edge out of range": (lambda: Graph.from_edges(3, [(0, 3)]), GraphError,
+                                     "edge (0, 3) out of range for n=3"),
+    "cycle on 2 vertices": (lambda: cycle_graph(2), GraphError, "cycle needs at least 3 vertices, got 2"),
+    "ear endpoint out of range": (lambda: add_ear(cycle_graph(3), 0, 3, 1), GraphError,
+                                  "ear endpoints (0, 3) out of range for n=3"),
+    "negative ear length": (lambda: add_ear(cycle_graph(3), 0, 1, -1), GraphError,
+                            "ear length -1 is negative"),
+    "ear past the cap": (lambda: add_ear(cycle_graph(60), 0, 1, 5), CapacityError,
+                         "ear would grow the graph to 65 > 64 vertices"),
+    "random 2-connected on 2 vertices": (lambda: random_2connected(2), GraphError,
+                                         "2-connected graphs need at least 3 vertices, got 2"),
+}
+
+
+@pytest.mark.parametrize("case", list(SINGLE_FAULTS))
+def test_a_single_fault_keeps_its_exception_and_message(case):
+    build, kind, message = SINGLE_FAULTS[case]
+    with pytest.raises(Exception) as exc:
+        build()
+    assert type(exc.value) is kind
+    assert str(exc.value) == message
+
+
 def test_bit_helpers():
     assert ids_to_mask([0, 2, 5]) == 0b100101
     assert mask_to_ids(0b100101) == [0, 2, 5]
