@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import GraphError, InternalCheckError, NotTwoConnectedError
+from .errors import InternalCheckError, NotTwoConnectedError
 from .graphs import (Graph, add_ear, blocks, cycle_graph, dfs_tree, ids_to_mask, is_connected, iter_bits, lift,
                      pair_index)
 
@@ -39,11 +39,9 @@ class EarDecomposition:
 
 
 def is_two_connected(g: Graph) -> bool:
-    """At least 3 vertices, connected, and no cut vertex."""
-    if g.n < 3 or not is_connected(g):
-        return False
-    _, cut_mask = blocks(g)
-    return cut_mask == 0
+    """At least 3 vertices, all in one block (a disconnected graph has a
+    block per component, an isolated vertex its own)."""
+    return g.n >= 3 and len(blocks(g)[0]) == 1
 
 
 def require_two_connected(g: Graph) -> None:
@@ -177,24 +175,21 @@ def ear_levels(d: EarDecomposition) -> Iterator[tuple[Graph, Ear | None, tuple[i
     the base cycle relabelled 0..c-1 in cycle order, with ear None; level
     i >= 1 is level i-1 plus ear i-1, whose fresh internal vertices take the
     next local ids.  The local ear is that ear in level i-1's ids.
+
+    `d` is `ear_decompose`'s output, whose chains already meet every rule of
+    an ear decomposition, so nothing is checked again here: the caller
+    checks the top level against g with `relabels_to`, and
+    `ear_diagnostics` checks any other decomposition.
     """
     base = d.base_cycle
-    if len(base) < 3:
-        raise GraphError(f"base cycle has {len(base)} vertices")
     gg = cycle_graph(len(base))
     orig = list(base)
     pos = {v: i for i, v in enumerate(base)}
-    if len(pos) != len(base):
-        raise GraphError("base cycle repeats a vertex")
     yield gg, None, tuple(orig)
     for ear in d.ears:
-        if ear.x not in pos or ear.y not in pos:
-            raise GraphError(f"ear endpoint ({ear.x}, {ear.y}) not yet present")
         lx, ly, start = pos[ear.x], pos[ear.y], gg.n
         gg = add_ear(gg, lx, ly, ear.r)
         for off, ov in enumerate(ear.internals):
-            if ov in pos:
-                raise GraphError(f"internal vertex {ov} reused")
             pos[ov] = start + off
             orig.append(ov)
         yield gg, Ear(lx, ly, tuple(range(start, gg.n))), tuple(orig)

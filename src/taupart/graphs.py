@@ -118,18 +118,16 @@ class Graph:
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph on n vertices from an edge list.
 
-        Rejects out-of-range endpoints, self-loops and repeated edges.
+        Rejects out-of-range endpoints and repeated edges here; the
+        constructor rejects a negative n and self-loops.  The cap is checked
+        first, before the rows are allocated.
         """
-        if n < 0:
-            raise GraphError(f"vertex count {n} is negative")
         if n > MAX_VERTICES:
             raise CapacityError(f"graph on {n} vertices exceeds the supported maximum of {MAX_VERTICES}")
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
             if adj[u] >> v & 1:
                 raise GraphError(f"duplicate edge ({u}, {v})")
             adj[u] |= 1 << v

@@ -126,14 +126,16 @@ def t_partition(g: Graph, parts: tuple[int, ...] | list[int], max_n: int | None 
 def color_classes(g: Graph, colors) -> dict[int, int]:
     """The vertex mask of each colour class of a total colouring of g.
 
-    Raises GraphError unless every vertex has a non-negative colour.
+    Raises GraphError unless every vertex has a non-negative integer colour
+    (`is_int`: a float or a bool is not one), and each class is keyed by its
+    colour as given.
     """
     colors = list(colors)
-    if len(colors) != g.n or any(c is None or int(c) < 0 for c in colors):
+    if len(colors) != g.n or not all(is_int(c) and c >= 0 for c in colors):
         raise GraphError("colouring must assign a non-negative colour to every vertex")
     classes: dict[int, int] = {}
     for v, c in enumerate(colors):
-        classes[int(c)] = classes.get(int(c), 0) | (1 << v)
+        classes[c] = classes.get(c, 0) | (1 << v)
     return classes
 
 

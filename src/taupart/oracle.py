@@ -30,7 +30,9 @@ construction path in the sense of McKay, Isomorph-free exhaustive
 generation (J. Algorithms 26, 1998), and they are deduplicated by canonical
 form: the minimum edge bitmask over all relabellings, found by a pruned
 ordered-refinement search rather than by trying all n! of them.  Class
-counts are pinned against the published values in the tests.
+counts are pinned against the published values in the tests.  Each
+enumerator is a `functools.cache` function: an order's class list is
+built once and every later call returns the same tuple.
 """
 
 from __future__ import annotations
@@ -376,17 +378,6 @@ def sweep_bounds(graphs, corpus: str = "", max_n: int | None = None,
 # isomorphism-class corpus enumeration
 
 
-def _classes_by_order(enumerate_classes):
-    """Compute each order's class list once (functools.cache); every call
-    returns a fresh list, so callers may change it."""
-    cached = functools.cache(enumerate_classes)
-
-    @functools.wraps(enumerate_classes)
-    def fresh(n: int) -> list[int]:
-        return list(cached(n))
-    return fresh
-
-
 def _canonical_form(n: int, mask: int) -> int:
     """Minimum of the edge mask over all relabellings of 0..n-1.
 
@@ -476,9 +467,10 @@ def _min_degree_hoods(h: Graph, hoods) -> list[int]:
             if hood.bit_count() <= low or (hood.bit_count() == low + 1 and hood & lows == lows)]
 
 
-@_classes_by_order
-def graphs_upto_iso(n: int) -> list[int]:
-    """Canonical edge masks of all graphs on n vertices, one per class.
+@functools.cache
+def graphs_upto_iso(n: int) -> tuple[int, ...]:
+    """Canonical edge masks of all graphs on n vertices, one per class, as a
+    tuple computed once per order (functools.cache).
 
     Deleting a vertex of minimum degree leaves an (n-1)-vertex class, so
     giving each smaller class one new vertex of minimum degree
@@ -487,17 +479,19 @@ def graphs_upto_iso(n: int) -> list[int]:
     if n < 1:
         raise GraphError(f"corpus order {n} must be at least 1")
     if n == 1:
-        return [0]
+        return (0,)
     base = (n - 1) * (n - 2) // 2
     cands = [pm | (hood << base)
              for pm in graphs_upto_iso(n - 1)
              for hood in _min_degree_hoods(from_triangle_mask(n - 1, pm), range(1 << (n - 1)))]
-    return sorted(set(canonical_forms(n, cands)))
+    return tuple(sorted(set(canonical_forms(n, cands))))
 
 
-@_classes_by_order
-def connected_graphs_upto_iso(n: int) -> list[int]:
-    return [m for m in graphs_upto_iso(n) if is_connected(from_triangle_mask(n, m))]
+@functools.cache
+def connected_graphs_upto_iso(n: int) -> tuple[int, ...]:
+    """The connected classes of graphs_upto_iso(n), in its order, as a
+    cached tuple."""
+    return tuple(m for m in graphs_upto_iso(n) if is_connected(from_triangle_mask(n, m)))
 
 
 def _cut_parts(h: Graph) -> list[int]:
@@ -523,9 +517,10 @@ def _two_connected_hoods(h: Graph) -> list[int]:
             if hood.bit_count() >= 2 and all(hood & part for part in parts)]
 
 
-@_classes_by_order
-def two_connected_graphs_upto_iso(n: int) -> list[int]:
-    """2-connected classes, grown from connected (n-1)-classes.
+@functools.cache
+def two_connected_graphs_upto_iso(n: int) -> tuple[int, ...]:
+    """2-connected classes, grown from connected (n-1)-classes, as a tuple
+    computed once per order (functools.cache).
 
     Deleting a vertex of minimum degree from a 2-connected graph leaves a
     connected graph, and that vertex had degree >= 2, so augmenting the
@@ -541,7 +536,7 @@ def two_connected_graphs_upto_iso(n: int) -> list[int]:
     for pm in connected_graphs_upto_iso(n - 1):
         h = from_triangle_mask(n - 1, pm)
         cands += [pm | (hood << base) for hood in _min_degree_hoods(h, _two_connected_hoods(h))]
-    return sorted(set(canonical_forms(n, cands)))
+    return tuple(sorted(set(canonical_forms(n, cands))))
 
 
 def corpus_graphs(n: int, masks) -> list[Graph]:

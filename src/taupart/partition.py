@@ -21,7 +21,10 @@ and the split-endpoint rule is one-sided); when a step's verification fails,
 a FailureWitness records the instance and a brute-force repartition of that
 level repairs the fold, so the certificate is always correct even when the
 construction was not.  Certificates whose every step verified carry method
-"constructed"; repaired ones carry "fallback".
+"constructed"; repaired ones carry "fallback".  So does every certificate
+of a graph that is not 2-connected, which brute force partitions without
+entering the ear construction (no trace, no witnesses): a share of
+"fallback" certificates mixes those graphs with failed folds.
 
 None of the ear machinery depends on the target, so `graph_facts` decides
 each graph's route once: whether g is 2-connected (its ear decomposition's

@@ -131,6 +131,32 @@ def test_analyze_table_and_dot(tmp_path, capsys):
     assert out.out.startswith("graph g1 {")
 
 
+def test_analyze_dot_prints_an_isolated_vertex_on_its_own(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("A?\n"))  # two isolated vertices
+    code, _, out = run(capsys, "analyze", "--dot")
+    assert code == 0
+    assert out.out == "graph g1 {\n  0;\n  1;\n}\n"
+
+
+def test_two_connectivity_rules_agree_over_small_classes(monkeypatch, capsys):
+    from taupart.ears import is_two_connected, require_two_connected
+    from taupart.errors import NotTwoConnectedError
+
+    gs = [g for n in range(1, 7) for g in oracle.corpus_graphs(n, oracle.graphs_upto_iso(n))]
+    assert len(gs) == 208
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(encode_graph6(g) + "\n" for g in gs)))
+    code, recs, _ = run(capsys, "analyze")
+    assert code == 0
+    for g, rec in zip(gs, recs, strict=True):
+        try:
+            require_two_connected(g)
+            required = True
+        except NotTwoConnectedError:
+            required = False
+        assert is_two_connected(g) == required == rec["two_connected"], encode_graph6(g)
+    assert sum(rec["two_connected"] for rec in recs) == 1 + 3 + 10 + 56  # 2-connected classes, n = 3..6
+
+
 def test_analyze_dot_reports_malformed_lines_as_comments(monkeypatch, capsys):
     g1 = "graph g1 {\n  0 -- 1;\n  0 -- 2;\n  1 -- 2;\n  2 -- 3;\n  2 -- 4;\n  3 -- 4;\n}\n"
     bad = "// line 2: error: invalid graph6 character '!' (byte 0)\n"

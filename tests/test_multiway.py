@@ -22,6 +22,7 @@ from taupart.multiway import (
     t_partition,
     verify_detour_coloring,
 )
+from taupart.starcolor import verify_star_coloring
 
 BOWTIE = parse_graph6("DxK")
 
@@ -123,6 +124,15 @@ def test_verify_detour_coloring():
     assert not verify_detour_coloring(g, [0, 0, 0, 1, 1], 2)  # class {0,1,2} has a P3
     with pytest.raises(GraphError):
         verify_detour_coloring(g, [0, 1, 0], 2)
+
+
+@pytest.mark.parametrize("color", [0.5, True, "1"], ids=["float", "bool", "str"])
+def test_both_verifiers_refuse_a_colour_that_is_not_an_int(color):
+    colors = [0, color, 1]
+    with pytest.raises(GraphError, match="non-negative colour to every vertex"):
+        verify_detour_coloring(path_graph(3), colors, 1)
+    with pytest.raises(GraphError, match="non-negative colour to every vertex"):
+        verify_star_coloring(path_graph(3), colors)
 
 
 def test_detour_coloring_certificates():

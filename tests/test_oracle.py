@@ -108,14 +108,11 @@ def test_class_lists_are_pinned(enumerate_classes):
     assert digests == CLASS_LIST_DIGESTS[enumerate_classes]
 
 
-def test_class_enumerators_return_fresh_lists():
-    for enumerate_classes, n in ((graphs_upto_iso, 4), (connected_graphs_upto_iso, 4),
-                                 (two_connected_graphs_upto_iso, 4)):
-        first = enumerate_classes(n)
-        expected = list(first)
-        first.clear()
-        assert enumerate_classes(n) == expected
-        assert enumerate_classes(n) is not enumerate_classes(n)
+def test_class_enumerators_return_one_cached_tuple():
+    for enumerate_classes in (graphs_upto_iso, connected_graphs_upto_iso, two_connected_graphs_upto_iso):
+        first = enumerate_classes(4)
+        assert isinstance(first, tuple)
+        assert enumerate_classes(4) is first
 
 
 def permute_mask(n: int, mask: int, perm: list[int]) -> int:
@@ -633,6 +630,15 @@ def test_sweep_bounds_small():
     summary = rep.summary_dict()
     assert summary["graphs"] == 31
     assert summary["counts"]["violation"] == 0
+
+
+def test_sweep_bounds_reports_a_graph_over_the_exact_search_cap_as_one_error_row():
+    c15, c4 = cycle_graph(15), cycle_graph(4)
+    rep = sweep_bounds([c15, c4], deterministic=True)
+    c15_rows = [rec for rec in rep.records if rec["graph6"] == encode_graph6(c15)]
+    assert c15_rows == [{"graph6": encode_graph6(c15),
+                         "error": "exact search over 15 vertices exceeds the cap of 14"}]
+    assert rep.counts == {"ok": 1, "violation": 0, "error": 1}
 
 
 def test_sweep_records_round_trip_through_verifier():
