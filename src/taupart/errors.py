@@ -69,9 +69,11 @@ class CounterexampleError(RuntimeError):
 class StarRepairError(RuntimeError):
     """The bicoloured-P4 repair loop gave up.
 
-    `residual` holds the bicoloured P4s present when the loop stopped and
-    `colors` the colouring at that point; star_coloring records both as a
-    witness and colours the component by depth in a depth-first tree.
+    It has one cause: the loop cycled until its cap of 2 n^2 rounds (a
+    round itself cannot fail once the input is checked).  `residual` holds
+    the bicoloured P4s present at the cap and `colors` the colouring there;
+    star_coloring records both as a witness and colours the component by
+    depth in a depth-first tree.
     """
 
     def __init__(self, message: str, residual: list[tuple[int, int, int, int]], colors: tuple[int, ...]):

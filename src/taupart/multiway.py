@@ -61,10 +61,12 @@ class ColoringCertificate:
 
 
 def _rebalance(rest: list[int], tau_rem: int) -> list[int]:
-    """Shrink the residual tuple to sum tau_rem, from the last entry down."""
+    """Shrink the residual tuple to sum tau_rem, from the last entry down.
+
+    tau_rem never exceeds sum(rest): it is the tau_b of a certificate,
+    which tau_partition has checked against b = sum(rest).
+    """
     delta = sum(rest) - tau_rem
-    if delta < 0:
-        raise InternalCheckError(f"remainder detour order {tau_rem} exceeds residual sum {sum(rest)}")
     new = list(rest)
     for i in range(len(new) - 1, -1, -1):
         cut = min(new[i], delta)
@@ -78,7 +80,8 @@ def _rebalance(rest: list[int], tau_rem: int) -> list[int]:
 def _split(g: Graph, parts: list[int], max_n: int | None) -> list[int]:
     # sum(parts) == tau(g), and parts may end in zeros (empty parts) but
     # parts[0] > 0 when g.n > 0: a remainder is never empty, so its tau is
-    # at least 1, and `_rebalance` zeroes entries from the last one down
+    # at least 1, and `_rebalance` zeroes entries from the last one down.
+    # Every branch returns one mask per entry of parts
     if g.n == 0:
         return [0] * len(parts)
     total = sum(parts)
@@ -108,8 +111,6 @@ def t_partition(g: Graph, parts: tuple[int, ...] | list[int], max_n: int | None 
     if sum(parts) != tau_g:
         raise TargetError(sum_mismatch(f"tuple target {parts}", sum(parts), tau_g))
     masks = _split(g, parts, max_n)
-    if len(masks) != len(parts):
-        raise InternalCheckError("part count drifted during the split")
     union = 0
     q = subset_queries(g)
     for i, m in enumerate(masks):
@@ -169,10 +170,7 @@ def detour_coloring(g: Graph, n: int, max_n: int | None = None) -> ColoringCerti
             colors[v] = i
     if not verify_detour_coloring(g, colors, n, max_n):
         raise InternalCheckError(f"constructed {n}-detour colouring failed verification on {g6}")
-    used = len(set(colors))
-    if used > bound:
-        raise InternalCheckError(f"colouring used {used} colours, bound is {bound}")
-    return ColoringCertificate(g6, tuple(colors), used, bound, "n-detour", True, n=n)
+    return ColoringCertificate(g6, tuple(colors), len(set(colors)), bound, "n-detour", True, n=n)
 
 
 def smallest_coloring(g: Graph,

@@ -600,7 +600,7 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
     tau_a, tau_b = q.tau(part_a), q.tau(levels[-1].full_mask & ~part_a)
     out_a = lift(part_a, orig_of)
     out_b = g.full_mask & ~out_a
-    if tau_a > t.a or tau_b > t.b or (out_a | out_b) != g.full_mask or (out_a & out_b):
+    if tau_a > t.a or tau_b > t.b:
         raise InternalCheckError(f"certified partition fails its own bounds on {g6}")
     return PartitionCertificate(g6, t.a, t.b, out_a, out_b, tau_a, tau_b, method,
                                 tuple(trace), tuple(witnesses))

@@ -8,7 +8,10 @@ perfect matching plus isolated vertices), give part i the colour pair
 (2i, 2i+1) with matched endpoints split and isolated vertices on the first
 colour, then repair the remaining bicoloured P4s one at a time, flipping a
 degree-0 vertex of the offending pair or swapping a matching edge.  The
-repair loop is capped; if it stalls, the residual P4 list is reported as a
+repair checks its input once.  In a paired colouring a bicoloured P4 always
+splits 2+2 across two parts with one colour per pair, and both moves keep
+the colouring paired, so a round cannot fail: a stall has one cause, the
+loop cycling until its cap.  The residual P4 list is then reported as a
 witness and the component is coloured by depth in a depth-first tree
 instead.  That colouring needs no search: every non-tree edge joins an
 ancestor to a descendant, so any two depth classes induce a star forest,
@@ -54,13 +57,15 @@ class PairPartitionColoring:
     colors: tuple[int, ...]
 
 
-def _is_proper(g: Graph, colors) -> bool:
-    return all(colors[u] != colors[v] for u, v in g.edges())
-
-
 def pair_partition_coloring(g: Graph, max_n: int | None = None) -> PairPartitionColoring:
     """Initial paired colouring of a connected graph; proper but not yet
-    necessarily a star colouring."""
+    necessarily a star colouring.
+
+    t_partition checks that every part's detour order is within its budget,
+    so a part of budget 2 has no path on 3 vertices (a matching plus
+    isolated vertices) and the one part of budget 1 has no edge: its colours
+    can be read off without further checks.
+    """
     if g.n < 1:
         raise GraphError("pair partition colouring needs at least one vertex")
     if not is_connected(g):
@@ -76,16 +81,8 @@ def pair_partition_coloring(g: Graph, max_n: int | None = None) -> PairPartition
         pc = (2 * i, 2 * i + 1) if budget == 2 else (2 * i,)
         pair_colors.append(pc)
         for v in iter_bits(masks[i]):
-            inside = g.adj[v] & masks[i]
-            if inside == 0:
-                colors[v] = pc[0]
-                continue
-            if inside.bit_count() != 1 or len(pc) != 2:
-                raise InternalCheckError(f"part {i} is not a matching plus isolated vertices")
-            u = (inside & -inside).bit_length() - 1
-            colors[v] = pc[0] if v < u else pc[1]
-    if not _is_proper(g, colors):
-        raise InternalCheckError("paired colouring is not proper")
+            # the higher end of a matching edge takes the second colour
+            colors[v] = pc[1] if g.adj[v] & masks[i] & ((1 << v) - 1) else pc[0]
     return PairPartitionColoring(tuple(masks), tuple(pair_colors), tuple(colors))
 
 
@@ -112,15 +109,49 @@ def find_bicolored_p4s(g: Graph, colors) -> list[tuple[int, int, int, int]]:
     return sorted(q for q in _all_p4s(g) if len({colors[v] for v in q}) == 2)
 
 
+def _check_paired(g: Graph, ppc: PairPartitionColoring) -> dict[int, int]:
+    """Each vertex's part, once ppc is checked to be a paired colouring of g.
+
+    GraphError unless the parts partition V(g), each part has one or two
+    colours that no other part lists (at most one part has one), and within
+    each part every vertex has at most one neighbour, a colour of the part
+    and, if matched, a colour other than its partner's.
+    """
+    parts, pairs, colors = ppc.parts, ppc.pair_colors, ppc.colors
+    # masks whose bit counts add up to n sum to V(g) only if they are disjoint
+    if min(parts, default=0) < 0 or sum(parts) != g.full_mask or sum(m.bit_count() for m in parts) != g.n:
+        raise GraphError("parts do not partition the vertices")
+    if len(pairs) != len(parts) or any(len(pc) not in (1, 2) for pc in pairs):
+        raise GraphError("every part needs one or two colours")
+    if len({c for pc in pairs for c in pc}) != sum(map(len, pairs)):
+        raise GraphError("a colour is listed twice among the parts")
+    if [len(pc) for pc in pairs].count(1) > 1:
+        raise GraphError("more than one part has a single colour")
+    part_of = {v: i for i, m in enumerate(parts) for v in iter_bits(m)}
+    if len(colors) != g.n or any(colors[v] not in pairs[i] for v, i in part_of.items()):
+        raise GraphError("every vertex needs a colour of its part's pair")
+    for v, i in part_of.items():
+        inside = g.adj[v] & parts[i]
+        if inside & (inside - 1):
+            raise GraphError(f"part {i} is not a matching plus isolated vertices")
+        if inside and colors[v] == colors[inside.bit_length() - 1]:
+            raise GraphError(f"matched vertex {v} has its partner's colour")
+    return part_of
+
+
 def repair_bicolored_p4s(g: Graph, ppc: PairPartitionColoring) -> PairPartitionColoring:
     """Remove bicoloured P4s from a paired colouring by local moves.
 
-    Each round fixes the first (sorted) bicoloured P4: its two same-coloured
-    vertices in the lower-indexed two-colour part either contain one with no
-    neighbour inside the part (flip it to the part's other colour) or are
-    both matched (swap the colours across the smaller vertex's matching
-    edge).  Raises StarRepairError with the residual list when the cap of
-    2 n^2 rounds is exhausted or a P4 offers no repairable side.
+    The input is checked once (_check_paired, GraphError).  A bicoloured P4
+    (u, v, w, z) of a paired colouring alternates its colours, so (u, w) and
+    (v, z) are monochromatic pairs in two different parts, and at most one
+    of those parts has a single colour.  Each round fixes the first (sorted)
+    bicoloured P4 in the lower-indexed two-colour part of its pairs: a
+    vertex of the pair with no neighbour inside the part flips to the part's
+    other colour, else the smaller vertex swaps colours with its partner.
+    Both moves keep the colouring paired, so a round cannot fail.  Raises
+    StarRepairError with the residual list only when bicoloured P4s remain
+    after the cap of 2 n^2 rounds.
 
     A round depends on the colouring alone, so once a colouring repeats the
     loop can only cycle until the cap.  A stalled repair therefore stops at
@@ -128,66 +159,38 @@ def repair_bicolored_p4s(g: Graph, ppc: PairPartitionColoring) -> PairPartitionC
     colouring and residual list that running every round up to the cap
     would give.
     """
+    part_of = _check_paired(g, ppc)
+    parts, pair_colors = ppc.parts, ppc.pair_colors
     colors = list(ppc.colors)
-    parts = ppc.parts
-    pair_colors = ppc.pair_colors
-    part_of = {}
-    for i, m in enumerate(parts):
-        for v in iter_bits(m):
-            part_of[v] = i
     cap = 2 * g.n * g.n
     seen: dict[tuple[int, ...], int] = {}  # colouring -> round it first began; keys in round order
-    for r in range(cap):
+    for r in range(cap + 1):
         j = seen.setdefault(tuple(colors), r)
         if j < r:
-            # rounds j..r-1 recur with period r - j until the cap
+            # rounds j..r-1 recur with period r - j: go to the cap's colouring
             colors = list(list(seen)[j + (cap - j) % (r - j)])
-            break
         p4s = find_bicolored_p4s(g, colors)
         if not p4s:
             return PairPartitionColoring(parts, pair_colors, tuple(colors))
+        if j < r or r == cap:
+            raise StarRepairError(f"iteration cap {cap} exhausted", p4s, tuple(colors))
         quad = p4s[0]
-        groups: dict[int, list[int]] = {}
-        for v in quad:
-            groups.setdefault(part_of[v], []).append(v)
-        if sorted(len(vs) for vs in groups.values()) != [2, 2]:
-            raise StarRepairError(f"bicoloured P4 {quad} does not split 2+2 across parts",
-                                  p4s, tuple(colors))
-        repaired = False
-        for pi in sorted(groups):
-            if len(pair_colors[pi]) != 2:
-                continue  # single-colour part cannot move; try the other side
-            v1, v2 = sorted(groups[pi])
-            if colors[v1] != colors[v2]:
-                raise StarRepairError(f"P4 {quad} pair in part {pi} is not monochromatic",
-                                      p4s, tuple(colors))
-            pc = pair_colors[pi]
-            other = pc[1] if colors[v1] == pc[0] else pc[0]
-            loose = [v for v in (v1, v2) if g.adj[v] & parts[pi] == 0]
-            if loose:
-                colors[min(loose)] = other
-            else:
-                inside = g.adj[v1] & parts[pi]
-                if inside.bit_count() != 1:
-                    raise StarRepairError(f"vertex {v1} has in-part degree {inside.bit_count()}",
-                                          p4s, tuple(colors))
-                partner = (inside & -inside).bit_length() - 1
-                colors[v1], colors[partner] = colors[partner], colors[v1]
-            repaired = True
-            break
-        if not repaired:
-            raise StarRepairError(f"no repairable side for bicoloured P4 {quad}", p4s, tuple(colors))
-        if not _is_proper(g, colors):
-            raise InternalCheckError("repair broke properness")
-    raise StarRepairError(f"iteration cap {cap} exhausted",
-                          find_bicolored_p4s(g, colors), tuple(colors))
+        pi, v1, v2 = min((part_of[a], *sorted((a, b))) for a, b in (quad[0::2], quad[1::2])
+                         if len(pair_colors[part_of[a]]) == 2)
+        pc, mask = pair_colors[pi], parts[pi]
+        loose = [v for v in (v1, v2) if not g.adj[v] & mask]
+        if loose:
+            colors[loose[0]] = pc[1] if colors[v1] == pc[0] else pc[0]
+        else:
+            partner = (g.adj[v1] & mask).bit_length() - 1
+            colors[v1], colors[partner] = colors[partner], colors[v1]
 
 
 def verify_star_coloring(g: Graph, colors) -> bool:
     """Proper and no path on 4 vertices uses only 2 colours."""
     colors = list(colors)
     color_classes(g, colors)
-    if not _is_proper(g, colors):
+    if any(colors[u] == colors[v] for u, v in g.edges()):
         return False
     return not find_bicolored_p4s(g, colors)
 

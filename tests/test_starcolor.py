@@ -17,6 +17,7 @@ from taupart.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
+    empty_graph,
     encode_graph6,
     from_triangle_mask,
     ids_to_mask,
@@ -193,12 +194,42 @@ def test_repair_stops_at_first_repeated_colouring(monkeypatch):
     assert (info.value.residual, info.value.colors) == (ref.value.residual, ref.value.colors)
 
 
-def test_repair_rejects_lopsided_quad():
-    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3)])
-    ppc = PairPartitionColoring((ids_to_mask([0, 1, 2, 3]), ids_to_mask([4, 5])),
-                                ((0, 1), (2, 3)), (0, 1, 0, 1, 2, 2))
-    with pytest.raises(StarRepairError, match="2\\+2"):
-        repair_bicolored_p4s(g, ppc)
+def test_repair_of_the_empty_graph_returns_it():
+    # no round is allowed (the cap is 0), and none is needed
+    ppc = PairPartitionColoring((), (), ())
+    assert repair_bicolored_p4s(empty_graph(0), ppc) == ppc
+
+
+# test_repair_swaps_matched_pair's paired colouring, with one fault each
+PAIRED = {"edges": [(0, 1), (2, 3), (0, 4), (2, 4), (2, 5)], "parts": ([0, 1, 2, 3], [4, 5]),
+          "pairs": ((0, 1), (2, 3)), "colors": (0, 1, 0, 1, 2, 2)}
+
+
+@pytest.mark.parametrize("fault, message", [
+    pytest.param({"parts": ([0, 1, 2], [4, 5])}, "parts do not partition the vertices",
+                 id="uncovered-vertex"),
+    pytest.param({"parts": ([0, 1, 2, 3], [3, 4, 5])}, "parts do not partition the vertices",
+                 id="overlapping-parts"),
+    pytest.param({"pairs": ((0, 1, 6), (2, 3))}, "every part needs one or two colours",
+                 id="three-colours"),
+    pytest.param({"pairs": ((0, 1), (1, 2))}, "a colour is listed twice among the parts",
+                 id="shared-colour"),
+    pytest.param({"parts": ([0, 1, 2, 3], [4], [5]), "pairs": ((0, 1), (2,), (3,)), "colors": (0, 1, 0, 1, 2, 3)},
+                 "more than one part has a single colour", id="two-single-colour-parts"),
+    pytest.param({"colors": (0, 1, 0, 1, 2, 4)}, "every vertex needs a colour of its part's pair",
+                 id="colour-outside-pair"),
+    # the path 0-1-2-3 inside one part: its bicoloured P4 would not split 2+2
+    pytest.param({"edges": [(0, 1), (1, 2), (2, 3)]}, "part 0 is not a matching plus isolated vertices",
+                 id="p4-in-one-part"),
+    pytest.param({"colors": (0, 0, 0, 1, 2, 2)}, "matched vertex 0 has its partner's colour",
+                 id="matched-same-colour"),
+])
+def test_repair_rejects_a_colouring_that_is_not_paired(fault, message):
+    case = {**PAIRED, **fault}
+    ppc = PairPartitionColoring(tuple(ids_to_mask(p) for p in case["parts"]), case["pairs"], case["colors"])
+    with pytest.raises(GraphError) as info:
+        repair_bicolored_p4s(Graph.from_edges(6, case["edges"]), ppc)
+    assert str(info.value) == message
 
 
 def test_exact_star_chromatic_known_values():
@@ -269,6 +300,29 @@ def test_stalled_repairs_need_no_exact_search(g, monkeypatch):
     assert cert.witness is not None
     assert verify_star_coloring(g, cert.colors)
     assert cert.colors_used <= cert.bound == detour_order(g).tau
+
+
+def test_every_stall_is_the_iteration_cap(monkeypatch):
+    # a paired colouring is checked once, and a round cannot fail: the only
+    # way a repair star_coloring runs can stop short is by cycling to the
+    # cap.  45 of the 996 connected classes on 1..7 vertices stall
+    reasons = []
+
+    def spy(g, ppc):
+        try:
+            return repair_bicolored_p4s(g, ppc)
+        except StarRepairError as exc:
+            reasons.append(str(exc))
+            raise
+
+    monkeypatch.setattr(starcolor, "repair_bicolored_p4s", spy)
+    for g in [from_triangle_mask(n, m) for n in range(1, 8) for m in connected_graphs_upto_iso(n)]:
+        star_coloring(g)
+    assert len(reasons) == 45
+    for g in STALLING:
+        star_coloring(g)
+    assert len(reasons) == 45 + len(STALLING)
+    assert all(r.startswith("iteration cap ") and r.endswith(" exhausted") for r in reasons)
 
 
 def test_depth_coloring_is_a_star_coloring_within_tau():
