@@ -148,7 +148,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     graphs = _read_graphs(args.input)
     first = next(graphs, None)  # opens the input, so one that cannot be opened prints nothing
-    if args.table and not args.dot:
+    if args.table:
         print(f"{'line':>5} {'n':>3} {'m':>3} {'tau':>4}  {'2conn':<5} graph6")
     for lineno, s, g in itertools.chain([first] if first else [], graphs):
         if isinstance(g, Exception):
@@ -228,6 +228,9 @@ def cmd_hunt(args: argparse.Namespace) -> int:
     over_cap = False
     if args.random:
         n, seed, count = args.random
+        if count < 0:
+            print(f"error: --random COUNT must be at least 0, got {count}", file=sys.stderr)
+            return 2
         rng = random.Random(seed)
         for _ in range(count):
             extra = rng.randint(0, max(0, n // 2))
@@ -308,8 +311,9 @@ def _parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="structure report for graph6 input, one JSON line per graph")
     pa.add_argument("input", nargs="?", default="-", help="graph6 file, or - for stdin (default)")
-    pa.add_argument("--dot", action="store_true", help="emit Graphviz DOT instead of JSON")
-    pa.add_argument("--table", action="store_true", help="human-readable table instead of JSON")
+    fmt = pa.add_mutually_exclusive_group()
+    fmt.add_argument("--dot", action="store_true", help="emit Graphviz DOT instead of JSON")
+    fmt.add_argument("--table", action="store_true", help="human-readable table instead of JSON")
     pa.add_argument("--keep-going", action=argparse.BooleanOptionalAction, default=True,
                     help="record malformed lines and continue (default on)")
     pa.set_defaults(func=cmd_analyze)

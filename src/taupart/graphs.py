@@ -266,8 +266,12 @@ def encode_graph6(g: Graph) -> str:
 def triangle_rows(n: int, mask: int) -> list[int]:
     """Adjacency rows of the graph on n vertices whose upper-triangle edge
     bitmask (pair_index order) is `mask`.  Row j's lower part, the pairs
-    (i, j) with i < j, is the j bits of `mask` from bit j(j-1)/2 on; bits
-    past the last pair are ignored."""
+    (i, j) with i < j, is the j bits of `mask` from bit j(j-1)/2 on.  A
+    negative mask, or one with a bit past the last pair, names no graph:
+    GraphError."""
+    pairs = n * (n - 1) // 2
+    if mask >> pairs:  # also every negative mask
+        raise GraphError(f"edge mask {mask:#x} is not a set of the {pairs} pairs of n={n}")
     adj = [0] * n
     for j in range(1, n):
         lower = mask >> (j * (j - 1) // 2) & ((1 << j) - 1)
@@ -278,9 +282,8 @@ def triangle_rows(n: int, mask: int) -> list[int]:
 
 
 def from_triangle_mask(n: int, mask: int) -> Graph:
-    """Build a graph from its upper-triangle edge bitmask (pair_index order)."""
-    if mask >> (n * (n - 1) // 2):
-        raise GraphError(f"edge mask {mask:#x} has bits past the {n * (n - 1) // 2} pairs of n={n}")
+    """Build a graph from its upper-triangle edge bitmask (pair_index order);
+    GraphError for a mask that names no graph (see triangle_rows)."""
     return Graph(n, tuple(triangle_rows(n, mask)))
 
 

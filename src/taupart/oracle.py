@@ -27,12 +27,17 @@ graph leaves an (n-1)-vertex class, so every class is reached by adding to
 some smaller class one new vertex that ends up of minimum degree.  Only
 those augmentations are generated (`_min_degree_hoods`), a canonical
 construction path in the sense of McKay, Isomorph-free exhaustive
-generation (J. Algorithms 26, 1998), and they are deduplicated by canonical
-form: the minimum edge bitmask over all relabellings, found by a pruned
-ordered-refinement search rather than by trying all n! of them.  Class
-counts are pinned against the published values in the tests.  Each
-enumerator is a `functools.cache` function: an order's class list is
-built once and every later call returns the same tuple.
+generation (J. Algorithms 26, 1998).  Two neighbourhoods that an
+automorphism of the smaller class maps onto each other grow isomorphic
+graphs, so only the first of each orbit of its automorphism group is kept
+(`_one_per_orbit`); the group's generators come from one more run of the
+refinement search below on the smaller class.  The kept augmentations are
+deduplicated by canonical form: the minimum edge bitmask over all
+relabellings, found by a pruned ordered-refinement search rather than by
+trying all n! of them, which also reports the automorphisms it meets on
+the way.  Class counts are pinned against the published values in the
+tests.  Each enumerator is a `functools.cache` function: an order's class
+list is built once and every later call returns the same tuple.
 """
 
 from __future__ import annotations
@@ -378,8 +383,9 @@ def sweep_bounds(graphs, corpus: str = "", max_n: int | None = None,
 # isomorphism-class corpus enumeration
 
 
-def _canonical_form(n: int, mask: int) -> int:
-    """Minimum of the edge mask over all relabellings of 0..n-1.
+def _canonical_form(n: int, mask: int) -> tuple[int, set[tuple[int, ...]]]:
+    """Minimum of the edge mask over all relabellings of 0..n-1, and a
+    generating set of the graph's automorphism group.
 
     In pair_index order row j (the pairs (i, j), i < j) outranks every lower
     row, so labels are handed out from n-1 down to 0 and each row is made as
@@ -393,9 +399,20 @@ def _canonical_form(n: int, mask: int) -> int:
     is tried: swapping them is an automorphism that fixes every cell.  This
     is a pruned individualise-and-refine search (McKay & Piperno, Practical
     graph isomorphism II, J. Symb. Comput. 2014).
+
+    The cut is strict, so every labelling that reaches the minimum is a
+    leaf of the search up to the twin swaps it skips.  Each automorphism is
+    a tuple p with p[v] the image of vertex v: the transposition of every
+    skipped twin pair, and the map between the first leaf of the least mask
+    and every later leaf of that mask.  Together they generate the whole
+    group.
     """
     adj = triangle_rows(n, mask)  # the rows alone: a Graph would validate them again
     best = -1
+    at_label = [0] * n  # the vertex given each label on the current branch
+    best_labels: list[int] = []
+    twins: set[tuple[int, int]] = set()  # (u, w): u skipped as a twin of w
+    automorphisms: set[tuple[int, ...]] = set()
 
     def split(cells: list[int], u: int) -> list[int]:
         nb = adj[u]
@@ -409,7 +426,7 @@ def _canonical_form(n: int, mask: int) -> int:
         return out
 
     def search(cells: list[int], top: int, partial: int) -> None:
-        nonlocal best
+        nonlocal best, best_labels
         while top > 0:  # label 0 has an empty row
             spans = []
             at = 0
@@ -428,43 +445,103 @@ def _canonical_form(n: int, mask: int) -> int:
                     row |= ((1 << (adj[u] & cell).bit_count()) - 1) << at
                 if low < 0 or row < low:
                     low, tried = row, [u]
-                elif row == low and all((adj[u] ^ adj[w]) & ~(bit | 1 << w) for w in tried):
-                    tried.append(u)
+                elif row == low:
+                    for w in tried:
+                        if not (adj[u] ^ adj[w]) & ~(bit | 1 << w):
+                            twins.add((u, w))
+                            break
+                    else:
+                        tried.append(u)
             shift = top * (top - 1) // 2
             partial |= low << shift
             if best >= 0 and partial > best >> shift << shift:
                 return
             for u in tried[1:]:
+                at_label[top] = u
                 search(split(cells, u), top - 1, partial)
+            at_label[top] = tried[0]
             cells = split(cells, tried[0])
             top -= 1
+        if n:  # the one vertex left takes label 0
+            at_label[0] = cells[0].bit_length() - 1
         if best < 0 or partial < best:
-            best = partial
+            best, best_labels = partial, at_label[:]
+        elif partial == best:
+            perm = [0] * n
+            for v, image in zip(best_labels, at_label):
+                perm[v] = image
+            automorphisms.add(tuple(perm))
 
     search([(1 << n) - 1], n - 1, 0)
-    return best
+    for u, w in twins:
+        perm = list(range(n))
+        perm[u], perm[w] = w, u
+        automorphisms.add(tuple(perm))
+    return best, automorphisms
 
 
 def canonical_forms(n: int, masks) -> list[int]:
-    """Canonical (minimum-relabelling) edge bitmask for each input mask."""
-    return [_canonical_form(n, m) for m in masks]
+    """Canonical (minimum-relabelling) edge bitmask for each input mask;
+    GraphError for a mask that names no graph on n vertices."""
+    return [_canonical_form(n, m)[0] for m in masks]
 
 
-def _min_degree_hoods(h: Graph, hoods) -> list[int]:
-    """The neighbourhoods among `hoods` that give a new vertex added to h
-    the minimum degree of the grown graph.
+@functools.cache
+def _subsets_by_size(m: int) -> tuple[tuple[int, ...], ...]:
+    """The subsets of 0..m-1 as bitmasks, grouped by size, ascending within
+    each size; built once per m (functools.cache)."""
+    groups: list[list[int]] = [[] for _ in range(m + 1)]
+    for s in range(1 << m):
+        groups[s.bit_count()].append(s)
+    return tuple(map(tuple, groups))
+
+
+def _min_degree_hoods(h: Graph) -> list[int]:
+    """The neighbourhoods that give a new vertex added to h the minimum
+    degree of the grown graph, by size and then ascending.
 
     A vertex w of h has degree deg_h(w) + [w in hood] there, so a hood of
     size k passes when k <= deg_h(w) for every w outside it and
     k <= deg_h(w) + 1 for every w inside: every hood no larger than the
     minimum degree d of h, and the hoods of size d + 1 that hold every
-    vertex of degree d.
+    vertex of degree d.  Only the hoods of those sizes are looked at.
     """
     degrees = [row.bit_count() for row in h.adj]
     low = min(degrees)
     lows = ids_to_mask([w for w, d in enumerate(degrees) if d == low])
-    return [hood for hood in hoods
-            if hood.bit_count() <= low or (hood.bit_count() == low + 1 and hood & lows == lows)]
+    by_size = _subsets_by_size(h.n)
+    return ([hood for group in by_size[:low + 1] for hood in group]
+            + [hood for hood in by_size[low + 1] if hood & lows == lows])
+
+
+def _one_per_orbit(n: int, mask: int, hoods: list[int]) -> list[int]:
+    """The first of `hoods` in each orbit of the automorphism group of the
+    graph (n, mask), which must map `hoods` onto itself.
+
+    An automorphism p of the graph carries hood H to p(H), and extended by
+    fixing the new vertex it is an isomorphism between the two grown
+    graphs, so one hood per orbit reaches every class the whole list
+    reaches.  The group's generators come from the refinement search
+    (_canonical_form).
+    """
+    automorphisms = _canonical_form(n, mask)[1]
+    seen: set[int] = set()
+    firsts = []
+    for hood in hoods:
+        if hood in seen:
+            continue
+        firsts.append(hood)
+        seen.add(hood)
+        orbit = [hood]
+        for x in orbit:  # grows as new images are found
+            for perm in automorphisms:
+                image = 0
+                for v in iter_bits(x):
+                    image |= 1 << perm[v]
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+    return firsts
 
 
 @functools.cache
@@ -474,16 +551,19 @@ def graphs_upto_iso(n: int) -> tuple[int, ...]:
 
     Deleting a vertex of minimum degree leaves an (n-1)-vertex class, so
     giving each smaller class one new vertex of minimum degree
-    (_min_degree_hoods) reaches every class.
+    (_min_degree_hoods) reaches every class; of the neighbourhoods that one
+    automorphism of the smaller class maps to another only the first is
+    canonicalised (_one_per_orbit).
     """
     if n < 1:
         raise GraphError(f"corpus order {n} must be at least 1")
     if n == 1:
         return (0,)
     base = (n - 1) * (n - 2) // 2
-    cands = [pm | (hood << base)
-             for pm in graphs_upto_iso(n - 1)
-             for hood in _min_degree_hoods(from_triangle_mask(n - 1, pm), range(1 << (n - 1)))]
+    cands = []
+    for pm in graphs_upto_iso(n - 1):
+        hoods = _min_degree_hoods(from_triangle_mask(n - 1, pm))
+        cands += [pm | (hood << base) for hood in _one_per_orbit(n - 1, pm, hoods)]
     return tuple(sorted(set(canonical_forms(n, cands))))
 
 
@@ -502,9 +582,9 @@ def _cut_parts(h: Graph) -> list[int]:
     return parts
 
 
-def _two_connected_hoods(h: Graph) -> list[int]:
-    """Neighbourhoods of a new vertex that make the connected graph h
-    2-connected.
+def _two_connected_hoods(h: Graph, hoods) -> list[int]:
+    """The neighbourhoods among `hoods`, in their order, of a new vertex
+    that make the connected graph h 2-connected.
 
     Deleting the new vertex leaves h, and deleting a vertex that does not
     cut h leaves a connected graph as long as the new vertex keeps a
@@ -513,7 +593,7 @@ def _two_connected_hoods(h: Graph) -> list[int]:
     every component of h - c.
     """
     parts = _cut_parts(h)
-    return [hood for hood in range(1 << h.n)
+    return [hood for hood in hoods
             if hood.bit_count() >= 2 and all(hood & part for part in parts)]
 
 
@@ -525,9 +605,11 @@ def two_connected_graphs_upto_iso(n: int) -> tuple[int, ...]:
     Deleting a vertex of minimum degree from a 2-connected graph leaves a
     connected graph, and that vertex had degree >= 2, so augmenting the
     connected classes by one vertex of minimum degree reaches every class.
-    Only the augmentations that are 2-connected (found once per parent
-    class from its cut vertices, _two_connected_hoods) and give the new
-    vertex minimum degree (_min_degree_hoods) are canonicalised.
+    Per parent class, only the neighbourhoods that give the new vertex
+    minimum degree are built (_min_degree_hoods), only those that are
+    2-connected are kept (_two_connected_hoods, from the parent's cut
+    vertices), and of those only the first of each orbit of the parent's
+    automorphisms is canonicalised (_one_per_orbit).
     """
     if n < 3:
         raise GraphError(f"2-connected graphs need at least 3 vertices, got {n}")
@@ -535,7 +617,8 @@ def two_connected_graphs_upto_iso(n: int) -> tuple[int, ...]:
     cands = []
     for pm in connected_graphs_upto_iso(n - 1):
         h = from_triangle_mask(n - 1, pm)
-        cands += [pm | (hood << base) for hood in _min_degree_hoods(h, _two_connected_hoods(h))]
+        hoods = _two_connected_hoods(h, _min_degree_hoods(h))
+        cands += [pm | (hood << base) for hood in _one_per_orbit(n - 1, pm, hoods)]
     return tuple(sorted(set(canonical_forms(n, cands))))
 
 

@@ -603,6 +603,23 @@ def test_usage_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_analyze_refuses_dot_with_table(monkeypatch, capsys):
+    # --table was silently ignored next to --dot, with exit 0
+    monkeypatch.setattr("sys.stdin", io.StringIO("C~\n"))
+    code, _, out = run(capsys, "analyze", "--dot", "--table")
+    assert (code, out.out) == (2, "")
+    assert out.err.endswith("error: argument --table: not allowed with argument --dot\n")
+
+
+def test_hunt_refuses_a_negative_random_count(tmp_path, capsys):
+    # a negative COUNT ran an empty sweep and exited 0
+    witness = tmp_path / "w.jsonl"
+    code, _, out = run(capsys, "hunt", "--random", "8", "1", "-1", "--witness-file", str(witness))
+    assert (code, out.out) == (2, "")
+    assert out.err == "error: --random COUNT must be at least 0, got -1\n"
+    assert not witness.exists()
+
+
 @functools.cache
 def _valid_lines() -> tuple[str, ...]:
     """One genuine partition, n-detour and star certificate line each."""

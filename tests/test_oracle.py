@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from taupart import oracle, partition
 from taupart.detour import detour_order_dfs
 from taupart.ears import is_two_connected
+from taupart.errors import GraphError
 from taupart.graphs import (
     Graph,
     complete_graph,
@@ -27,6 +28,7 @@ from taupart.graphs import (
     empty_graph,
     encode_graph6,
     from_triangle_mask,
+    is_connected,
     pair_index,
     parse_graph6,
     path_graph,
@@ -176,10 +178,19 @@ def enumerator_candidates(monkeypatch, n: int) -> list[list[int]]:
     return calls
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+# Candidates canonicalised per order: graphs_upto_iso's, then
+# two_connected_graphs_upto_iso's.  Every admitted augmentation would give
+# 1,665 and 21,384 2-connected candidates at 7 and 8; one per orbit of the
+# parent's automorphisms leaves these, and a generator the search stops
+# reporting raises them.
+CANDIDATE_COUNTS = {2: [2], 3: [4, 1], 4: [11, 3], 5: [37, 11], 6: [184, 70],
+                    7: [1401, 714], 8: [18272, 11999]}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
 def test_enumerators_canonicalise_only_minimum_degree_augmentations(monkeypatch, n):
     calls = enumerator_candidates(monkeypatch, n)
-    assert len(calls) == (2 if n >= 3 else 1)
+    assert [len(cands) for cands in calls] == CANDIDATE_COUNTS[n]
     for cands in calls:
         for m in cands:
             degrees = [row.bit_count() for row in from_triangle_mask(n, m).adj]
@@ -190,6 +201,34 @@ def test_enumerators_canonicalise_only_minimum_degree_augmentations(monkeypatch,
 def test_canonical_forms_match_brute_force_on_enumerator_candidates(monkeypatch, n):
     masks = sorted({m for cands in enumerator_candidates(monkeypatch, n) for m in cands})
     assert canonical_forms(n, masks) == brute_force_canonical_forms(n, masks)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_one_augmentation_per_orbit_reaches_every_class(n):
+    # every neighbourhood of a new vertex of minimum degree, with no orbit
+    # step, decided on the grown graph itself
+    base = (n - 1) * (n - 2) // 2
+    every, two_connected = [], []
+    for pm in graphs_upto_iso(n - 1):
+        parent_connected = is_connected(from_triangle_mask(n - 1, pm))
+        for hood in range(1 << (n - 1)):
+            grown = pm | hood << base
+            g = from_triangle_mask(n, grown)
+            degrees = [row.bit_count() for row in g.adj]
+            if degrees[n - 1] == min(degrees):
+                every.append(grown)
+                if parent_connected and is_two_connected(g):
+                    two_connected.append(grown)
+    assert sorted(set(canonical_forms(n, every))) == list(graphs_upto_iso(n))
+    if n >= 3:
+        assert sorted(set(canonical_forms(n, two_connected))) == list(two_connected_graphs_upto_iso(n))
+
+
+@pytest.mark.parametrize("mask", [1 << 3, 1 << 5, -1])
+def test_canonical_forms_rejects_a_mask_that_names_no_graph(mask):
+    # bits past the last pair were ignored: [1 << 5, -1] gave [0, 7]
+    with pytest.raises(GraphError, match=r"is not a set of the 3 pairs of n=3"):
+        canonical_forms(3, [mask])
 
 
 def wheel_graph(rim: int) -> Graph:
@@ -259,6 +298,47 @@ def test_search_stays_small_on_the_seven_vertex_specials():
         assert search_calls(7, to_triangle_mask(g), budget=50) <= 50, name
 
 
+def generated_group(n: int, generators) -> set[tuple[int, ...]]:
+    group = {tuple(range(n))}
+    frontier = list(group)
+    for p in frontier:  # grows as new products are found
+        for s in generators:
+            q = tuple(s[p[v]] for v in range(n))
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return group
+
+
+def brute_force_automorphisms(n: int, masks) -> list[set[tuple[int, ...]]]:
+    """For each mask, every permutation p with permute_mask(n, mask, p) ==
+    mask, by the bit image tables of brute_force_canonical_forms."""
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    perms = list(permutations(range(n)))
+    images = np.array([[1 << pair_index(*sorted((p[i], p[j]))) for i, j in pairs] for p in perms],
+                      dtype=np.int64).reshape(len(perms), len(pairs))
+    bits = np.array([[m >> k & 1 for k in range(len(pairs))] for m in masks],
+                    dtype=np.int64).reshape(len(masks), len(pairs))
+    return [{p for p, image in zip(perms, row) if image == m}
+            for m, row in zip(masks, bits @ images.T)]
+
+
+def test_reported_automorphisms_preserve_adjacency():
+    classes = [(n, m) for n in range(1, 8) for m in graphs_upto_iso(n)]
+    specials = [(7, to_triangle_mask(g)) for g in SPECIAL_7.values()]
+    for n, mask in classes + specials:
+        for p in oracle._canonical_form(n, mask)[1]:
+            assert sorted(p) == list(range(n)) and permute_mask(n, mask, list(p)) == mask, (n, mask, p)
+
+
+def test_reported_automorphisms_generate_the_whole_group():
+    # a subgroup would still be sound, but would canonicalise more candidates
+    corpora = [(n, graphs_upto_iso(n)) for n in range(1, 7)]
+    for n, masks in corpora + [(7, [to_triangle_mask(g) for g in SPECIAL_7.values()])]:
+        for mask, group in zip(masks, brute_force_automorphisms(n, masks), strict=True):
+            assert generated_group(n, oracle._canonical_form(n, mask)[1]) == group, (n, mask)
+
+
 def test_two_connected_filter_matches_is_two_connected():
     for n in range(1, 7):
         base = n * (n - 1) // 2
@@ -266,7 +346,7 @@ def test_two_connected_filter_matches_is_two_connected():
             h = from_triangle_mask(n, pm)
             expected = [hood for hood in range(1 << n)
                         if is_two_connected(from_triangle_mask(n + 1, pm | hood << base))]
-            assert oracle._two_connected_hoods(h) == expected, (n, pm)
+            assert oracle._two_connected_hoods(h, range(1 << n)) == expected, (n, pm)
 
 
 def test_corpus_members_decode():
