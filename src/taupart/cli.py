@@ -35,7 +35,7 @@ from .errors import (
     GraphError,
     TargetError,
 )
-from .graphs import blocks, mask_to_ids, parse_graph6, random_2connected, to_dot
+from .graphs import blocks, check_two_connected_order, mask_to_ids, parse_graph6, random_2connected, to_dot
 from .multiway import detour_coloring
 from .oracle import WholeGraphTau, sweep_ppc, verify_record
 from .partition import PartitionTarget, graph_facts, tau_partition
@@ -231,6 +231,7 @@ def cmd_hunt(args: argparse.Namespace) -> int:
         if count < 0:
             print(f"error: --random COUNT must be at least 0, got {count}", file=sys.stderr)
             return 2
+        check_two_connected_order(n)  # whatever COUNT is, even 0
         rng = random.Random(seed)
         for _ in range(count):
             extra = rng.randint(0, max(0, n // 2))

@@ -48,7 +48,12 @@ end a Hamiltonian path of the whole graph.  It is the only full-order DP
 the construction runs on such a graph: it serves partition's graph facts
 (tau of a graph, the Hamiltonian ends of an ear level), step checks,
 witness taus and final certificate check, brute-force repair, and
-multiway's part check and exact colour search.  From NUMPY_DP_MIN_K
+multiway's part check and exact colour search.  A multiway chain peels its
+remainders as masks of one graph, so the remainders that are not
+2-connected read that graph's table and get none of their own.  Only a
+2-connected remainder, for the ear construction, and the first remainder
+below NUMPY_DP_MIN_K of a larger graph, so that it gets a table, become
+graphs of their own.  From NUMPY_DP_MIN_K
 vertices on, each query runs its own DP as above: a table there would
 hold 2^n bits per level, where `_dp_numpy` keeps only the subsets it
 reaches.  Two kinds of query never read a table.
@@ -478,8 +483,8 @@ def subset_queries(g: Graph) -> SubsetTable | SubsetDPs:
 
 
 # The same bound as partition's graph facts: a call's graph, its ear levels
-# and the remainders multiway peels off it; 32 tables on 13 vertices keep
-# under half a MiB.
+# and the few remainders multiway makes graphs of; 32 tables on 13 vertices
+# keep under half a MiB.
 @functools.lru_cache(maxsize=32)
 def _subset_table(g: Graph) -> SubsetTable:
     return SubsetTable(g)

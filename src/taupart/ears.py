@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import InternalCheckError, NotTwoConnectedError
-from .graphs import (Graph, add_ear, blocks, cycle_graph, dfs_tree, ids_to_mask, is_connected, iter_bits, lift,
-                     pair_index)
+from .graphs import (Graph, add_ear, blocks, closure, cycle_graph, dfs_tree, ids_to_mask, is_connected, iter_bits,
+                     lift, pair_index)
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,23 @@ def is_two_connected(g: Graph) -> bool:
     """At least 3 vertices, all in one block (a disconnected graph has a
     block per component, an isolated vertex its own)."""
     return g.n >= 3 and len(blocks(g)[0]) == 1
+
+
+def induces_two_connected(g: Graph, mask: int) -> bool:
+    """is_two_connected(<mask>), read in g's own ids with no relabel: at
+    least 3 vertices, and <mask - v> connected for every v in mask.  That
+    also rules out a disconnected <mask>: removing a vertex from a
+    component of two or more vertices, or from another component when
+    every component is a single vertex, leaves it disconnected.  A vertex
+    of degree below 2 in <mask>, which most multiway remainders have,
+    rules it out before any closure."""
+    if mask.bit_count() < 3 or any((g.adj[v] & mask).bit_count() < 2 for v in iter_bits(mask)):
+        return False
+    for v in iter_bits(mask):
+        rest = mask & ~(1 << v)
+        if closure(g.adj, rest & -rest, rest) != rest:
+            return False
+    return True
 
 
 def require_two_connected(g: Graph) -> None:

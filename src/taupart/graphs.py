@@ -422,18 +422,25 @@ def add_ear(g: Graph, x: int, y: int, r: int) -> Graph:
     return Graph(n2, tuple(adj))
 
 
+def check_two_connected_order(n: int) -> None:
+    """Refuse an order no 2-connected Graph has: GraphError below 3,
+    CapacityError above MAX_VERTICES."""
+    if n < 3:
+        raise GraphError(f"2-connected graphs need at least 3 vertices, got {n}")
+    if n > MAX_VERTICES:
+        raise CapacityError(f"graph on {n} vertices exceeds the supported maximum of {MAX_VERTICES}")
+
+
 def random_2connected(n: int, extra_ears: int = 0, seed: int = 0) -> Graph:
     """Random 2-connected graph of order exactly n, built cycle-first.
 
     Starts from a random cycle and repeatedly attaches ears with fresh
     internal vertices until the order reaches n, then adds up to
     `extra_ears` random chords.  Deterministic for a fixed seed.  An n
-    above MAX_VERTICES is refused before anything is built.
+    that `check_two_connected_order` refuses is refused before anything
+    is built.
     """
-    if n < 3:
-        raise GraphError(f"2-connected graphs need at least 3 vertices, got {n}")
-    if n > MAX_VERTICES:
-        raise CapacityError(f"graph on {n} vertices exceeds the supported maximum of {MAX_VERTICES}")
+    check_two_connected_order(n)
     rng = random.Random(seed)
     g = cycle_graph(rng.randint(3, n))
     while g.n < n:

@@ -1,10 +1,23 @@
 """Multiway detour partitions and detour colourings.
 
 A tuple target (a_1, ..., a_t) summing to tau(g) is realised by peeling the
-first part with a two-part partition against the rest, then recursing on the
-remainder.  The remainder's detour order can drop below the residual sum, in
-which case the residual tuple is shrunk greedily from its last entry; entries
-can reach zero (that position becomes an empty part) but never grow.
+first part with a two-part partition against the rest, then peeling the
+remainder in turn.  The remainder's detour order can drop below the residual
+sum, in which case the residual tuple is shrunk greedily from its last
+entry; entries can reach zero (that position becomes an empty part) but
+never grow.
+
+The remainders of one chain are vertex masks of one graph, and their subset
+queries read that graph's `detour.subset_queries`: below NUMPY_DP_MIN_K
+vertices, one subset table.  A remainder that is not 2-connected (checked on
+the mask, `ears.induces_two_connected`) is partitioned in place by
+`partition.brute_force_parts`, with no graph, graph facts, graph6 or table
+of its own.  Two kinds of remainder still get a graph of their own: a
+2-connected one, for the ear construction of `tau_partition`, and the first
+remainder below NUMPY_DP_MIN_K vertices of a larger graph, so that it and
+the remainders cut from it read a table.  Each step checks its two part
+taus against its target, and the tau of its part B is the next remainder's,
+so no remainder runs a DP for its own tau.
 
 A colouring whose every colour class has detour order at most n is built from
 the tuple (n, ..., n, tau mod n): one colour per part, ceil(tau/n) colours in
@@ -18,10 +31,11 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .detour import check_capacity, subset_queries, subset_tau_at_most
+from .detour import NUMPY_DP_MIN_K, check_capacity, subset_queries, subset_tau_at_most
+from .ears import induces_two_connected
 from .errors import GraphError, InternalCheckError, TargetError
 from .graphs import Graph, encode_graph6, induced_subgraph, iter_bits, lift
-from .partition import PartitionTarget, graph_facts, is_int, sum_mismatch, tau_partition
+from .partition import PartitionTarget, brute_force_parts, graph_facts, is_int, sum_mismatch, tau_partition
 
 EXACT_SEARCH_MAX_N = 14
 
@@ -63,8 +77,8 @@ class ColoringCertificate:
 def _rebalance(rest: list[int], tau_rem: int) -> list[int]:
     """Shrink the residual tuple to sum tau_rem, from the last entry down.
 
-    tau_rem never exceeds sum(rest): it is the tau_b of a certificate,
-    which tau_partition has checked against b = sum(rest).
+    tau_rem never exceeds sum(rest): it is the tau of a step's part B,
+    which that step has checked against b = sum(rest).
     """
     delta = sum(rest) - tau_rem
     new = list(rest)
@@ -78,21 +92,42 @@ def _rebalance(rest: list[int], tau_rem: int) -> list[int]:
 
 
 def _split(g: Graph, parts: list[int], max_n: int | None) -> list[int]:
-    # sum(parts) == tau(g), and parts may end in zeros (empty parts) but
-    # parts[0] > 0 when g.n > 0: a remainder is never empty, so its tau is
-    # at least 1, and `_rebalance` zeroes entries from the last one down.
-    # Every branch returns one mask per entry of parts
-    if g.n == 0:
-        return [0] * len(parts)
-    total = sum(parts)
-    if parts[0] == total:
-        return [g.full_mask] + [0] * (len(parts) - 1)
-    cert = tau_partition(g, PartitionTarget(parts[0], total - parts[0]), max_n=max_n, tau_g=total)
-    sub, order = induced_subgraph(g, cert.part_b)
-    # the certificate holds tau of the remainder, so the remainder needs no
-    # DP before its own split
-    rest = _rebalance(parts[1:], cert.tau_b)
-    return [cert.part_a] + [lift(m, order) for m in _split(sub, rest, max_n)]
+    """One mask of g per entry of parts, peeled off one at a time.
+
+    sum(parts) == tau(g), and each step cuts part A with tau <= parts[0]
+    off the remainder, leaving part B with tau <= the rest; parts may end
+    in zeros (empty parts), but a remainder is never empty while its
+    budget is positive, as `_rebalance` zeroes entries from the last one
+    down.  Each remainder is a vertex mask of `host`: g, or the first
+    remainder below NUMPY_DP_MIN_K of a larger g, made a graph of its own
+    so that its subset queries read one table.  The first step goes to
+    `tau_partition` on g.  A later remainder that is not 2-connected is
+    partitioned in place by brute force on host's queries; a 2-connected
+    one gets its own graph for the ear construction, and its parts are
+    lifted back to host's ids.  Either way the step's part taus are
+    checked against its target, and the tau of part B is the next
+    remainder's, so no remainder needs a DP of its own.
+    """
+    host, order, mask = g, range(g.n), g.full_mask
+    out: list[int] = []
+    while parts:
+        total = sum(parts)
+        if parts[0] == total:
+            return out + [lift(mask, order)] + [0] * (len(parts) - 1)
+        t = PartitionTarget(parts[0], total - parts[0])
+        if host.n >= NUMPY_DP_MIN_K > mask.bit_count():
+            host, local = induced_subgraph(host, mask)
+            order, mask = [order[v] for v in local], host.full_mask
+        # the first step: t_partition has read g's route in its graph facts
+        if host is g and mask == g.full_mask or induces_two_connected(host, mask):
+            sub, local = induced_subgraph(host, mask)
+            cert = tau_partition(sub, t, max_n=max_n)
+            part_a, part_b, tau_b = lift(cert.part_a, local), lift(cert.part_b, local), cert.tau_b
+        else:
+            part_a, part_b, _, tau_b = brute_force_parts(host, t, max_n, tau_g=total, within=mask)
+        out.append(lift(part_a, order))
+        mask, parts = part_b, _rebalance(parts[1:], tau_b)
+    return out
 
 
 def t_partition(g: Graph, parts: tuple[int, ...] | list[int], max_n: int | None = None) -> list[int]:

@@ -81,7 +81,8 @@ from .detour import (
 )
 from .ears import Ear, ear_decompose, ear_levels, relabels_to, require_two_connected
 from .errors import CounterexampleError, GraphError, InternalCheckError, NotTwoConnectedError, TargetError
-from .graphs import Graph, connected_components, encode_graph6, ids_to_mask, iter_bits, lift, mask_to_ids
+from .graphs import (Graph, connected_components, encode_graph6, ids_to_mask, induced_subgraph, iter_bits, lift,
+                     mask_to_ids)
 
 def is_int(x) -> bool:
     """An int and not a bool (True is an int in Python): the type of every
@@ -279,9 +280,9 @@ def graph_facts(g: Graph, max_n: int | None = None) -> GraphFacts:
     return _graph_facts(g)
 
 
-# One CLI call works on one graph plus the few remainders multiway peels off
-# it, and a colouring call revisits them for each class bound; 32 entries
-# hold all of that while a long sweep's memory stays flat.
+# One CLI call works on one graph plus the few remainders multiway makes
+# graphs of, and a colouring call revisits them for each class bound; 32
+# entries hold all of that while a long sweep's memory stays flat.
 @functools.lru_cache(maxsize=32)
 def _graph_facts(g: Graph) -> GraphFacts:
     try:
@@ -396,47 +397,73 @@ def extend_rge2(h: Graph, part_a: int, ear: Ear, t: PartitionTarget) -> tuple[in
 
 
 def brute_force_partition(g: Graph, t: PartitionTarget, max_n: int | None = None,
-                          tau_g: int | None = None) -> tuple[int, int] | None:
-    """Exhaustive search for an (a, b) partition; None if there is none.
+                          tau_g: int | None = None, within: int | None = None) -> tuple[int, int] | None:
+    """Exhaustive search for an (a, b) partition of <within> (all of g when
+    None); None if there is none.
 
     The result is the first partition in one fixed order: part A by
     increasing size, then in lexicographic order of its sorted id tuple.
-    Requires t.a + t.b == tau(g); anything else is a target error.  A
-    caller that already holds tau(g) passes it as tau_g, and the sum is
-    checked against it instead of a new whole-graph DP.  The cap applies
-    to g as a whole.
+    Both parts are masks in g's own ids, and relabelling keeps ids in
+    ascending order, so the answer on <within> is the answer on its
+    induced subgraph lifted back.  Requires t.a + t.b == tau(<within>);
+    anything else is a target error.  A caller that already holds that
+    tau passes it as tau_g, and the sum is checked against it instead of
+    a new DP.  The cap applies to g as a whole.
 
     Each connected component C is searched on its own, in the same order,
     for an A within C with tau(<A>) <= a and tau(<C - A>) <= b; the answer
     is the union of every component's first such A, or None as soon as a
-    component has none.  That is the whole-graph search's answer: tau of
+    component has none.  That is the whole-set search's answer: tau of
     an induced subgraph is the maximum over its components, so the
-    feasible parts of g are exactly the unions of feasible parts of its
+    feasible parts are exactly the unions of feasible parts of the
     components.  The first of them has the least size, so each component
     contributes a part of its own least size.  Of two sets of equal size
     the earlier one holds the least element of their symmetric difference,
     and that difference splits by component, so the union of the
     components' first parts comes before any other union of that size.
 
-    Every candidate is checked with `detour.subset_queries`: below
-    NUMPY_DP_MIN_K vertices that reads one table of g, built by one DP;
-    from there on, a component's empty and one-vertex candidates cost one
-    DP between them (`_first_component_part`), and each larger candidate
-    up to two.
+    Every candidate is checked with `detour.subset_queries(g)`: below
+    NUMPY_DP_MIN_K vertices that reads one table of g, built by one DP,
+    whatever `within` is; from there on, a component's empty and
+    one-vertex candidates cost one DP between them
+    (`_first_component_part`), and each larger candidate up to two.
     """
     check_capacity(g.n, max_n)
     q = subset_queries(g)
+    mask = g.full_mask if within is None else within
     if tau_g is None:
-        tau_g = q.tau(g.full_mask)
+        tau_g = q.tau(mask)
     if t.total != tau_g:
         raise TargetError(sum_mismatch(f"target ({t.a}, {t.b})", t.total, tau_g))
     part_a = 0
-    for comp in connected_components(g, g.full_mask):
+    for comp in connected_components(g, mask):
         found = _first_component_part(q, comp, t)
         if found is None:
             return None
         part_a |= found
-    return part_a, g.full_mask & ~part_a
+    return part_a, mask & ~part_a
+
+
+def brute_force_parts(g: Graph, t: PartitionTarget, max_n: int | None = None, tau_g: int | None = None,
+                      within: int | None = None) -> tuple[int, int, int, int]:
+    """`brute_force_partition` of <within> (all of g when None) as (part A,
+    part B, tau(<A>), tau(<B>)), both taus read from `subset_queries(g)`
+    and checked against (a, b), else InternalCheckError.
+    CounterexampleError when <within> has no (a, b) partition.  Either
+    error names the graph6 of <within>, which is encoded only then."""
+
+    def g6() -> str:
+        return encode_graph6(g if within is None else induced_subgraph(g, within)[0])
+
+    got = brute_force_partition(g, t, max_n=max_n, tau_g=tau_g, within=within)
+    if got is None:
+        raise CounterexampleError(f"no ({t.a}, {t.b}) partition exists", g6(), (t.a, t.b))
+    part_a, part_b = got
+    q = subset_queries(g)
+    tau_a, tau_b = q.tau(part_a), q.tau(part_b)
+    if tau_a > t.a or tau_b > t.b:
+        raise InternalCheckError(f"certified partition fails its own bounds on {g6()}")
+    return part_a, part_b, tau_a, tau_b
 
 
 def _first_component_part(q: SubsetTable | SubsetDPs, comp: int, t: PartitionTarget) -> int | None:
@@ -498,22 +525,12 @@ def _audit_migration(h: Graph, receiver_pre: int, migrated: int, b: int, orig_of
     return events
 
 
-def _brute_force_certificate(g: Graph, t: PartitionTarget, max_n: int | None, tau_g: int | None,
+def _brute_force_certificate(g: Graph, t: PartitionTarget, max_n: int | None, tau_g: int,
                              trace=(), witnesses=()) -> PartitionCertificate:
-    """The "fallback" certificate of g from `brute_force_partition`, with
-    the trace and witnesses of a construction that gave up on g, if any.
-    CounterexampleError when g has no (a, b) partition; both part taus are
-    read from `subset_queries(g)` and checked against (a, b)."""
-    g6 = encode_graph6(g)
-    got = brute_force_partition(g, t, max_n=max_n, tau_g=tau_g)
-    if got is None:
-        raise CounterexampleError(f"no ({t.a}, {t.b}) partition exists", g6, (t.a, t.b))
-    part_a, part_b = got
-    q = subset_queries(g)
-    tau_a, tau_b = q.tau(part_a), q.tau(part_b)
-    if tau_a > t.a or tau_b > t.b:
-        raise InternalCheckError(f"certified partition fails its own bounds on {g6}")
-    return PartitionCertificate(g6, t.a, t.b, part_a, part_b, tau_a, tau_b, "fallback",
+    """The "fallback" certificate of g from `brute_force_parts`, with the
+    trace and witnesses of a construction that gave up on g, if any."""
+    part_a, part_b, tau_a, tau_b = brute_force_parts(g, t, max_n, tau_g)
+    return PartitionCertificate(encode_graph6(g), t.a, t.b, part_a, part_b, tau_a, tau_b, "fallback",
                                 tuple(trace), tuple(witnesses))
 
 
@@ -606,21 +623,17 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
                                 tuple(trace), tuple(witnesses))
 
 
-def tau_partition(g: Graph, t: PartitionTarget, max_n: int | None = None,
-                  tau_g: int | None = None) -> PartitionCertificate:
+def tau_partition(g: Graph, t: PartitionTarget, max_n: int | None = None) -> PartitionCertificate:
     """(a, b) partition of any graph: 2-connected graphs go through the
     ear construction, everything else to brute force, which searches each
     connected component on its own (the first step of the reduction to
     2-connected graphs; a cut vertex inside a component is not split on).
 
     The route comes from graph_facts, which every target of g shares, and
-    so does the DP cap, one message for both engines.  A caller that
-    already holds tau(g) (multiway's remainders, each a new graph) passes
-    it as tau_g: brute force then checks its target sum against it, so a
-    graph that is not 2-connected costs no whole-graph DP of its own.  The
-    ear construction takes tau(g) from graph_facts either way.
+    so does the DP cap, one message for both engines, and tau(g), against
+    which either route checks the target sum.
     """
     facts = graph_facts(g, max_n)
     if facts.levels is not None:
         return tau_partition_2connected(g, t, max_n=max_n)
-    return _brute_force_certificate(g, t, max_n, facts.tau if tau_g is None else tau_g)
+    return _brute_force_certificate(g, t, max_n, facts.tau)

@@ -569,6 +569,19 @@ def test_hunt_refuses_a_huge_random_order_before_building_it(tmp_path, capsys):
     assert out.err == "capacity: graph on 1000000 vertices exceeds the supported maximum of 64\n"
 
 
+@pytest.mark.parametrize("count", ["0", "1"])
+@pytest.mark.parametrize("order, code, err", [
+    ("2", 2, "error: 2-connected graphs need at least 3 vertices, got 2\n"),
+    ("65", 4, "capacity: graph on 65 vertices exceeds the supported maximum of 64\n"),
+], ids=["below-3", "above-64"])
+def test_hunt_checks_the_random_order_whatever_the_count(order, code, err, count, tmp_path, capsys):
+    # with COUNT 0 no graph was built, so N went unchecked and hunt exited 0
+    witness = tmp_path / "w.jsonl"
+    got, _, out = run(capsys, "hunt", "--random", order, "1", count, "--witness-file", str(witness))
+    assert (got, out.out, out.err) == (code, "", err)
+    assert not witness.exists()
+
+
 def test_max_n_env_lowers_caps(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TAUPART_MAX_N", "4")
     code, _, out = run(capsys, "partition", "Dhc", "-a", "2", "-b", "3")

@@ -12,6 +12,7 @@ from taupart.ears import (
     ear_decompose,
     ear_diagnostics,
     ear_levels,
+    induces_two_connected,
     is_two_connected,
     relabels_to,
 )
@@ -21,12 +22,13 @@ from taupart.graphs import (
     add_ear,
     complete_graph,
     cycle_graph,
+    induced_subgraph,
     parse_graph6,
     path_graph,
     petersen_graph,
     random_2connected,
 )
-from taupart.oracle import corpus_graphs, two_connected_graphs_upto_iso
+from taupart.oracle import corpus_graphs, graphs_upto_iso, two_connected_graphs_upto_iso
 
 
 def test_cycle_decomposes_to_bare_cycle():
@@ -52,6 +54,18 @@ def test_is_two_connected():
     assert not is_two_connected(parse_graph6("DxK"))  # bowtie has a cut vertex
     assert not is_two_connected(complete_graph(2))
     assert not is_two_connected(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+
+def test_the_mask_check_agrees_with_the_induced_subgraph_on_every_small_graph():
+    # multiway's chain asks this of its remainders without relabelling them
+    checked = 0
+    for n in range(1, 7):
+        for g in corpus_graphs(n, graphs_upto_iso(n)):
+            for mask in range(1 << n):
+                assert induces_two_connected(g, mask) == is_two_connected(induced_subgraph(g, mask)[0]), \
+                    (g.adj, mask)
+                checked += 1
+    assert checked == 2 + 2 * 4 + 4 * 8 + 11 * 16 + 34 * 32 + 156 * 64
 
 
 def test_rejects_cut_vertex_by_name():

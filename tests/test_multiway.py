@@ -2,26 +2,35 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taupart.detour import detour_order, tau_subset
-from taupart.errors import CapacityError, GraphError, TargetError
+from taupart import multiway, partition
+from taupart.detour import NUMPY_DP_MIN_K, detour_order, tau_subset
+from taupart.errors import CapacityError, CounterexampleError, GraphError, InternalCheckError, TargetError
 from taupart.graphs import (
     complete_graph,
     cycle_graph,
+    encode_graph6,
+    induced_subgraph,
+    lift,
     parse_graph6,
     path_graph,
     petersen_graph,
+    random_2connected,
     random_graph,
 )
 from taupart.multiway import (
+    _rebalance,
     detour_coloring,
     exact_detour_chromatic,
     t_partition,
     verify_detour_coloring,
 )
+from taupart.partition import PartitionTarget, tau_partition
 from taupart.starcolor import verify_star_coloring
 
 BOWTIE = parse_graph6("DxK")
@@ -86,36 +95,114 @@ def test_entries_must_be_integers():
 
 
 def test_split_reuses_the_taus_it_already_holds(count_dps):
-    # each remainder's tau comes from the certificate that cut it off, and a
-    # remainder that is not 2-connected checks its target sum against it.
-    # Below NUMPY_DP_MIN_K vertices every part check reads its graph's
-    # subset table: one DP per graph queried, one early-exit DP for a fold
-    # step's migration
+    # each remainder's tau comes from the step that cut it off, and every
+    # remainder is a mask of g.  Petersen's first step is the ear
+    # construction: five level tables and one early-exit DP for a fold
+    # step's migration.  Each later remainder is not 2-connected, so brute
+    # force partitions it in place on g's own table, which the final part
+    # check then reads too: no remainder gets a graph, facts or a table
     g = petersen_graph()
     masks = t_partition(g, (2,) * 5)
-    assert len(count_dps) == 9
+    assert count_dps == [9, 9, 10, 10, 4, 10, 10]
     parts_are_valid(g, (2,) * 5, masks)
+
+
+def test_a_two_connected_remainder_gets_a_graph_of_its_own(count_dps):
+    # C6 plus the chord (1, 4): the first step's ear construction reads one
+    # level table and leaves the 4-cycle {1, 2, 3, 4}, which is 2-connected,
+    # so its step runs the ear construction on a graph of its own (the
+    # base cycle's table).  The final part check reads g's table
+    g = parse_graph6("EhUG")
+    assert g.edges() == [(0, 1), (0, 5), (1, 2), (1, 4), (2, 3), (3, 4), (4, 5)]
+    masks = t_partition(g, (2, 2, 2))
+    assert count_dps == [6, 4, 6]
+    assert masks == [0b100001, 0b010010, 0b001100]
+    parts_are_valid(g, (2, 2, 2), masks)
+
+
+@pytest.mark.parametrize("fake, error, detail", [
+    (lambda within: None, CounterexampleError, "no (2, {b}) partition exists"),
+    (lambda within: (within, 0), InternalCheckError, "certified partition fails its own bounds on {g6}"),
+], ids=["no-partition", "part-over-bound"])
+def test_a_failed_remainder_step_names_the_remainder(fake, error, detail, monkeypatch):
+    # Petersen's second remainder is not 2-connected, so brute force
+    # partitions it in place; a failure there names the remainder's own
+    # graph6, encoded only on that path
+    g = petersen_graph()
+    remainder = g.full_mask & ~t_partition(g, (2,) * 5)[0]
+    g6, b = encode_graph6(induced_subgraph(g, remainder)[0]), tau_subset(g, remainder) - 2
+    real = partition.brute_force_partition
+
+    def in_chain_fails(h, t, within=None, **kw):
+        return real(h, t, within=within, **kw) if within is None else fake(within)
+
+    monkeypatch.setattr(partition, "brute_force_partition", in_chain_fails)
+    with pytest.raises(error, match=f"^{re.escape(detail.format(b=b, g6=g6))}$") as exc:
+        t_partition(g, (2,) * 5)
+    if error is CounterexampleError:
+        assert (exc.value.graph6, exc.value.target) == (g6, (2, b))
+
+
+def _reference_split(g, parts):
+    """The chain as it was first written: each remainder relabelled into a
+    graph of its own and partitioned by tau_partition."""
+    if g.n == 0:
+        return [0] * len(parts)
+    total = sum(parts)
+    if parts[0] == total:
+        return [g.full_mask] + [0] * (len(parts) - 1)
+    cert = tau_partition(g, PartitionTarget(parts[0], total - parts[0]))
+    sub, order = induced_subgraph(g, cert.part_b)
+    rest = _rebalance(parts[1:], cert.tau_b)
+    return [cert.part_a] + [lift(m, order) for m in _reference_split(sub, rest)]
+
+
+def _composition(total, pick):
+    """A composition of total into positive parts, chosen by pick."""
+    entries = []
+    while total:
+        step = 1 + pick % total
+        pick //= total
+        entries.append(step)
+        total -= step
+    return entries
+
+
+@pytest.mark.parametrize("n, seed", [(14, 3), (15, 8), (16, 501)])
+def test_the_chain_matches_one_graph_per_remainder_across_the_table_switch(n, seed, monkeypatch):
+    # from NUMPY_DP_MIN_K vertices on, the first remainder below it becomes
+    # a graph of its own, whose table the rest of the chain reads
+    g = random_2connected(n, extra_ears=3, seed=seed)
+    tau = detour_order(g).tau
+    switches = []
+    real = multiway.induced_subgraph
+
+    def spy(h, mask):
+        if h.n >= NUMPY_DP_MIN_K > mask.bit_count():
+            switches.append(mask)
+        return real(h, mask)
+
+    monkeypatch.setattr(multiway, "induced_subgraph", spy)
+    for k in (2, 3):
+        parts = [k] * (tau // k) + [tau % k] * (tau % k > 0)
+        assert t_partition(g, parts) == _reference_split(g, parts)
+    assert switches
 
 
 def test_partition_order_is_deterministic():
     assert t_partition(BOWTIE, (2, 2, 1)) == t_partition(BOWTIE, (2, 2, 1))
 
 
-@given(st.integers(1, 9), st.floats(0.1, 0.9), st.integers(0, 2**31 - 1),
+@given(st.integers(1, 13), st.floats(0.1, 0.9), st.integers(0, 2**31 - 1),
        st.integers(0, 10**6))
 @settings(max_examples=100, deadline=None)
 def test_random_multiway_partitions_hold(n, p, seed, pick):
+    # valid, and the masks of the chain with one graph per remainder
     g = random_graph(n, p, seed=seed)
-    tau = detour_order(g).tau
-    # random composition of tau
-    entries = []
-    rem = tau
-    while rem:
-        step = 1 + pick % rem
-        pick //= max(rem, 1)
-        entries.append(step)
-        rem -= step
-    parts_are_valid(g, entries, t_partition(g, tuple(entries)))
+    entries = _composition(detour_order(g).tau, pick)
+    masks = t_partition(g, tuple(entries))
+    parts_are_valid(g, entries, masks)
+    assert masks == _reference_split(g, entries)
 
 
 def test_verify_detour_coloring():

@@ -29,7 +29,9 @@ from taupart.graphs import (
     cycle_graph,
     encode_graph6,
     ids_to_mask,
+    induced_subgraph,
     is_connected,
+    lift,
     mask_to_ids,
     parse_graph6,
     path_graph,
@@ -38,6 +40,7 @@ from taupart.graphs import (
     random_graph,
 )
 from taupart.ears import Ear, EarDecomposition, ear_decompose, ear_levels
+from taupart.multiway import t_partition
 from taupart.partition import (
     PartitionTarget,
     brute_force_partition,
@@ -349,6 +352,16 @@ def test_brute_force_matches_the_whole_graph_search_on_random_graphs():
                 if comp.bit_count() >= NUMPY_DP_MIN_K:
                     part = got[0] & comp
                     big_parts.add((part.bit_count(), part == comp & -comp))
+        # on a vertex subset, in g's own ids, it is the search on the
+        # induced subgraph lifted back
+        within = g.full_mask & ~(1 << i % g.n)
+        sub, order = induced_subgraph(g, within)
+        tau = tau_subset(g, within)
+        if tau > 1:
+            t = PartitionTarget(1, tau - 1)
+            expect = brute_force_partition(sub, t)
+            got = brute_force_partition(g, t, tau_g=tau, within=within)
+            assert got == (expect and tuple(lift(m, order) for m in expect)), encode_graph6(g)
     assert big_parts >= {(1, True), (1, False), (2, False)}
 
 
@@ -515,12 +528,10 @@ def test_graph_facts_check_the_cap_on_every_call():
     (path_graph(8), 7, "subset dynamic program over 8 vertices exceeds the cap of 7"),
 ], ids=["C21", "P21", "C8-under-7", "P8-under-7"])
 def test_an_oversized_graph_reports_the_cap_of_its_engine(g, max_n, detail):
-    # one DP cap for both engines, checked by graph_facts whether or not
-    # the caller holds tau(g)
-    for tau_g in (None, g.n):
-        with pytest.raises(CapacityError) as exc:
-            tau_partition(g, PartitionTarget(1, g.n - 1), max_n=max_n, tau_g=tau_g)
-        assert str(exc.value) == detail
+    # one DP cap for both engines, checked by graph_facts
+    with pytest.raises(CapacityError) as exc:
+        tau_partition(g, PartitionTarget(1, g.n - 1), max_n=max_n)
+    assert str(exc.value) == detail
 
 
 def test_every_target_shares_one_two_connectivity_check(monkeypatch):
@@ -535,8 +546,8 @@ def test_every_target_shares_one_two_connectivity_check(monkeypatch):
     for a in range(1, 10):
         tau_partition(g, PartitionTarget(a, 10 - a))
     assert calls == [g]  # inside graph_facts' ear decomposition
-    # a caller that holds tau(g) reads the same facts
-    tau_partition(g, PartitionTarget(1, 9), tau_g=10)
+    # a two-part multiway split reads the same facts
+    t_partition(g, (5, 5))
     assert calls == [g]
 
 
