@@ -67,13 +67,13 @@ class CounterexampleError(RuntimeError):
 
 
 class StarRepairError(RuntimeError):
-    """The bicoloured-P4 repair loop gave up.
+    """The search for a paired star colouring found none.
 
-    It has one cause: the loop cycled until its cap of 2 n^2 rounds (a
-    round itself cannot fail once the input is checked).  `residual` holds
-    the bicoloured P4s present at the cap and `colors` the colouring there;
-    star_coloring records both as a witness and colours the component by
-    depth in a depth-first tree.
+    The message says why: the search proved that the partition has no
+    paired star colouring, or it used up its budget of colour tries.
+    `colors` holds the paired colouring the search was given and `residual`
+    that colouring's bicoloured P4s; star_coloring records both as a
+    witness and colours the component by depth in a depth-first tree.
     """
 
     def __init__(self, message: str, residual: list[tuple[int, int, int, int]], colors: tuple[int, ...]):

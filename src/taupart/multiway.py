@@ -45,9 +45,11 @@ class ColoringCertificate:
     """A verified vertex colouring with the bound it was built against.
 
     `property` names what was verified ("n-detour" with the class bound in
-    `n`, or "star").  `witness` is only present on a star colouring whose
-    repair loop stalled: one dict per stalled component, in component
-    order, giving its vertices, residual P4s and colouring at the stall.
+    `n`, or "star").  `witness` is only present on a star colouring with a
+    component on which the search for a paired star colouring found none:
+    one dict per such component, in component order, giving its vertices,
+    the paired colouring the search was given, that colouring's bicoloured
+    P4s and the note saying why the search found none.
     """
 
     graph6: str

@@ -59,6 +59,7 @@ from .errors import (
 from .graphs import (
     Graph,
     blocks,
+    check_two_connected_order,
     connected_components,
     encode_graph6,
     from_triangle_mask,
@@ -611,8 +612,7 @@ def two_connected_graphs_upto_iso(n: int) -> tuple[int, ...]:
     vertices), and of those only the first of each orbit of the parent's
     automorphisms is canonicalised (_one_per_orbit).
     """
-    if n < 3:
-        raise GraphError(f"2-connected graphs need at least 3 vertices, got {n}")
+    check_two_connected_order(n)
     base = (n - 1) * (n - 2) // 2
     cands = []
     for pm in connected_graphs_upto_iso(n - 1):

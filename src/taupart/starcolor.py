@@ -2,21 +2,21 @@
 
 A star colouring is a proper colouring in which every path on 4 vertices
 carries at least 3 colours (equivalently, the union of any two colour
-classes induces a star forest).  The constructive route pairs colours up:
-partition the graph into parts of detour order at most 2 (so each part is a
-perfect matching plus isolated vertices), give part i the colour pair
-(2i, 2i+1) with matched endpoints split and isolated vertices on the first
-colour, then repair the remaining bicoloured P4s one at a time, flipping a
-degree-0 vertex of the offending pair or swapping a matching edge.  The
-repair checks its input once.  In a paired colouring a bicoloured P4 always
-splits 2+2 across two parts with one colour per pair, and both moves keep
-the colouring paired, so a round cannot fail: a stall has one cause, the
-loop cycling until its cap.  The residual P4 list is then reported as a
-witness and the component is coloured by depth in a depth-first tree
-instead.  That colouring needs no search: every non-tree edge joins an
-ancestor to a descendant, so any two depth classes induce a star forest,
-and a root-to-leaf path of the tree is a path of g, so there are at most
-tau depths (the tree-depth argument of Nesetril and Ossona de Mendez).
+classes induces a star forest).  The constructive route pairs colours up,
+as in the proof of the paper's Theorem 1: partition the graph into parts of
+detour order at most 2 (so each part is a perfect matching plus isolated
+vertices), give part i the colour pair (2i, 2i+1) with matched endpoints
+split and isolated vertices on the first colour, then search depth-first
+for the first star colouring that keeps every vertex on its own part's
+pair.  The search checks its input once and shares its step test with
+exact_star_chromatic; it stops after STAR_SEARCH_BUDGET colour tries.
+When the partition has no paired star colouring, or the search runs out of
+tries, the given colouring's bicoloured P4s are reported as a witness and
+the component is coloured by depth in a depth-first tree instead.  That
+colouring needs no search: every non-tree edge joins an ancestor to a
+descendant, so any two depth classes induce a star forest, and a
+root-to-leaf path of the tree is a path of g, so there are at most tau
+depths (the tree-depth argument of Nesetril and Ossona de Mendez).
 
 The exact star chromatic number runs the one backtracking search,
 multiway.smallest_coloring, with the star step test.  Verification and the
@@ -42,6 +42,8 @@ from .graphs import (
 )
 from .multiway import EXACT_SEARCH_MAX_N, ColoringCertificate, color_classes, smallest_coloring, t_partition
 from .partition import graph_facts
+
+STAR_SEARCH_BUDGET = 2000  # colour tries per component; see repair_bicolored_p4s
 
 
 @dataclass(frozen=True)
@@ -109,8 +111,9 @@ def find_bicolored_p4s(g: Graph, colors) -> list[tuple[int, int, int, int]]:
     return sorted(q for q in _all_p4s(g) if len({colors[v] for v in q}) == 2)
 
 
-def _check_paired(g: Graph, ppc: PairPartitionColoring) -> dict[int, int]:
-    """Each vertex's part, once ppc is checked to be a paired colouring of g.
+def _check_paired(g: Graph, ppc: PairPartitionColoring) -> list[tuple[int, ...]]:
+    """Each vertex's part's colours, its own colour first, once ppc is
+    checked to be a paired colouring of g.
 
     GraphError unless the parts partition V(g), each part has one or two
     colours that no other part lists (at most one part has one), and within
@@ -136,54 +139,44 @@ def _check_paired(g: Graph, ppc: PairPartitionColoring) -> dict[int, int]:
             raise GraphError(f"part {i} is not a matching plus isolated vertices")
         if inside and colors[v] == colors[inside.bit_length() - 1]:
             raise GraphError(f"matched vertex {v} has its partner's colour")
-    return part_of
+    return [(c, *(d for d in pairs[part_of[v]] if d != c)) for v, c in enumerate(colors)]
 
 
 def repair_bicolored_p4s(g: Graph, ppc: PairPartitionColoring) -> PairPartitionColoring:
-    """Remove bicoloured P4s from a paired colouring by local moves.
+    """The first paired star colouring on ppc's partition, by depth-first
+    search.
 
-    The input is checked once (_check_paired, GraphError).  A bicoloured P4
-    (u, v, w, z) of a paired colouring alternates its colours, so (u, w) and
-    (v, z) are monochromatic pairs in two different parts, and at most one
-    of those parts has a single colour.  Each round fixes the first (sorted)
-    bicoloured P4 in the lower-indexed two-colour part of its pairs: a
-    vertex of the pair with no neighbour inside the part flips to the part's
-    other colour, else the smaller vertex swaps colours with its partner.
-    Both moves keep the colouring paired, so a round cannot fail.  Raises
-    StarRepairError with the residual list only when bicoloured P4s remain
-    after the cap of 2 n^2 rounds.
-
-    A round depends on the colouring alone, so once a colouring repeats the
-    loop can only cycle until the cap.  A stalled repair therefore stops at
-    its first repeated colouring and raises the cap error with exactly the
-    colouring and residual list that running every round up to the cap
-    would give.
+    The input is checked once (_check_paired, GraphError).  Vertices take
+    colours in id order, each trying its own part's colours, its given
+    colour first; every choice must pass _star_admissible, the step test
+    of exact_star_chromatic.  So a paired colouring that is already a star
+    colouring comes back unchanged.  Raises StarRepairError, with the given
+    colouring and its bicoloured P4s, when the search proves that the
+    partition has no paired star colouring or has made STAR_SEARCH_BUDGET
+    colour tries without an answer.
     """
-    part_of = _check_paired(g, ppc)
-    parts, pair_colors = ppc.parts, ppc.pair_colors
-    colors = list(ppc.colors)
-    cap = 2 * g.n * g.n
-    seen: dict[tuple[int, ...], int] = {}  # colouring -> round it first began; keys in round order
-    for r in range(cap + 1):
-        j = seen.setdefault(tuple(colors), r)
-        if j < r:
-            # rounds j..r-1 recur with period r - j: go to the cap's colouring
-            colors = list(list(seen)[j + (cap - j) % (r - j)])
-        p4s = find_bicolored_p4s(g, colors)
-        if not p4s:
-            return PairPartitionColoring(parts, pair_colors, tuple(colors))
-        if j < r or r == cap:
-            raise StarRepairError(f"iteration cap {cap} exhausted", p4s, tuple(colors))
-        quad = p4s[0]
-        pi, v1, v2 = min((part_of[a], *sorted((a, b))) for a, b in (quad[0::2], quad[1::2])
-                         if len(pair_colors[part_of[a]]) == 2)
-        pc, mask = pair_colors[pi], parts[pi]
-        loose = [v for v in (v1, v2) if not g.adj[v] & mask]
-        if loose:
-            colors[loose[0]] = pc[1] if colors[v1] == pc[0] else pc[0]
-        else:
-            partner = (g.adj[v1] & mask).bit_length() - 1
-            colors[v1], colors[partner] = colors[partner], colors[v1]
+    choices = _check_paired(g, ppc)
+    admissible = _star_admissible(g)
+    colors = [-1] * g.n  # -1: no colour yet; it has a class too, so v can always leave its own
+    classes = dict.fromkeys([-1, *(c for pc in ppc.pair_colors for c in pc)], 0)  # colour -> vertex mask
+    nxt = [0] * g.n  # index in choices[v] of the next colour v tries
+    v = tries = 0
+    while 0 <= v < g.n and tries < STAR_SEARCH_BUDGET:
+        classes[colors[v]] &= ~(1 << v)  # before v's next try, or a step back
+        if nxt[v] == len(choices[v]):
+            colors[v], nxt[v] = -1, 0
+            v -= 1
+            continue
+        c = colors[v] = choices[v][nxt[v]]
+        nxt[v] += 1
+        classes[c] |= 1 << v
+        tries += 1
+        if admissible(v, c, colors, classes):
+            v += 1
+    if v == g.n:
+        return PairPartitionColoring(ppc.parts, ppc.pair_colors, tuple(colors))
+    note = "no paired star colouring" if v < 0 else f"search budget of {STAR_SEARCH_BUDGET} colour tries used up"
+    raise StarRepairError(note, find_bicolored_p4s(g, ppc.colors), ppc.colors)
 
 
 def verify_star_coloring(g: Graph, colors) -> bool:
@@ -196,16 +189,22 @@ def verify_star_coloring(g: Graph, colors) -> bool:
 
 
 def _star_admissible(g: Graph):
-    """The star step test for smallest_coloring: v's class stays
-    independent, and every P4 whose largest vertex is v keeps at least 3
-    colours."""
+    """The star step test for smallest_coloring and repair_bicolored_p4s:
+    v's class stays independent, and every P4 whose largest vertex is v
+    keeps at least 3 colours.
+
+    Every vertex below v passed this test when it took its colour, so once
+    v's class is independent each such P4 (a, b, x, d) is properly
+    coloured, and it has only 2 colours exactly when it alternates them:
+    a and x share a colour, and so do b and d.
+    """
     by_max: list[list[tuple[int, int, int, int]]] = [[] for _ in range(g.n)]
     for quad in _all_p4s(g):
         by_max[max(quad)].append(quad)
 
     def admissible(v: int, c: int, colors: list[int], classes: list[int]) -> bool:
         return not g.adj[v] & classes[c] and all(
-            len({colors[a], colors[b], colors[x], colors[d]}) >= 3 for a, b, x, d in by_max[v])
+            colors[a] != colors[x] or colors[b] != colors[d] for a, b, x, d in by_max[v])
     return admissible
 
 
@@ -243,10 +242,10 @@ def star_coloring(g: Graph, max_n: int | None = None) -> ColoringCertificate:
     """Star colouring of g within tau(g) colours, verified.
 
     Components are coloured independently (colour indices are reused across
-    components; no P4 crosses a component boundary).  A component whose
-    repair loop stalls is coloured by depth_coloring instead, and the stall
-    is recorded on the certificate: one witness per stalled component, in
-    component order.
+    components; no P4 crosses a component boundary).  A component on which
+    repair_bicolored_p4s finds no paired star colouring is coloured by
+    depth_coloring instead, and the failure is recorded on the certificate:
+    one witness per such component, in component order.
     """
     g6 = encode_graph6(g)
     tau_g = graph_facts(g, max_n).tau

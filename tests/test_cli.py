@@ -756,7 +756,7 @@ def test_verify_tampered_record_details_are_pinned():
     assert [json.loads(line)["detail"] for line in out[:-1]] == [
         "ok", "tau(B) = 7 > b = 6", "recorded tauA/tauB (3, 5) != recomputed (2, 5)",
         "vertex id out of range for the graph", cut,
-        "ok", "recorded colors_used 10 != recomputed 9", colours, cut,
+        "ok", "recorded colors_used 7 != recomputed 6", colours, cut,
         "ok", "recorded colors_used 4 != recomputed 3", colours, cut]
 
 
@@ -832,7 +832,8 @@ def _construction_calls():
     for seed in range(6):
         g = random_2connected(9 + seed % 3, extra_ears=4, seed=seed)
         yield ["partition", encode_graph6(g), "--all-pairs"]
-    # seeds 1, 3, 4 and 6 stall in the star repair and record colors_at_failure
+    # seeds 3 and 4 have no paired star colouring on their partition and
+    # record colors_at_failure
     for seed in range(12):
         n = 7 + seed % 6
         g6 = encode_graph6(random_2connected(n, extra_ears=n // 3, seed=seed))
@@ -842,7 +843,7 @@ def _construction_calls():
 
 # The digest of the construction's output at a fixed set of calls.  A change
 # that alters certificates, traces or witnesses on purpose re-pins it.
-CONSTRUCTION_OUTPUT_SHA256 = "e1f2f4a3d4a7c1602e8edf775c3439f74c91f96fd12e9fd9441d789dcc7d7906"
+CONSTRUCTION_OUTPUT_SHA256 = "485b1e9da6b1ed59c06b2326fd46d20463572cf476eefa96eaa402f2356d15a0"
 
 
 def test_construction_output_is_pinned(tmp_path):
@@ -857,5 +858,5 @@ def test_construction_output_is_pinned(tmp_path):
         witnesses = witness_file.read_text() if hunt else ""
         stalls += out.getvalue().count("colors_at_failure")
         digest.update(json.dumps([call, code, out.getvalue(), witnesses]).encode())
-    assert stalls == 4
+    assert stalls == 2
     assert digest.hexdigest() == CONSTRUCTION_OUTPUT_SHA256

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from taupart import oracle, partition
 from taupart.detour import detour_order_dfs
 from taupart.ears import is_two_connected
-from taupart.errors import GraphError
+from taupart.errors import CapacityError, GraphError
 from taupart.graphs import (
     Graph,
     complete_graph,
@@ -63,6 +63,20 @@ def test_class_counts_connected():
 
 def test_class_counts_two_connected():
     assert [len(two_connected_graphs_upto_iso(n)) for n in range(3, 9)] == [1, 3, 10, 56, 468, 7123]
+
+
+@pytest.mark.parametrize("n, error, message", [
+    (2, GraphError, "2-connected graphs need at least 3 vertices, got 2"),
+    (65, CapacityError, "graph on 65 vertices exceeds the supported maximum of 64"),
+])
+def test_two_connected_enumeration_refuses_an_order_before_enumerating(n, error, message, monkeypatch):
+    def refuse(order):
+        raise AssertionError(f"enumerated the connected classes on {order} vertices")
+
+    monkeypatch.setattr(oracle, "connected_graphs_upto_iso", refuse)
+    with pytest.raises(error) as info:
+        two_connected_graphs_upto_iso.__wrapped__(n)
+    assert str(info.value) == message
 
 
 # SHA-256 of each class list (its masks in decimal, comma-joined), recorded

@@ -1,10 +1,12 @@
-"""Star colourings: pairing construction, P4 repair, exact search.
+"""Star colourings: pairing construction, paired star search, exact search.
 
 Non-obvious chromatic values below were derived once with a separate
 brute-force colourer (all assignments, all P4 quadruples) and frozen.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -64,143 +66,98 @@ def test_pair_coloring_is_proper():
             assert ppc.colors[u] != ppc.colors[v]
 
 
-def test_repair_flips_loose_vertex():
-    g = path_graph(4)
-    ppc = PairPartitionColoring((ids_to_mask([0, 2]), ids_to_mask([1, 3])),
-                                ((0, 1), (2, 3)), (0, 2, 0, 2))
-    fixed = repair_bicolored_p4s(g, ppc)
-    # 0 and 2 are both loose in their part; the smaller one flips
-    assert fixed.colors == (1, 2, 0, 2)
-    assert find_bicolored_p4s(g, fixed.colors) == []
+def _paired_choices(ppc):
+    """Each vertex's colours in the search's order: its given colour, then
+    the rest of its part's pair."""
+    part_of = {v: i for i, m in enumerate(ppc.parts) for v in iter_bits(m)}
+    return [(c, *(d for d in ppc.pair_colors[part_of[v]] if d != c)) for v, c in enumerate(ppc.colors)]
 
 
-def test_repair_swaps_matched_pair():
-    g = Graph.from_edges(6, [(0, 1), (2, 3), (0, 4), (2, 4), (2, 5)])
-    ppc = PairPartitionColoring((ids_to_mask([0, 1, 2, 3]), ids_to_mask([4, 5])),
-                                ((0, 1), (2, 3)), (0, 1, 0, 1, 2, 2))
-    assert find_bicolored_p4s(g, ppc.colors) == [(0, 4, 2, 5)]
-    fixed = repair_bicolored_p4s(g, ppc)
-    # both 0 and 2 are matched inside the part; 0 swaps with its partner 1
-    assert fixed.colors == (1, 0, 0, 1, 2, 2)
-    assert find_bicolored_p4s(g, fixed.colors) == []
-
-
-def test_repair_hits_cap_on_a_swap_cycle():
-    # second quad (1, 4, 3, 5) holds the swap partner of the first, and the
-    # lower-part preference swaps 0 and 1 back and forth until the cap
-    g = Graph.from_edges(6, [(0, 1), (2, 3), (0, 4), (2, 4), (2, 5),
-                             (1, 4), (3, 4), (3, 5)])
-    ppc = PairPartitionColoring((ids_to_mask([0, 1, 2, 3]), ids_to_mask([4, 5])),
-                                ((0, 1), (2, 3)), (0, 1, 0, 1, 2, 2))
-    with pytest.raises(StarRepairError, match="cap"):
-        repair_bicolored_p4s(g, ppc)
-
-
-def _reference_repair(g, ppc):
-    """The repair loop run round by round up to the cap, with no cycle
-    detection and its own P4 list: the reference the early stop must match
-    exactly."""
-    found = set()
-    for v, w in g.edges():
-        for u in iter_bits(g.adj[v] & ~(1 << w)):
-            for z in iter_bits(g.adj[w] & ~(1 << v) & ~(1 << u)):
-                found.add(min((u, v, w, z), (z, w, v, u)))
-    quads = sorted(found)
-
-    def find_bicolored_p4s(_g, colors):
-        return [q for q in quads if len({colors[v] for v in q}) == 2]
-
-    colors = list(ppc.colors)
-    parts, pair_colors = ppc.parts, ppc.pair_colors
-    part_of = {v: i for i, m in enumerate(parts) for v in iter_bits(m)}
-    cap = 2 * g.n * g.n
-    for _ in range(cap):
-        p4s = find_bicolored_p4s(g, colors)
-        if not p4s:
-            return PairPartitionColoring(parts, pair_colors, tuple(colors))
-        quad = p4s[0]
-        groups: dict[int, list[int]] = {}
-        for v in quad:
-            groups.setdefault(part_of[v], []).append(v)
-        if sorted(len(vs) for vs in groups.values()) != [2, 2]:
-            raise StarRepairError(f"bicoloured P4 {quad} does not split 2+2 across parts",
-                                  p4s, tuple(colors))
-        for pi in sorted(groups):
-            if len(pair_colors[pi]) != 2:
-                continue
-            v1, v2 = sorted(groups[pi])
-            if colors[v1] != colors[v2]:
-                raise StarRepairError(f"P4 {quad} pair in part {pi} is not monochromatic",
-                                      p4s, tuple(colors))
-            pc = pair_colors[pi]
-            other = pc[1] if colors[v1] == pc[0] else pc[0]
-            loose = [v for v in (v1, v2) if g.adj[v] & parts[pi] == 0]
-            if loose:
-                colors[min(loose)] = other
-            else:
-                inside = g.adj[v1] & parts[pi]
-                if inside.bit_count() != 1:
-                    raise StarRepairError(f"vertex {v1} has in-part degree {inside.bit_count()}",
-                                          p4s, tuple(colors))
-                partner = (inside & -inside).bit_length() - 1
-                colors[v1], colors[partner] = colors[partner], colors[v1]
-            break
+def test_search_finds_the_first_paired_star_colouring_on_every_small_class():
+    # every colour-pair assignment of the package's partition, in the
+    # search's own order (itertools.product varies the last vertex fastest);
+    # 12 of the 996 connected classes on 1..7 vertices have none there, and
+    # fall back to the depth colouring
+    fallbacks = []
+    for g in [from_triangle_mask(n, m) for n in range(1, 8) for m in connected_graphs_upto_iso(n)]:
+        ppc = pair_partition_coloring(g)
+        first = next((cs for cs in itertools.product(*_paired_choices(ppc))
+                      if verify_star_coloring(g, cs)), None)
+        try:
+            found = repair_bicolored_p4s(g, ppc)
+        except StarRepairError as exc:
+            assert first is None, encode_graph6(g)
+            assert str(exc) == "no paired star colouring"
+            assert (exc.residual, exc.colors) == (find_bicolored_p4s(g, ppc.colors), ppc.colors)
+            fallbacks.append(encode_graph6(g))
         else:
-            raise StarRepairError(f"no repairable side for bicoloured P4 {quad}", p4s, tuple(colors))
-    raise StarRepairError(f"iteration cap {cap} exhausted",
-                          find_bicolored_p4s(g, colors), tuple(colors))
+            assert found == PairPartitionColoring(ppc.parts, ppc.pair_colors, first), encode_graph6(g)
+    assert len(fallbacks) == 12
+    assert fallbacks[0] == "F@~u?"
 
 
-def _repair_outcome(repair, g, ppc):
-    try:
-        return repair(g, ppc)
-    except StarRepairError as exc:
-        return str(exc), exc.residual, exc.colors
+def _counting_step_test(monkeypatch):
+    """Count the search's colour tries: each one asks the step test once."""
+    tries = []
+    real = starcolor._star_admissible
+
+    def counting(g):
+        admissible = real(g)
+
+        def test(*args):
+            tries.append(args[:2])
+            return admissible(*args)
+        return test
+
+    monkeypatch.setattr(starcolor, "_star_admissible", counting)
+    return tries
 
 
-def test_repair_stops_early_with_the_capped_loops_result():
-    stalls = 0
-    for seed in range(200):
+def test_a_star_colouring_comes_back_unchanged(monkeypatch):
+    tries = _counting_step_test(monkeypatch)
+    unchanged = 0
+    for seed in range(60):
         n = 6 + seed % 11
         g = random_2connected(n, extra_ears=n // 3, seed=seed)
         ppc = pair_partition_coloring(g)
-        got = _repair_outcome(repair_bicolored_p4s, g, ppc)
-        assert got == _repair_outcome(_reference_repair, g, ppc), seed
-        stalls += isinstance(got, tuple)
-    # the comparison covers stalled repairs
-    assert stalls >= 20
+        if find_bicolored_p4s(g, ppc.colors):
+            continue
+        tries.clear()
+        assert repair_bicolored_p4s(g, ppc) == ppc
+        # one try per vertex, each its given colour
+        assert tries == list(enumerate(ppc.colors))
+        unchanged += 1
+    assert unchanged >= 10
 
 
-def test_repair_stops_at_first_repeated_colouring(monkeypatch):
-    # the graph of test_repair_hits_cap_on_a_swap_cycle: the full loop would
-    # scan for P4s in all 2 * 6^2 = 72 rounds
-    g = Graph.from_edges(6, [(0, 1), (2, 3), (0, 4), (2, 4), (2, 5),
-                             (1, 4), (3, 4), (3, 5)])
-    ppc = PairPartitionColoring((ids_to_mask([0, 1, 2, 3]), ids_to_mask([4, 5])),
-                                ((0, 1), (2, 3)), (0, 1, 0, 1, 2, 2))
-    scans = []
+# a color-n16 graph (seed 501) whose search runs out of tries; a search
+# with no budget proves after some 35,000 tries that its partition has no
+# paired star colouring
+BUDGET_GRAPH = parse_graph6("OhCGGC@_IO?A?@?@_AG?X")
 
-    def counting(graph, colors):
-        scans.append(tuple(colors))
-        return find_bicolored_p4s(graph, colors)
 
-    monkeypatch.setattr(starcolor, "find_bicolored_p4s", counting)
-    with pytest.raises(StarRepairError, match="cap 72") as info:
-        repair_bicolored_p4s(g, ppc)
-    assert len(scans) <= 6
-    monkeypatch.undo()
-    with pytest.raises(StarRepairError) as ref:
-        _reference_repair(g, ppc)
-    assert (info.value.residual, info.value.colors) == (ref.value.residual, ref.value.colors)
+def test_a_search_that_uses_up_its_budget_falls_back_to_the_depth_colouring(monkeypatch):
+    tries = _counting_step_test(monkeypatch)
+    cert = star_coloring(BUDGET_GRAPH)
+    assert len(tries) == starcolor.STAR_SEARCH_BUDGET
+    [witness] = cert.witness
+    assert witness["note"] == f"search budget of {starcolor.STAR_SEARCH_BUDGET} colour tries used up"
+    ppc = pair_partition_coloring(BUDGET_GRAPH)
+    assert witness["colors_at_failure"] == list(ppc.colors)
+    assert witness["residual_p4s"] == [list(q) for q in find_bicolored_p4s(BUDGET_GRAPH, ppc.colors)]
+    assert cert.colors == depth_coloring(BUDGET_GRAPH)
+    monkeypatch.setattr(starcolor, "STAR_SEARCH_BUDGET", 10**6)
+    with pytest.raises(StarRepairError, match="^no paired star colouring$"):
+        repair_bicolored_p4s(BUDGET_GRAPH, ppc)
 
 
 def test_repair_of_the_empty_graph_returns_it():
-    # no round is allowed (the cap is 0), and none is needed
+    # no vertex, so no colour try
     ppc = PairPartitionColoring((), (), ())
     assert repair_bicolored_p4s(empty_graph(0), ppc) == ppc
 
 
-# test_repair_swaps_matched_pair's paired colouring, with one fault each
+# a paired colouring of a 6-vertex graph, with one fault each
 PAIRED = {"edges": [(0, 1), (2, 3), (0, 4), (2, 4), (2, 5)], "parts": ([0, 1, 2, 3], [4, 5]),
           "pairs": ((0, 1), (2, 3)), "colors": (0, 1, 0, 1, 2, 2)}
 
@@ -262,32 +219,39 @@ def test_star_coloring_disconnected():
     assert verify_star_coloring(g, cert.colors)
 
 
+# the first connected graph on <= 7 vertices whose partition has no paired
+# star colouring
+NO_PAIRED = parse_graph6("F@~u?")
+
+
 def test_star_coloring_fallback_witness():
-    # the one connected graph on <= 6 vertices whose pair colouring resists
-    # the local repairs; the depth colouring still fits inside tau colours
-    g = parse_graph6("Ezn?")
-    cert = star_coloring(g)
+    # the depth colouring put in its place still fits inside tau colours
+    cert = star_coloring(NO_PAIRED)
     assert cert.verified
     assert cert.witness is not None
     assert "residual_p4s" in cert.witness[0]
+    assert cert.witness[0]["note"] == "no paired star colouring"
     assert cert.colors_used <= cert.bound
     assert "witness" in cert.to_json_dict()
 
 
 def test_star_coloring_keeps_a_witness_per_stalled_component():
-    g = parse_graph6("Ezn?")
-    twice = Graph(12, g.adj + tuple(row << 6 for row in g.adj))
+    g = NO_PAIRED
+    twice = Graph(14, g.adj + tuple(row << 7 for row in g.adj))
     cert = star_coloring(twice)
     assert verify_star_coloring(twice, cert.colors)
-    assert [w["component"] for w in cert.witness] == [list(range(6)), list(range(6, 12))]
+    assert [w["component"] for w in cert.witness] == [list(range(7)), list(range(7, 14))]
     assert all("residual_p4s" in w and "colors_at_failure" in w for w in cert.witness)
 
 
-# every stall these graphs reach is coloured without the exact search: Ezn?,
-# the four stalling colourings of test_cli's construction calls, and a
-# 20-vertex graph on which that search took seconds
+# the graphs the former repair loop stalled on (Ezn?, the four stalling
+# colourings of test_cli's construction calls at the time, and a 20-vertex
+# graph on which the exact search took seconds), one whose partition has no
+# paired star colouring, and one whose search uses up its budget: none of
+# them is coloured by the exact search
 STALLING = [parse_graph6("Ezn?"), parse_graph6("SheHGC@AgA_H?@??_?G?@??COCG??LO?C")] + [
-    random_2connected(7 + seed % 6, extra_ears=(7 + seed % 6) // 3, seed=seed) for seed in (1, 3, 4, 6)]
+    random_2connected(7 + seed % 6, extra_ears=(7 + seed % 6) // 3, seed=seed) for seed in (1, 3, 4, 6)] + [
+    NO_PAIRED, BUDGET_GRAPH]
 
 
 @pytest.mark.parametrize("g", STALLING, ids=lambda g: f"n{g.n}m{g.m}")
@@ -297,32 +261,8 @@ def test_stalled_repairs_need_no_exact_search(g, monkeypatch):
 
     monkeypatch.setattr(starcolor, "smallest_coloring", refuse)
     cert = star_coloring(g)
-    assert cert.witness is not None
     assert verify_star_coloring(g, cert.colors)
     assert cert.colors_used <= cert.bound == detour_order(g).tau
-
-
-def test_every_stall_is_the_iteration_cap(monkeypatch):
-    # a paired colouring is checked once, and a round cannot fail: the only
-    # way a repair star_coloring runs can stop short is by cycling to the
-    # cap.  45 of the 996 connected classes on 1..7 vertices stall
-    reasons = []
-
-    def spy(g, ppc):
-        try:
-            return repair_bicolored_p4s(g, ppc)
-        except StarRepairError as exc:
-            reasons.append(str(exc))
-            raise
-
-    monkeypatch.setattr(starcolor, "repair_bicolored_p4s", spy)
-    for g in [from_triangle_mask(n, m) for n in range(1, 8) for m in connected_graphs_upto_iso(n)]:
-        star_coloring(g)
-    assert len(reasons) == 45
-    for g in STALLING:
-        star_coloring(g)
-    assert len(reasons) == 45 + len(STALLING)
-    assert all(r.startswith("iteration cap ") and r.endswith(" exhausted") for r in reasons)
 
 
 def test_depth_coloring_is_a_star_coloring_within_tau():
