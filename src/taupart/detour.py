@@ -35,9 +35,14 @@ for them.  numpy is imported by the numpy kernel and its helpers
 on their first call, not with this module: a process whose DPs all stay
 below NUMPY_DP_MIN_K vertices never loads it.
 
-The per-query functions accept vertex masks in the graph's own ids and
-relabel the subset to 0..k-1 with `graphs.relabel` before the DP, so callers
-never pay for the full 2^n table when asking about a small part.
+Every DP runs on an induced subgraph <within> of a host graph, in the
+host's own ids: `_dp_levels` takes the host's adjacency rows and a vertex
+mask `within`, and the per-query functions pass the graph's rows and the
+mask asked about.  So no query pays for the full 2^n table when it asks
+about a small part, and none renumbers its set.  The loop and the numpy
+kernel extend a subset only by vertices of `within`.  The bit kernel
+indexes its ints by subset, so its branch of `_dp_levels` alone relabels a
+proper subset to 0..k-1 with `graphs.relabel` and lifts the answer back.
 
 The construction asks most of its questions through `subset_queries`.  On
 a graph below NUMPY_DP_MIN_K vertices that is one cached `SubsetTable`,
@@ -82,10 +87,10 @@ import functools
 import operator
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import CapacityError, GraphError
-from .graphs import Graph, closure, iter_bits, lift, relabel
+from .graphs import Graph, closure, iter_bits, lift, mask_to_ids, relabel
 
 if TYPE_CHECKING:
     import numpy as np
@@ -129,29 +134,46 @@ def check_capacity(k: int, max_n: int | None, cap: int = DETOUR_DP_MAX_N,
         raise CapacityError(f"{what} over {k} vertices exceeds the cap of {limit}")
 
 
-def _dp_levels(ladj: list[int], stop_at: int | None = None, unions: list[int] | None = None):
-    """Run the endpoint DP level by level; every subset DP passes here once.
+def _dp_levels(adj: Sequence[int], stop_at: int | None = None, unions: list[int] | None = None,
+               within: int | None = None):
+    """Run the endpoint DP on <within> level by level; every subset DP
+    passes here once.
 
-    Returns (tau, last, ends) as `_dp_loop` documents.  A run on
-    NUMPY_DP_MIN_K or more vertices goes to `_dp_numpy`, early exit or not.
-    A smaller full-order run (no `stop_at`) goes to `_dp_bits` when the graph
-    has at least as many edges as vertices, and everything else to
-    `_dp_loop`: an early-exit run, or a graph with fewer edges than
-    vertices (every forest), reaches too few subsets to pay for whole
-    levels of 2^k bits.  `unions` sends a full-order run below
+    `within` is a vertex mask of the host graph whose rows `adj` are, all of
+    them when None.  Returns (tau, last, ends) as `_dp_loop` documents, in
+    the host's own ids.  A run on NUMPY_DP_MIN_K or more vertices goes to
+    `_dp_numpy`, early exit or not.  A smaller full-order run (no `stop_at`)
+    goes to `_dp_bits` when <within> has at least as many edges as vertices,
+    and everything else to `_dp_loop`: an early-exit run, or a graph with
+    fewer edges than vertices (every forest), reaches too few subsets to pay
+    for whole levels of 2^k bits.  `unions` sends a full-order run below
     NUMPY_DP_MIN_K to `_dp_bits` whatever the edge count, and receives the
-    whole-level bit sets that `SubsetTable` keeps.
+    whole-level bit sets that `SubsetTable` keeps.  The bit kernel indexes
+    its ints by subset, so it alone runs in ids 0..k-1: when `within` is
+    not every vertex, this branch relabels <within> for it, and lifts its
+    masks back; `unions` then holds subsets of those relabelled ids.  The
+    relabelling keeps the order of the ids, so the masks of each level come
+    back in the order the kernel gives them.
     """
-    k = len(ladj)
+    full = (1 << len(adj)) - 1
+    if within is None:
+        within = full
+    k = within.bit_count()
     if k >= NUMPY_DP_MIN_K:
-        return _dp_numpy(ladj, stop_at)
-    if stop_at is None and (unions is not None or sum(map(int.bit_count, ladj)) >= 2 * k):
-        return _dp_bits(ladj, unions)
-    return _dp_loop(ladj, stop_at)
+        return _dp_numpy(adj, stop_at, within)
+    if stop_at is None and (unions is not None
+                            or sum((adj[v] & within).bit_count() for v in iter_bits(within)) >= 2 * k):
+        if within == full:
+            return _dp_bits(adj, unions)
+        ladj, order = relabel(adj, within)
+        tau, last, ends = _dp_bits(ladj, unions)
+        return tau, [lift(m, order) for m in last], (lift(e, order) for e in ends)
+    return _dp_loop(adj, stop_at, within)
 
 
-def _dp_loop(ladj: list[int], stop_at: int | None = None):
-    """Run the endpoint DP level by level, one subset at a time.
+def _dp_loop(adj: Sequence[int], stop_at: int | None = None, within: int | None = None):
+    """Run the endpoint DP on <within> (every vertex when None), level by
+    level, one subset at a time, in the ids of `adj`.
 
     Returns (tau, last, ends): the masks of the deepest level reached, level
     tau, and in the same order the mask of vertices that end a Hamiltonian
@@ -162,15 +184,18 @@ def _dp_loop(ladj: list[int], stop_at: int | None = None):
     memory grows with the subsets reached, not with 2^k.  The end masks
     come as an iterator over the last level's dict.
     """
-    level = {1 << v: 1 << v for v in range(len(ladj))}
-    tau = min(1, len(ladj))
+    if within is None:
+        within = (1 << len(adj)) - 1
+    level = {1 << v: 1 << v for v in iter_bits(within)}
+    tau = min(1, within)
     while stop_at is None or tau < stop_at:
         nxt: dict[int, int] = {}
         for mask, e in level.items():
+            free = within & ~mask
             while e:
                 low = e & -e
                 e ^= low
-                ext = ladj[low.bit_length() - 1] & ~mask
+                ext = adj[low.bit_length() - 1] & free
                 while ext:
                     lw = ext & -ext
                     ext ^= lw
@@ -253,11 +278,13 @@ def _or_ends_by_mask(masks: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, n
     return masks[starts], np.bitwise_or.reduceat(ends, starts)
 
 
-def _dp_numpy(ladj: list[int], stop_at: int | None = None):
-    """Endpoint DP over the reached subsets, one level at a time.
+def _dp_numpy(adj: Sequence[int], stop_at: int | None = None, within: int | None = None):
+    """Endpoint DP on <within> over the reached subsets, one level at a time.
 
-    Same results as `_dp_loop(ladj, stop_at)`, stopped at the same level;
-    only the current level is kept, never a 2^k structure.  A level is a
+    Same results as `_dp_loop(adj, stop_at, within)`, stopped at the same
+    level and in the same ids; only the current level is kept, never a 2^k
+    structure.  The k columns below are the vertices of `within`, each with
+    its bit and its row of `adj` in the host's ids.  A level is a
     sorted array of subset masks with their end masks.  Vertex v extends
     subset S when v is outside S and adjacent to an end of S.  A level step
     builds that test as one (rows x k) bool array, in place, reads the
@@ -273,9 +300,10 @@ def _dp_numpy(ladj: list[int], stop_at: int | None = None):
     """
     import numpy as np
 
-    k = len(ladj)
-    bits = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
-    adj = np.array(ladj, dtype=np.uint64)
+    ids = mask_to_ids((1 << len(adj)) - 1 if within is None else within)
+    k = len(ids)
+    bits = np.left_shift(np.uint64(1), np.array(ids, dtype=np.uint64))
+    nbrs = np.array([adj[v] for v in ids], dtype=np.uint64)
     zero = np.uint64(0)
     masks, ends = bits, bits
     tau = 1
@@ -284,7 +312,7 @@ def _dp_numpy(ladj: list[int], stop_at: int | None = None):
         for lo in range(0, len(masks), _NUMPY_DP_ROWS):
             part = masks[lo:lo + _NUMPY_DP_ROWS]
             grow = (part[:, None] & bits) == zero
-            grow &= (ends[lo:lo + _NUMPY_DP_ROWS, None] & adj) != zero
+            grow &= (ends[lo:lo + _NUMPY_DP_ROWS, None] & nbrs) != zero
             rows, cols = np.divmod(np.flatnonzero(grow), k)
             added = bits[cols]
             found.append(_or_ends_by_mask(part[rows] | added, added))
@@ -302,7 +330,7 @@ def _dp_numpy(ladj: list[int], stop_at: int | None = None):
 def detour_order(g: Graph, max_n: int | None = None) -> DetourRecord:
     """Detour order of g, via the subset DP; 0 for the empty graph."""
     check_capacity(g.n, max_n)
-    tau, _, _ = _dp_levels(list(g.adj))
+    tau, _, _ = _dp_levels(g.adj)
     return DetourRecord(tau)
 
 
@@ -310,8 +338,7 @@ def tau_subset(g: Graph, mask: int) -> int:
     """Detour order of the induced subgraph <mask>; 0 for the empty set."""
     if mask == 0:
         return 0
-    ladj, _ = relabel(g, mask)
-    tau, _, _ = _dp_levels(ladj)
+    tau, _, _ = _dp_levels(g.adj, within=mask)
     return tau
 
 
@@ -338,16 +365,15 @@ def has_path_of_order(g: Graph, k: int, max_n: int | None = None) -> bool:
 
 def _order_level(g: Graph, k: int, within: int | None):
     """Run the DP on <within> (all of g when None) to level k: (level k's
-    masks, their end masks, local-to-graph ids), or None when <within> has
-    no path of order k."""
+    masks, their end masks), both in g's ids, or None when <within> has no
+    path of order k."""
     if k < 1:
         raise GraphError(f"path order {k} must be positive")
     mask = g.full_mask if within is None else within
     if k > mask.bit_count():
         return None
-    ladj, order = relabel(g, mask)
-    tau, last, ends = _dp_levels(ladj, stop_at=k)
-    return (last, ends, order) if tau >= k else None
+    tau, last, ends = _dp_levels(g.adj, stop_at=k, within=mask)
+    return (last, ends) if tau >= k else None
 
 
 def end_vertices_of_order_paths(g: Graph, k: int, within: int | None = None) -> int:
@@ -360,8 +386,7 @@ def end_vertices_of_order_paths(g: Graph, k: int, within: int | None = None) -> 
     level = _order_level(g, k, within)
     if level is None:
         return 0
-    _, ends, order = level
-    return lift(functools.reduce(operator.or_, ends), order)
+    return functools.reduce(operator.or_, level[1])
 
 
 def vertices_on_every_order_path(g: Graph, k: int, within: int | None = None) -> int | None:
@@ -374,8 +399,7 @@ def vertices_on_every_order_path(g: Graph, k: int, within: int | None = None) ->
     level = _order_level(g, k, within)
     if level is None:
         return None
-    last, _, order = level
-    return lift(functools.reduce(operator.and_, last), order)
+    return functools.reduce(operator.and_, level[0])
 
 
 def _subsets_of(mask: int) -> int:
@@ -410,7 +434,7 @@ class SubsetTable:
     def __init__(self, g: Graph) -> None:
         self.n = g.n
         self.has = [1]
-        tau, _, ends = _dp_levels(list(g.adj), unions=self.has)
+        tau, _, ends = _dp_levels(g.adj, unions=self.has)
         self.ends = next(iter(ends), 0) if tau == g.n else 0
 
     def hamiltonian_ends(self) -> tuple[int, int]:
@@ -470,7 +494,7 @@ class SubsetDPs:
         return vertices_on_every_order_path(self.g, k, mask)
 
     def hamiltonian_ends(self) -> tuple[int, int]:
-        tau, _, ends = _dp_levels(list(self.g.adj))
+        tau, _, ends = _dp_levels(self.g.adj)
         return tau, (next(iter(ends)) if tau == self.g.n else 0)
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, Graph6Error, GraphError
 
@@ -351,12 +351,14 @@ def dfs_tree(g: Graph, root: int) -> tuple[list[int], list[int]]:
     return parent, preorder
 
 
-def relabel(g: Graph, mask: int) -> tuple[list[int], list[int]]:
-    """Relabel the vertex set `mask` to 0..k-1 in ascending order of the
-    original ids.  Returns (local adjacency rows of <mask>, order), where
-    order[i] is the original id of local vertex i.
+def relabel(adj: Sequence[int], mask: int) -> tuple[list[int], list[int]]:
+    """Relabel the vertex set `mask` of the graph with adjacency rows `adj`
+    to 0..k-1 in ascending order of the original ids.  Returns (local
+    adjacency rows of <mask>, order), where order[i] is the original id of
+    local vertex i.
 
-    Every subset DP calls this, so `mask` is trusted and the rows are not
+    The subset DP's bit kernel, which indexes its ints by subset, calls
+    this for a proper subset, so `mask` is trusted and the rows are not
     validated as a Graph; `induced_subgraph` is the checked form.
     """
     order = mask_to_ids(mask)
@@ -364,7 +366,7 @@ def relabel(g: Graph, mask: int) -> tuple[list[int], list[int]]:
     rows = []
     for v in order:
         row = 0
-        for u in iter_bits(g.adj[v] & mask):
+        for u in iter_bits(adj[v] & mask):
             row |= 1 << pos[u]
         rows.append(row)
     return rows, order
@@ -388,7 +390,7 @@ def induced_subgraph(g: Graph, vertices: int | Iterable[int]) -> tuple[Graph, li
     mask = vertices if isinstance(vertices, int) else ids_to_mask(vertices)
     if mask & ~g.full_mask or mask < 0:
         raise GraphError(f"vertex set {mask:#x} not within 0..{g.n - 1}")
-    rows, order = relabel(g, mask)
+    rows, order = relabel(g.adj, mask)
     return Graph(len(order), tuple(rows)), order
 
 

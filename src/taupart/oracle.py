@@ -15,11 +15,13 @@ only then the DPs for tau(g) and for the parts or colour classes.
 tau(g) comes from a `WholeGraphTau` that the caller owns for one call: a
 run of records on one graph (the lines of one `taupart verify` call, or
 the certificates of one graph in a sweep) computes it once, and nothing
-keeps it after the call.  It answers only for a graph equal to the one it
-holds, so each record is still parsed from its own graph6 string and every
-part's tau still comes from the verifier's own DP.  `sweep_ppc` seeds it
-with the tau(g) that it has just computed and cross-checked against the
-DFS engine, and checks each certificate of g against that.
+keeps it after the call.  It also keeps the graph6 string that it last
+parsed, so a run of records with that exact string parses it once, and a
+record with any other string is parsed from its own.  It answers only for
+a graph equal to the one it holds, and every part's tau still comes from
+the verifier's own DP.  `sweep_ppc` seeds it with the tau(g) that it has
+just computed and cross-checked against the DFS engine, and checks each
+certificate of g against that.
 
 The corpus enumerators produce one representative per isomorphism class by
 vertex augmentation: deleting a vertex of minimum degree from an n-vertex
@@ -79,13 +81,13 @@ DFS_CROSSCHECK_MAX_N = 10
 
 
 def _admit(rec: dict, keys: tuple[str, ...], ints: tuple[str, ...], int_lists: tuple[str, ...],
-           max_n: int | None) -> Graph | str:
-    """A record's graph, or the detail of its first fault in admission
-    order: a missing one of `keys`, one of `ints` that is not a JSON
-    integer, one of `int_lists` that is not a JSON list of them, a 'graph6'
-    that is not a JSON string or is malformed (all `schema:`), then a
-    graph6 order over graphs.MAX_VERTICES or a graph whose DP exceeds the
-    cap (max_n, or the detour default when None; both `capacity:`)."""
+           max_n: int | None, whole_tau: WholeGraphTau) -> Graph | str:
+    """A record's graph, parsed by `whole_tau`, or the detail of its first
+    fault in admission order: a missing one of `keys`, one of `ints` that is
+    not a JSON integer, one of `int_lists` that is not a JSON list of them,
+    a 'graph6' that is not a JSON string or is malformed (all `schema:`),
+    then a graph6 order over graphs.MAX_VERTICES or a graph whose DP exceeds
+    the cap (max_n, or the detour default when None; both `capacity:`)."""
     for key in keys:
         if key not in rec:
             return f"schema: missing key '{key}'"
@@ -98,7 +100,7 @@ def _admit(rec: dict, keys: tuple[str, ...], ints: tuple[str, ...], int_lists: t
     if not isinstance(rec["graph6"], str):
         return "schema: 'graph6' must be a string"
     try:
-        g = parse_graph6(rec["graph6"])
+        g = whole_tau.parse(rec["graph6"])
         check_capacity(g.n, max_n)
     except GraphError as exc:
         return f"schema: {exc}"
@@ -112,19 +114,32 @@ class WholeGraphTau:
     records on one graph.
 
     The caller creates it for one call and passes it to each verification;
-    it holds one graph and its tau, and asking about another graph
-    replaces both, so it never grows.  A caller that has computed tau(g)
-    itself seeds it with (g, tau)."""
+    it holds one graph, the graph6 string it last parsed and the graph's
+    tau once known, and a record on another graph replaces them, so it
+    never grows.  A caller that has computed tau(g) itself seeds it with
+    (g, tau)."""
 
-    __slots__ = ("graph", "tau")
+    __slots__ = ("graph6", "graph", "tau")
 
-    def __init__(self, graph: Graph | None = None, tau: int = 0) -> None:
-        self.graph, self.tau = graph, tau
+    def __init__(self, graph: Graph | None = None, tau: int | None = None) -> None:
+        self.graph6, self.graph, self.tau = None, graph, tau
+
+    def parse(self, graph6: str) -> Graph:
+        """parse_graph6(graph6), parsed only when the string differs from
+        the last one parsed.  A parsed graph that differs from the held one
+        replaces it and drops its tau; a malformed string raises and
+        changes nothing."""
+        if graph6 != self.graph6:
+            g = parse_graph6(graph6)
+            if g != self.graph:
+                self.graph, self.tau = g, None
+            self.graph6 = graph6
+        return self.graph
 
     def of(self, g: Graph) -> int:
-        """tau(g): the held value when g equals the held graph, else one
-        whole-graph DP, which then replaces it."""
-        if g != self.graph:
+        """tau(g): the held value when g equals the held graph and its tau
+        is known, else one whole-graph DP, which then replaces it."""
+        if g != self.graph or self.tau is None:
             self.graph, self.tau = g, tau_subset(g, g.full_mask)
         return self.tau
 
@@ -134,8 +149,9 @@ def verify_partition_record(rec: dict, max_n: int | None = None,
     """Re-check a partition certificate dict from scratch, within the DP cap.
     tau(g) comes from `whole_tau` when given (see WholeGraphTau), else from
     a DP of its own."""
+    whole_tau = whole_tau or WholeGraphTau()
     g = _admit(rec, ("graph6", "a", "b", "A", "B", "tauA", "tauB", "method", "trace"),
-               ("a", "b", "tauA", "tauB"), ("A", "B"), max_n)
+               ("a", "b", "tauA", "tauB"), ("A", "B"), max_n, whole_tau)
     if isinstance(g, str):
         return False, g
     if not all(0 <= v < g.n for v in rec["A"] + rec["B"]):
@@ -151,7 +167,7 @@ def verify_partition_record(rec: dict, max_n: int | None = None,
         return False, "a vertex is listed twice in one part"
     if a < 1 or b < 1:
         return False, f"target ({a}, {b}) must have positive parts"
-    tau_g = (whole_tau or WholeGraphTau()).of(g)
+    tau_g = whole_tau.of(g)
     if a + b != tau_g:
         return False, sum_mismatch(f"target ({a}, {b})", a + b, tau_g)
     tau_a = tau_subset(g, part_a)
@@ -175,8 +191,9 @@ def verify_coloring_record(rec: dict, max_n: int | None = None,
     before any DP; the recorded colour count, bound and verified flag only
     after the colour classes, so a record with several faults reports the
     first of them in that order."""
+    whole_tau = whole_tau or WholeGraphTau()
     g = _admit(rec, ("graph6", "colors", "colors_used", "bound", "property"),
-               ("colors_used", "bound"), ("colors",), max_n)
+               ("colors_used", "bound"), ("colors",), max_n, whole_tau)
     if isinstance(g, str):
         return False, g
     colors = rec["colors"]
@@ -194,7 +211,7 @@ def verify_coloring_record(rec: dict, max_n: int | None = None,
             multiway.color_classes(g, colors)
         except GraphError as exc:
             return False, f"schema: {exc}"
-    tau_g = (whole_tau or WholeGraphTau()).of(g)
+    tau_g = whole_tau.of(g)
     if prop == "star":
         bound = tau_g
         if not starcolor.verify_star_coloring(g, colors):

@@ -14,18 +14,19 @@ def count_dps(monkeypatch):
     """The vertex count of every subset DP run during the test, in order.
 
     Every detour query that runs a DP runs exactly one `detour._dp_levels`,
-    so the length of the list is the number of DPs.  The subset tables and
-    graph facts cached by earlier tests are dropped, so each count starts
-    cold.
+    so the length of the list is the number of DPs.  A DP runs on the
+    vertices of `within`, every row of `adj` when it is not given.  The
+    subset tables and graph facts cached by earlier tests are dropped, so
+    each count starts cold.
     """
     detour._subset_table.cache_clear()
     partition._graph_facts.cache_clear()
     sizes: list[int] = []
     real = detour._dp_levels
 
-    def counted(ladj, stop_at=None, unions=None):
-        sizes.append(len(ladj))
-        return real(ladj, stop_at, unions)
+    def counted(adj, stop_at=None, unions=None, within=None):
+        sizes.append(len(adj) if within is None else within.bit_count())
+        return real(adj, stop_at, unions, within)
 
     monkeypatch.setattr(detour, "_dp_levels", counted)
     return sizes

@@ -42,6 +42,7 @@ from taupart.graphs import (
     encode_graph6,
     from_triangle_mask,
     ids_to_mask,
+    lift,
     parse_graph6,
     path_graph,
     petersen_graph,
@@ -321,7 +322,7 @@ def test_subset_table_matches_the_per_query_loop():
     loop_tau = functools.cache(lambda ladj: _dp_loop(list(ladj))[0])
     for g in _subset_table_cases():
         table = detour.SubsetTable(g)
-        ref = [loop_tau(tuple(relabel(g, mask)[0])) for mask in range(1 << g.n)]
+        ref = [loop_tau(tuple(relabel(g.adj, mask)[0])) for mask in range(1 << g.n)]
         _, _, ends = _dp_loop(list(g.adj))
         assert table.hamiltonian_ends() == (ref[-1], next(ends) if ref[-1] == g.n else 0), encode_graph6(g)
         for mask, tau in enumerate(ref):
@@ -462,6 +463,76 @@ def test_dp_levels_picks_the_kernel_from_the_run(monkeypatch):
     for big in (cycle_graph(14), complete_graph(15)):
         assert picked(big) == ["_dp_numpy"]
         assert picked(big, stop_at=3) == ["_dp_numpy"]
+
+
+def _listed(result):
+    tau, last, ends = result
+    return tau, list(last), list(ends)
+
+
+@functools.cache
+def _relabelled_run(kernel, ladj, k):
+    """`kernel` run on the rows `ladj` to stop k, listed; the masks whose
+    induced subgraphs relabel alike share one run."""
+    return _listed(kernel(ladj) if kernel is _dp_bits else kernel(ladj, k))
+
+
+def _assert_within_matches_the_relabelled_run(g, mask, stops, numpy_stops=None):
+    """Each kernel, and `_dp_levels`' dispatch, run on <mask> in g's own ids
+    gives the run on <mask> relabelled to 0..k-1, mapped back: the same tau,
+    the same masks in the same order, and the same end masks.  The numpy
+    kernel runs at `numpy_stops`, all of `stops` when None."""
+    ladj, order = relabel(g.adj, mask)
+    ladj = tuple(ladj)
+    for k in stops:
+        runs = [(_dp_loop(g.adj, k, mask), _dp_loop), (_dp_levels(g.adj, k, within=mask), _dp_levels)]
+        if mask and (numpy_stops is None or k in numpy_stops):  # it never serves the empty set
+            runs.append((_dp_numpy(g.adj, k, mask), _dp_numpy))
+        if k is None and mask.bit_count() < NUMPY_DP_MIN_K:
+            # `unions` sends the run to the bit kernel whatever its edge count
+            runs.append((_dp_levels(g.adj, unions=[], within=mask), _dp_bits))
+        for host, kernel in runs:
+            tau, last, ends = _relabelled_run(kernel, ladj, k)
+            assert _listed(host) == (tau, [lift(m, order) for m in last], [lift(e, order) for e in ends]), (
+                encode_graph6(g), mask, k, kernel.__name__)
+
+
+def test_a_run_within_a_mask_matches_the_relabelled_run():
+    # every mask of every class on up to 6 vertices, at every stop; on 6
+    # vertices the numpy kernel, whose calls cost the most, runs at the
+    # first two levels and at full order
+    for n in range(1, 7):
+        for tri in graphs_upto_iso(n):
+            g = from_triangle_mask(n, tri)
+            for mask in range(1 << n):
+                _assert_within_matches_the_relabelled_run(g, mask, [*range(1, n + 2), None],
+                                                          (1, 2, None) if n == 6 else None)
+
+
+def test_a_numpy_run_within_a_mask_matches_the_relabelled_run():
+    # masks that leave out low ids: on 15 or more vertices the larger ones
+    # still hold NUMPY_DP_MIN_K vertices, so the dispatch runs them on the
+    # numpy kernel in the host's ids
+    rng = random.Random(7)
+    wide = 0
+    for g in itertools.islice(_numpy_kernel_cases(), 0, 60, 3):
+        full = g.full_mask
+        masks = [full >> j << j for j in (1, 2, 4)] + [full & ~(1 | 1 << rng.randrange(1, g.n))]
+        wide += sum(m.bit_count() >= NUMPY_DP_MIN_K for m in masks)
+        for mask in masks:
+            _assert_within_matches_the_relabelled_run(g, mask, [1, 2, 5, 9, None])
+    assert wide >= 10
+
+
+def test_a_run_within_the_top_of_p64_reaches_bit_63():
+    g = path_graph(64)
+    top = ((1 << 20) - 1) << 44
+    _assert_within_matches_the_relabelled_run(g, top, [2, 20, None])
+    assert _listed(_dp_levels(g.adj, within=top)) == (20, [top], [1 << 44 | 1 << 63])
+    assert has_path_of_order(g, 64, max_n=64)
+    assert tau_subset(g, top) == 20
+    assert end_vertices_of_order_paths(g, 20, top) == 1 << 44 | 1 << 63
+    assert vertices_on_every_order_path(g, 20, top) == top
 
 
 def test_bit_kernel_memory_on_k13():

@@ -265,7 +265,7 @@ def test_relabel_lift_and_components_agree_on_seeded_subsets():
         g = random_graph(3 + seed % 9, 0.4, seed=seed)
         for m in random_graph(g.n + 1, 0.5, seed=seed).adj:  # seeded vertex sets
             m &= g.full_mask
-            rows, order = relabel(g, m)
+            rows, order = relabel(g.adj, m)
             sub, sub_order = induced_subgraph(g, m)
             assert sub_order == order == mask_to_ids(m)
             assert list(sub.adj) == rows

@@ -593,22 +593,78 @@ def _without(rec: dict, key: str) -> dict:
 # Each record has two faults, and the one that admission meets first names
 # it: required keys, then field types, then the graph6 parse, then the cap,
 # and only then the checks of the record's kind.
-@pytest.mark.parametrize("rec, detail", [
-    ({**_without(C5_PARTITION, "method"), "a": "2"}, "schema: missing key 'method'"),
-    ({**C5_PARTITION, "tauB": 3.0, "graph6": "Dh"}, "schema: 'tauB' must be an integer, got float"),
-    ({**C5_PARTITION, "graph6": "T"}, TRUNCATED_C21),
-    ({**C5_PARTITION, "graph6": C21, "A": [0, 99]}, OVER_CAP),
-    ({**_without(C5_COLOURING, "property"), "colors_used": "3"}, "schema: missing key 'property'"),
-    ({**C5_COLOURING, "bound": None, "graph6": "Dh"}, "schema: 'bound' must be an integer, got NoneType"),
-    ({**C5_COLOURING, "graph6": "T"}, TRUNCATED_C21),
-    ({**C5_COLOURING, "graph6": C21, "colors": [-1] * 5}, OVER_CAP),
-    ({**DXK_STAR, "graph6": C21, "property": "acyclic"}, OVER_CAP),
-], ids=["partition-key-and-type", "partition-type-and-graph6", "partition-graph6-and-cap",
-        "partition-cap-and-ids", "colouring-key-and-type", "colouring-type-and-graph6",
-        "colouring-graph6-and-cap", "colouring-cap-and-colours", "star-cap-and-property"])
+TWO_FAULTS = [
+    pytest.param({**_without(C5_PARTITION, "method"), "a": "2"}, "schema: missing key 'method'",
+                 id="partition-key-and-type"),
+    pytest.param({**C5_PARTITION, "tauB": 3.0, "graph6": "Dh"}, "schema: 'tauB' must be an integer, got float",
+                 id="partition-type-and-graph6"),
+    pytest.param({**C5_PARTITION, "graph6": "T"}, TRUNCATED_C21, id="partition-graph6-and-cap"),
+    pytest.param({**C5_PARTITION, "graph6": C21, "A": [0, 99]}, OVER_CAP, id="partition-cap-and-ids"),
+    pytest.param({**_without(C5_COLOURING, "property"), "colors_used": "3"}, "schema: missing key 'property'",
+                 id="colouring-key-and-type"),
+    pytest.param({**C5_COLOURING, "bound": None, "graph6": "Dh"},
+                 "schema: 'bound' must be an integer, got NoneType", id="colouring-type-and-graph6"),
+    pytest.param({**C5_COLOURING, "graph6": "T"}, TRUNCATED_C21, id="colouring-graph6-and-cap"),
+    pytest.param({**C5_COLOURING, "graph6": C21, "colors": [-1] * 5}, OVER_CAP, id="colouring-cap-and-colours"),
+    pytest.param({**DXK_STAR, "graph6": C21, "property": "acyclic"}, OVER_CAP, id="star-cap-and-property"),
+]
+
+
+@pytest.mark.parametrize("rec, detail", TWO_FAULTS)
 def test_admission_reports_the_first_of_two_faults(rec, detail):
     assert verify_record(C5_PARTITION) == (True, "ok")
     assert verify_record(rec) == (False, detail)
+
+
+def test_a_shared_whole_tau_keeps_the_two_fault_details():
+    # each faulty record comes twice after a good one on C5, so its second
+    # check admits it from the string the first one parsed, or failed to
+    whole_tau = oracle.WholeGraphTau()
+    for param in TWO_FAULTS:
+        rec, detail = param.values
+        assert verify_record(C5_PARTITION, whole_tau=whole_tau) == (True, "ok")
+        for _ in range(2):
+            assert verify_record(rec, whole_tau=whole_tau) == (False, detail), param.id
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """The graph6 strings the verifier parses during the test, in order."""
+    strings: list[str] = []
+    real = oracle.parse_graph6
+    monkeypatch.setattr(oracle, "parse_graph6", lambda s: strings.append(s) or real(s))
+    return strings
+
+
+def test_a_run_of_records_on_one_graph6_string_parses_it_once(parsed, count_dps):
+    g = cycle_graph(5)
+    records = [tau_partition(g, PartitionTarget(a, 5 - a)).to_json_dict() for a in range(1, 5)]
+    records += [C5_PARTITION, C5_COLOURING]
+    assert {r["graph6"] for r in records} == {"Dhc"}
+    whole_tau = oracle.WholeGraphTau()
+    count_dps.clear()
+    assert [verify_record(r, whole_tau=whole_tau) for r in records] == [(True, "ok")] * 6
+    assert parsed == ["Dhc"]
+    # tau(C5) is one of the DPs on five vertices; no part or class holds all five
+    assert count_dps.count(5) == 1
+
+
+def test_a_changed_graph6_string_parses_again(parsed, count_dps):
+    whole_tau = oracle.WholeGraphTau()
+    for rec in (C5_PARTITION, DXK_STAR, DXK_STAR, C5_PARTITION):
+        assert verify_record(rec, whole_tau=whole_tau) == (True, "ok")
+    assert parsed == ["Dhc", "DxK", "Dhc"]
+    # the same graph under the graph6 header: a new string, parsed, but
+    # tau(C5) is kept, as the graph it gives equals the held one
+    count_dps.clear()
+    assert verify_record({**C5_PARTITION, "graph6": ">>graph6<<Dhc"}, whole_tau=whole_tau) == (True, "ok")
+    assert parsed[-1] == ">>graph6<<Dhc" and len(parsed) == 4
+    assert 5 not in count_dps
+    # a cap fault still comes from each record, however its string was parsed
+    for max_n in (20, 4, 20):
+        ok, detail = verify_record(C5_PARTITION, max_n=max_n, whole_tau=whole_tau)
+        assert ok == (max_n == 20) and (ok or detail.startswith("capacity:"))
+    assert len(parsed) == 5
 
 
 def test_a_target_sum_too_long_to_print_is_still_a_verdict(int_str_limit):

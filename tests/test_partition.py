@@ -637,16 +637,18 @@ def test_no_full_order_dp_repeats_a_graph(count_dps, monkeypatch):
     # table, so a graph's facts and all its targets together run each
     # full-order DP once per adjacency list
     from taupart import detour
+    from taupart.graphs import relabel
     from taupart.oracle import corpus_graphs, two_connected_graphs_upto_iso
 
     seen: set[tuple[int, ...]] = set()
     counted = detour._dp_levels
 
-    def once(ladj, stop_at=None, unions=None):
+    def once(adj, stop_at=None, unions=None, within=None):
         if stop_at is None:
-            assert tuple(ladj) not in seen, (encode_graph6(g), ladj)
-            seen.add(tuple(ladj))
-        return counted(ladj, stop_at, unions)
+            ladj = tuple(adj if within is None else relabel(adj, within)[0])
+            assert ladj not in seen, (encode_graph6(g), ladj)
+            seen.add(ladj)
+        return counted(adj, stop_at, unions, within)
 
     monkeypatch.setattr(detour, "_dp_levels", once)
     for g in corpus_graphs(6, two_connected_graphs_upto_iso(6)) + [_k2m(4), _k2m(6)]:
