@@ -11,6 +11,11 @@ failed).  Input files are ASCII: a line with any other byte is
 malformed like any other bad line, and so is a line over LINE_LIMIT
 characters.
 
+hunt creates its --witness-file before the sweep.  It rewrites the file in
+place and, when it is a regular file, cuts it to this run's witnesses once
+the sweep ends, even when it ends in an error.  A run killed during its
+sweep may leave the previous run's witnesses in the file.
+
 TAUPART_MAX_N overrides the library capacity caps for every subcommand; a
 value that is not an integer of at least 1 is a usage error (exit 2).
 """
@@ -24,6 +29,7 @@ import itertools
 import json
 import os
 import random
+import stat
 import sys
 
 from .detour import detour_order
@@ -68,13 +74,34 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _open(path: str, mode: str):
-    """Open a file named on the command line as ASCII text.  A byte outside
-    ASCII reads as U+FFFD, which no graph6 or certificate line accepts."""
+def _cannot_open(path: str, exc: OSError) -> FileAccessError:
+    return FileAccessError(f"cannot open {path}: {exc.strerror or exc}")
+
+
+def _open(path: str):
+    """Open a file named on the command line for reading as ASCII text.  A
+    byte outside ASCII reads as U+FFFD, which no graph6 or certificate line
+    accepts."""
     try:
-        return open(path, mode, encoding="ascii", errors="replace")
+        return open(path, encoding="ascii", errors="replace")
     except OSError as exc:
-        raise FileAccessError(f"cannot open {path}: {exc.strerror or exc}") from exc
+        raise _cannot_open(path, exc) from exc
+
+
+def _open_witnesses(path: str):
+    """Open hunt's witness file for writing from its start, creating it if
+    need be.  Unlike mode "w" it does not truncate the file: cutting a
+    non-empty file at open costs far more than cutting it to length once
+    the sweep has written it, as cmd_hunt does."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    except OSError as exc:
+        raise _cannot_open(path, exc) from exc
+    try:
+        return open(fd, "w", encoding="ascii")
+    except BaseException:
+        os.close(fd)
+        raise
 
 
 def _bounded_lines(fh):
@@ -94,9 +121,13 @@ def _read_lines(path: str):
     with None for a line over LINE_LIMIT characters.
 
     Stdin is read as ASCII like a named file when it has bytes beneath it;
-    a text-only stream (an io.StringIO) is read as the text it holds.
+    a text-only stream (an io.StringIO) is read as the text it holds.  A
+    process started with its stdin closed has no sys.stdin, which is a
+    FileAccessError like a file that cannot be opened.
     """
     if path == "-":
+        if sys.stdin is None:
+            raise FileAccessError("cannot open -: standard input is closed")
         buffer = getattr(sys.stdin, "buffer", None)
         if buffer is None:
             yield from _bounded_lines(sys.stdin)
@@ -107,7 +138,7 @@ def _read_lines(path: str):
         finally:
             text.detach()  # closing the wrapper would close stdin's buffer
         return
-    with _open(path, "r") as fh:
+    with _open(path) as fh:
         yield from _bounded_lines(fh)
 
 
@@ -250,14 +281,18 @@ def cmd_hunt(args: argparse.Namespace) -> int:
                 _emit(row)
                 return 2
             prelude.append(row)
-    with _open(args.witness_file, "w") as fh:  # a bad path fails before the sweep
-        report = sweep_ppc(graphs, corpus=corpus, max_n=max_n, deterministic=args.deterministic)
-        for err in prelude:
-            _emit(err)
-        for line in report.to_json_lines():
-            print(line)
-        for w in report.witnesses:
-            fh.write(json.dumps(w, sort_keys=True) + "\n")
+    with _open_witnesses(args.witness_file) as fh:  # a bad path fails before the sweep
+        try:
+            report = sweep_ppc(graphs, corpus=corpus, max_n=max_n, deterministic=args.deterministic)
+            for err in prelude:
+                _emit(err)
+            for line in report.to_json_lines():
+                print(line)
+            for w in report.witnesses:
+                fh.write(json.dumps(w, sort_keys=True) + "\n")
+        finally:  # a device or FIFO, say /dev/null, cannot be cut and is left alone
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()  # flushes, then cuts at the end of this run's witnesses
     if over_cap or report.over_cap:  # as in verify, a capacity overrun outranks a counterexample
         return 4
     return 0 if report.counterexamples == 0 else 3

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taupart import oracle, partition
+from taupart import cli, oracle, partition
 from taupart.cli import main
 from taupart.errors import CounterexampleError
 from taupart.graphs import cycle_graph, encode_graph6, parse_graph6, petersen_graph, random_2connected
@@ -394,7 +394,9 @@ def tau_partition_json(g6: str, a: int, b: int) -> bytes:
     ("hunt", "--source", "{missing}", "--witness-file", "{tmp}/w.jsonl"),
     ("hunt", "--random", "5", "1", "1", "--witness-file", "{tmp}/no/such/dir/w.jsonl"),
     ("analyze", "{tmp}"),
-], ids=["analyze-missing", "analyze-table-missing", "verify-missing", "hunt-missing", "witness-dir-missing", "analyze-directory"])
+    ("hunt", "--random", "5", "1", "1", "--witness-file", "{tmp}"),
+], ids=["analyze-missing", "analyze-table-missing", "verify-missing", "hunt-missing", "witness-dir-missing",
+        "analyze-directory", "witness-directory"])
 def test_unopenable_files_are_usage_errors(argv, tmp_path, capsys):
     argv = [a.format(missing=tmp_path / "missing.g6", tmp=tmp_path) for a in argv]
     code, _, out = run(capsys, *argv)
@@ -631,6 +633,119 @@ def test_hunt_refuses_a_negative_random_count(tmp_path, capsys):
     assert (code, out.out) == (2, "")
     assert out.err == "error: --random COUNT must be at least 0, got -1\n"
     assert not witness.exists()
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["verify"], ["hunt", "--source", "-"]],
+                         ids=["analyze", "verify", "hunt"])
+def test_a_closed_stdin_is_a_usage_error(argv, tmp_path, capsys, monkeypatch):
+    # with fd 0 closed Python sets sys.stdin to None, and reading it raised
+    # AttributeError: a traceback and exit 1
+    monkeypatch.setattr("sys.stdin", None)
+    witness = tmp_path / "w.jsonl"
+    if argv[0] == "hunt":
+        argv = [*argv, "--witness-file", str(witness)]
+    code, _, out = run(capsys, *argv)
+    assert (code, out.out) == (2, "")
+    assert out.err == "error: cannot open -: standard input is closed\n"
+    assert not witness.exists()
+
+
+def _hunt_into(capsys, monkeypatch, corpus: str, witness) -> tuple[int, str]:
+    """`hunt --source - --deterministic` on corpus, witnesses into witness."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(corpus))
+    code, _, out = run(capsys, "hunt", "--source", "-", "--deterministic", "--witness-file", str(witness))
+    return code, out.out
+
+
+def test_hunt_cuts_a_longer_witness_file_to_this_runs_witnesses(tmp_path, capsys, monkeypatch):
+    # the file is rewritten in place, not truncated at open: a shorter run
+    # must still leave exactly its own witnesses
+    witness, fresh = tmp_path / "w.jsonl", tmp_path / "fresh.jsonl"
+    assert _hunt_into(capsys, monkeypatch, "C~\nC~\n", witness)[0] == 0
+    assert witness.stat().st_size == 1644
+    assert _hunt_into(capsys, monkeypatch, "C~\n", witness)[0] == 0
+    assert _hunt_into(capsys, monkeypatch, "C~\n", fresh)[0] == 0
+    assert len(fresh.read_bytes()) == 822
+    assert witness.read_bytes() == fresh.read_bytes()
+
+
+def test_hunt_with_no_witnesses_leaves_the_witness_file_empty(tmp_path, capsys, monkeypatch):
+    witness = tmp_path / "w.jsonl"
+    assert _hunt_into(capsys, monkeypatch, "C~\n", witness)[0] == 0
+    assert witness.stat().st_size == 822
+    assert _hunt_into(capsys, monkeypatch, "Dhc\n", witness)[0] == 0  # C5 leaves no witness
+    assert witness.read_bytes() == b""
+
+
+def test_hunt_writes_witnesses_to_a_device(tmp_path, capsys, monkeypatch):
+    # a device cannot be cut to length; it is written and left alone
+    code, out = _hunt_into(capsys, monkeypatch, "C~\n", os.devnull)
+    assert (code, out) == _hunt_into(capsys, monkeypatch, "C~\n", tmp_path / "w.jsonl")
+    assert code == 0
+
+
+def test_hunt_never_truncates_its_witness_file_at_open(tmp_path, capsys, monkeypatch):
+    # O_TRUNC on a non-empty file is the cost this open avoids; builtin
+    # open(path, "w") bypasses os.open, so it would leave `opened` empty
+    witness = tmp_path / "w.jsonl"
+    witness.write_text("x" * 5000)
+    opened = []
+    real_open = os.open
+
+    def spy(path, flags, *rest, **kw):
+        if os.fspath(path) == str(witness):
+            opened.append(flags)
+        return real_open(path, flags, *rest, **kw)
+
+    monkeypatch.setattr(os, "open", spy)
+    assert _hunt_into(capsys, monkeypatch, "C~\n", witness)[0] == 0
+    assert opened and not any(flags & os.O_TRUNC for flags in opened)
+    assert witness.stat().st_size == 822
+
+
+def test_a_failed_sweep_leaves_the_witness_file_empty_and_closed(tmp_path, capsys, monkeypatch):
+    witness = tmp_path / "w.jsonl"
+    witness.write_text("a previous run's witnesses\n")
+    handles = []
+    real_open = cli._open_witnesses
+
+    def spy(path):
+        handles.append(real_open(path))
+        return handles[-1]
+
+    def sweep(*_, **__):
+        raise RuntimeError("sweep failed")
+
+    monkeypatch.setattr(cli, "_open_witnesses", spy)
+    monkeypatch.setattr(cli, "sweep_ppc", sweep)
+    with pytest.raises(RuntimeError, match="sweep failed"):
+        _hunt_into(capsys, monkeypatch, "C~\n", witness)
+    assert len(handles) == 1 and handles[0].closed
+    assert witness.read_bytes() == b""
+
+
+def test_the_witness_descriptor_is_closed_when_wrapping_it_fails(tmp_path, capsys, monkeypatch):
+    witness = tmp_path / "w.jsonl"
+    fds, closed = [], []
+    real_open, real_close = os.open, os.close
+
+    def spy_open(path, flags, *rest, **kw):
+        fds.append(real_open(path, flags, *rest, **kw))
+        return fds[-1]
+
+    def spy_close(fd):
+        closed.append(fd)
+        real_close(fd)
+
+    def wrap(*_, **__):
+        raise MemoryError("cannot wrap the descriptor")
+
+    monkeypatch.setattr(os, "open", spy_open)
+    monkeypatch.setattr(os, "close", spy_close)
+    monkeypatch.setattr(cli, "open", wrap, raising=False)  # shadows the builtin in cli only
+    with pytest.raises(MemoryError):
+        _hunt_into(capsys, monkeypatch, "C~\n", witness)
+    assert len(fds) == 1 and fds[0] in closed
 
 
 @functools.cache
