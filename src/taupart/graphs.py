@@ -381,6 +381,12 @@ def lift(mask: int, order) -> int:
     return out
 
 
+def check_vertex_set(g: Graph, mask: int) -> None:
+    """GraphError unless mask is a non-negative subset of g.full_mask."""
+    if mask & ~g.full_mask or mask < 0:
+        raise GraphError(f"vertex set {mask:#x} not within 0..{g.n - 1}")
+
+
 def induced_subgraph(g: Graph, vertices: int | Iterable[int]) -> tuple[Graph, list[int]]:
     """Induced subgraph on the given vertex set (mask or iterable of ids).
 
@@ -388,8 +394,7 @@ def induced_subgraph(g: Graph, vertices: int | Iterable[int]) -> tuple[Graph, li
     `order`: order[i] is the original id of the subgraph's vertex i.
     """
     mask = vertices if isinstance(vertices, int) else ids_to_mask(vertices)
-    if mask & ~g.full_mask or mask < 0:
-        raise GraphError(f"vertex set {mask:#x} not within 0..{g.n - 1}")
+    check_vertex_set(g, mask)
     rows, order = relabel(g.adj, mask)
     return Graph(len(order), tuple(rows)), order
 

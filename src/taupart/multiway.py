@@ -28,7 +28,7 @@ the same machinery.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .detour import NUMPY_DP_MIN_K, check_capacity, subset_queries, subset_tau_at_most
@@ -177,6 +177,13 @@ def color_classes(g: Graph, colors) -> dict[int, int]:
     return classes
 
 
+def _check_class_bound(n) -> None:
+    """TargetError unless the class bound n is a positive int (`is_int`:
+    a float or a bool is not one)."""
+    if not (is_int(n) and n >= 1):
+        raise TargetError(f"class bound n={n!r} must be " + ("positive" if is_int(n) else "a positive integer"))
+
+
 def verify_detour_coloring(g: Graph, colors, n: int, max_n: int | None = None) -> bool:
     """Every colour class induces a subgraph of detour order at most n.
 
@@ -184,16 +191,14 @@ def verify_detour_coloring(g: Graph, colors, n: int, max_n: int | None = None) -
     violated class bound.  g must be within the DP cap (max_n, default
     DETOUR_DP_MAX_N), else CapacityError.
     """
-    if n < 1:
-        raise TargetError(f"class bound n={n} must be positive")
+    _check_class_bound(n)
     check_capacity(g.n, max_n)
     return all(subset_tau_at_most(g, m, n) for m in color_classes(g, colors).values())
 
 
 def detour_coloring(g: Graph, n: int, max_n: int | None = None) -> ColoringCertificate:
     """Colour g with every class of detour order <= n, within ceil(tau/n) colours."""
-    if n < 1:
-        raise TargetError(f"class bound n={n} must be positive")
+    _check_class_bound(n)
     g6 = encode_graph6(g)
     tau_g = graph_facts(g, max_n).tau
     bound = -(-tau_g // n)
@@ -210,39 +215,52 @@ def detour_coloring(g: Graph, n: int, max_n: int | None = None) -> ColoringCerti
     return ColoringCertificate(g6, tuple(colors), len(set(colors)), bound, "n-detour", True, n=n)
 
 
-def smallest_coloring(g: Graph,
-                      admissible: Callable[[int, int, list[int], list[int]], bool]) -> tuple[int, ...]:
-    """The first colouring of g with the fewest colours.
+def first_coloring(n: int, choices: Callable[[int, list[int]], Iterable[int]],
+                   admissible: Callable[[int, int, list[int], dict[int, int]], bool]) -> tuple[int, ...] | None:
+    """The first colouring of vertices 0..n-1 that the step test passes,
+    by depth-first search; None when there is none.
 
     The one backtracking colour search, behind the exact n-detour and star
-    chromatic numbers.  Vertices take colours in id order, each
-    trying colours from the lowest and opening at most one new colour.
-    After v takes colour c, `admissible(v, c, colors, classes)` says whether
-    to go on: colors holds -1 above v, classes[c] is the vertex mask of
-    colour c with v in it.  It may reject a partial colouring only when no
-    extension of it is valid, and must pass one colour per vertex, as every
-    caller's test does; else InternalCheckError.  Exponential in g.n.
+    chromatic numbers and the paired star colouring.  Vertices take colours
+    in id order, v trying `choices(v, colors)` in turn.  After v takes
+    colour c, `admissible(v, c, colors, classes)` says whether to go on:
+    colors holds -1 from v + 1 on, classes[c] is the vertex mask of colour
+    c with v in it.  It may reject a partial colouring only when no
+    extension of it is valid.  Exponential in n.
     """
-    if g.n == 0:
-        return ()
-    for k in range(1, g.n + 1):
-        colors = [-1] * g.n
-        classes = [0] * k
+    colors = [-1] * n
+    return tuple(colors) if _place(0, n, choices, admissible, colors, {}) else None
 
-        def place(v: int, used: int) -> bool:
-            bit = 1 << v
-            for c in range(min(used + 1, k)):
-                colors[v] = c
-                classes[c] |= bit
-                if admissible(v, c, colors, classes) and (
-                        v + 1 == g.n or place(v + 1, max(used, c + 1))):
-                    return True
-                classes[c] ^= bit
-            colors[v] = -1
-            return False
 
-        if place(0, 0):
-            return tuple(colors)
+def _place(v: int, n: int, choices, admissible, colors: list[int], classes: dict[int, int]) -> bool:
+    """first_coloring from vertex v on.  A module function, not a closure
+    of first_coloring: a closure that calls itself is a reference cycle,
+    which only the garbage collector frees."""
+    if v == n:
+        return True
+    for c in choices(v, colors):
+        colors[v] = c
+        classes[c] = classes.get(c, 0) | 1 << v
+        if admissible(v, c, colors, classes) and _place(v + 1, n, choices, admissible, colors, classes):
+            return True
+        classes[c] ^= 1 << v
+    colors[v] = -1
+    return False
+
+
+def smallest_coloring(g: Graph,
+                      admissible: Callable[[int, int, list[int], dict[int, int]], bool]) -> tuple[int, ...]:
+    """The first colouring of g with the fewest colours.
+
+    Runs first_coloring with k = 0, 1, ... colours, each vertex trying
+    colours from the lowest and opening at most one new colour.  The step
+    test must pass one colour per vertex, as every caller's test does;
+    else InternalCheckError.  Exponential in g.n.
+    """
+    for k in range(g.n + 1):
+        colors = first_coloring(g.n, lambda v, colors: range(min(max(colors) + 2, k)), admissible)
+        if colors is not None:
+            return colors
     raise InternalCheckError("the step test rejects one colour per vertex")
 
 
@@ -252,8 +270,7 @@ def exact_detour_chromatic(g: Graph, n: int, max_n: int | None = None) -> int:
     Runs smallest_coloring, checking the detour order of each grown class.
     Exponential; capped at EXACT_SEARCH_MAX_N vertices (override with max_n).
     """
-    if n < 1:
-        raise TargetError(f"class bound n={n} must be positive")
+    _check_class_bound(n)
     check_capacity(g.n, max_n, EXACT_SEARCH_MAX_N, "exact search")
     q = subset_queries(g)
     colors = smallest_coloring(g, lambda v, c, colors, classes: q.at_most(classes[c], n))

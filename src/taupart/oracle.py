@@ -562,27 +562,38 @@ def _one_per_orbit(n: int, mask: int, hoods: list[int]) -> list[int]:
     return firsts
 
 
+def _grown_classes(n: int, parents, admit) -> tuple[int, ...]:
+    """Canonical edge masks of the n-vertex classes grown from `parents`
+    ((n-1)-vertex canonical masks) by one new vertex of minimum degree.
+
+    Per parent h, only the neighbourhoods that give the new vertex minimum
+    degree are built (_min_degree_hoods), only those that
+    `admit(h, hoods)` keeps are looked at, and of those only the first of
+    each orbit of h's automorphisms is canonicalised (_one_per_orbit).
+    """
+    base = (n - 1) * (n - 2) // 2
+    cands = []
+    for pm in parents:
+        h = from_triangle_mask(n - 1, pm)
+        hoods = admit(h, _min_degree_hoods(h))
+        cands += [pm | (hood << base) for hood in _one_per_orbit(n - 1, pm, hoods)]
+    return tuple(sorted(set(canonical_forms(n, cands))))
+
+
 @functools.cache
 def graphs_upto_iso(n: int) -> tuple[int, ...]:
     """Canonical edge masks of all graphs on n vertices, one per class, as a
     tuple computed once per order (functools.cache).
 
     Deleting a vertex of minimum degree leaves an (n-1)-vertex class, so
-    giving each smaller class one new vertex of minimum degree
-    (_min_degree_hoods) reaches every class; of the neighbourhoods that one
-    automorphism of the smaller class maps to another only the first is
-    canonicalised (_one_per_orbit).
+    giving each smaller class one new vertex of minimum degree reaches
+    every class (_grown_classes, every hood admitted).
     """
     if n < 1:
         raise GraphError(f"corpus order {n} must be at least 1")
     if n == 1:
         return (0,)
-    base = (n - 1) * (n - 2) // 2
-    cands = []
-    for pm in graphs_upto_iso(n - 1):
-        hoods = _min_degree_hoods(from_triangle_mask(n - 1, pm))
-        cands += [pm | (hood << base) for hood in _one_per_orbit(n - 1, pm, hoods)]
-    return tuple(sorted(set(canonical_forms(n, cands))))
+    return _grown_classes(n, graphs_upto_iso(n - 1), lambda h, hoods: hoods)
 
 
 @functools.cache
@@ -622,21 +633,12 @@ def two_connected_graphs_upto_iso(n: int) -> tuple[int, ...]:
 
     Deleting a vertex of minimum degree from a 2-connected graph leaves a
     connected graph, and that vertex had degree >= 2, so augmenting the
-    connected classes by one vertex of minimum degree reaches every class.
-    Per parent class, only the neighbourhoods that give the new vertex
-    minimum degree are built (_min_degree_hoods), only those that are
-    2-connected are kept (_two_connected_hoods, from the parent's cut
-    vertices), and of those only the first of each orbit of the parent's
-    automorphisms is canonicalised (_one_per_orbit).
+    connected classes by one vertex of minimum degree reaches every class
+    (_grown_classes, admitting the hoods that are 2-connected:
+    _two_connected_hoods, from the parent's cut vertices).
     """
     check_two_connected_order(n)
-    base = (n - 1) * (n - 2) // 2
-    cands = []
-    for pm in connected_graphs_upto_iso(n - 1):
-        h = from_triangle_mask(n - 1, pm)
-        hoods = _two_connected_hoods(h, _min_degree_hoods(h))
-        cands += [pm | (hood << base) for hood in _one_per_orbit(n - 1, pm, hoods)]
-    return tuple(sorted(set(canonical_forms(n, cands))))
+    return _grown_classes(n, connected_graphs_upto_iso(n - 1), _two_connected_hoods)
 
 
 def corpus_graphs(n: int, masks) -> list[Graph]:

@@ -81,8 +81,8 @@ from .detour import (
 )
 from .ears import Ear, ear_decompose, ear_levels, relabels_to, require_two_connected
 from .errors import CounterexampleError, GraphError, InternalCheckError, NotTwoConnectedError, TargetError
-from .graphs import (Graph, connected_components, encode_graph6, ids_to_mask, induced_subgraph, iter_bits, lift,
-                     mask_to_ids)
+from .graphs import (Graph, check_vertex_set, connected_components, encode_graph6, ids_to_mask, induced_subgraph,
+                     iter_bits, lift, mask_to_ids)
 
 def is_int(x) -> bool:
     """An int and not a bool (True is an int in Python): the type of every
@@ -408,7 +408,8 @@ def brute_force_partition(g: Graph, t: PartitionTarget, max_n: int | None = None
     induced subgraph lifted back.  Requires t.a + t.b == tau(<within>);
     anything else is a target error.  A caller that already holds that
     tau passes it as tau_g, and the sum is checked against it instead of
-    a new DP.  The cap applies to g as a whole.
+    a new DP.  The cap applies to g as a whole, and `within` must be a set
+    of g's vertices (GraphError).
 
     Each connected component C is searched on its own, in the same order,
     for an A within C with tau(<A>) <= a and tau(<C - A>) <= b; the answer
@@ -429,8 +430,9 @@ def brute_force_partition(g: Graph, t: PartitionTarget, max_n: int | None = None
     (`_first_component_part`), and each larger candidate up to two.
     """
     check_capacity(g.n, max_n)
-    q = subset_queries(g)
     mask = g.full_mask if within is None else within
+    check_vertex_set(g, mask)
+    q = subset_queries(g)
     if tau_g is None:
         tau_g = q.tau(mask)
     if t.total != tau_g:

@@ -8,20 +8,22 @@ detour order at most 2 (so each part is a perfect matching plus isolated
 vertices), give part i the colour pair (2i, 2i+1) with matched endpoints
 split and isolated vertices on the first colour, then search depth-first
 for the first star colouring that keeps every vertex on its own part's
-pair.  The search checks its input once and shares its step test with
-exact_star_chromatic; it stops after STAR_SEARCH_BUDGET colour tries.
-When the partition has no paired star colouring, or the search runs out of
-tries, the given colouring's bicoloured P4s are reported as a witness and
-the component is coloured by depth in a depth-first tree instead.  That
-colouring needs no search: every non-tree edge joins an ancestor to a
-descendant, so any two depth classes induce a star forest, and a
-root-to-leaf path of the tree is a path of g, so there are at most tau
-depths (the tree-depth argument of Nesetril and Ossona de Mendez).
+pair.  The search checks its input once and is multiway.first_coloring,
+the one backtracking colour search, with the step test of
+exact_star_chromatic, wrapped here to count colour tries and to stop the
+search on its STAR_SEARCH_BUDGET-th.  When the partition has no paired
+star colouring, or the search runs out of tries, the given colouring's
+bicoloured P4s are reported as a witness and the component is coloured by
+depth in a depth-first tree instead.  That colouring needs no search:
+every non-tree edge joins an ancestor to a descendant, so any two depth
+classes induce a star forest, and a root-to-leaf path of the tree is a
+path of g, so there are at most tau depths (the tree-depth argument of
+Nesetril and Ossona de Mendez).
 
-The exact star chromatic number runs the one backtracking search,
-multiway.smallest_coloring, with the star step test.  Verification and the
-exact search are independent of the construction and are what the
-certificates are checked against.
+The exact star chromatic number runs the same search through
+multiway.smallest_coloring, with the star step test and no budget.
+Verification and the exact search are independent of the construction and
+are what the certificates are checked against.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ from .graphs import (
     is_connected,
     iter_bits,
 )
-from .multiway import EXACT_SEARCH_MAX_N, ColoringCertificate, color_classes, smallest_coloring, t_partition
-from .partition import graph_facts
+from .multiway import EXACT_SEARCH_MAX_N, ColoringCertificate, color_classes, first_coloring
+from .multiway import smallest_coloring, t_partition
+from .partition import graph_facts, is_int
 
 STAR_SEARCH_BUDGET = 2000  # colour tries per component; see repair_bicolored_p4s
 
@@ -116,9 +119,10 @@ def _check_paired(g: Graph, ppc: PairPartitionColoring) -> list[tuple[int, ...]]
     checked to be a paired colouring of g.
 
     GraphError unless the parts partition V(g), each part has one or two
-    colours that no other part lists (at most one part has one), and within
-    each part every vertex has at most one neighbour, a colour of the part
-    and, if matched, a colour other than its partner's.
+    colours, non-negative ints (`is_int`) that no other part lists (at most
+    one part has one), and within each part every vertex has at most one
+    neighbour, a colour of the part (an int too) and, if matched, a colour
+    other than its partner's.
     """
     parts, pairs, colors = ppc.parts, ppc.pair_colors, ppc.colors
     # masks whose bit counts add up to n sum to V(g) only if they are disjoint
@@ -126,12 +130,14 @@ def _check_paired(g: Graph, ppc: PairPartitionColoring) -> list[tuple[int, ...]]
         raise GraphError("parts do not partition the vertices")
     if len(pairs) != len(parts) or any(len(pc) not in (1, 2) for pc in pairs):
         raise GraphError("every part needs one or two colours")
+    if not all(is_int(c) and c >= 0 for pc in pairs for c in pc):
+        raise GraphError("every part's colours must be non-negative integers")
     if len({c for pc in pairs for c in pc}) != sum(map(len, pairs)):
         raise GraphError("a colour is listed twice among the parts")
     if [len(pc) for pc in pairs].count(1) > 1:
         raise GraphError("more than one part has a single colour")
     part_of = {v: i for i, m in enumerate(parts) for v in iter_bits(m)}
-    if len(colors) != g.n or any(colors[v] not in pairs[i] for v, i in part_of.items()):
+    if len(colors) != g.n or any(not is_int(colors[v]) or colors[v] not in pairs[i] for v, i in part_of.items()):
         raise GraphError("every vertex needs a colour of its part's pair")
     for v, i in part_of.items():
         inside = g.adj[v] & parts[i]
@@ -143,8 +149,8 @@ def _check_paired(g: Graph, ppc: PairPartitionColoring) -> list[tuple[int, ...]]
 
 
 def repair_bicolored_p4s(g: Graph, ppc: PairPartitionColoring) -> PairPartitionColoring:
-    """The first paired star colouring on ppc's partition, by depth-first
-    search.
+    """The first paired star colouring on ppc's partition, by
+    multiway.first_coloring.
 
     The input is checked once (_check_paired, GraphError).  Vertices take
     colours in id order, each trying its own part's colours, its given
@@ -152,31 +158,26 @@ def repair_bicolored_p4s(g: Graph, ppc: PairPartitionColoring) -> PairPartitionC
     of exact_star_chromatic.  So a paired colouring that is already a star
     colouring comes back unchanged.  Raises StarRepairError, with the given
     colouring and its bicoloured P4s, when the search proves that the
-    partition has no paired star colouring or has made STAR_SEARCH_BUDGET
-    colour tries without an answer.
+    partition has no paired star colouring, or when its STAR_SEARCH_BUDGET-th
+    colour try does not complete one.
     """
     choices = _check_paired(g, ppc)
     admissible = _star_admissible(g)
-    colors = [-1] * g.n  # -1: no colour yet; it has a class too, so v can always leave its own
-    classes = dict.fromkeys([-1, *(c for pc in ppc.pair_colors for c in pc)], 0)  # colour -> vertex mask
-    nxt = [0] * g.n  # index in choices[v] of the next colour v tries
-    v = tries = 0
-    while 0 <= v < g.n and tries < STAR_SEARCH_BUDGET:
-        classes[colors[v]] &= ~(1 << v)  # before v's next try, or a step back
-        if nxt[v] == len(choices[v]):
-            colors[v], nxt[v] = -1, 0
-            v -= 1
-            continue
-        c = colors[v] = choices[v][nxt[v]]
-        nxt[v] += 1
-        classes[c] |= 1 << v
+    tries = 0
+
+    def budgeted(v: int, c: int, colors: list[int], classes: dict[int, int]) -> bool:
+        nonlocal tries
         tries += 1
-        if admissible(v, c, colors, classes):
-            v += 1
-    if v == g.n:
-        return PairPartitionColoring(ppc.parts, ppc.pair_colors, tuple(colors))
-    note = "no paired star colouring" if v < 0 else f"search budget of {STAR_SEARCH_BUDGET} colour tries used up"
-    raise StarRepairError(note, find_bicolored_p4s(g, ppc.colors), ppc.colors)
+        ok = admissible(v, c, colors, classes)
+        if tries >= STAR_SEARCH_BUDGET and not (ok and v == g.n - 1):
+            raise StarRepairError(f"search budget of {STAR_SEARCH_BUDGET} colour tries used up",
+                                  find_bicolored_p4s(g, ppc.colors), ppc.colors)
+        return ok
+
+    colors = first_coloring(g.n, lambda v, _: choices[v], budgeted)
+    if colors is None:
+        raise StarRepairError("no paired star colouring", find_bicolored_p4s(g, ppc.colors), ppc.colors)
+    return PairPartitionColoring(ppc.parts, ppc.pair_colors, colors)
 
 
 def verify_star_coloring(g: Graph, colors) -> bool:
@@ -202,7 +203,7 @@ def _star_admissible(g: Graph):
     for quad in _all_p4s(g):
         by_max[max(quad)].append(quad)
 
-    def admissible(v: int, c: int, colors: list[int], classes: list[int]) -> bool:
+    def admissible(v: int, c: int, colors: list[int], classes: dict[int, int]) -> bool:
         return not g.adj[v] & classes[c] and all(
             colors[a] != colors[x] or colors[b] != colors[d] for a, b, x, d in by_max[v])
     return admissible

@@ -9,6 +9,8 @@ the same chromatic numbers and, for the star test, the same first colouring.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from taupart.detour import detour_order, subset_tau_at_most
@@ -113,6 +115,16 @@ def test_shared_search_returns_the_first_colouring_of_the_fewest_colours():
     assert smallest_coloring(Graph(0, ()), _star_admissible(Graph(0, ()))) == ()
     with pytest.raises(InternalCheckError):
         smallest_coloring(g, lambda v, c, colors, classes: False)
+
+
+def test_the_shared_search_leaves_no_reference_cycle():
+    # a nested function that calls itself is a cycle, which only the
+    # garbage collector frees: one per search would make it run more
+    # often on every workload
+    g = cycle_graph(5)
+    gc.collect()
+    assert smallest_coloring(g, _star_admissible(g))
+    assert gc.collect() == 0
 
 
 @pytest.mark.parametrize("search, call", [

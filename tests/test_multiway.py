@@ -246,6 +246,24 @@ def test_detour_coloring_rejects_bad_n():
         detour_coloring(cycle_graph(5), 0)
 
 
+@pytest.mark.parametrize("n, message", [
+    (2.5, "class bound n=2.5 must be a positive integer"),
+    (True, "class bound n=True must be a positive integer"),
+    ("2", "class bound n='2' must be a positive integer"),
+    (0, "class bound n=0 must be positive"),
+    (-1, "class bound n=-1 must be positive"),
+])
+def test_every_detour_colouring_entry_needs_a_positive_int_class_bound(n, message):
+    # a bound of 2.5 would ask for a path of order 3.5, so a class of
+    # detour order 3 would pass; True would pass as 1
+    g = path_graph(3)
+    for call in (lambda: verify_detour_coloring(g, [0, 0, 0], n), lambda: detour_coloring(g, n),
+                 lambda: exact_detour_chromatic(g, n)):
+        with pytest.raises(TargetError) as info:
+            call()
+        assert str(info.value) == message
+
+
 def test_exact_detour_chromatic_known_values():
     assert exact_detour_chromatic(cycle_graph(5), 2) == 2
     assert exact_detour_chromatic(cycle_graph(7), 2) == 2

@@ -235,6 +235,16 @@ def test_brute_force_rejects_bad_total():
         brute_force_partition(complete_graph(3), PartitionTarget(1, 1))
 
 
+@pytest.mark.parametrize("within", [0b100011, -1, -(1 << 70)], ids=["vertex-5", "minus-1", "minus-2^70"])
+def test_brute_force_rejects_a_mask_outside_the_graph(within, count_dps):
+    # vertex 5 is not a vertex of C5; a negative mask holds every vertex
+    # id above some bit, and never empties in a loop that clears its bits
+    with pytest.raises(GraphError) as info:
+        brute_force_partition(cycle_graph(5), PartitionTarget(1, 1), within=within)
+    assert str(info.value) == f"vertex set {within:#x} not within 0..4"
+    assert count_dps == []
+
+
 def test_brute_force_capacity():
     with pytest.raises(CapacityError):
         brute_force_partition(path_graph(21), PartitionTarget(10, 11))

@@ -175,6 +175,16 @@ PAIRED = {"edges": [(0, 1), (2, 3), (0, 4), (2, 4), (2, 5)], "parts": ([0, 1, 2,
                  "more than one part has a single colour", id="two-single-colour-parts"),
     pytest.param({"colors": (0, 1, 0, 1, 2, 4)}, "every vertex needs a colour of its part's pair",
                  id="colour-outside-pair"),
+    # colours that are not non-negative ints: a search on them could hand
+    # back a colouring that verify_star_coloring rejects
+    pytest.param({"pairs": ((0.5, "x"), (2, 3)), "colors": (0.5, "x", 0.5, "x", 2, 2)},
+                 "every part's colours must be non-negative integers", id="float-and-str-colours"),
+    pytest.param({"pairs": ((0, 1), (-3, -4)), "colors": (0, 1, 0, 1, -3, -3)},
+                 "every part's colours must be non-negative integers", id="negative-colours"),
+    pytest.param({"colors": (0, 1.0, 0, 1, 2, 2)}, "every vertex needs a colour of its part's pair",
+                 id="float-equal-to-a-pair-colour"),
+    pytest.param({"colors": (0, True, 0, 1, 2, 2)}, "every vertex needs a colour of its part's pair",
+                 id="bool-equal-to-a-pair-colour"),
     # the path 0-1-2-3 inside one part: its bicoloured P4 would not split 2+2
     pytest.param({"edges": [(0, 1), (1, 2), (2, 3)]}, "part 0 is not a matching plus isolated vertices",
                  id="p4-in-one-part"),
@@ -233,6 +243,28 @@ def test_star_coloring_fallback_witness():
     assert cert.witness[0]["note"] == "no paired star colouring"
     assert cert.colors_used <= cert.bound
     assert "witness" in cert.to_json_dict()
+
+
+@pytest.mark.parametrize("budget, note", [
+    (109, "search budget of 109 colour tries used up"),
+    (110, "search budget of 110 colour tries used up"),
+    (111, "no paired star colouring"),
+])
+def test_a_search_whose_last_try_ends_it_reports_the_budget(budget, note, monkeypatch):
+    # the search proves in 110 tries that NO_PAIRED's partition has no
+    # paired star colouring; a budget of exactly 110 still ends in the
+    # budget note, as its last try leaves no colouring
+    tries = _counting_step_test(monkeypatch)
+    ppc = pair_partition_coloring(NO_PAIRED)
+    with pytest.raises(StarRepairError, match="^no paired star colouring$"):
+        repair_bicolored_p4s(NO_PAIRED, ppc)
+    assert len(tries) == 110
+    tries.clear()
+    monkeypatch.setattr(starcolor, "STAR_SEARCH_BUDGET", budget)
+    with pytest.raises(StarRepairError, match=f"^{note}$") as info:
+        repair_bicolored_p4s(NO_PAIRED, ppc)
+    assert len(tries) == min(budget, 110)
+    assert (info.value.residual, info.value.colors) == (find_bicolored_p4s(NO_PAIRED, ppc.colors), ppc.colors)
 
 
 def test_star_coloring_keeps_a_witness_per_stalled_component():
