@@ -41,6 +41,20 @@ MAX_VERTICES = 64
 _G6_HEADER = ">>graph6<<"
 
 
+def is_int(x) -> bool:
+    """An int and not a bool (True is an int in Python): the type of every
+    vertex set and target entry, and of every integer field the verifier
+    reads from a certificate (JSON true parses to True)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def check_order(n: int) -> None:
+    """CapacityError for a graph on more than MAX_VERTICES vertices; every
+    constructor and generator asks before it builds anything."""
+    if n > MAX_VERTICES:
+        raise CapacityError(f"graph on {n} vertices exceeds the supported maximum of {MAX_VERTICES}")
+
+
 def ids_to_mask(ids: Iterable[int]) -> int:
     """Pack an iterable of vertex ids into a bitmask."""
     m = 0
@@ -94,8 +108,7 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise GraphError(f"vertex count {self.n} is negative")
-        if self.n > MAX_VERTICES:
-            raise CapacityError(f"graph on {self.n} vertices exceeds the supported maximum of {MAX_VERTICES}")
+        check_order(self.n)
         if len(self.adj) != self.n:
             raise GraphError(f"adjacency table has {len(self.adj)} rows for {self.n} vertices")
         full = (1 << self.n) - 1
@@ -122,8 +135,7 @@ class Graph:
         constructor rejects a negative n and self-loops.  The cap is checked
         first, before the rows are allocated.
         """
-        if n > MAX_VERTICES:
-            raise CapacityError(f"graph on {n} vertices exceeds the supported maximum of {MAX_VERTICES}")
+        check_order(n)
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -157,21 +169,25 @@ class Graph:
 
 
 def empty_graph(n: int) -> Graph:
+    check_order(n)
     return Graph(n, (0,) * n)
 
 
 def path_graph(n: int) -> Graph:
+    check_order(n)
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise GraphError(f"cycle needs at least 3 vertices, got {n}")
+    check_order(n)
     edges = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
     return Graph.from_edges(n, edges)
 
 
 def complete_graph(n: int) -> Graph:
+    check_order(n)
     return Graph.from_edges(n, [(i, j) for j in range(n) for i in range(j)])
 
 
@@ -187,6 +203,7 @@ def petersen_graph() -> Graph:
 
 def random_graph(n: int, p: float, seed: int = 0) -> Graph:
     """G(n, p) with a fixed seed; edge pairs are sampled in sorted order."""
+    check_order(n)
     rng = random.Random(seed)
     edges = [(i, j) for j in range(n) for i in range(j) if rng.random() < p]
     return Graph.from_edges(n, edges)
@@ -382,7 +399,10 @@ def lift(mask: int, order) -> int:
 
 
 def check_vertex_set(g: Graph, mask: int) -> None:
-    """GraphError unless mask is a non-negative subset of g.full_mask."""
+    """GraphError unless mask is an int (`is_int`) and a non-negative
+    subset of g.full_mask."""
+    if not is_int(mask):
+        raise GraphError(f"vertex set {mask!r} is not an int mask")
     if mask & ~g.full_mask or mask < 0:
         raise GraphError(f"vertex set {mask:#x} not within 0..{g.n - 1}")
 
@@ -434,8 +454,7 @@ def check_two_connected_order(n: int) -> None:
     CapacityError above MAX_VERTICES."""
     if n < 3:
         raise GraphError(f"2-connected graphs need at least 3 vertices, got {n}")
-    if n > MAX_VERTICES:
-        raise CapacityError(f"graph on {n} vertices exceeds the supported maximum of {MAX_VERTICES}")
+    check_order(n)
 
 
 def random_2connected(n: int, extra_ears: int = 0, seed: int = 0) -> Graph:

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from .detour import NUMPY_DP_MIN_K, check_capacity, subset_queries, subset_tau_at_most
 from .ears import induces_two_connected
 from .errors import GraphError, InternalCheckError, TargetError
-from .graphs import Graph, encode_graph6, induced_subgraph, iter_bits, lift
-from .partition import PartitionTarget, brute_force_parts, graph_facts, is_int, sum_mismatch, tau_partition
+from .graphs import Graph, encode_graph6, induced_subgraph, is_int, iter_bits, lift
+from .partition import PartitionTarget, brute_force_parts, graph_facts, sum_mismatch, tau_partition
 
 EXACT_SEARCH_MAX_N = 14
 

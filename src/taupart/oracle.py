@@ -67,11 +67,12 @@ from .graphs import (
     from_triangle_mask,
     ids_to_mask,
     is_connected,
+    is_int,
     iter_bits,
     parse_graph6,
     triangle_rows,
 )
-from .partition import PartitionTarget, is_int, sum_mismatch, tau_partition
+from .partition import PartitionTarget, sum_mismatch, tau_partition
 
 DFS_CROSSCHECK_MAX_N = 10
 

@@ -82,13 +82,7 @@ from .detour import (
 from .ears import Ear, ear_decompose, ear_levels, relabels_to, require_two_connected
 from .errors import CounterexampleError, GraphError, InternalCheckError, NotTwoConnectedError, TargetError
 from .graphs import (Graph, check_vertex_set, connected_components, encode_graph6, ids_to_mask, induced_subgraph,
-                     iter_bits, lift, mask_to_ids)
-
-def is_int(x) -> bool:
-    """An int and not a bool (True is an int in Python): the type of every
-    target entry, and of every integer field the verifier reads from a
-    certificate (JSON true parses to True)."""
-    return isinstance(x, int) and not isinstance(x, bool)
+                     is_int, iter_bits, lift, mask_to_ids)
 
 
 def sum_mismatch(target: str, total: int, tau_g: int) -> str:

@@ -40,11 +40,12 @@ from .graphs import (
     encode_graph6,
     induced_subgraph,
     is_connected,
+    is_int,
     iter_bits,
 )
 from .multiway import EXACT_SEARCH_MAX_N, ColoringCertificate, color_classes, first_coloring
 from .multiway import smallest_coloring, t_partition
-from .partition import graph_facts, is_int
+from .partition import graph_facts
 
 STAR_SEARCH_BUDGET = 2000  # colour tries per component; see repair_bicolored_p4s
 
@@ -118,15 +119,16 @@ def _check_paired(g: Graph, ppc: PairPartitionColoring) -> list[tuple[int, ...]]
     """Each vertex's part's colours, its own colour first, once ppc is
     checked to be a paired colouring of g.
 
-    GraphError unless the parts partition V(g), each part has one or two
-    colours, non-negative ints (`is_int`) that no other part lists (at most
-    one part has one), and within each part every vertex has at most one
-    neighbour, a colour of the part (an int too) and, if matched, a colour
-    other than its partner's.
+    GraphError unless the parts, non-negative int masks (`is_int`),
+    partition V(g), each part has one or two colours, non-negative ints
+    that no other part lists (at most one part has one), and within each
+    part every vertex has at most one neighbour, a colour of the part (an
+    int too) and, if matched, a colour other than its partner's.
     """
     parts, pairs, colors = ppc.parts, ppc.pair_colors, ppc.colors
     # masks whose bit counts add up to n sum to V(g) only if they are disjoint
-    if min(parts, default=0) < 0 or sum(parts) != g.full_mask or sum(m.bit_count() for m in parts) != g.n:
+    if (not all(is_int(m) and m >= 0 for m in parts) or sum(parts) != g.full_mask
+            or sum(m.bit_count() for m in parts) != g.n):
         raise GraphError("parts do not partition the vertices")
     if len(pairs) != len(parts) or any(len(pc) not in (1, 2) for pc in pairs):
         raise GraphError("every part needs one or two colours")

@@ -8,6 +8,7 @@ triangle, 6-bit groups, bytes offset by 63) and are frozen here.
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -223,6 +224,23 @@ def test_a_single_fault_keeps_its_exception_and_message(case):
         build()
     assert type(exc.value) is kind
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("n", [500, 2 ** 70])
+@pytest.mark.parametrize("build", [
+    empty_graph, path_graph, cycle_graph, complete_graph, lambda n: random_graph(n, 0.5),
+], ids=["empty", "path", "cycle", "complete", "random"])
+def test_a_generator_checks_the_order_before_it_builds_anything(build, n):
+    # complete_graph(500) built 124,750 edges before the cap, and cycle_graph(2**70) never returned
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError) as exc:
+            build(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == f"graph on {n} vertices exceeds the supported maximum of 64"
+    assert peak < 8 << 10, peak
 
 
 def test_bit_helpers():

@@ -245,6 +245,15 @@ def test_brute_force_rejects_a_mask_outside_the_graph(within, count_dps):
     assert count_dps == []
 
 
+@pytest.mark.parametrize("within", [0.5, True], ids=["float", "bool"])
+def test_brute_force_rejects_a_mask_that_is_not_an_int(within, count_dps):
+    # 0.5 raised a bare TypeError, and True was read as the vertex set {0}
+    with pytest.raises(GraphError) as info:
+        brute_force_partition(cycle_graph(5), PartitionTarget(1, 1), within=within)
+    assert str(info.value) == f"vertex set {within!r} is not an int mask"
+    assert count_dps == []
+
+
 def test_brute_force_capacity():
     with pytest.raises(CapacityError):
         brute_force_partition(path_graph(21), PartitionTarget(10, 11))

@@ -199,6 +199,15 @@ def test_repair_rejects_a_colouring_that_is_not_paired(fault, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("n, parts, colors", [(4, (3.0, 12), (0, 1, 2, 3)), (2, (True, 2), (0, 2))],
+                         ids=["float-part", "bool-part"])
+def test_repair_rejects_parts_that_are_not_int_masks(n, parts, colors):
+    # 3.0 passed the sum test and met bit_count (AttributeError); True was read as the part {0}
+    with pytest.raises(GraphError) as info:
+        repair_bicolored_p4s(path_graph(n), PairPartitionColoring(parts, ((0, 1), (2, 3)), colors))
+    assert str(info.value) == "parts do not partition the vertices"
+
+
 def test_exact_star_chromatic_known_values():
     assert exact_star_chromatic(path_graph(4)) == 3
     assert exact_star_chromatic(cycle_graph(4)) == 3
