@@ -49,8 +49,11 @@ def is_int(x) -> bool:
 
 
 def check_order(n: int) -> None:
-    """CapacityError for a graph on more than MAX_VERTICES vertices; every
-    constructor and generator asks before it builds anything."""
+    """GraphError for an order that is not an int (`is_int`), CapacityError
+    for a graph on more than MAX_VERTICES vertices; every constructor and
+    generator asks before it builds or compares anything."""
+    if not is_int(n):
+        raise GraphError(f"vertex count {n!r} is not an int")
     if n > MAX_VERTICES:
         raise CapacityError(f"graph on {n} vertices exceeds the supported maximum of {MAX_VERTICES}")
 
@@ -106,9 +109,9 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        check_order(self.n)
         if self.n < 0:
             raise GraphError(f"vertex count {self.n} is negative")
-        check_order(self.n)
         if len(self.adj) != self.n:
             raise GraphError(f"adjacency table has {len(self.adj)} rows for {self.n} vertices")
         full = (1 << self.n) - 1
@@ -179,9 +182,9 @@ def path_graph(n: int) -> Graph:
 
 
 def cycle_graph(n: int) -> Graph:
+    check_order(n)
     if n < 3:
         raise GraphError(f"cycle needs at least 3 vertices, got {n}")
-    check_order(n)
     edges = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
     return Graph.from_edges(n, edges)
 
@@ -219,8 +222,11 @@ def parse_graph6(line: str) -> Graph:
     Raises Graph6Error naming the offset for malformed, truncated or
     trailing-garbage input, and for any character outside bytes 63..126,
     non-ASCII ones included.  The offset counts characters of the string
-    after stripping surrounding whitespace.
+    after stripping surrounding whitespace; an argument that is not a str
+    (bytes included) is refused at offset 0.
     """
+    if not isinstance(line, str):
+        raise Graph6Error(f"graph6 input must be a str, got {type(line).__name__}", 0)
     s = line.strip()
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]
@@ -450,11 +456,11 @@ def add_ear(g: Graph, x: int, y: int, r: int) -> Graph:
 
 
 def check_two_connected_order(n: int) -> None:
-    """Refuse an order no 2-connected Graph has: GraphError below 3,
-    CapacityError above MAX_VERTICES."""
+    """Refuse an order no 2-connected Graph has: GraphError for one that is
+    not an int or is below 3, CapacityError above MAX_VERTICES."""
+    check_order(n)
     if n < 3:
         raise GraphError(f"2-connected graphs need at least 3 vertices, got {n}")
-    check_order(n)
 
 
 def random_2connected(n: int, extra_ears: int = 0, seed: int = 0) -> Graph:

@@ -139,7 +139,10 @@ def t_partition(g: Graph, parts: tuple[int, ...] | list[int], max_n: int | None 
     takes only the empty tuple.  Returns one vertex mask per entry (possibly
     empty where re-balancing zeroed an entry's budget).
     """
-    parts = list(parts)
+    try:
+        parts = list(parts)
+    except TypeError:  # not iterable, such as a bare number
+        raise TargetError(f"tuple target {parts!r} must hold integers") from None
     if not all(is_int(p) for p in parts):
         raise TargetError(f"tuple target {parts} must hold integers")
     if any(p < 1 for p in parts):

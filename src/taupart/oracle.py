@@ -188,10 +188,11 @@ def verify_coloring_record(rec: dict, max_n: int | None = None,
     tau(g) comes from `whole_tau` when given (see WholeGraphTau), else from
     a DP of its own.
 
-    The property, its class bound and the colours themselves are checked
-    before any DP; the recorded colour count, bound and verified flag only
-    after the colour classes, so a record with several faults reports the
-    first of them in that order."""
+    The checks that need no DP come first: the property and its class
+    bound, the colours themselves, the recorded colour count and the
+    verified flag.  Only then does tau(g) come, with the star or class
+    check, the recorded bound and the count against it, so a record with
+    several faults reports the first of them in that order."""
     whole_tau = whole_tau or WholeGraphTau()
     g = _admit(rec, ("graph6", "colors", "colors_used", "bound", "property"),
                ("colors_used", "bound"), ("colors",), max_n, whole_tau)
@@ -212,6 +213,11 @@ def verify_coloring_record(rec: dict, max_n: int | None = None,
             multiway.color_classes(g, colors)
         except GraphError as exc:
             return False, f"schema: {exc}"
+    used = len(set(colors))
+    if used != rec["colors_used"]:
+        return False, f"recorded colors_used {rec['colors_used']} != recomputed {used}"
+    if rec.get("verified") is not True:
+        return False, "certificate is not marked verified"
     tau_g = whole_tau.of(g)
     if prop == "star":
         bound = tau_g
@@ -221,15 +227,10 @@ def verify_coloring_record(rec: dict, max_n: int | None = None,
         bound = -(-tau_g // nb)
         if g.n and not multiway.verify_detour_coloring(g, colors, nb, max_n):
             return False, f"a colour class has detour order above {nb}"
-    used = len(set(colors))
-    if used != rec["colors_used"]:
-        return False, f"recorded colors_used {rec['colors_used']} != recomputed {used}"
     if rec["bound"] != bound:
         return False, f"recorded bound {rec['bound']} != recomputed {bound}"
     if used > bound:
         return False, f"{used} colours exceed the bound {bound}"
-    if rec.get("verified") is not True:
-        return False, "certificate is not marked verified"
     return True, "ok"
 
 

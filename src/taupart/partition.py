@@ -627,8 +627,11 @@ def tau_partition(g: Graph, t: PartitionTarget, max_n: int | None = None) -> Par
 
     The route comes from graph_facts, which every target of g shares, and
     so does the DP cap, one message for both engines, and tau(g), against
-    which either route checks the target sum.
+    which either route checks the target sum.  A target that is not a
+    PartitionTarget is refused before any DP.
     """
+    if not isinstance(t, PartitionTarget):
+        raise TargetError(f"target {t!r} is not a PartitionTarget")
     facts = graph_facts(g, max_n)
     if facts.levels is not None:
         return tau_partition_2connected(g, t, max_n=max_n)

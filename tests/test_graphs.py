@@ -243,6 +243,20 @@ def test_a_generator_checks_the_order_before_it_builds_anything(build, n):
     assert peak < 8 << 10, peak
 
 
+@pytest.mark.parametrize("n", [True, 0.5, "3", None], ids=["bool", "float", "str", "none"])
+@pytest.mark.parametrize("build", [
+    lambda n: Graph(n, (0,)), empty_graph, path_graph, cycle_graph, complete_graph,
+    lambda n: random_graph(n, 0.5), random_2connected,
+], ids=["Graph", "empty", "path", "cycle", "complete", "random", "random-2-connected"])
+def test_an_order_that_is_not_an_int_is_refused(build, n):
+    # True built Graph(n=True, adj=(0,)), 0.5 raised a bare TypeError from
+    # the generators, and "3" and None met `<` or `>` (TypeError)
+    with pytest.raises(GraphError) as exc:
+        build(n)
+    assert type(exc.value) is GraphError
+    assert str(exc.value) == f"vertex count {n!r} is not an int"
+
+
 def test_bit_helpers():
     assert ids_to_mask([0, 2, 5]) == 0b100101
     assert mask_to_ids(0b100101) == [0, 2, 5]

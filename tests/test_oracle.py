@@ -462,10 +462,11 @@ def test_verify_coloring_record():
     assert not ok and msg.startswith("schema:")
 
 
-# The first failing check names each record; the colour list, the
-# property and its class bound are checked before any DP, the recorded
-# counts after it, and an n-detour colouring of the empty graph is read by
-# its recorded counts alone.
+# The first failing check names each record.  The property and its class
+# bound, the colour list, the recorded colour count and the verified flag
+# are checked before any DP; the star or class check, the recorded bound
+# and the count against it after tau(g).  An n-detour colouring of the
+# empty graph is read by its recorded counts alone.
 C5_COLOURING = {"graph6": "Dhc", "n": 2, "colors": [0, 2, 1, 2, 0], "colors_used": 3, "bound": 3,
                 "property": "n-detour", "verified": True}
 DXK_STAR = {"graph6": "DxK", "n": None, "colors": [2, 3, 0, 2, 3], "colors_used": 3, "bound": 5,
@@ -479,18 +480,23 @@ COLOURS = "schema: colouring must assign a non-negative colour to every vertex"
      "schema: n-detour certificate needs a positive n, got 0"),
     ({**C5_COLOURING, "n": True, "colors": [-1]}, "schema: n-detour certificate needs a positive n, got True"),
     ({**C5_COLOURING, "colors": [0, 2, 1, 2, -1], "colors_used": 9, "bound": 99}, COLOURS),
+    ({**C5_COLOURING, "colors": [0] * 5, "colors_used": 1, "bound": 99}, "a colour class has detour order above 2"),
+    ({**DXK_STAR, "colors": [0, 1, 0, 1, 2], "colors_used": 3, "bound": 99}, "colouring is not a star colouring"),
     ({**C5_COLOURING, "colors": [0] * 5, "colors_used": 9, "bound": 99, "verified": False},
-     "a colour class has detour order above 2"),
-    ({**DXK_STAR, "colors": [0, 1, 0, 1, 2], "colors_used": 9, "bound": 99}, "colouring is not a star colouring"),
+     "recorded colors_used 9 != recomputed 1"),
+    ({**DXK_STAR, "colors": [0, 1, 0, 1, 2], "colors_used": 9, "bound": 99}, "recorded colors_used 9 != recomputed 3"),
+    ({**C5_COLOURING, "colors": [0] * 5, "colors_used": 1, "bound": 99, "verified": False},
+     "certificate is not marked verified"),
+    ({**DXK_STAR, "colors": [0, 1, 0, 1, 2], "colors_used": 3, "verified": False}, "certificate is not marked verified"),
     ({**C5_COLOURING, "colors_used": 9, "bound": 99, "verified": False}, "recorded colors_used 9 != recomputed 3"),
-    ({**C5_COLOURING, "bound": 99, "verified": False}, "recorded bound 99 != recomputed 3"),
+    ({**C5_COLOURING, "bound": 99, "verified": False}, "certificate is not marked verified"),
     ({**C5_COLOURING, "graph6": "?", "colors": [0], "colors_used": 1, "bound": 0}, "1 colours exceed the bound 0"),
     ({**C5_COLOURING, "graph6": "?", "colors": [-1, 3], "colors_used": 2, "bound": 5},
      "recorded bound 5 != recomputed 0"),
     ({**DXK_STAR, "graph6": "?", "colors": [0], "colors_used": 1, "bound": 0}, COLOURS),
 ], ids=["property-and-colours", "n-and-colours", "true-n", "colours-and-counts", "class-and-counts",
-        "star-and-counts", "count-and-bound", "bound-and-flag", "empty-n-detour", "empty-n-detour-bad-colours",
-        "empty-star"])
+        "star-and-counts", "count-and-class", "count-and-star", "flag-and-class", "flag-and-star", "count-and-bound",
+        "bound-and-flag", "empty-n-detour", "empty-n-detour-bad-colours", "empty-star"])
 def test_a_colouring_record_with_several_faults_reports_the_first(rec, detail):
     assert verify_coloring_record(C5_COLOURING) == verify_coloring_record(DXK_STAR) == (True, "ok")
     assert verify_coloring_record(rec) == (False, detail)
@@ -502,6 +508,21 @@ def test_an_out_of_range_colouring_is_rejected_before_any_dp(count_dps):
     count_dps.clear()
     for colors in (rec["colors"] + [0], [-1] + rec["colors"][1:]):
         assert verify_record({**rec, "colors": colors}) == (False, COLOURS)
+    assert count_dps == []
+
+
+@pytest.mark.parametrize("fault", ["count", "flag"])
+@pytest.mark.parametrize("build", [star_coloring, lambda g: detour_coloring(g, 10)], ids=["star", "n-detour"])
+def test_a_wrong_count_or_flag_is_rejected_before_any_dp(build, fault, count_dps):
+    rec = build(cycle_graph(20)).to_json_dict()
+    assert verify_record(rec) == (True, "ok")
+    count_dps.clear()
+    used = rec["colors_used"]
+    if fault == "count":
+        bad, detail = {**rec, "colors_used": used + 1}, f"recorded colors_used {used + 1} != recomputed {used}"
+    else:
+        bad, detail = {**rec, "verified": False}, "certificate is not marked verified"
+    assert verify_record(bad) == (False, detail)
     assert count_dps == []
 
 

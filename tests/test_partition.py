@@ -19,8 +19,8 @@ from taupart.detour import (
     subset_tau_at_most,
     tau_subset,
 )
-from taupart.errors import (CapacityError, CounterexampleError, GraphError, InternalCheckError, NotTwoConnectedError,
-                            TargetError)
+from taupart.errors import (CapacityError, CounterexampleError, Graph6Error, GraphError, InternalCheckError,
+                            NotTwoConnectedError, TargetError)
 from taupart.graphs import (
     Graph,
     add_ear,
@@ -251,6 +251,21 @@ def test_brute_force_rejects_a_mask_that_is_not_an_int(within, count_dps):
     with pytest.raises(GraphError) as info:
         brute_force_partition(cycle_graph(5), PartitionTarget(1, 1), within=within)
     assert str(info.value) == f"vertex set {within!r} is not an int mask"
+    assert count_dps == []
+
+
+@pytest.mark.parametrize("call, kind, message", [
+    (lambda: t_partition(cycle_graph(5), 0.5), TargetError, "tuple target 0.5 must hold integers"),
+    (lambda: tau_partition(cycle_graph(5), None), TargetError, "target None is not a PartitionTarget"),
+    (lambda: parse_graph6(5), Graph6Error, "graph6 input must be a str, got int (byte 0)"),
+    (lambda: parse_graph6(b"Dhc"), Graph6Error, "graph6 input must be a str, got bytes (byte 0)"),
+], ids=["t_partition-float", "tau_partition-none", "parse_graph6-int", "parse_graph6-bytes"])
+def test_an_argument_of_the_wrong_type_raises_the_documented_error(call, kind, message, count_dps):
+    # each raised a bare TypeError or AttributeError
+    with pytest.raises(Exception) as exc:
+        call()
+    assert type(exc.value) is kind
+    assert str(exc.value) == message
     assert count_dps == []
 
 
