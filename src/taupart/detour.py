@@ -90,7 +90,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import CapacityError, GraphError
-from .graphs import Graph, closure, iter_bits, lift, mask_to_ids, relabel
+from .graphs import Graph, closure, is_int, iter_bits, lift, mask_to_ids, relabel
 
 if TYPE_CHECKING:
     import numpy as np
@@ -124,11 +124,15 @@ class DetourRecord:
 def check_capacity(k: int, max_n: int | None, cap: int = DETOUR_DP_MAX_N,
                    what: str = "subset dynamic program") -> None:
     """Check that `what` over k vertices stays within the vertex limit
-    (max_n, or `cap` when None); CapacityError otherwise.
+    (max_n, or `cap` when None); CapacityError otherwise.  A max_n that is
+    neither None nor an int of at least 1 is a ValueError, the CLI's rule
+    for TAUPART_MAX_N.
 
     The one cap check of the package: the exported entries call it as a
     graph comes in, with the DP cap by default, which brute force shares,
     or the exact searches' cap."""
+    if max_n is not None and not (is_int(max_n) and max_n >= 1):
+        raise ValueError(f"max_n must be an integer of at least 1, got {max_n!r}")
     limit = cap if max_n is None else max_n
     if k > limit:
         raise CapacityError(f"{what} over {k} vertices exceeds the cap of {limit}")
@@ -141,25 +145,27 @@ def _dp_levels(adj: Sequence[int], stop_at: int | None = None, unions: list[int]
 
     `within` is a vertex mask of the host graph whose rows `adj` are, all of
     them when None.  Returns (tau, last, ends) as `_dp_loop` documents, in
-    the host's own ids.  A run on NUMPY_DP_MIN_K or more vertices goes to
-    `_dp_numpy`, early exit or not.  A smaller full-order run (no `stop_at`)
-    goes to `_dp_bits` when <within> has at least as many edges as vertices,
-    and everything else to `_dp_loop`: an early-exit run, or a graph with
-    fewer edges than vertices (every forest), reaches too few subsets to pay
-    for whole levels of 2^k bits.  `unions` sends a full-order run below
-    NUMPY_DP_MIN_K to `_dp_bits` whatever the edge count, and receives the
-    whole-level bit sets that `SubsetTable` keeps.  The bit kernel indexes
-    its ints by subset, so it alone runs in ids 0..k-1: when `within` is
-    not every vertex, this branch relabels <within> for it, and lifts its
-    masks back; `unions` then holds subsets of those relabelled ids.  The
-    relabelling keeps the order of the ids, so the masks of each level come
-    back in the order the kernel gives them.
+    the host's own ids.  `unions` sends a full-order run to `_dp_bits`
+    whatever its size and edge count, and receives the whole-level bit sets
+    that `SubsetTable` keeps, so a table is right at any size.  Without it,
+    a run on NUMPY_DP_MIN_K or more vertices goes to `_dp_numpy`, early exit
+    or not.  A smaller full-order run (no `stop_at`) goes to `_dp_bits` when
+    <within> has at least as many edges as vertices, and everything else to
+    `_dp_loop`: an early-exit run, or a graph with fewer edges than vertices
+    (every forest), reaches too few subsets to pay for whole levels of 2^k
+    bits.  The bit kernel indexes its ints by subset, so it alone runs in
+    ids 0..k-1: when `within` is not every vertex, this branch relabels
+    <within> for it, and lifts its masks back; `unions` then holds subsets
+    of those relabelled ids.  The relabelling keeps the order of the ids,
+    so the masks of each level come back in the order the kernel gives
+    them.  `subset_queries` builds a table only below NUMPY_DP_MIN_K
+    vertices, so no query of the package sends `unions` past it.
     """
     full = (1 << len(adj)) - 1
     if within is None:
         within = full
     k = within.bit_count()
-    if k >= NUMPY_DP_MIN_K:
+    if k >= NUMPY_DP_MIN_K and unions is None:
         return _dp_numpy(adj, stop_at, within)
     if stop_at is None and (unions is not None
                             or sum((adj[v] & within).bit_count() for v in iter_bits(within)) >= 2 * k):
@@ -425,9 +431,10 @@ class SubsetTable:
     tau(<S>) <= b exactly when has[b + 1] misses it, as a path of order
     above b + 1 has a prefix of order b + 1.  `ends` is the mask of
     vertices that end a Hamiltonian path of g (0 when tau(g) < n), read off
-    the run's last level, which then holds one subset, V itself.  Built for
-    graphs below NUMPY_DP_MIN_K vertices, where K13's table keeps 14 ints
-    of 1 KiB."""
+    the run's last level, which then holds one subset, V itself.  A table
+    is right at any size, but costs 2^n bits per level: `subset_queries`
+    builds one only below NUMPY_DP_MIN_K vertices, where K13's table keeps
+    14 ints of 1 KiB."""
 
     __slots__ = ("n", "has", "ends")
 

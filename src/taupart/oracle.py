@@ -19,9 +19,17 @@ keeps it after the call.  It also keeps the graph6 string that it last
 parsed, so a run of records with that exact string parses it once, and a
 record with any other string is parsed from its own.  It answers only for
 a graph equal to the one it holds, and every part's tau still comes from
-the verifier's own DP.  `sweep_ppc` seeds it with the tau(g) that it has
-just computed and cross-checked against the DFS engine, and checks each
+the verifier's own DP.  `sweep_ppc` seeds it with the tau(g) that its loop
+has just computed and cross-checked against the DFS engine, and checks each
 certificate of g against that.
+
+Both sweeps run one loop, `_sweep`.  Per graph it computes tau(g) once,
+cross-checked against the DFS engine up to DFS_CROSSCHECK_MAX_N vertices,
+keeps the clock and the `runtime_ms` stamp, and turns a documented error
+into one untimed error row; a capacity error there sets the report's
+`over_cap`, whichever sweep ran.  Each sweep supplies only its check of one
+graph: `sweep_ppc` its targets and their certificates, `sweep_bounds` its
+exact chromatic numbers against the constructed ones.
 
 The corpus enumerators produce one representative per isomorphism class by
 vertex augmentation: deleting a vertex of minimum degree from an n-vertex
@@ -264,7 +272,7 @@ class SweepReport:
     counts: dict[str, int]
     max_runtime_ms: float | None = None
     witnesses: list[dict] = field(default_factory=list)
-    over_cap: bool = False  # some graph's error row is a capacity overrun
+    over_cap: bool = False  # some graph's error row, in either sweep, is a capacity overrun
 
     @property
     def counterexamples(self) -> int:
@@ -283,120 +291,118 @@ class SweepReport:
         return lines
 
 
-def _crosscheck_tau(g: Graph, max_n: int | None) -> int:
-    tau_g = detour_order(g, max_n).tau
-    if g.n <= DFS_CROSSCHECK_MAX_N:
-        other = detour_order_dfs(g)
-        if other != tau_g:
-            raise InternalCheckError(
-                f"detour engines disagree on {encode_graph6(g)}: dp={tau_g} dfs={other}")
-    return tau_g
+def _sweep(graphs, corpus: str, max_n: int | None, deterministic: bool, outcomes: tuple[str, ...],
+           errors: tuple[type[Exception], ...], check) -> SweepReport:
+    """The per-graph loop of both sweeps.
+
+    For each graph g: tau(g) from `detour_order`, cross-checked against
+    `detour_order_dfs` up to DFS_CROSSCHECK_MAX_N vertices, then
+    `check(g, tau_g, add, report)`, which writes g's rows through `add` and
+    returns g's outcome, one of `outcomes`.  `add` stamps a row with the
+    milliseconds since g's clock started, unless the sweep is
+    deterministic.  An exception of one of `errors` ends g with one untimed
+    {"graph6", "error"} row and the outcome "error"; a CapacityError also
+    sets `over_cap`.  Any other exception, a disagreement of the two
+    engines among them, propagates.
+    """
+    report = SweepReport(corpus, 0, [], dict.fromkeys(outcomes, 0))
+    max_rt = 0.0
+
+    def add(rec: dict) -> None:
+        if not deterministic:
+            rec["runtime_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
+        report.records.append(rec)
+
+    for g in graphs:
+        report.graphs += 1
+        t0 = time.perf_counter()
+        try:
+            tau_g = detour_order(g, max_n).tau
+            if g.n <= DFS_CROSSCHECK_MAX_N and (other := detour_order_dfs(g)) != tau_g:
+                raise InternalCheckError(
+                    f"detour engines disagree on {encode_graph6(g)}: dp={tau_g} dfs={other}")
+            outcome = check(g, tau_g, add, report)
+        except errors as exc:
+            report.records.append({"graph6": encode_graph6(g), "error": str(exc)})
+            report.over_cap = report.over_cap or isinstance(exc, CapacityError)
+            outcome = "error"
+        max_rt = max(max_rt, (time.perf_counter() - t0) * 1000.0)
+        report.counts[outcome] += 1
+    if not deterministic:
+        report.max_runtime_ms = round(max_rt, 3)
+    return report
 
 
 def sweep_ppc(graphs, corpus: str = "", max_n: int | None = None,
               deterministic: bool = False) -> SweepReport:
     """Partition every graph for every (a, b) target and verify each result
-    against tau(g), computed once per graph and cross-checked.
+    against tau(g), computed once per graph and cross-checked (`_sweep`).
 
     One record per (graph, target); graphs with detour order below 2 have no
     targets and count as vacuously constructed.  Counterexamples and capacity
     overruns are recorded per graph, never raised.  Witness dicts from the
     partitioner are collected on the report.
     """
-    records: list[dict] = []
-    witnesses: list[dict] = []
-    counts = {"constructed": 0, "fallback": 0, "witness": 0, "counterexample": 0, "error": 0}
-    over_cap = False
-    max_rt = 0.0
-    total = 0
-    for g in graphs:
-        total += 1
-        t0 = time.perf_counter()
+
+    def check(g: Graph, tau_g: int, add, report: SweepReport) -> str:
+        whole_tau = WholeGraphTau(g, tau_g)
         outcome = "constructed"
         try:
-            tau_g = _crosscheck_tau(g, max_n)
-            whole_tau = WholeGraphTau(g, tau_g)
-            had_fallback = False
-            had_witness = False
             for a in range(1, tau_g):
                 cert = tau_partition(g, PartitionTarget(a, tau_g - a), max_n=max_n)
                 ok, msg = verify_record(cert.to_json_dict(), max_n=max_n, whole_tau=whole_tau)
                 if not ok:
                     raise InternalCheckError(
                         f"fresh certificate failed re-verification on {cert.graph6}: {msg}")
-                rec = {"graph6": cert.graph6, "n": g.n, "a": a, "b": tau_g - a,
-                       "method": cert.method, "witnesses": len(cert.witnesses), "verified": True}
-                if not deterministic:
-                    rec["runtime_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
-                records.append(rec)
-                had_fallback = had_fallback or cert.method == "fallback"
-                had_witness = had_witness or bool(cert.witnesses)
-                witnesses.extend(w.to_json_dict() for w in cert.witnesses)
-            if had_witness:
-                outcome = "witness"
-            elif had_fallback:
-                outcome = "fallback"
+                add({"graph6": cert.graph6, "n": g.n, "a": a, "b": tau_g - a,
+                     "method": cert.method, "witnesses": len(cert.witnesses), "verified": True})
+                report.witnesses.extend(w.to_json_dict() for w in cert.witnesses)
+                if cert.witnesses:
+                    outcome = "witness"
+                elif cert.method == "fallback" and outcome == "constructed":
+                    outcome = "fallback"
         except CounterexampleError as exc:
-            records.append({"graph6": exc.graph6, "target": list(exc.target or ()),
-                            "counterexample": True})
-            outcome = "counterexample"
-        except (CapacityError, TargetError) as exc:
-            records.append({"graph6": encode_graph6(g), "error": str(exc)})
-            outcome = "error"
-            over_cap = over_cap or isinstance(exc, CapacityError)
-        max_rt = max(max_rt, (time.perf_counter() - t0) * 1000.0)
-        counts[outcome] += 1
-    return SweepReport(corpus, total, records, counts,
-                       None if deterministic else round(max_rt, 3), witnesses, over_cap)
+            report.records.append({"graph6": exc.graph6, "target": list(exc.target or ()),
+                                   "counterexample": True})
+            return "counterexample"
+        return outcome
+
+    return _sweep(graphs, corpus, max_n, deterministic,
+                  ("constructed", "fallback", "witness", "counterexample", "error"),
+                  (CapacityError, TargetError), check)
 
 
 def sweep_bounds(graphs, corpus: str = "", max_n: int | None = None,
                  deterministic: bool = False) -> SweepReport:
-    """Exact chromatic numbers against their detour-order bounds.
+    """Exact chromatic numbers against their detour-order bounds, with
+    tau(g) computed once per graph and cross-checked (`_sweep`).
 
     Per graph: for every class bound n in 1..tau, the exact n-detour
     chromatic number must fit under ceil(tau/n) and the constructed
     colouring must verify under it; and the exact star chromatic number
     and the constructed star colouring must fit under tau.
     """
-    records: list[dict] = []
-    counts = {"ok": 0, "violation": 0, "error": 0}
-    max_rt = 0.0
-    total = 0
-    for g in graphs:
-        total += 1
-        t0 = time.perf_counter()
+
+    def check(g: Graph, tau_g: int, add, report: SweepReport) -> str:
         g6 = encode_graph6(g)
-        try:
-            tau_g = _crosscheck_tau(g, max_n)
-            good = True
-            for nb in range(1, tau_g + 1):
-                exact = multiway.exact_detour_chromatic(g, nb, max_n=max_n)
-                bound = -(-tau_g // nb)
-                cert = multiway.detour_coloring(g, nb, max_n=max_n)
-                ok = exact <= bound and cert.verified and cert.colors_used <= bound
-                good = good and ok
-                rec = {"graph6": g6, "check": "detour", "n": nb, "exact": exact,
-                       "bound": bound, "constructed_used": cert.colors_used, "ok": ok}
-                if not deterministic:
-                    rec["runtime_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
-                records.append(rec)
-            chi_star = starcolor.exact_star_chromatic(g, max_n=max_n)
-            cert = starcolor.star_coloring(g, max_n=max_n)
-            ok = chi_star <= tau_g and cert.verified and cert.colors_used <= tau_g
+        good = True
+        for nb in range(1, tau_g + 1):
+            exact = multiway.exact_detour_chromatic(g, nb, max_n=max_n)
+            bound = -(-tau_g // nb)
+            cert = multiway.detour_coloring(g, nb, max_n=max_n)
+            ok = exact <= bound and cert.verified and cert.colors_used <= bound
             good = good and ok
-            rec = {"graph6": g6, "check": "star", "exact_star": chi_star, "bound": tau_g,
-                   "constructed_used": cert.colors_used, "ok": ok}
-            if not deterministic:
-                rec["runtime_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
-            records.append(rec)
-            counts["ok" if good else "violation"] += 1
-        except (CapacityError, CounterexampleError) as exc:
-            records.append({"graph6": g6, "error": str(exc)})
-            counts["error"] += 1
-        max_rt = max(max_rt, (time.perf_counter() - t0) * 1000.0)
-    return SweepReport(corpus, total, records, counts,
-                       None if deterministic else round(max_rt, 3))
+            add({"graph6": g6, "check": "detour", "n": nb, "exact": exact,
+                 "bound": bound, "constructed_used": cert.colors_used, "ok": ok})
+        chi_star = starcolor.exact_star_chromatic(g, max_n=max_n)
+        cert = starcolor.star_coloring(g, max_n=max_n)
+        ok = chi_star <= tau_g and cert.verified and cert.colors_used <= tau_g
+        add({"graph6": g6, "check": "star", "exact_star": chi_star, "bound": tau_g,
+             "constructed_used": cert.colors_used, "ok": ok})
+        return "ok" if good and ok else "violation"
+
+    return _sweep(graphs, corpus, max_n, deterministic, ("ok", "violation", "error"),
+                  (CapacityError, CounterexampleError), check)
 
 
 # ---------------------------------------------------------------------------

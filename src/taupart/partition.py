@@ -115,6 +115,13 @@ class PartitionTarget:
         return self.a + self.b
 
 
+def check_target(t) -> None:
+    """TargetError unless t is a PartitionTarget: the first check of every
+    partition entry, before any DP."""
+    if not isinstance(t, PartitionTarget):
+        raise TargetError(f"target {t!r} is not a PartitionTarget")
+
+
 @dataclass(frozen=True)
 class CaseStep:
     """One ear folded into the partition.
@@ -422,7 +429,9 @@ def brute_force_partition(g: Graph, t: PartitionTarget, max_n: int | None = None
     whatever `within` is; from there on, a component's empty and
     one-vertex candidates cost one DP between them
     (`_first_component_part`), and each larger candidate up to two.
+    A target that is not a PartitionTarget is refused before any of it.
     """
+    check_target(t)
     check_capacity(g.n, max_n)
     mask = g.full_mask if within is None else within
     check_vertex_set(g, mask)
@@ -538,8 +547,10 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
     the case rules, verifies every step exactly, and repairs failed steps by
     brute force at that level (recording witnesses).  The partition of each
     level is held as its part A alone; part B is the rest of the level.  The
-    returned certificate is always verified against g.
+    returned certificate is always verified against g.  A target that is
+    not a PartitionTarget is refused before any DP.
     """
+    check_target(t)
     facts = graph_facts(g, max_n)
     tau_g = facts.tau
     if t.total != tau_g:
@@ -630,8 +641,7 @@ def tau_partition(g: Graph, t: PartitionTarget, max_n: int | None = None) -> Par
     which either route checks the target sum.  A target that is not a
     PartitionTarget is refused before any DP.
     """
-    if not isinstance(t, PartitionTarget):
-        raise TargetError(f"target {t!r} is not a PartitionTarget")
+    check_target(t)
     facts = graph_facts(g, max_n)
     if facts.levels is not None:
         return tau_partition_2connected(g, t, max_n=max_n)

@@ -219,6 +219,24 @@ def test_exponential_entries_refuse_c21_with_the_dp_cap(call):
     assert call(max_n=21)
 
 
+C5_RECORD = taupart.tau_partition(cycle_graph(5), taupart.PartitionTarget(2, 3)).to_json_dict()
+
+
+@pytest.mark.parametrize("max_n", [0.5, "20", True, 0, -1])
+@pytest.mark.parametrize("call", [
+    lambda max_n: taupart.tau_partition(cycle_graph(5), taupart.PartitionTarget(2, 3), max_n=max_n),
+    lambda max_n: taupart.detour_coloring(cycle_graph(5), 2, max_n=max_n),
+    lambda max_n: taupart.verify_record(C5_RECORD, max_n=max_n),
+], ids=["tau_partition", "detour_coloring", "verify_record"])
+def test_a_cap_that_is_not_an_int_of_at_least_1_is_refused(call, max_n):
+    # the CLI's rule for TAUPART_MAX_N, in the one cap check: a wrong cap
+    # is the caller's error, never a `capacity:` verdict on the graph
+    with pytest.raises(ValueError) as exc:
+        call(max_n)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"max_n must be an integer of at least 1, got {max_n!r}"
+
+
 def _pairs(result):
     """A kernel result as tau and its deepest level's (mask, ends) pairs,
     sorted."""
@@ -337,6 +355,20 @@ def test_subset_table_matches_the_per_query_loop():
     assert detour.SubsetTable(Graph.from_edges(0, [])).tau(0) == 0
     with pytest.raises(GraphError):
         detour.SubsetTable(path_graph(3)).on_every_order_path(0, 0b111)
+
+
+@pytest.mark.parametrize("g", [cycle_graph(NUMPY_DP_MIN_K), random_graph(NUMPY_DP_MIN_K + 1, 0.3, seed=3)],
+                         ids=["C14", "random-15"])
+def test_a_subset_table_on_numpy_dp_min_k_or_more_vertices_agrees_with_tau_subset(g):
+    # subset_queries builds no table this large, but the class is public,
+    # and only the bit kernel fills the level bit sets a table reads
+    table = detour.SubsetTable(g)
+    tau = tau_subset(g, g.full_mask)
+    assert table.hamiltonian_ends() == (tau, end_vertices_of_order_paths(g, g.n) if tau == g.n else 0)
+    rng = random.Random(g.n)
+    for mask in [g.full_mask] + [rng.getrandbits(g.n) for _ in range(200)]:
+        assert table.tau(mask) == tau_subset(g, mask), mask
+        assert table.at_most(mask, 3) == (tau_subset(g, mask) <= 3), mask
 
 
 def test_a_full_subset_table_cache_keeps_under_a_mib():

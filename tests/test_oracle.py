@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from taupart import oracle, partition
 from taupart.detour import detour_order_dfs
 from taupart.ears import is_two_connected
-from taupart.errors import CapacityError, GraphError
+from taupart.errors import CapacityError, CounterexampleError, GraphError, TargetError
 from taupart.graphs import (
     Graph,
     complete_graph,
@@ -792,6 +792,44 @@ def test_sweep_ppc_deterministic_json():
     assert any("runtime_ms" in line for line in with_timing)
 
 
+def test_sweep_ppc_rows_of_every_kind(monkeypatch):
+    # a certificate row per target, one counterexample row, one target-error
+    # row and one capacity row, each after the rows its graph already wrote
+    c6, k5 = cycle_graph(6), complete_graph(5)
+    real = oracle.tau_partition
+
+    def partition_or_fail(g, t, max_n=None):
+        if g == c6 and (t.a, t.b) == (2, 4):
+            raise CounterexampleError("no (2, 4) partition exists", encode_graph6(g), (2, 4))
+        if g == k5 and (t.a, t.b) == (3, 2):
+            raise TargetError("refused (3, 2)")
+        return real(g, t, max_n=max_n)
+
+    monkeypatch.setattr(oracle, "tau_partition", partition_or_fail)
+    graphs = [c6, k5, path_graph(4), cycle_graph(21)]
+    rep = sweep_ppc(graphs, deterministic=True)
+    assert rep.to_json_lines() == [
+        '{"a": 1, "b": 5, "graph6": "EhEG", "method": "base-cycle", "n": 6, "verified": true, "witnesses": 0}',
+        '{"counterexample": true, "graph6": "EhEG", "target": [2, 4]}',
+        '{"a": 1, "b": 4, "graph6": "D~{", "method": "constructed", "n": 5, "verified": true, "witnesses": 0}',
+        '{"a": 2, "b": 3, "graph6": "D~{", "method": "constructed", "n": 5, "verified": true, "witnesses": 0}',
+        '{"error": "refused (3, 2)", "graph6": "D~{"}',
+        '{"a": 1, "b": 3, "graph6": "Ch", "method": "fallback", "n": 4, "verified": true, "witnesses": 0}',
+        '{"a": 2, "b": 2, "graph6": "Ch", "method": "fallback", "n": 4, "verified": true, "witnesses": 0}',
+        '{"a": 3, "b": 1, "graph6": "Ch", "method": "fallback", "n": 4, "verified": true, "witnesses": 0}',
+        '{"error": "subset dynamic program over 21 vertices exceeds the cap of 20", '
+        '"graph6": "ThCGGC@?G?_@?@??_?G?@??C??G??G??E??@"}',
+        '{"corpus": "", "counts": {"constructed": 0, "counterexample": 1, "error": 2, "fallback": 1, '
+        '"witness": 0}, "graphs": 4, "summary": true, "witnesses": 0}',
+    ]
+    assert rep.over_cap is True and len(rep.witnesses) == 0 and rep.max_runtime_ms is None
+    timed = sweep_ppc(graphs)
+    assert [{k: v for k, v in rec.items() if k != "runtime_ms"} for rec in timed.records] == rep.records
+    for rec in timed.records:
+        assert ("runtime_ms" in rec) == ("verified" in rec), rec
+    assert timed.max_runtime_ms >= max(rec["runtime_ms"] for rec in timed.records if "runtime_ms" in rec)
+
+
 def test_sweep_bounds_small():
     gs = []
     for n in range(1, 6):
@@ -810,6 +848,7 @@ def test_sweep_bounds_reports_a_graph_over_the_exact_search_cap_as_one_error_row
     assert c15_rows == [{"graph6": encode_graph6(c15),
                          "error": "exact search over 15 vertices exceeds the cap of 14"}]
     assert rep.counts == {"ok": 1, "violation": 0, "error": 1}
+    assert rep.over_cap is True
 
 
 def test_sweep_records_round_trip_through_verifier():

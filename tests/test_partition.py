@@ -259,7 +259,16 @@ def test_brute_force_rejects_a_mask_that_is_not_an_int(within, count_dps):
     (lambda: tau_partition(cycle_graph(5), None), TargetError, "target None is not a PartitionTarget"),
     (lambda: parse_graph6(5), Graph6Error, "graph6 input must be a str, got int (byte 0)"),
     (lambda: parse_graph6(b"Dhc"), Graph6Error, "graph6 input must be a str, got bytes (byte 0)"),
-], ids=["t_partition-float", "tau_partition-none", "parse_graph6-int", "parse_graph6-bytes"])
+    (lambda: tau_partition_2connected(cycle_graph(5), None), TargetError,
+     "target None is not a PartitionTarget"),
+    (lambda: tau_partition_2connected(cycle_graph(5), (2, 3)), TargetError,
+     "target (2, 3) is not a PartitionTarget"),
+    (lambda: brute_force_partition(cycle_graph(5), None), TargetError, "target None is not a PartitionTarget"),
+    (lambda: brute_force_partition(cycle_graph(5), (2, 3)), TargetError,
+     "target (2, 3) is not a PartitionTarget"),
+], ids=["t_partition-float", "tau_partition-none", "parse_graph6-int", "parse_graph6-bytes",
+        "tau_partition_2connected-none", "tau_partition_2connected-tuple", "brute_force_partition-none",
+        "brute_force_partition-tuple"])
 def test_an_argument_of_the_wrong_type_raises_the_documented_error(call, kind, message, count_dps):
     # each raised a bare TypeError or AttributeError
     with pytest.raises(Exception) as exc:
