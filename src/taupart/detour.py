@@ -53,7 +53,7 @@ end a Hamiltonian path of the whole graph.  It is the only full-order DP
 the construction runs on such a graph: it serves partition's graph facts
 (tau of a graph, the Hamiltonian ends of an ear level), step checks,
 witness taus and final certificate check, brute-force repair, and
-multiway's part check and exact colour search.  A multiway chain peels its
+multiway's exact colour search.  A multiway chain peels its
 remainders as masks of one graph, so the remainders that are not
 2-connected read that graph's table and get none of their own.  Only a
 2-connected remainder, for the ear construction, and the first remainder
@@ -364,7 +364,11 @@ def subset_tau_at_most(g: Graph, mask: int, bound: int) -> bool:
 
 
 def has_path_of_order(g: Graph, k: int, max_n: int | None = None) -> bool:
-    """Does g contain a path on at least k vertices?"""
+    """Does g contain a path on at least k vertices?  The whole-graph
+    early-exit query: the DP stops at level k.  GraphError for an order
+    that is not a positive int (`is_int`)."""
+    if not is_int(k):
+        raise GraphError(f"path order {k!r} is not an int")
     check_capacity(g.n, max_n)
     return subset_has_path(g, g.full_mask, k)
 

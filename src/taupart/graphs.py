@@ -134,13 +134,15 @@ class Graph:
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph on n vertices from an edge list.
 
-        Rejects out-of-range endpoints and repeated edges here; the
-        constructor rejects a negative n and self-loops.  The cap is checked
-        first, before the rows are allocated.
+        Rejects endpoints that are not int ids (`is_int`) in 0..n-1 and
+        repeated edges here; the constructor rejects a negative n and
+        self-loops.  The cap is checked first, before the rows are allocated.
         """
         check_order(n)
         adj = [0] * n
         for u, v in edges:
+            if not (is_int(u) and is_int(v)):
+                raise GraphError(f"edge ({u!r}, {v!r}) must join two int vertex ids")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
             if adj[u] >> v & 1:
@@ -276,6 +278,7 @@ def parse_graph6(line: str) -> Graph:
 
 def encode_graph6(g: Graph) -> str:
     """Encode a graph as a canonical-order graph6 string (no header)."""
+    check_graph(g)
     n = g.n
     if n <= 62:
         head = [n + 63]
@@ -404,6 +407,12 @@ def lift(mask: int, order) -> int:
     return out
 
 
+def check_graph(g: Graph) -> None:
+    """GraphError unless g is a Graph."""
+    if not isinstance(g, Graph):
+        raise GraphError(f"expected a Graph, got {type(g).__name__}")
+
+
 def check_vertex_set(g: Graph, mask: int) -> None:
     """GraphError unless mask is an int (`is_int`) and a non-negative
     subset of g.full_mask."""
@@ -418,8 +427,16 @@ def induced_subgraph(g: Graph, vertices: int | Iterable[int]) -> tuple[Graph, li
 
     Returns the subgraph, relabelled as `relabel` does, together with
     `order`: order[i] is the original id of the subgraph's vertex i.
+    GraphError for a g that is not a Graph, an id that is not an int
+    (`is_int`) in 0..g.n-1, or a mask that `check_vertex_set` refuses.
     """
-    mask = vertices if isinstance(vertices, int) else ids_to_mask(vertices)
+    check_graph(g)
+    mask = vertices
+    if not isinstance(vertices, int) and isinstance(vertices, Iterable):
+        ids = list(vertices)
+        if not all(is_int(v) and 0 <= v < g.n for v in ids):
+            raise GraphError(f"vertex ids {ids!r} are not all ints in 0..{g.n - 1}")
+        mask = ids_to_mask(ids)
     check_vertex_set(g, mask)
     rows, order = relabel(g.adj, mask)
     return Graph(len(order), tuple(rows)), order
@@ -430,7 +447,11 @@ def add_ear(g: Graph, x: int, y: int, r: int) -> Graph:
 
     r = 0 adds the chord xy (which must not already exist); r >= 1 adds new
     vertices g.n .. g.n+r-1 forming the path x, g.n, ..., g.n+r-1, y.
+    x, y and r must be ints (`is_int`), else GraphError.
     """
+    check_graph(g)
+    if not (is_int(x) and is_int(y) and is_int(r)):
+        raise GraphError(f"ear arguments ({x!r}, {y!r}, {r!r}) must be ints")
     if not (0 <= x < g.n and 0 <= y < g.n):
         raise GraphError(f"ear endpoints ({x}, {y}) out of range for n={g.n}")
     if x == y:
@@ -504,6 +525,7 @@ def blocks(g: Graph) -> tuple[list[tuple[int, bool]], int]:
     closes the block of u and the vertices of v's subtree not yet closed;
     in a simple graph it is a bridge exactly when it has two vertices.
     """
+    check_graph(g)
     disc = [-1] * g.n
     low = [0] * g.n
     below = [1 << v for v in range(g.n)]

@@ -17,13 +17,14 @@ of its own.  Two kinds of remainder still get a graph of their own: a
 remainder below NUMPY_DP_MIN_K vertices of a larger graph, so that it and
 the remainders cut from it read a table.  Each step checks its two part
 taus against its target, and the tau of its part B is the next remainder's,
-so no remainder runs a DP for its own tau.
+so no remainder runs a DP for its own tau, and no part is checked twice.
 
 A colouring whose every colour class has detour order at most n is built from
-the tuple (n, ..., n, tau mod n): one colour per part, ceil(tau/n) colours in
-total.  n = 1 is ordinary proper colouring (a class with an edge has a
-2-vertex path), so the classical bound chi(g) <= tau(g) is the bottom row of
-the same machinery.
+the tuple (n, ..., n, tau mod n) of `class_partition`, which the star route
+shares at n = 2: one colour per part, ceil(tau/n) colours in total.  n = 1
+is ordinary proper colouring (a class with an edge has a 2-vertex path), so
+the classical bound chi(g) <= tau(g) is the bottom row of the same
+machinery.
 """
 
 from __future__ import annotations
@@ -108,7 +109,11 @@ def _split(g: Graph, parts: list[int], max_n: int | None) -> list[int]:
     one gets its own graph for the ear construction, and its parts are
     lifted back to host's ids.  Either way the step's part taus are
     checked against its target, and the tau of part B is the next
-    remainder's, so no remainder needs a DP of its own.
+    remainder's, so no remainder needs a DP of its own.  That check is
+    each part's one check: the last remainder's tau is the checked tau of
+    the previous step's part B, which `_rebalance` leaves as its budget,
+    and every step splits its remainder into A and the rest, so the masks
+    are disjoint and cover V(g).
     """
     host, order, mask = g, range(g.n), g.full_mask
     out: list[int] = []
@@ -137,7 +142,8 @@ def t_partition(g: Graph, parts: tuple[int, ...] | list[int], max_n: int | None 
 
     `parts` must be positive integers summing to tau(g), so the empty graph
     takes only the empty tuple.  Returns one vertex mask per entry (possibly
-    empty where re-balancing zeroed an entry's budget).
+    empty where re-balancing zeroed an entry's budget), each checked by the
+    step of `_split` that cut it off.
     """
     try:
         parts = list(parts)
@@ -150,18 +156,17 @@ def t_partition(g: Graph, parts: tuple[int, ...] | list[int], max_n: int | None 
     tau_g = graph_facts(g, max_n).tau
     if sum(parts) != tau_g:
         raise TargetError(sum_mismatch(f"tuple target {parts}", sum(parts), tau_g))
-    masks = _split(g, parts, max_n)
-    union = 0
-    q = subset_queries(g)
-    for i, m in enumerate(masks):
-        if m & union:
-            raise InternalCheckError("parts overlap")
-        union |= m
-        if not q.at_most(m, parts[i]):
-            raise InternalCheckError(f"part {i} exceeds its bound {parts[i]}")
-    if union != g.full_mask:
-        raise InternalCheckError("parts do not cover the graph")
-    return masks
+    return _split(g, parts, max_n)
+
+
+def class_partition(g: Graph, n: int, max_n: int | None = None) -> tuple[list[int], list[int]]:
+    """The parts of the paper's Theorem 2 for class bound n: the budgets
+    (n, ..., n, tau mod n), ceil(tau/n) of them, and their masks of g,
+    split as `t_partition` splits a tuple target.  `detour_coloring` gives each part a colour, and the star
+    route (n = 2) a colour pair, or one colour to a part of budget 1."""
+    tau_g = graph_facts(g, max_n).tau
+    budgets = [n] * (tau_g // n) + ([tau_g % n] if tau_g % n else [])
+    return budgets, _split(g, budgets, max_n)
 
 
 def color_classes(g: Graph, colors) -> dict[int, int]:
@@ -203,19 +208,14 @@ def detour_coloring(g: Graph, n: int, max_n: int | None = None) -> ColoringCerti
     """Colour g with every class of detour order <= n, within ceil(tau/n) colours."""
     _check_class_bound(n)
     g6 = encode_graph6(g)
-    tau_g = graph_facts(g, max_n).tau
-    bound = -(-tau_g // n)
-    parts = [n] * (tau_g // n)
-    if tau_g % n:
-        parts.append(tau_g % n)
-    masks = t_partition(g, parts, max_n=max_n)
+    budgets, masks = class_partition(g, n, max_n)
     colors = [0] * g.n
     for i, m in enumerate(masks):
         for v in iter_bits(m):
             colors[v] = i
     if not verify_detour_coloring(g, colors, n, max_n):
         raise InternalCheckError(f"constructed {n}-detour colouring failed verification on {g6}")
-    return ColoringCertificate(g6, tuple(colors), len(set(colors)), bound, "n-detour", True, n=n)
+    return ColoringCertificate(g6, tuple(colors), len(set(colors)), len(budgets), "n-detour", True, n=n)
 
 
 def first_coloring(n: int, choices: Callable[[int, list[int]], Iterable[int]],

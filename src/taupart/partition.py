@@ -31,7 +31,7 @@ each graph's route once: whether g is 2-connected (its ear decomposition's
 check) and, for a 2-connected g, the ear levels with their detour orders.
 Every target, and every colouring step in multiway and starcolor, reuses
 them.  The facts also hold tau(g), read from the top level of a
-2-connected g and on first use for any other graph, and they check the
+2-connected g and from the subset queries of any other, and they check the
 one DP cap, so both engines report a graph over it with the same
 message.  The per-step bound checks, the migration audit, brute-force repair
 and the final certificate check still run for every target.  Every
@@ -246,25 +246,20 @@ class GraphFacts:
     orders are settled as the module docstring explains, by a carried
     Hamiltonian path where one reaches the level and by the level's subset
     queries elsewhere.  For any other graph, tau is read from its subset
-    queries on first use (0 on the empty graph, with no DP), so a caller
-    that only needs the route costs g no DP."""
+    queries when the facts are built (0 on the empty graph, with no DP):
+    every caller reads it."""
 
     g: Graph
     levels: EarLevels | None
-
-    @functools.cached_property
-    def tau(self) -> int:
-        if self.levels is not None:
-            return self.levels.taus[-1]
-        return subset_queries(self.g).tau(self.g.full_mask) if self.g.n else 0
+    tau: int
 
 
 def graph_facts(g: Graph, max_n: int | None = None) -> GraphFacts:
     """The GraphFacts of g, computed once and then served from a small cache.
 
     The one 2-connectivity check of g is its ear decomposition.  A graph
-    that is not 2-connected gets no levels, and its tau waits for its first
-    read: below NUMPY_DP_MIN_K vertices that builds the table that brute
+    that is not 2-connected gets no levels, and its tau from its subset
+    queries: below NUMPY_DP_MIN_K vertices that builds the table that brute
     force then reads.  A 2-connected one asks the subset queries of each
     ear level that the three settling facts of the module docstring leave
     open: a base cycle has tau = c with a Hamiltonian path ending at every
@@ -289,14 +284,14 @@ def _graph_facts(g: Graph) -> GraphFacts:
     try:
         decomposition = ear_decompose(g)
     except NotTwoConnectedError:
-        return GraphFacts(g, None)
+        return GraphFacts(g, None, subset_queries(g).tau(g.full_mask) if g.n else 0)
     graphs, local_ears, ids = zip(*ear_levels(decomposition))
     orig_of = ids[-1]
     # the top level's tau stands for tau(g) only if it is g relabelled
     if not relabels_to(graphs[-1], orig_of, g):
         raise InternalCheckError(f"ear levels do not rebuild {encode_graph6(g)}")
     taus, _ = _level_taus(graphs, local_ears[1:])
-    return GraphFacts(g, EarLevels(graphs, local_ears[1:], orig_of, taus))
+    return GraphFacts(g, EarLevels(graphs, local_ears[1:], orig_of, taus), taus[-1])
 
 
 def _level_taus(graphs: tuple[Graph, ...], ears: tuple[Ear, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -43,8 +43,8 @@ from .graphs import (
     is_int,
     iter_bits,
 )
-from .multiway import EXACT_SEARCH_MAX_N, ColoringCertificate, color_classes, first_coloring
-from .multiway import smallest_coloring, t_partition
+from .multiway import EXACT_SEARCH_MAX_N, ColoringCertificate, class_partition, color_classes, first_coloring
+from .multiway import smallest_coloring
 from .partition import graph_facts
 
 STAR_SEARCH_BUDGET = 2000  # colour tries per component; see repair_bicolored_p4s
@@ -67,20 +67,17 @@ def pair_partition_coloring(g: Graph, max_n: int | None = None) -> PairPartition
     """Initial paired colouring of a connected graph; proper but not yet
     necessarily a star colouring.
 
-    t_partition checks that every part's detour order is within its budget,
-    so a part of budget 2 has no path on 3 vertices (a matching plus
-    isolated vertices) and the one part of budget 1 has no edge: its colours
-    can be read off without further checks.
+    The parts are multiway.class_partition's at n = 2, each checked against
+    its budget by the step that cut it off, so a part of budget 2 has no
+    path on 3 vertices (a matching plus isolated vertices) and the one part
+    of budget 1 has no edge: its colours can be read off without further
+    checks.  `repair_bicolored_p4s` checks them again (`_check_paired`).
     """
     if g.n < 1:
         raise GraphError("pair partition colouring needs at least one vertex")
     if not is_connected(g):
         raise GraphError("pair partition colouring expects a connected graph")
-    tau_g = graph_facts(g, max_n).tau
-    budgets = [2] * (tau_g // 2)
-    if tau_g % 2:
-        budgets.append(1)
-    masks = t_partition(g, budgets, max_n=max_n)
+    budgets, masks = class_partition(g, 2, max_n)
     colors = [0] * g.n
     pair_colors = []
     for i, budget in enumerate(budgets):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taupart.detour import has_path_of_order
 from taupart.errors import CapacityError, Graph6Error, GraphError
 from taupart.graphs import (
     MAX_VERTICES,
@@ -255,6 +256,39 @@ def test_an_order_that_is_not_an_int_is_refused(build, n):
         build(n)
     assert type(exc.value) is GraphError
     assert str(exc.value) == f"vertex count {n!r} is not an int"
+
+
+C5 = cycle_graph(5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: induced_subgraph(C5, [-1]), "vertex ids [-1] are not all ints in 0..4"),
+    (lambda: induced_subgraph(C5, [True, 2]), "vertex ids [True, 2] are not all ints in 0..4"),
+    (lambda: Graph.from_edges(3, [(0, True)]), "edge (0, True) must join two int vertex ids"),
+    (lambda: Graph.from_edges(3, [(0, 0.5)]), "edge (0, 0.5) must join two int vertex ids"),
+    (lambda: add_ear(cycle_graph(4), True, 2, 1), "ear arguments (True, 2, 1) must be ints"),
+    (lambda: add_ear(cycle_graph(4), 0, 2, 0.5), "ear arguments (0, 2, 0.5) must be ints"),
+    (lambda: has_path_of_order(C5, 1.5), "path order 1.5 is not an int"),
+    (lambda: has_path_of_order(C5, True), "path order True is not an int"),
+    (lambda: has_path_of_order(C5, 0.5), "path order 0.5 is not an int"),
+], ids=["negative-id", "bool-id", "bool-endpoint", "float-endpoint", "bool-ear-end", "float-ear-length",
+        "float-order", "bool-order", "small-float-order"])
+def test_an_id_or_order_that_is_not_an_int_is_refused(call, message):
+    # -1 raised "negative shift count" (ValueError), True was read as vertex
+    # 1 or as order 1, 0.5 raised a bare TypeError or passed as an order
+    with pytest.raises(GraphError) as exc:
+        call()
+    assert type(exc.value) is GraphError
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("g", [0.5, None, "x"], ids=["float", "none", "str"])
+@pytest.mark.parametrize("call", [encode_graph6, blocks], ids=["encode_graph6", "blocks"])
+def test_an_argument_that_is_not_a_graph_is_refused(call, g):
+    # each raised AttributeError: ... has no attribute 'n'
+    with pytest.raises(GraphError) as exc:
+        call(g)
+    assert str(exc.value) == f"expected a Graph, got {type(g).__name__}"
 
 
 def test_bit_helpers():

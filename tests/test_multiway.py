@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taupart import multiway, partition
-from taupart.detour import NUMPY_DP_MIN_K, detour_order, tau_subset
+from taupart.detour import NUMPY_DP_MIN_K, detour_order, detour_order_dfs, tau_subset
 from taupart.errors import CapacityError, CounterexampleError, GraphError, InternalCheckError, TargetError
 from taupart.graphs import (
     complete_graph,
@@ -25,11 +25,13 @@ from taupart.graphs import (
 )
 from taupart.multiway import (
     _rebalance,
+    class_partition,
     detour_coloring,
     exact_detour_chromatic,
     t_partition,
     verify_detour_coloring,
 )
+from taupart.oracle import connected_graphs_upto_iso, corpus_graphs
 from taupart.partition import PartitionTarget, tau_partition
 from taupart.starcolor import verify_star_coloring
 
@@ -99,8 +101,8 @@ def test_split_reuses_the_taus_it_already_holds(count_dps):
     # remainder is a mask of g.  Petersen's first step is the ear
     # construction: five level tables and one early-exit DP for a fold
     # step's migration.  Each later remainder is not 2-connected, so brute
-    # force partitions it in place on g's own table, which the final part
-    # check then reads too: no remainder gets a graph, facts or a table
+    # force partitions it in place on g's own table: no remainder gets a
+    # graph, facts or a table
     g = petersen_graph()
     masks = t_partition(g, (2,) * 5)
     assert count_dps == [9, 9, 10, 10, 4, 10, 10]
@@ -111,13 +113,31 @@ def test_a_two_connected_remainder_gets_a_graph_of_its_own(count_dps):
     # C6 plus the chord (1, 4): the first step's ear construction reads one
     # level table and leaves the 4-cycle {1, 2, 3, 4}, which is 2-connected,
     # so its step runs the ear construction on a graph of its own (the
-    # base cycle's table).  The final part check reads g's table
+    # base cycle's table).  Each step checks its own parts, so g gets no
+    # table
     g = parse_graph6("EhUG")
     assert g.edges() == [(0, 1), (0, 5), (1, 2), (1, 4), (2, 3), (3, 4), (4, 5)]
     masks = t_partition(g, (2, 2, 2))
-    assert count_dps == [6, 4, 6]
+    assert count_dps == [6, 4]
     assert masks == [0b100001, 0b010010, 0b001100]
     parts_are_valid(g, (2, 2, 2), masks)
+
+
+def test_the_class_partition_meets_every_bound_on_every_small_class():
+    # each part is checked once, by the step of the split that cut it off;
+    # here the DFS engine, which shares no code with those steps, checks
+    # every part of every connected class with n <= 7 at every class bound
+    for k in range(1, 8):
+        for g in corpus_graphs(k, connected_graphs_upto_iso(k)):
+            tau = detour_order_dfs(g)
+            for n in range(1, tau + 1):
+                budgets, masks = class_partition(g, n)
+                assert len(budgets) == -(-tau // n) and sum(budgets) == tau
+                assert set(budgets[:-1]) <= {n} and len(masks) == len(budgets)
+                # masks whose bit counts add up to g.n sum to V(g) only if disjoint
+                assert sum(masks) == g.full_mask and sum(m.bit_count() for m in masks) == g.n
+                for m, b in zip(masks, budgets):
+                    assert detour_order_dfs(induced_subgraph(g, m)[0]) <= b, (encode_graph6(g), n)
 
 
 @pytest.mark.parametrize("fake, error, detail", [

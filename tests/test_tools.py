@@ -46,3 +46,26 @@ def test_code_lines_prints_each_module_and_a_total(tmp_path, capsys):
         "b                 1",
         "total             6",
     ]
+
+
+def test_code_lines_compares_each_module_with_a_base_tree(tmp_path, capsys):
+    now, base = tmp_path / "now", tmp_path / "base"
+    now.mkdir()
+    base.mkdir()
+    (now / "a.py").write_text(SNIPPET)
+    (base / "a.py").write_text("x = 1\n")
+    (now / "b.py").write_text("x = 1\ny = 2\n")
+    (base / "c.py").write_text("z = 3\n")
+    assert _load("code_lines").main([str(now), str(base)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "module         base    now  change",
+        "a                 1      5      +4",
+        "b                 0      2      +2",
+        "c                 1      0      -1",
+        "total             2      7      +5",
+    ]
+
+
+def test_code_lines_refuses_a_directory_that_is_not_there(tmp_path, capsys):
+    assert _load("code_lines").main([str(tmp_path), str(tmp_path / "missing")]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'missing'} is not a directory\n"
