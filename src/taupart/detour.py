@@ -90,7 +90,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import CapacityError, GraphError
-from .graphs import Graph, closure, is_int, iter_bits, lift, mask_to_ids, relabel
+from .graphs import Graph, check_graph, closure, is_int, iter_bits, lift, mask_to_ids, relabel
 
 if TYPE_CHECKING:
     import numpy as np
@@ -335,6 +335,7 @@ def _dp_numpy(adj: Sequence[int], stop_at: int | None = None, within: int | None
 
 def detour_order(g: Graph, max_n: int | None = None) -> DetourRecord:
     """Detour order of g, via the subset DP; 0 for the empty graph."""
+    check_graph(g)
     check_capacity(g.n, max_n)
     tau, _, _ = _dp_levels(g.adj)
     return DetourRecord(tau)
@@ -365,8 +366,9 @@ def subset_tau_at_most(g: Graph, mask: int, bound: int) -> bool:
 
 def has_path_of_order(g: Graph, k: int, max_n: int | None = None) -> bool:
     """Does g contain a path on at least k vertices?  The whole-graph
-    early-exit query: the DP stops at level k.  GraphError for an order
-    that is not a positive int (`is_int`)."""
+    early-exit query: the DP stops at level k.  GraphError for a g that is
+    not a Graph or an order that is not a positive int (`is_int`)."""
+    check_graph(g)
     if not is_int(k):
         raise GraphError(f"path order {k!r} is not an int")
     check_capacity(g.n, max_n)
@@ -562,6 +564,7 @@ def detour_order_dfs(g: Graph) -> int:
     Hamiltonian path.  Used to cross-check the DP; shares nothing with it.
     0 for the empty graph.
     """
+    check_graph(g)
     adj = g.adj
     full = g.full_mask
     best = 0

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import InternalCheckError, NotTwoConnectedError
-from .graphs import (Graph, add_ear, blocks, closure, cycle_graph, dfs_tree, ids_to_mask, is_connected, iter_bits,
-                     lift, pair_index)
+from .graphs import (Graph, add_ear, blocks, check_graph, closure, cycle_graph, dfs_tree, ids_to_mask, is_connected,
+                     iter_bits, lift, pair_index)
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,9 @@ class EarDecomposition:
 
 def is_two_connected(g: Graph) -> bool:
     """At least 3 vertices, all in one block (a disconnected graph has a
-    block per component, an isolated vertex its own)."""
+    block per component, an isolated vertex its own).  GraphError unless g
+    is a Graph."""
+    check_graph(g)
     return g.n >= 3 and len(blocks(g)[0]) == 1
 
 
@@ -80,8 +82,10 @@ def ear_decompose(g: Graph) -> EarDecomposition:
     graph.
 
     Raises NotTwoConnectedError (naming a cut vertex when one exists) on
-    graphs that are not 2-connected.
+    graphs that are not 2-connected, and GraphError on a g that is not a
+    Graph.
     """
+    check_graph(g)
     require_two_connected(g)
     n = g.n
     parent, order = dfs_tree(g, 0)

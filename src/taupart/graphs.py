@@ -49,11 +49,14 @@ def is_int(x) -> bool:
 
 
 def check_order(n: int) -> None:
-    """GraphError for an order that is not an int (`is_int`), CapacityError
-    for a graph on more than MAX_VERTICES vertices; every constructor and
-    generator asks before it builds or compares anything."""
+    """GraphError for an order that is not an int (`is_int`) or is
+    negative, CapacityError for a graph on more than MAX_VERTICES vertices;
+    every constructor and generator asks before it builds or compares
+    anything."""
     if not is_int(n):
         raise GraphError(f"vertex count {n!r} is not an int")
+    if n < 0:
+        raise GraphError(f"vertex count {n} is negative")
     if n > MAX_VERTICES:
         raise CapacityError(f"graph on {n} vertices exceeds the supported maximum of {MAX_VERTICES}")
 
@@ -101,8 +104,9 @@ class Graph:
     """Immutable simple undirected graph.
 
     `adj[v]` is the bitmask of neighbours of v.  Construction validates
-    symmetry and absence of self-loops, so every reachable Graph value is
-    a well-formed simple graph.
+    that adj is a tuple of int rows, their symmetry and the absence of
+    self-loops, so every reachable Graph value is a well-formed simple
+    graph.
     """
 
     n: int
@@ -110,8 +114,8 @@ class Graph:
 
     def __post_init__(self) -> None:
         check_order(self.n)
-        if self.n < 0:
-            raise GraphError(f"vertex count {self.n} is negative")
+        if not (isinstance(self.adj, tuple) and all(map(is_int, self.adj))):
+            raise GraphError("adjacency table must be a tuple of int rows")
         if len(self.adj) != self.n:
             raise GraphError(f"adjacency table has {len(self.adj)} rows for {self.n} vertices")
         full = (1 << self.n) - 1
@@ -490,10 +494,12 @@ def random_2connected(n: int, extra_ears: int = 0, seed: int = 0) -> Graph:
     Starts from a random cycle and repeatedly attaches ears with fresh
     internal vertices until the order reaches n, then adds up to
     `extra_ears` random chords.  Deterministic for a fixed seed.  An n
-    that `check_two_connected_order` refuses is refused before anything
-    is built.
+    that `check_two_connected_order` refuses, or an extra_ears or seed that
+    is not an int (GraphError), is refused before anything is built.
     """
     check_two_connected_order(n)
+    if not (is_int(extra_ears) and is_int(seed)):
+        raise GraphError(f"extra_ears {extra_ears!r} and seed {seed!r} must be ints")
     rng = random.Random(seed)
     g = cycle_graph(rng.randint(3, n))
     while g.n < n:

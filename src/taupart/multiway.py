@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from .detour import NUMPY_DP_MIN_K, check_capacity, subset_queries, subset_tau_at_most
 from .ears import induces_two_connected
 from .errors import GraphError, InternalCheckError, TargetError
-from .graphs import Graph, encode_graph6, induced_subgraph, is_int, iter_bits, lift
+from .graphs import Graph, check_graph, induced_subgraph, is_int, iter_bits, lift
 from .partition import PartitionTarget, brute_force_parts, graph_facts, sum_mismatch, tau_partition
 
 EXACT_SEARCH_MAX_N = 14
@@ -143,8 +143,9 @@ def t_partition(g: Graph, parts: tuple[int, ...] | list[int], max_n: int | None 
     `parts` must be positive integers summing to tau(g), so the empty graph
     takes only the empty tuple.  Returns one vertex mask per entry (possibly
     empty where re-balancing zeroed an entry's budget), each checked by the
-    step of `_split` that cut it off.
+    step of `_split` that cut it off.  GraphError unless g is a Graph.
     """
+    check_graph(g)
     try:
         parts = list(parts)
     except TypeError:  # not iterable, such as a bare number
@@ -172,12 +173,12 @@ def class_partition(g: Graph, n: int, max_n: int | None = None) -> tuple[list[in
 def color_classes(g: Graph, colors) -> dict[int, int]:
     """The vertex mask of each colour class of a total colouring of g.
 
-    Raises GraphError unless every vertex has a non-negative integer colour
-    (`is_int`: a float or a bool is not one), and each class is keyed by its
-    colour as given.
+    Raises GraphError unless colors is an iterable that gives every vertex
+    a non-negative integer colour (`is_int`: a float or a bool is not one),
+    and each class is keyed by its colour as given.
     """
-    colors = list(colors)
-    if len(colors) != g.n or not all(is_int(c) and c >= 0 for c in colors):
+    colors = list(colors) if isinstance(colors, Iterable) else None
+    if colors is None or len(colors) != g.n or not all(is_int(c) and c >= 0 for c in colors):
         raise GraphError("colouring must assign a non-negative colour to every vertex")
     classes: dict[int, int] = {}
     for v, c in enumerate(colors):
@@ -199,15 +200,17 @@ def verify_detour_coloring(g: Graph, colors, n: int, max_n: int | None = None) -
     violated class bound.  g must be within the DP cap (max_n, default
     DETOUR_DP_MAX_N), else CapacityError.
     """
+    check_graph(g)
     _check_class_bound(n)
     check_capacity(g.n, max_n)
     return all(subset_tau_at_most(g, m, n) for m in color_classes(g, colors).values())
 
 
 def detour_coloring(g: Graph, n: int, max_n: int | None = None) -> ColoringCertificate:
-    """Colour g with every class of detour order <= n, within ceil(tau/n) colours."""
+    """Colour g with every class of detour order <= n, within ceil(tau/n)
+    colours, verified.  The graph6 string comes from graph_facts."""
     _check_class_bound(n)
-    g6 = encode_graph6(g)
+    g6 = graph_facts(g, max_n).graph6
     budgets, masks = class_partition(g, n, max_n)
     colors = [0] * g.n
     for i, m in enumerate(masks):
@@ -273,6 +276,7 @@ def exact_detour_chromatic(g: Graph, n: int, max_n: int | None = None) -> int:
     Runs smallest_coloring, checking the detour order of each grown class.
     Exponential; capped at EXACT_SEARCH_MAX_N vertices (override with max_n).
     """
+    check_graph(g)
     _check_class_bound(n)
     check_capacity(g.n, max_n, EXACT_SEARCH_MAX_N, "exact search")
     q = subset_queries(g)

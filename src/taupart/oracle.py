@@ -197,10 +197,11 @@ def verify_coloring_record(rec: dict, max_n: int | None = None,
     a DP of its own.
 
     The checks that need no DP come first: the property and its class
-    bound, the colours themselves, the recorded colour count and the
-    verified flag.  Only then does tau(g) come, with the star or class
-    check, the recorded bound and the count against it, so a record with
-    several faults reports the first of them in that order."""
+    bound, the colours themselves, the recorded colour count, the verified
+    flag and, for a star colouring, the star check.  Only then does tau(g)
+    come, with the class check of an n-detour colouring, the recorded bound
+    and the count against it, so a record with several faults reports the
+    first of them in that order."""
     whole_tau = whole_tau or WholeGraphTau()
     g = _admit(rec, ("graph6", "colors", "colors_used", "bound", "property"),
                ("colors_used", "bound"), ("colors",), max_n, whole_tau)
@@ -226,15 +227,12 @@ def verify_coloring_record(rec: dict, max_n: int | None = None,
         return False, f"recorded colors_used {rec['colors_used']} != recomputed {used}"
     if rec.get("verified") is not True:
         return False, "certificate is not marked verified"
+    if prop == "star" and not starcolor.verify_star_coloring(g, colors):
+        return False, "colouring is not a star colouring"
     tau_g = whole_tau.of(g)
-    if prop == "star":
-        bound = tau_g
-        if not starcolor.verify_star_coloring(g, colors):
-            return False, "colouring is not a star colouring"
-    else:
-        bound = -(-tau_g // nb)
-        if g.n and not multiway.verify_detour_coloring(g, colors, nb, max_n):
-            return False, f"a colour class has detour order above {nb}"
+    bound = tau_g if prop == "star" else -(-tau_g // nb)
+    if prop == "n-detour" and g.n and not multiway.verify_detour_coloring(g, colors, nb, max_n):
+        return False, f"a colour class has detour order above {nb}"
     if rec["bound"] != bound:
         return False, f"recorded bound {rec['bound']} != recomputed {bound}"
     if used > bound:
@@ -249,8 +247,11 @@ def verify_record(rec: dict, max_n: int | None = None,
     A graph whose DP would exceed the cap (max_n, default DETOUR_DP_MAX_N)
     is not checked: the verdict is False with a `capacity:` detail.  A
     caller checking many records passes one WholeGraphTau as `whole_tau`,
-    so a run of records on one graph computes tau(g) once.
+    so a run of records on one graph computes tau(g) once; anything else
+    there but None is a GraphError.
     """
+    if whole_tau is not None and not isinstance(whole_tau, WholeGraphTau):
+        raise GraphError(f"expected a WholeGraphTau, got {type(whole_tau).__name__}")
     if not isinstance(rec, dict):
         return False, "schema: record is not an object"
     if "A" in rec and "B" in rec:
@@ -341,7 +342,8 @@ def sweep_ppc(graphs, corpus: str = "", max_n: int | None = None,
     One record per (graph, target); graphs with detour order below 2 have no
     targets and count as vacuously constructed.  Counterexamples and capacity
     overruns are recorded per graph, never raised.  Witness dicts from the
-    partitioner are collected on the report.
+    partitioner are collected on the report: those of the certificate's one
+    serialisation, which the verifier has just checked.
     """
 
     def check(g: Graph, tau_g: int, add, report: SweepReport) -> str:
@@ -350,13 +352,14 @@ def sweep_ppc(graphs, corpus: str = "", max_n: int | None = None,
         try:
             for a in range(1, tau_g):
                 cert = tau_partition(g, PartitionTarget(a, tau_g - a), max_n=max_n)
-                ok, msg = verify_record(cert.to_json_dict(), max_n=max_n, whole_tau=whole_tau)
+                rec = cert.to_json_dict()
+                ok, msg = verify_record(rec, max_n=max_n, whole_tau=whole_tau)
                 if not ok:
                     raise InternalCheckError(
                         f"fresh certificate failed re-verification on {cert.graph6}: {msg}")
                 add({"graph6": cert.graph6, "n": g.n, "a": a, "b": tau_g - a,
                      "method": cert.method, "witnesses": len(cert.witnesses), "verified": True})
-                report.witnesses.extend(w.to_json_dict() for w in cert.witnesses)
+                report.witnesses.extend(rec.get("witnesses", ()))
                 if cert.witnesses:
                     outcome = "witness"
                 elif cert.method == "fallback" and outcome == "constructed":
@@ -384,7 +387,6 @@ def sweep_bounds(graphs, corpus: str = "", max_n: int | None = None,
     """
 
     def check(g: Graph, tau_g: int, add, report: SweepReport) -> str:
-        g6 = encode_graph6(g)
         good = True
         for nb in range(1, tau_g + 1):
             exact = multiway.exact_detour_chromatic(g, nb, max_n=max_n)
@@ -392,12 +394,12 @@ def sweep_bounds(graphs, corpus: str = "", max_n: int | None = None,
             cert = multiway.detour_coloring(g, nb, max_n=max_n)
             ok = exact <= bound and cert.verified and cert.colors_used <= bound
             good = good and ok
-            add({"graph6": g6, "check": "detour", "n": nb, "exact": exact,
+            add({"graph6": cert.graph6, "check": "detour", "n": nb, "exact": exact,
                  "bound": bound, "constructed_used": cert.colors_used, "ok": ok})
         chi_star = starcolor.exact_star_chromatic(g, max_n=max_n)
         cert = starcolor.star_coloring(g, max_n=max_n)
         ok = chi_star <= tau_g and cert.verified and cert.colors_used <= tau_g
-        add({"graph6": g6, "check": "star", "exact_star": chi_star, "bound": tau_g,
+        add({"graph6": cert.graph6, "check": "star", "exact_star": chi_star, "bound": tau_g,
              "constructed_used": cert.colors_used, "ok": ok})
         return "ok" if good and ok else "violation"
 

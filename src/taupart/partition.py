@@ -26,14 +26,16 @@ of a graph that is not 2-connected, which brute force partitions without
 entering the ear construction (no trace, no witnesses): a share of
 "fallback" certificates mixes those graphs with failed folds.
 
-None of the ear machinery depends on the target, so `graph_facts` decides
-each graph's route once: whether g is 2-connected (its ear decomposition's
-check) and, for a 2-connected g, the ear levels with their detour orders.
-Every target, and every colouring step in multiway and starcolor, reuses
-them.  The facts also hold tau(g), read from the top level of a
-2-connected g and from the subset queries of any other, and they check the
-one DP cap, so both engines report a graph over it with the same
-message.  The per-step bound checks, the migration audit, brute-force repair
+None of the ear machinery depends on the target, so `graph_facts` builds
+one record per graph, its GraphFacts, and decides the graph's route there
+once: whether g is 2-connected (its ear decomposition's check) and, for a
+2-connected g, the ear levels with their detour orders.  Every target, and
+every colouring step in multiway and starcolor, reuses them.  The facts
+also hold tau(g), read from the top level of a 2-connected g and from the
+subset queries of any other, and g's graph6 string, encoded once when the
+facts are built: every certificate and colouring of g reads it from there.
+They check the one DP cap, so both engines report a graph over it with the
+same message.  The per-step bound checks, the migration audit, brute-force repair
 and the final certificate check still run for every target.  Every
 full-order question, in the facts and in the checks, goes through
 `detour.subset_queries`: on a graph below NUMPY_DP_MIN_K vertices that
@@ -81,8 +83,8 @@ from .detour import (
 )
 from .ears import Ear, ear_decompose, ear_levels, relabels_to, require_two_connected
 from .errors import CounterexampleError, GraphError, InternalCheckError, NotTwoConnectedError, TargetError
-from .graphs import (Graph, check_vertex_set, connected_components, encode_graph6, ids_to_mask, induced_subgraph,
-                     is_int, iter_bits, lift, mask_to_ids)
+from .graphs import (Graph, check_graph, check_vertex_set, connected_components, encode_graph6, ids_to_mask,
+                     induced_subgraph, is_int, iter_bits, lift, mask_to_ids)
 
 
 def sum_mismatch(target: str, total: int, tau_g: int) -> str:
@@ -222,25 +224,17 @@ class PartitionCertificate:
 
 
 @dataclass(frozen=True)
-class EarLevels:
-    """The levels of the ear induction on a 2-connected graph, in local ids.
-
-    graphs[0] is the base cycle relabelled 0..c-1 in cycle order and
-    graphs[i + 1] is graphs[i] plus ears[i]; orig_of maps the local ids to
-    the graph's own, and taus[i] is the detour order of graphs[i].
-    """
-
-    graphs: tuple[Graph, ...]
-    ears: tuple[Ear, ...]
-    orig_of: tuple[int, ...]
-    taus: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class GraphFacts:
     """What the construction needs to know about a graph g whatever the
-    target: its ear levels when it is 2-connected (else None), which decide
-    the route of every target of g, and its detour order.
+    target, one record per graph: its graph6 string, which every
+    certificate and colouring of g carries; its detour order; and, when g
+    is 2-connected, the levels of the ear induction, which decide the
+    route of every target of g.
+
+    levels[0] is the base cycle relabelled 0..c-1 in cycle order and
+    levels[i + 1] is levels[i] plus ears[i], all in local ids; orig_of
+    maps the local ids to g's own, and taus[i] is the detour order of
+    levels[i].  All four are empty when g is not 2-connected.
 
     For a 2-connected graph, tau is the top level's detour order; the level
     orders are settled as the module docstring explains, by a carried
@@ -249,29 +243,34 @@ class GraphFacts:
     queries when the facts are built (0 on the empty graph, with no DP):
     every caller reads it."""
 
-    g: Graph
-    levels: EarLevels | None
+    graph6: str
     tau: int
+    levels: tuple[Graph, ...]
+    ears: tuple[Ear, ...]
+    orig_of: tuple[int, ...]
+    taus: tuple[int, ...]
 
 
 def graph_facts(g: Graph, max_n: int | None = None) -> GraphFacts:
     """The GraphFacts of g, computed once and then served from a small cache.
 
-    The one 2-connectivity check of g is its ear decomposition.  A graph
-    that is not 2-connected gets no levels, and its tau from its subset
-    queries: below NUMPY_DP_MIN_K vertices that builds the table that brute
-    force then reads.  A 2-connected one asks the subset queries of each
-    ear level that the three settling facts of the module docstring leave
-    open: a base cycle has tau = c with a Hamiltonian path ending at every
-    vertex, a chord keeps every Hamiltonian path of the level below, and an
-    ear whose endpoint x (or y) ends such a path gives one ending at its
-    last (or first) internal vertex.  The top level must rebuild g edge for
-    edge, else InternalCheckError.
+    g is encoded as graph6 once, here.  The one 2-connectivity check of g
+    is its ear decomposition.  A graph that is not 2-connected gets no
+    levels, and its tau from its subset queries: below NUMPY_DP_MIN_K
+    vertices that builds the table that brute force then reads.  A
+    2-connected one asks the subset queries of each ear level that the
+    three settling facts of the module docstring leave open: a base cycle
+    has tau = c with a Hamiltonian path ending at every vertex, a chord
+    keeps every Hamiltonian path of the level below, and an ear whose
+    endpoint x (or y) ends such a path gives one ending at its last (or
+    first) internal vertex.  The top level must rebuild g edge for edge,
+    else InternalCheckError.
 
-    The DP capacity cap (max_n, default DETOUR_DP_MAX_N) is checked on every
-    call before the lookup, so an entry built under a larger cap never
-    answers under a smaller one.
+    g must be a Graph (GraphError), and the DP capacity cap (max_n, default
+    DETOUR_DP_MAX_N) is checked on every call before the lookup, so an
+    entry built under a larger cap never answers under a smaller one.
     """
+    check_graph(g)
     check_capacity(g.n, max_n)
     return _graph_facts(g)
 
@@ -281,17 +280,17 @@ def graph_facts(g: Graph, max_n: int | None = None) -> GraphFacts:
 # entries hold all of that while a long sweep's memory stays flat.
 @functools.lru_cache(maxsize=32)
 def _graph_facts(g: Graph) -> GraphFacts:
+    g6 = encode_graph6(g)
     try:
         decomposition = ear_decompose(g)
     except NotTwoConnectedError:
-        return GraphFacts(g, None, subset_queries(g).tau(g.full_mask) if g.n else 0)
-    graphs, local_ears, ids = zip(*ear_levels(decomposition))
-    orig_of = ids[-1]
+        return GraphFacts(g6, subset_queries(g).tau(g.full_mask) if g.n else 0, (), (), (), ())
+    levels, local_ears, ids = zip(*ear_levels(decomposition))
     # the top level's tau stands for tau(g) only if it is g relabelled
-    if not relabels_to(graphs[-1], orig_of, g):
-        raise InternalCheckError(f"ear levels do not rebuild {encode_graph6(g)}")
-    taus, _ = _level_taus(graphs, local_ears[1:])
-    return GraphFacts(g, EarLevels(graphs, local_ears[1:], orig_of, taus), taus[-1])
+    if not relabels_to(levels[-1], ids[-1], g):
+        raise InternalCheckError(f"ear levels do not rebuild {g6}")
+    taus, _ = _level_taus(levels, local_ears[1:])
+    return GraphFacts(g6, taus[-1], levels, local_ears[1:], ids[-1], taus)
 
 
 def _level_taus(graphs: tuple[Graph, ...], ears: tuple[Ear, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -424,8 +423,10 @@ def brute_force_partition(g: Graph, t: PartitionTarget, max_n: int | None = None
     whatever `within` is; from there on, a component's empty and
     one-vertex candidates cost one DP between them
     (`_first_component_part`), and each larger candidate up to two.
-    A target that is not a PartitionTarget is refused before any of it.
+    A g that is not a Graph, or a target that is not a PartitionTarget, is
+    refused before any of it.
     """
+    check_graph(g)
     check_target(t)
     check_capacity(g.n, max_n)
     mask = g.full_mask if within is None else within
@@ -525,36 +526,36 @@ def _audit_migration(h: Graph, receiver_pre: int, migrated: int, b: int, orig_of
     return events
 
 
-def _brute_force_certificate(g: Graph, t: PartitionTarget, max_n: int | None, tau_g: int,
+def _brute_force_certificate(g: Graph, facts: GraphFacts, t: PartitionTarget, max_n: int | None,
                              trace=(), witnesses=()) -> PartitionCertificate:
-    """The "fallback" certificate of g from `brute_force_parts`, with the
-    trace and witnesses of a construction that gave up on g, if any."""
-    part_a, part_b, tau_a, tau_b = brute_force_parts(g, t, max_n, tau_g)
-    return PartitionCertificate(encode_graph6(g), t.a, t.b, part_a, part_b, tau_a, tau_b, "fallback",
+    """The "fallback" certificate of g from `brute_force_parts`, given g's
+    facts (its tau and graph6), with the trace and witnesses of a
+    construction that gave up on g, if any."""
+    part_a, part_b, tau_a, tau_b = brute_force_parts(g, t, max_n, facts.tau)
+    return PartitionCertificate(facts.graph6, t.a, t.b, part_a, part_b, tau_a, tau_b, "fallback",
                                 tuple(trace), tuple(witnesses))
 
 
 def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = None) -> PartitionCertificate:
     """Constructive (a, b) partition of a 2-connected graph.
 
-    Takes the ear levels and their detour orders from graph_facts, derives
-    per-level targets top-down, splits the base cycle, folds the ears with
-    the case rules, verifies every step exactly, and repairs failed steps by
-    brute force at that level (recording witnesses).  The partition of each
-    level is held as its part A alone; part B is the rest of the level.  The
-    returned certificate is always verified against g.  A target that is
-    not a PartitionTarget is refused before any DP.
+    Takes the ear levels, their detour orders and g's graph6 from
+    graph_facts, derives per-level targets top-down, splits the base cycle,
+    folds the ears with the case rules, verifies every step exactly, and
+    repairs failed steps by brute force at that level (recording
+    witnesses).  The partition of each level is held as its part A alone;
+    part B is the rest of the level.  The returned certificate is always
+    verified against g.  A g that is not a Graph, or a target that is not a
+    PartitionTarget, is refused before any DP.
     """
+    check_graph(g)
     check_target(t)
     facts = graph_facts(g, max_n)
-    tau_g = facts.tau
-    if t.total != tau_g:
-        raise TargetError(sum_mismatch(f"target ({t.a}, {t.b})", t.total, tau_g))
-    if facts.levels is None:
+    if t.total != facts.tau:
+        raise TargetError(sum_mismatch(f"target ({t.a}, {t.b})", t.total, facts.tau))
+    if not facts.levels:
         require_two_connected(g)
-    g6 = encode_graph6(g)
-    lv = facts.levels
-    levels, local_ears, orig_of, taus = lv.graphs, lv.ears, lv.orig_of, lv.taus
+    g6, levels, local_ears, orig_of, taus = facts.graph6, facts.levels, facts.ears, facts.orig_of, facts.taus
 
     def witness(kind: str, i: int, case_tag: str, tt: PartitionTarget, prior: int,
                 after: int | None, detail: dict) -> FailureWitness:
@@ -611,7 +612,7 @@ def tau_partition_2connected(g: Graph, t: PartitionTarget, max_n: int | None = N
             witnesses.append(witness(
                 "no-level-partition", i, case_tag, tt, part_a, None,
                 {"note": f"no ({tt.a}, {tt.b}) partition of the level-{i + 1} graph"}))
-            return _brute_force_certificate(g, t, max_n, tau_g, trace, witnesses)
+            return _brute_force_certificate(g, facts, t, max_n, trace, witnesses)
         part_a, _ = repaired
 
     # every ear folded in: check part A on the top level, g relabelled
@@ -632,12 +633,14 @@ def tau_partition(g: Graph, t: PartitionTarget, max_n: int | None = None) -> Par
     2-connected graphs; a cut vertex inside a component is not split on).
 
     The route comes from graph_facts, which every target of g shares, and
-    so does the DP cap, one message for both engines, and tau(g), against
-    which either route checks the target sum.  A target that is not a
-    PartitionTarget is refused before any DP.
+    so does the DP cap, one message for both engines, tau(g), against
+    which either route checks the target sum, and the graph6 string that
+    either route's certificate carries.  A g that is not a Graph, or a
+    target that is not a PartitionTarget, is refused before any DP.
     """
+    check_graph(g)
     check_target(t)
     facts = graph_facts(g, max_n)
-    if facts.levels is not None:
+    if facts.levels:
         return tau_partition_2connected(g, t, max_n=max_n)
-    return _brute_force_certificate(g, t, max_n, facts.tau)
+    return _brute_force_certificate(g, facts, t, max_n)

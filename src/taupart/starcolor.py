@@ -28,16 +28,16 @@ are what the certificates are checked against.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .detour import check_capacity
 from .errors import GraphError, InternalCheckError, StarRepairError
 from .graphs import (
     Graph,
+    check_graph,
     connected_components,
     dfs_tree,
-    encode_graph6,
     induced_subgraph,
     is_connected,
     is_int,
@@ -73,6 +73,7 @@ def pair_partition_coloring(g: Graph, max_n: int | None = None) -> PairPartition
     of budget 1 has no edge: its colours can be read off without further
     checks.  `repair_bicolored_p4s` checks them again (`_check_paired`).
     """
+    check_graph(g)
     if g.n < 1:
         raise GraphError("pair partition colouring needs at least one vertex")
     if not is_connected(g):
@@ -105,9 +106,11 @@ def _all_p4s(g: Graph) -> Iterator[tuple[int, int, int, int]]:
 
 def find_bicolored_p4s(g: Graph, colors) -> list[tuple[int, int, int, int]]:
     """All paths on 4 vertices using exactly 2 colours, as a sorted list of
-    the canonical tuples of _all_p4s."""
-    colors = list(colors)
-    if len(colors) != g.n:
+    the canonical tuples of _all_p4s.  GraphError unless g is a Graph and
+    colors an iterable of one colour per vertex."""
+    check_graph(g)
+    colors = list(colors) if isinstance(colors, Iterable) else None
+    if colors is None or len(colors) != g.n:
         raise GraphError("colouring must assign a colour to every vertex")
     return sorted(q for q in _all_p4s(g) if len({colors[v] for v in q}) == 2)
 
@@ -151,7 +154,8 @@ def repair_bicolored_p4s(g: Graph, ppc: PairPartitionColoring) -> PairPartitionC
     """The first paired star colouring on ppc's partition, by
     multiway.first_coloring.
 
-    The input is checked once (_check_paired, GraphError).  Vertices take
+    The input is checked once (GraphError unless g is a Graph and ppc a
+    PairPartitionColoring, then _check_paired).  Vertices take
     colours in id order, each trying its own part's colours, its given
     colour first; every choice must pass _star_admissible, the step test
     of exact_star_chromatic.  So a paired colouring that is already a star
@@ -160,6 +164,9 @@ def repair_bicolored_p4s(g: Graph, ppc: PairPartitionColoring) -> PairPartitionC
     partition has no paired star colouring, or when its STAR_SEARCH_BUDGET-th
     colour try does not complete one.
     """
+    check_graph(g)
+    if not isinstance(ppc, PairPartitionColoring):
+        raise GraphError(f"expected a PairPartitionColoring, got {type(ppc).__name__}")
     choices = _check_paired(g, ppc)
     admissible = _star_admissible(g)
     tries = 0
@@ -181,7 +188,8 @@ def repair_bicolored_p4s(g: Graph, ppc: PairPartitionColoring) -> PairPartitionC
 
 def verify_star_coloring(g: Graph, colors) -> bool:
     """Proper and no path on 4 vertices uses only 2 colours."""
-    colors = list(colors)
+    check_graph(g)
+    colors = list(colors) if isinstance(colors, Iterable) else None
     color_classes(g, colors)
     if any(colors[u] == colors[v] for u, v in g.edges()):
         return False
@@ -214,6 +222,7 @@ def exact_star_chromatic(g: Graph, max_n: int | None = None) -> int:
     Runs multiway.smallest_coloring with the star step test.  Exponential;
     capped at EXACT_SEARCH_MAX_N vertices (override with max_n).
     """
+    check_graph(g)
     check_capacity(g.n, max_n, EXACT_SEARCH_MAX_N, "exact star search")
     return len(set(smallest_coloring(g, _star_admissible(g))))
 
@@ -245,10 +254,10 @@ def star_coloring(g: Graph, max_n: int | None = None) -> ColoringCertificate:
     components; no P4 crosses a component boundary).  A component on which
     repair_bicolored_p4s finds no paired star colouring is coloured by
     depth_coloring instead, and the failure is recorded on the certificate:
-    one witness per such component, in component order.
+    one witness per such component, in component order.  tau(g) and the
+    graph6 string come from graph_facts.
     """
-    g6 = encode_graph6(g)
-    tau_g = graph_facts(g, max_n).tau
+    facts = graph_facts(g, max_n)
     colors = [0] * g.n
     witnesses: list[dict] = []
     for comp in connected_components(g, g.full_mask):
@@ -265,9 +274,9 @@ def star_coloring(g: Graph, max_n: int | None = None) -> ColoringCertificate:
         for v_local, c in enumerate(comp_colors):
             colors[order[v_local]] = c
     if not verify_star_coloring(g, colors):
-        raise InternalCheckError(f"assembled star colouring failed verification on {g6}")
+        raise InternalCheckError(f"assembled star colouring failed verification on {facts.graph6}")
     used = len(set(colors))
-    if used > tau_g:
-        raise InternalCheckError(f"star colouring used {used} colours, bound is {tau_g}")
-    return ColoringCertificate(g6, tuple(colors), used, tau_g, "star", True,
+    if used > facts.tau:
+        raise InternalCheckError(f"star colouring used {used} colours, bound is {facts.tau}")
+    return ColoringCertificate(facts.graph6, tuple(colors), used, facts.tau, "star", True,
                                witness=witnesses or None)

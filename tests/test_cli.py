@@ -198,6 +198,49 @@ def test_partition_all_pairs_decomposes_once(capsys, monkeypatch):
         assert len(calls) == 1
 
 
+@pytest.fixture
+def encoded(monkeypatch):
+    """The graph6 string of every graph that any taupart module encodes
+    during the test, in order, starting with cold graph facts."""
+    import taupart
+
+    calls = []
+    real = encode_graph6
+
+    def counted(g):
+        calls.append(real(g))
+        return calls[-1]
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "taupart" and getattr(module, "encode_graph6", None) is real:
+            monkeypatch.setattr(module, "encode_graph6", counted)
+    assert taupart.graphs.encode_graph6 is counted
+    partition._graph_facts.cache_clear()
+    return calls
+
+
+def test_partition_all_pairs_encodes_the_graph_once(capsys, encoded):
+    # every certificate reads the graph6 string of its graph's facts
+    for g6, targets in (("Dhc", 4), ("IheA@GUAo", 9)):
+        encoded.clear()
+        code, recs, _ = run(capsys, "partition", g6, "--all-pairs")
+        assert code == 0 and len(recs) == targets
+        assert encoded == [g6]
+
+
+def test_hunt_encodes_each_graph_once(tmp_path, capsys, encoded):
+    # K4 (a fallback with witnesses), C5, the Petersen graph, and the
+    # bowtie and a path, which brute force partitions
+    lines = ["C~", "Dhc", "IheA@GUAo", "DxK", "Ch"]
+    src = tmp_path / "g.g6"
+    src.write_text("".join(s + "\n" for s in lines))
+    code, recs, _ = run(capsys, "hunt", "--source", str(src), "--deterministic",
+                        "--witness-file", str(tmp_path / "w.jsonl"))
+    assert code == 0
+    assert recs[-1]["counts"]["witness"] >= 1 and recs[-1]["counts"]["fallback"] >= 1
+    assert sorted(encoded) == sorted(lines)
+
+
 def test_partition_usage_errors(capsys):
     assert run(capsys, "partition", "C~")[0] == 2
     assert run(capsys, "partition", "C~", "-a", "2")[0] == 2

@@ -526,6 +526,16 @@ def test_a_wrong_count_or_flag_is_rejected_before_any_dp(build, fault, count_dps
     assert count_dps == []
 
 
+def test_a_bicoloured_p4_is_rejected_before_any_dp(count_dps):
+    # the star check needs no DP, so it comes before tau(g)
+    rec = star_coloring(cycle_graph(20)).to_json_dict()
+    assert verify_record(rec) == (True, "ok")
+    count_dps.clear()
+    bad = {**rec, "colors": [0, 1] * 10, "colors_used": 2}  # proper, but every P4 is bicoloured
+    assert verify_record(bad) == (False, "colouring is not a star colouring")
+    assert count_dps == []
+
+
 def test_verify_star_record():
     rec = star_coloring(parse_graph6("DxK")).to_json_dict()
     ok, msg = verify_coloring_record(rec)

@@ -545,12 +545,15 @@ def test_graph_facts_match_independent_recomputation():
         facts = graph_facts(g)
         assert facts.tau == detour_order_dfs(g)
         levels = list(ear_levels(ear_decompose(g)))
-        assert facts.levels.graphs == tuple(h for h, _, _ in levels)
-        assert facts.levels.ears == tuple(e for _, e, _ in levels[1:])
-        assert facts.levels.orig_of == levels[-1][2]
-        assert facts.levels.taus == tuple(detour_order_dfs(h) for h in facts.levels.graphs)
+        assert facts.graph6 == encode_graph6(g)
+        assert facts.levels == tuple(h for h, _, _ in levels)
+        assert facts.ears == tuple(e for _, e, _ in levels[1:])
+        assert facts.orig_of == levels[-1][2]
+        assert facts.taus == tuple(detour_order_dfs(h) for h in facts.levels)
     tree = path_graph(5)
-    assert graph_facts(tree).levels is None
+    facts = graph_facts(tree)
+    assert (facts.graph6, facts.tau) == (encode_graph6(tree), 5)
+    assert facts.levels == facts.ears == facts.orig_of == facts.taus == ()
     with pytest.raises(NotTwoConnectedError):
         tau_partition_2connected(tree, PartitionTarget(2, 3))
 
@@ -652,11 +655,11 @@ def test_level_taus_carry_only_true_hamiltonian_ends():
 
     big_levels = 0
     for g in _level_tau_cases():
-        lv = graph_facts(g).levels
-        taus, carried = partition._level_taus(lv.graphs, lv.ears)
-        assert taus == lv.taus
-        assert graph_facts(g).tau == taus[-1]
-        for h, tau, ends in zip(lv.graphs, taus, carried):
+        facts = graph_facts(g)
+        taus, carried = partition._level_taus(facts.levels, facts.ears)
+        assert taus == facts.taus
+        assert facts.tau == taus[-1]
+        for h, tau, ends in zip(facts.levels, taus, carried):
             # the ends of paths of order |V(h)|, from an early-exit DP that
             # reads no subset table
             exact_tau, exact_ends = tau_subset(h, h.full_mask), end_vertices_of_order_paths(h, h.n)
@@ -708,7 +711,7 @@ def test_the_final_check_reads_the_top_level_table(count_dps, monkeypatch):
     from taupart import detour
 
     g = petersen_graph()
-    top = graph_facts(g).levels.graphs[-1]
+    top = graph_facts(g).levels[-1]
     assert g.n < NUMPY_DP_MIN_K and top != g
     built = []
     real = detour.SubsetTable.__init__

@@ -66,6 +66,26 @@ def test_code_lines_compares_each_module_with_a_base_tree(tmp_path, capsys):
     ]
 
 
+def test_code_lines_widens_the_name_column_to_the_longest_name(tmp_path, capsys):
+    now, base = tmp_path / "now", tmp_path / "base"
+    now.mkdir()
+    base.mkdir()
+    (now / "test_benchmark_names.py").write_text("x = 1\n")
+    (base / "a.py").write_text("x = 1\n")
+    assert _load("code_lines").main([str(now)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "test_benchmark_names      1",
+        "total                     1",
+    ]
+    assert _load("code_lines").main([str(now), str(base)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "module                 base    now  change",
+        "a                         1      0      -1",
+        "test_benchmark_names      0      1      +1",
+        "total                     1      1      +0",
+    ]
+
+
 def test_code_lines_refuses_a_directory_that_is_not_there(tmp_path, capsys):
     assert _load("code_lines").main([str(tmp_path), str(tmp_path / "missing")]) == 2
     assert capsys.readouterr().err == f"error: {tmp_path / 'missing'} is not a directory\n"

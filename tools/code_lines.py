@@ -12,8 +12,10 @@ Run from the repository root:
 PACKAGE_DIR defaults to src/taupart.  Given BASE_DIR, the same package in
 another tree (a worktree of the base commit, say), it prints each module's
 count in both trees and the change, a module missing from one tree
-counting 0 there.  It only reports: the exit code is 0 unless a directory
-cannot be read.
+counting 0 there.  The name column is as wide as the longest module name,
+and at least 12 characters.  It only reports: the exit code is 0 unless a
+directory cannot be read.  It counts any directory of modules, such as
+tests/.
 """
 
 from __future__ import annotations
@@ -56,15 +58,16 @@ def main(argv: list[str]) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    width = max([12, *map(len, now.keys() | (base or {}).keys())])
     if base is None:
         for name, count in [*now.items(), ("total", sum(now.values()))]:
-            print(f"{name:<12} {count:>6}")
+            print(f"{name:<{width}} {count:>6}")
         return 0
     rows = [(name, base.get(name, 0), now.get(name, 0)) for name in sorted(base.keys() | now.keys())]
     rows.append(("total", sum(base.values()), sum(now.values())))
-    print(f"{'module':<12} {'base':>6} {'now':>6} {'change':>7}")
+    print(f"{'module':<{width}} {'base':>6} {'now':>6} {'change':>7}")
     for name, before, after in rows:
-        print(f"{name:<12} {before:>6} {after:>6} {after - before:>+7}")
+        print(f"{name:<{width}} {before:>6} {after:>6} {after - before:>+7}")
     return 0
 
 
